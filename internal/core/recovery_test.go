@@ -222,6 +222,14 @@ func TestStandaloneJoinerCrashRecovery(t *testing.T) {
 	if jitems == 0 {
 		t.Fatal("joiner joined with no items")
 	}
+	// As the bootstrap's only successor the joiner also holds its replicas.
+	for joiner.Peer.Rep.ReplicaCount() == 0 && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	jreps := joiner.Peer.Rep.ReplicaCount()
+	if jreps == 0 {
+		t.Fatal("joiner never received the bootstrap's replicas")
+	}
 
 	// Crash the joiner and restart it promptly from the same directory —
 	// before failure detection declares it dead and revives the range
@@ -231,12 +239,22 @@ func TestStandaloneJoinerCrashRecovery(t *testing.T) {
 	revived, _, jtr2 := durableStandalone(t, joinDir, joinAddr, cfg)
 	t.Cleanup(func() { jtr2.Close() })
 	t.Cleanup(revived.Close)
+	walBefore := revived.Peer.Backend.Stats().Records
 	resumed, err := revived.Resume()
 	if err != nil {
 		t.Fatalf("joiner Resume: %v", err)
 	}
 	if !resumed {
 		t.Fatal("joiner Resume found no durable claim")
+	}
+	// Resume re-stamps the claim and the owned items; the held replicas are
+	// already in the backend that recovered them and are not written again
+	// (at sync interval zero that was one fsync per replica before serving).
+	if got, want := revived.Peer.Backend.Stats().Records-walBefore, uint64(1+jitems); got != want {
+		t.Fatalf("Resume journaled %d records, want %d (claim + %d items, none of the %d replicas)", got, want, jitems, jreps)
+	}
+	if got := revived.Peer.Rep.ReplicaCount(); got != jreps {
+		t.Fatalf("joiner recovered %d replicas, want %d", got, jreps)
 	}
 	rng2, epoch2, _ := revived.Peer.Store.RangeEpoch()
 	if rng2 != jrng || epoch2 != jepoch {

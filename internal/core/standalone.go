@@ -113,6 +113,11 @@ func (s *Standalone) handleProbe(_ transport.Addr, _ string, payload any) (any, 
 		resp.SigRejects += g.SigRejects()
 	}
 	resp.SigRejects += p.Rep.SigRejects.Load()
+	resp.PushDeltas = p.Rep.DeltaPushes.Load()
+	resp.PushHeartbeats = p.Rep.HeartbeatPushes.Load()
+	resp.PushFulls = p.Rep.FullPushes.Load()
+	resp.PushNeedFulls = p.Rep.NeedFulls.Load()
+	resp.ReplicaWALWrites = p.Rep.ReplicaRecords.Load()
 	if wsp, ok := s.tr.(transport.WireStatsProvider); ok {
 		ws := wsp.WireStats()
 		resp.AuthEnabled = ws.AuthEnabled

@@ -120,6 +120,18 @@ type ProbeStatus struct {
 	SigRejects       uint64 `json:"sig_rejects"`
 	StreamResumes    uint64 `json:"stream_resumes"`
 
+	// Replication push protocol: pushes this peer sent as an origin, by shape
+	// (delta, advert-only heartbeat, full set), the replies that asked it for
+	// the full set, and the replica records it journaled as a holder. A
+	// healthy steady state is deltas tracking the write rate, heartbeats
+	// ticking at the refresh period, and full pushes / NeedFull replies only
+	// around membership change.
+	PushDeltas       uint64 `json:"push_deltas"`
+	PushHeartbeats   uint64 `json:"push_heartbeats"`
+	PushFulls        uint64 `json:"push_fulls"`
+	PushNeedFulls    uint64 `json:"push_need_fulls"`
+	ReplicaWALWrites uint64 `json:"replica_wal_writes"`
+
 	// Gossip directory state: distinct members known, free-and-untaken
 	// directory entries, and anti-entropy rounds initiated. All zero when
 	// gossip is disabled (-gossip-interval 0).

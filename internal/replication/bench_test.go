@@ -1,0 +1,88 @@
+package replication
+
+import (
+	"context"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/simnet"
+	"repro/internal/transport"
+)
+
+// pushMeter counts the bytes the origin streams as rep.push bulk calls.
+type pushMeter struct {
+	*simnet.Network
+	pushes, bytes atomic.Uint64
+}
+
+func (p *pushMeter) OpenStream(ctx context.Context, from, to transport.Addr, method string) (transport.Stream, error) {
+	st, err := p.Network.OpenStream(ctx, from, to, method)
+	if err != nil || method != methodPush {
+		return st, err
+	}
+	p.pushes.Add(1)
+	return meteredStream{Stream: st, bytes: &p.bytes}, nil
+}
+
+type meteredStream struct {
+	transport.Stream
+	bytes *atomic.Uint64
+}
+
+func (s meteredStream) Chunk(ctx context.Context, data []byte) error {
+	s.bytes.Add(uint64(len(data)))
+	return s.Stream.Chunk(ctx, data)
+}
+
+// BenchmarkRefreshSteadyState measures what one mutation costs the
+// replication path once the successors are up to date: an origin holding 99
+// items of 128 bytes (the client-path benchmark's payload) with k = 3
+// successors applies one insert or delete and refreshes, b.N times. It
+// reports the bytes of one push and the replica records each holder journals
+// per mutation, and fails if that exceeds 1 — the steady-state contract of
+// the versioned push protocol (re-pushing the range would journal ~100).
+func BenchmarkRefreshSteadyState(b *testing.B) {
+	const k = 3
+	r := bootProto(b, newRepHarness(b), k+1, k)
+	meter := &pushMeter{Network: r.h.net}
+	r.origin.net = meter
+	// The harness gives the origin the range (0, 100]: fill it, leaving one
+	// key free for the mutations.
+	const hot = 50
+	payload := strings.Repeat("p", 128)
+	for key := uint64(1); key <= 100; key++ {
+		if key != hot {
+			r.put(key, payload)
+		}
+	}
+	r.origin.RefreshOnce()
+	start := make([]uint64, k)
+	for j, hm := range r.holders {
+		start[j] = journaled(hm)
+	}
+	pushes, bytes := meter.pushes.Load(), meter.bytes.Load()
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			r.put(hot, payload)
+		} else {
+			r.del(hot)
+		}
+		r.origin.RefreshOnce()
+	}
+	b.StopTimer()
+
+	worst := 0.0
+	for j, hm := range r.holders {
+		if per := float64(journaled(hm)-start[j]) / float64(b.N); per > worst {
+			worst = per
+		}
+	}
+	b.ReportMetric(worst, "records/mutation")
+	b.ReportMetric(float64(meter.bytes.Load()-bytes)/float64(meter.pushes.Load()-pushes), "bytes/push")
+	if worst > 1 {
+		b.Fatalf("a holder journaled %.2f replica records per mutation, want at most 1", worst)
+	}
+}

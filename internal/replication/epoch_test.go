@@ -3,6 +3,7 @@ package replication
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,8 +42,29 @@ func TestPushRecordsAdvertisedEpochs(t *testing.T) {
 // now claims at a strictly higher epoch is answered Deposed, and the pusher
 // steps down — its range drops and it departs. This is the runtime half of
 // the dual-claim fix: the loser of a false-positive revival resigns within
-// one replication refresh.
+// one replication refresh. The verdict rides on whatever shape the refresh
+// sends: a full push, or — once the successor is up to date — a heartbeat.
 func TestDeposedPushTriggersStepDown(t *testing.T) {
+	eachPushShape(t, testDeposedPushTriggersStepDown)
+}
+
+// eachPushShape runs a deposition scenario twice: with the conflict met by
+// the origin's first (full) push, and by the heartbeat that follows an
+// acknowledged one. warm performs that acknowledged push; the scenario calls
+// it before staging its conflict and gets back the shape counter to check.
+func eachPushShape(t *testing.T, scenario func(t *testing.T, warm func(m *Manager) *atomic.Uint64)) {
+	t.Run("full", func(t *testing.T) {
+		scenario(t, func(m *Manager) *atomic.Uint64 { return &m.FullPushes })
+	})
+	t.Run("heartbeat", func(t *testing.T) {
+		scenario(t, func(m *Manager) *atomic.Uint64 {
+			m.RefreshOnce()
+			return &m.HeartbeatPushes
+		})
+	})
+}
+
+func testDeposedPushTriggersStepDown(t *testing.T, warm func(m *Manager) *atomic.Uint64) {
 	h := newRepHarness(t)
 	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1, DisableAutoRefresh: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -52,6 +74,7 @@ func TestDeposedPushTriggersStepDown(t *testing.T) {
 	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
+	shape := warm(mgrs[0])
 
 	// Simulate the successor having revived peer 0's range at a higher
 	// epoch (what a false-positive failure verdict produces).
@@ -62,6 +85,9 @@ func TestDeposedPushTriggersStepDown(t *testing.T) {
 
 	mgrs[0].RefreshOnce() // push meets the higher-epoch claim → Deposed → StepDown
 
+	if got := shape.Load(); got != 1 {
+		t.Fatalf("the deposing reply did not answer the expected push shape (count %d, want 1)", got)
+	}
 	if _, ok := stores[0].Range(); ok {
 		t.Fatal("deposed pusher still serves its range")
 	}
@@ -107,6 +133,7 @@ func TestReplicaReadRefusesDeposedChain(t *testing.T) {
 		From:  newOwner,
 		Range: rng0,
 		Epoch: epoch0 + 1,
+		Full:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +161,10 @@ func TestReplicaReadRefusesDeposedChain(t *testing.T) {
 // receiver of the push re-claims strictly above the conflict and deposes the
 // pusher, whose StepDown guard then accepts the strictly-higher epoch.
 func TestTiedEpochPushResolvesByReclaim(t *testing.T) {
+	eachPushShape(t, testTiedEpochPushResolvesByReclaim)
+}
+
+func testTiedEpochPushResolvesByReclaim(t *testing.T, warm func(m *Manager) *atomic.Uint64) {
 	h := newRepHarness(t)
 	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1, DisableAutoRefresh: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -143,6 +174,7 @@ func TestTiedEpochPushResolvesByReclaim(t *testing.T) {
 	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
+	shape := warm(mgrs[0])
 
 	// Stage the collision: the successor claims a superset of peer 0's range
 	// at peer 0's EXACT epoch (what a revival produces when the suspect's
@@ -154,6 +186,9 @@ func TestTiedEpochPushResolvesByReclaim(t *testing.T) {
 
 	mgrs[0].RefreshOnce() // tied push → successor re-claims above → Deposed → StepDown
 
+	if got := shape.Load(); got != 1 {
+		t.Fatalf("the tie was not met by the expected push shape (count %d, want 1)", got)
+	}
 	if got := stores[1].Epoch(); got <= epoch0 {
 		t.Fatalf("successor epoch = %d after tie, want > %d (re-claimed above the conflict)", got, epoch0)
 	}
@@ -188,7 +223,7 @@ func TestThirdPartyHolderRefusesDeposedPush(t *testing.T) {
 	// The winner's higher-epoch advert reaches the holder with its
 	// post-revival item set (key 50 deleted).
 	resp, err := h.net.Call(ctx, winner.Addr, holder, methodPush, pushMsg{
-		From: winner, Range: rng0, Epoch: epoch0 + 1,
+		From: winner, Range: rng0, Epoch: epoch0 + 1, Full: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +239,7 @@ func TestThirdPartyHolderRefusesDeposedPush(t *testing.T) {
 	// refused — not installed — even though the holder's own range does not
 	// overlap it.
 	resp, err = h.net.Call(ctx, stores[0].Addr(), holder, methodPush, pushMsg{
-		From: rings[0].Self(), Range: rng0, Epoch: epoch0,
+		From: rings[0].Self(), Range: rng0, Epoch: epoch0, Full: true,
 		Items: []datastore.Item{{Key: 50, Payload: "stale"}},
 	})
 	if err != nil {

@@ -143,3 +143,68 @@ func TestForgedPushAdvertCannotDepose(t *testing.T) {
 		t.Fatalf("holder SigRejects = %d after a genuine refresh, want still 2", got)
 	}
 }
+
+// The smaller shapes are ownership assertions too: a forged or unsigned delta
+// or heartbeat in the real owner's name is refused before any bookkeeping —
+// no replica installed, no lease evidence stamped, the recorded version
+// untouched — exactly like a forged full push.
+func TestForgedDeltaAndHeartbeatAreRefused(t *testing.T) {
+	h := newRepHarness(t)
+	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1, DisableAutoRefresh: true})
+	wireAuth(t, h)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	waitRep(t, 5*time.Second, "successor", func() bool { return len(rings[0].Successors()) >= 1 })
+	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
+		t.Fatal(err)
+	}
+	mgrs[0].RefreshOnce()
+	mgrs[0].RefreshOnce() // a genuine signed heartbeat verifies
+	if got := mgrs[0].HeartbeatPushes.Load(); got != 1 {
+		t.Fatalf("HeartbeatPushes = %d, want 1", got)
+	}
+	holder := mgrs[1]
+	if got := holder.SigRejects.Load(); got != 0 {
+		t.Fatalf("genuine pushes rejected: SigRejects = %d", got)
+	}
+
+	owner := rings[0].Self()
+	rng, epoch, _ := stores[0].RangeEpoch()
+	holder.mu.Lock()
+	held := holder.adverts[owner.Addr]
+	holder.mu.Unlock()
+	count, digest := 1, newReplica(datastore.Item{Key: 50}).sum
+	forger, err := auth.NewIdentity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgedSig := forger.SignAdvert(string(owner.Addr), rng.Lo, rng.Hi, epoch)
+	pushes := map[string]pushMsg{
+		"forged heartbeat": {From: owner, Range: rng, Epoch: epoch, Sig: forgedSig,
+			Base: held.Version, Version: held.Version, Count: count, Digest: digest},
+		"unsigned heartbeat": {From: owner, Range: rng, Epoch: epoch,
+			Base: held.Version, Version: held.Version, Count: count, Digest: digest},
+		"forged delta": {From: owner, Range: rng, Epoch: epoch, Sig: forgedSig,
+			Base: held.Version, Version: held.Version + 1, Items: []datastore.Item{{Key: 60, Payload: "forged"}}, Count: 2},
+		"unsigned delta": {From: owner, Range: rng, Epoch: epoch,
+			Base: held.Version, Version: held.Version + 1, Deletes: []keyspace.Key{50}},
+	}
+	for name, msg := range pushes {
+		if _, err := h.net.Call(ctx, owner.Addr, holder.ring.Self().Addr, methodPush, msg); !errors.Is(err, auth.ErrBadSignature) {
+			t.Fatalf("%s: err = %v, want ErrBadSignature", name, err)
+		}
+	}
+	if got := holder.SigRejects.Load(); got != uint64(len(pushes)) {
+		t.Fatalf("SigRejects = %d, want %d", got, len(pushes))
+	}
+	holder.mu.Lock()
+	after := holder.adverts[owner.Addr]
+	holder.mu.Unlock()
+	if after != held {
+		t.Fatalf("refused pushes changed the holder's record of the owner: %+v -> %+v", held, after)
+	}
+	if reps := holder.HeldReplicas(); len(reps) != 1 || reps[0].Key != 50 {
+		t.Fatalf("refused pushes changed the replica store: %+v", reps)
+	}
+}

@@ -8,9 +8,31 @@
 // item's replica count (the Figure 17 loss scenario versus the Figure 18
 // fix). The naive baseline skips that step.
 //
-// Replica freshness is maintained by periodic range-scoped reconciliation:
-// each push carries the origin's full item set for its range, and the
-// receiver drops any replica in that range that the origin no longer holds.
+// Replica freshness is maintained by one versioned push protocol. The origin
+// numbers the states of its item set for the current (range, epoch): every
+// refresh diffs the Data Store against the set it last pushed, bumps the
+// version when something changed, and sends each successor the smallest
+// sufficient shape of the same message — a delta (Base -> Version) when the
+// successor acknowledged Base, a heartbeat (nothing but the advert) when it
+// already acknowledged Version, and the full set when the successor is new,
+// the (range, epoch) changed, the previous push went unanswered, or the
+// successor asked for it (NeedFull). Every push carries the count and an
+// order-independent digest of the origin's set at Version; the receiver
+// applies a delta only onto the matching base, re-checks count and digest
+// over what it then holds inside the range, and answers NeedFull on any
+// mismatch. Update cost is therefore proportional to the change, not to the
+// range, and a holder that missed a delta, restarted, or had a stale key
+// merged into it is repaired by the next push.
+//
+// The invariant the protocol maintains (and the tests assert): if holder h
+// records version v for origin o at (range, epoch), then h's replicas inside
+// range equal o's item set at v. What bounds divergence is the version check
+// and digest on every push plus a heartbeat every RefreshPeriod, so a replica
+// still lags its origin by at most one refresh plus a push in flight.
+//
+// On the receiving side only records that change a held replica are
+// journaled, as one storage batch per push: a push onto an up-to-date holder
+// writes nothing.
 package replication
 
 import (
@@ -74,10 +96,98 @@ func (c Config) withDefaults() Config {
 // evidence: an origin whose advert has not refreshed within the lease
 // duration has stopped proving it still serves, and its successor may treat
 // the range as orphaned (datastore.Config.LeaseDuration).
+//
+// Version is the holder's half of the push protocol: the origin's set version
+// this peer's replicas inside Range are known to equal (see the package
+// invariant); 0 when no version is recorded — nothing was installed yet, the
+// (range, epoch) moved, or the last count+digest check failed.
 type advert struct {
 	Range     keyspace.Range
 	Epoch     uint64
 	RenewedAt time.Time
+	Version   uint64
+}
+
+// replica is one item of a versioned set plus its digest term, computed once
+// when the item enters the set so that summing a set is a walk, not a rehash.
+type replica struct {
+	datastore.Item
+	sum uint64
+}
+
+func newReplica(it datastore.Item) replica { return replica{Item: it, sum: itemSum(it)} }
+
+// itemSum is one item's term in a set digest: FNV-1a over key and payload,
+// finished with a mixer so that terms combine well under addition. The digest
+// of a set is the wrapping sum of its terms — order-independent, and
+// maintainable in O(change) as items enter and leave.
+func itemSum(it datastore.Item) uint64 {
+	h := uint64(14695981039346656037)
+	for k, i := uint64(it.Key), 0; i < 8; i, k = i+1, k>>8 {
+		h = (h ^ (k & 0xff)) * 1099511628211
+	}
+	for i := 0; i < len(it.Payload); i++ {
+		h = (h ^ uint64(it.Payload[i])) * 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// originState is the origin's half of the push protocol: the item set it last
+// pushed for its (range, epoch), that set's version, and which version each
+// current successor is known to hold.
+type originState struct {
+	rng     keyspace.Range
+	epoch   uint64
+	sig     auth.AdvertSig           // advert signature for (rng, epoch)
+	version uint64                   // never reused, not even across (range, epoch) changes
+	set     map[keyspace.Key]replica // the item set at version
+	digest  uint64                   // sum of set's terms
+	// acked maps a successor to the version it last acknowledged. A successor
+	// is absent when it is new or its last push went unanswered: its state is
+	// unknown and the next push to it is full.
+	acked map[transport.Addr]uint64
+}
+
+// advance moves the state to the item set items (the Data Store's, inside
+// o.rng) and returns the delta from the previous version: the items to upsert
+// and the keys to delete. base == o.version afterwards means nothing changed.
+func (o *originState) advance(items []datastore.Item) (base uint64, puts []datastore.Item, dels []keyspace.Key) {
+	base = o.version
+	kept := 0 // members of the previous set still present
+	before := len(o.set)
+	for _, it := range items {
+		if prev, ok := o.set[it.Key]; ok {
+			kept++
+			if prev.Payload == it.Payload {
+				continue
+			}
+			o.digest -= prev.sum
+		}
+		r := newReplica(it)
+		o.set[it.Key] = r
+		o.digest += r.sum
+		puts = append(puts, it)
+	}
+	if kept < before {
+		live := make(map[keyspace.Key]struct{}, len(items))
+		for _, it := range items {
+			live[it.Key] = struct{}{}
+		}
+		for k, r := range o.set {
+			if _, ok := live[k]; !ok {
+				delete(o.set, k)
+				o.digest -= r.sum
+				dels = append(dels, k)
+			}
+		}
+	}
+	if len(puts)+len(dels) > 0 {
+		o.version++
+	}
+	return base, puts, dels
 }
 
 // Manager is one peer's Replication Manager. It implements
@@ -104,8 +214,15 @@ type Manager struct {
 	backend storage.Backend // write-ahead engine; never nil (Memory default)
 
 	mu       sync.Mutex
-	replicas map[keyspace.Key]datastore.Item
-	adverts  map[transport.Addr]advert // latest epoch advert per origin
+	replicas map[keyspace.Key]replica
+	adverts  map[transport.Addr]advert // latest epoch advert (and held version) per origin
+
+	// pushMu serializes this peer's own pushes (refresh loop, manual
+	// RefreshOnce, BeforeLeave) and guards origin. It is never taken by a
+	// handler, so holding it across the push round trips cannot deadlock two
+	// peers pushing to each other.
+	pushMu sync.Mutex
+	origin originState
 
 	// ReplicaServes counts replica-read requests answered by this peer (the
 	// read path's availability fallback).
@@ -117,6 +234,16 @@ type Manager struct {
 	// SigRejects counts pushes refused because their advert signature failed
 	// verification (forged or unsigned ownership assertions).
 	SigRejects atomic.Uint64
+	// DeltaPushes, HeartbeatPushes and FullPushes count the pushes this peer
+	// sent, by shape; NeedFulls counts the replies that asked for the full set
+	// (a holder that missed a delta, restarted, or failed the digest check).
+	DeltaPushes     atomic.Uint64
+	HeartbeatPushes atomic.Uint64
+	FullPushes      atomic.Uint64
+	NeedFulls       atomic.Uint64
+	// ReplicaRecords counts the replica records this peer journaled: only
+	// pushes that change a held replica add to it.
+	ReplicaRecords atomic.Uint64
 
 	kick    chan struct{}
 	lifeMu  sync.Mutex // guards started/stopped transitions vs wg
@@ -134,7 +261,7 @@ func New(net transport.Transport, mux *transport.Mux, rp *ring.Peer, ds *datasto
 		ring:     rp,
 		ds:       ds,
 		backend:  storage.NewMemory(),
-		replicas: make(map[keyspace.Key]datastore.Item),
+		replicas: make(map[keyspace.Key]replica),
 		adverts:  make(map[transport.Addr]advert),
 		kick:     make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
@@ -155,15 +282,17 @@ func (m *Manager) SetBackend(b storage.Backend) {
 	}
 }
 
-// RestoreReplicas installs replicas recovered from durable storage and
-// re-stamps them into the new run's log (idempotent on replay). Called once
-// during recovery, before the manager starts serving.
+// RestoreReplicas installs replicas recovered from durable storage. They are
+// not journaled again: the backend that recovered them already holds them.
+// No version is restored with them, so each origin's first push after the
+// restart is answered NeedFull and the full set that follows is diffed
+// against what was recovered. Called once during recovery, before the manager
+// starts serving.
 func (m *Manager) RestoreReplicas(items []datastore.Item) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, it := range items {
-		m.replicas[it.Key] = it
-		_ = m.backend.Append(storage.Record{Kind: storage.RecReplicaPut, Key: it.Key, Payload: it.Payload})
+		m.replicas[it.Key] = newReplica(it)
 	}
 }
 
@@ -228,26 +357,42 @@ func (m *Manager) HeldReplicas() []datastore.Item {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]datastore.Item, 0, len(m.replicas))
-	for _, it := range m.replicas {
-		out = append(out, it)
+	for _, r := range m.replicas {
+		out = append(out, r.Item)
 	}
 	return out
 }
 
-// pushMsg replicates the origin's full item set for its range; the receiver
-// reconciles its replica store within that range. Epoch is the origin's
-// ownership epoch for Range — its incarnation's fencing token; 0 marks a
-// push that asserts no ownership (the raw held-replica merges of
-// BeforeLeave) and is installed without any epoch bookkeeping.
+// pushMsg is the one replication message, in three shapes told apart by
+// Full, Base and Version. Full: Items is the origin's complete set at
+// Version and the receiver reconciles its replicas inside Range against it.
+// Delta (Base != Version): Items are upserted and Deletes removed, but only
+// onto a holder that records exactly Base for this (Range, Epoch). Heartbeat
+// (Base == Version, nothing to apply): the advert alone, which renews the
+// lease on both sides and lets the holder re-check what it has.
+//
+// Epoch is the origin's ownership epoch for Range — its incarnation's fencing
+// token; 0 marks a push that asserts no ownership (the raw held-replica merge
+// of BeforeLeave): its Items are installed without any epoch or version
+// bookkeeping and nothing is reconciled away.
 type pushMsg struct {
 	From  ring.Node
 	Range keyspace.Range
 	Epoch uint64
-	Items []datastore.Item
 	// Sig signs the ownership advert (From.Addr, Range, Epoch) with the
 	// origin's identity key. Empty on epoch-0 pushes (they assert nothing) and
 	// on clusters running without identities.
 	Sig auth.AdvertSig
+
+	Full    bool
+	Base    uint64
+	Version uint64
+	Items   []datastore.Item
+	Deletes []keyspace.Key
+	// Count and Digest summarise the origin's set at Version; the receiver
+	// compares them with what it holds inside Range after applying the push.
+	Count  int
+	Digest uint64
 }
 
 // pushResp acknowledges a push. Deposed tells the pusher its ownership
@@ -255,111 +400,175 @@ type pushMsg struct {
 // covers the pushed range at the strictly higher Epoch. The pusher must stop
 // serving (datastore.StepDown) — this reply is how a live peer that the
 // failure detector wrongly declared dead learns its range was revived out
-// from under it.
+// from under it. NeedFull tells the pusher the advert was recorded but the
+// holder cannot vouch for Version — it does not hold the delta's Base, or its
+// replicas fail the count+digest check — and must be sent the full set.
 type pushResp struct {
-	Deposed bool
-	Epoch   uint64
+	Deposed  bool
+	Epoch    uint64
+	NeedFull bool
 }
 
-// handlePush installs replicas, dropping stale ones within the pushed range,
-// and answers the epoch question: a push from a deposed incarnation is
-// refused (and reported as such) instead of being recorded as if the origin
-// still owned the range.
+// handlePush answers the epoch question — a push from a deposed incarnation
+// is refused (and reported as such) instead of being recorded as if the
+// origin still owned the range — and then applies whichever shape arrived.
+// Signature verification, both deposition checks, advert pruning and the
+// lease-renewal stamp run identically for all three shapes.
 func (m *Manager) handlePush(_ transport.Addr, _ string, payload any) (any, error) {
 	msg, ok := payload.(pushMsg)
 	if !ok {
 		return nil, fmt.Errorf("replication: bad push payload %T", payload)
 	}
-	if msg.Epoch != 0 {
-		// Signature check first: an epoch-carrying push is an ownership
-		// assertion, and on clusters with identities it must prove the
-		// assertion is the origin's own. A push signed under the wrong key (or
-		// not at all) is refused before it can depose anyone, install
-		// replicas, or even record an advert — a forged higher-epoch push is
-		// inert.
-		if m.VerifyAdvert != nil {
-			if err := m.VerifyAdvert(msg.From.Addr, msg.Range, msg.Epoch, msg.Sig); err != nil {
-				m.SigRejects.Add(1)
-				if m.OnSigReject != nil {
-					m.OnSigReject(msg.From.Addr, msg.Range, msg.Epoch)
-				}
-				return nil, fmt.Errorf("replication: push advert from %s for %v at epoch %d refused: %w",
-					msg.From.Addr, msg.Range, msg.Epoch, err)
-			}
-		}
-		// Deposition check against our own primary claim: overlapping claims
-		// by two live peers are a dual-ownership anomaly, and the epochs
-		// decide who yields. Strictly higher than the pusher: its
-		// incarnation was superseded (we revived its range after a failure
-		// verdict) — refuse and tell it. Tied: a collision the comparison
-		// cannot order (a revival whose advert-derived epoch failed to
-		// clear a bump the suspect never managed to push); re-claim
-		// strictly above the conflict so exactly one incarnation survives.
-		// Strictly lower: the pusher is the provably-ahead owner and WE are
-		// the stale claimant — step down (asynchronously; StepDown drains
-		// scans and departs, which must not block the push handler) rather
-		// than depose a legitimate higher incarnation.
-		if rng, epoch, ok := m.ds.RangeEpoch(); ok && rng.Overlaps(msg.Range) && msg.From.Addr != m.ring.Self().Addr {
-			switch {
-			case epoch > msg.Epoch:
-				return pushResp{Deposed: true, Epoch: epoch}, nil
-			case epoch == msg.Epoch:
-				if reclaimed := m.ds.ReclaimAbove(msg.Epoch); reclaimed > msg.Epoch {
-					return pushResp{Deposed: true, Epoch: reclaimed}, nil
-				}
-			default:
-				go m.ds.StepDown(msg.Epoch)
-			}
-		}
-		// Deposition check against third-party adverts: if a DIFFERENT
-		// origin has advertised an overlapping range at a strictly higher
-		// epoch, this pusher is deposed even though we are a mere replica
-		// holder — installing its push would clobber the winner's fresher
-		// replicas and resurrect the superseded incarnation's view.
+	if msg.Epoch == 0 {
 		m.mu.Lock()
-		for from, a := range m.adverts {
-			if from != msg.From.Addr && a.Range.Overlaps(msg.Range) && a.Epoch > msg.Epoch {
-				epoch := a.Epoch
-				m.mu.Unlock()
-				return pushResp{Deposed: true, Epoch: epoch}, nil
-			}
-		}
+		m.applyLocked(msg.Items, nil)
 		m.mu.Unlock()
+		return pushResp{}, nil
 	}
-	keep := make(map[keyspace.Key]bool, len(msg.Items))
-	for _, it := range msg.Items {
-		keep[it.Key] = true
+	// Signature check first: an epoch-carrying push is an ownership
+	// assertion, and on clusters with identities it must prove the
+	// assertion is the origin's own. A push signed under the wrong key (or
+	// not at all) is refused before it can depose anyone, install
+	// replicas, or even record an advert — a forged higher-epoch push is
+	// inert.
+	if m.VerifyAdvert != nil {
+		if err := m.VerifyAdvert(msg.From.Addr, msg.Range, msg.Epoch, msg.Sig); err != nil {
+			m.SigRejects.Add(1)
+			if m.OnSigReject != nil {
+				m.OnSigReject(msg.From.Addr, msg.Range, msg.Epoch)
+			}
+			return nil, fmt.Errorf("replication: push advert from %s for %v at epoch %d refused: %w",
+				msg.From.Addr, msg.Range, msg.Epoch, err)
+		}
+	}
+	// Deposition check against our own primary claim: overlapping claims
+	// by two live peers are a dual-ownership anomaly, and the epochs
+	// decide who yields. Strictly higher than the pusher: its
+	// incarnation was superseded (we revived its range after a failure
+	// verdict) — refuse and tell it. Tied: a collision the comparison
+	// cannot order (a revival whose advert-derived epoch failed to
+	// clear a bump the suspect never managed to push); re-claim
+	// strictly above the conflict so exactly one incarnation survives.
+	// Strictly lower: the pusher is the provably-ahead owner and WE are
+	// the stale claimant — step down (asynchronously; StepDown drains
+	// scans and departs, which must not block the push handler) rather
+	// than depose a legitimate higher incarnation.
+	if rng, epoch, ok := m.ds.RangeEpoch(); ok && rng.Overlaps(msg.Range) && msg.From.Addr != m.ring.Self().Addr {
+		switch {
+		case epoch > msg.Epoch:
+			return pushResp{Deposed: true, Epoch: epoch}, nil
+		case epoch == msg.Epoch:
+			if reclaimed := m.ds.ReclaimAbove(msg.Epoch); reclaimed > msg.Epoch {
+				return pushResp{Deposed: true, Epoch: reclaimed}, nil
+			}
+		default:
+			go m.ds.StepDown(msg.Epoch)
+		}
 	}
 	m.mu.Lock()
-	if msg.Epoch != 0 {
-		// Record the origin's advert; adverts from superseded incarnations
-		// of the same region are pruned so the table tracks the freshest
-		// view of each range's ownership.
-		for from, a := range m.adverts {
-			if from != msg.From.Addr && a.Range.Overlaps(msg.Range) && a.Epoch < msg.Epoch {
-				delete(m.adverts, from)
+	defer m.mu.Unlock()
+	// Deposition check against third-party adverts: if a DIFFERENT
+	// origin has advertised an overlapping range at a strictly higher
+	// epoch, this pusher is deposed even though we are a mere replica
+	// holder — installing its push would clobber the winner's fresher
+	// replicas and resurrect the superseded incarnation's view.
+	for from, a := range m.adverts {
+		if from != msg.From.Addr && a.Range.Overlaps(msg.Range) && a.Epoch > msg.Epoch {
+			return pushResp{Deposed: true, Epoch: a.Epoch}, nil
+		}
+	}
+	// Adverts from superseded incarnations of the same region are pruned so
+	// the table tracks the freshest view of each range's ownership.
+	for from, a := range m.adverts {
+		if from != msg.From.Addr && a.Range.Overlaps(msg.Range) && a.Epoch < msg.Epoch {
+			delete(m.adverts, from)
+		}
+	}
+	// Record the origin's advert. The receive time doubles as the origin's
+	// lease renewal evidence (same-epoch re-pushes refresh it; see
+	// AdvertInfo). The held version belongs to one (range, epoch): it does not
+	// carry over to a new one, and a straggler from an incarnation the origin
+	// itself has since superseded is reconciled as before but never versioned.
+	a := m.adverts[msg.From.Addr]
+	current := msg.Epoch >= a.Epoch
+	if current {
+		if a.Range != msg.Range || a.Epoch != msg.Epoch {
+			a.Version = 0
+		}
+		a.Range, a.Epoch, a.RenewedAt = msg.Range, msg.Epoch, time.Now()
+		m.adverts[msg.From.Addr] = a
+	}
+	switch {
+	case msg.Full:
+		keep := make(map[keyspace.Key]struct{}, len(msg.Items))
+		for _, it := range msg.Items {
+			keep[it.Key] = struct{}{}
+		}
+		var gone []keyspace.Key
+		for k := range m.replicas {
+			if _, ok := keep[k]; !ok && msg.Range.Contains(k) {
+				gone = append(gone, k)
 			}
 		}
-		if prev, ok := m.adverts[msg.From.Addr]; !ok || msg.Epoch >= prev.Epoch {
-			// The receive time doubles as the origin's lease renewal evidence
-			// (same-epoch re-pushes refresh it; see AdvertInfo).
-			m.adverts[msg.From.Addr] = advert{Range: msg.Range, Epoch: msg.Epoch, RenewedAt: time.Now()}
+		m.applyLocked(msg.Items, gone)
+	case current && a.Version != 0 && a.Version == msg.Base:
+		m.applyLocked(msg.Items, msg.Deletes)
+	default:
+		// Not the base this delta applies onto (a missed delta, a restarted
+		// holder, a new (range, epoch)): nothing was touched, so whatever
+		// version is recorded stays true.
+		return pushResp{NeedFull: true}, nil
+	}
+	// What is now held inside the range must be the origin's set at Version;
+	// only then is the version recorded. A mismatch — a key merged in behind
+	// the origin's back, a straggler applied out of order — forgets the
+	// version and asks for the full set, which reconciles the range.
+	a.Version = 0
+	if current {
+		if count, digest := m.summaryLocked(msg.Range); count == msg.Count && digest == msg.Digest {
+			a.Version = msg.Version
 		}
 	}
-	for k := range m.replicas {
-		if msg.Range.Contains(k) && !keep[k] {
+	m.adverts[msg.From.Addr] = a
+	return pushResp{NeedFull: current && a.Version == 0}, nil
+}
+
+// applyLocked upserts puts into the replica store and removes dels from it,
+// journaling only the records that change a held replica, as one batch: one
+// write and one fsync per push, none for a push that changes nothing. The
+// batch is appended while holding m.mu so the WAL order matches the replica
+// store's; an append error degrades durability only. Callers hold m.mu.
+func (m *Manager) applyLocked(puts []datastore.Item, dels []keyspace.Key) {
+	var recs []storage.Record
+	for _, k := range dels {
+		if _, ok := m.replicas[k]; ok {
 			delete(m.replicas, k)
-			// Write-ahead while holding m.mu so the WAL order matches the
-			// replica store's; an append error degrades durability only.
-			_ = m.backend.Append(storage.Record{Kind: storage.RecReplicaDelete, Key: k})
+			recs = append(recs, storage.Record{Kind: storage.RecReplicaDelete, Key: k})
 		}
 	}
-	for _, it := range msg.Items {
-		m.replicas[it.Key] = it
-		_ = m.backend.Append(storage.Record{Kind: storage.RecReplicaPut, Key: it.Key, Payload: it.Payload})
+	for _, it := range puts {
+		if cur, ok := m.replicas[it.Key]; ok && cur.Payload == it.Payload {
+			continue
+		}
+		m.replicas[it.Key] = newReplica(it)
+		recs = append(recs, storage.Record{Kind: storage.RecReplicaPut, Key: it.Key, Payload: it.Payload})
 	}
-	m.mu.Unlock()
-	return pushResp{}, nil
+	if len(recs) > 0 {
+		_ = m.backend.AppendBatch(recs)
+		m.ReplicaRecords.Add(uint64(len(recs)))
+	}
+}
+
+// summaryLocked returns the count and digest of the replicas held inside
+// rng, the holder's side of the per-push check. Callers hold m.mu.
+func (m *Manager) summaryLocked(rng keyspace.Range) (count int, digest uint64) {
+	for k, r := range m.replicas {
+		if rng.Contains(k) {
+			count++
+			digest += r.sum
+		}
+	}
+	return count, digest
 }
 
 // signAdvert signs this peer's ownership advert when an identity is wired,
@@ -416,9 +625,9 @@ func (m *Manager) handlePull(_ transport.Addr, _ string, payload any) (any, erro
 	}
 	resp := pullResp{MaxEpoch: m.MaxAdvertisedEpoch(req.Range)}
 	m.mu.Lock()
-	for k, it := range m.replicas {
+	for k, r := range m.replicas {
 		if req.Range.Contains(k) {
-			resp.Items = append(resp.Items, it)
+			resp.Items = append(resp.Items, r.Item)
 		}
 	}
 	m.mu.Unlock()
@@ -491,9 +700,9 @@ func (m *Manager) handleReplicaScan(_ transport.Addr, _ string, payload any) (an
 	m.ReplicaServes.Add(1)
 	seen := make(map[keyspace.Key]datastore.Item)
 	m.mu.Lock()
-	for k, it := range m.replicas {
+	for k, r := range m.replicas {
 		if req.Iv.Contains(k) {
-			seen[k] = it
+			seen[k] = r.Item
 		}
 	}
 	m.mu.Unlock()
@@ -523,13 +732,10 @@ func (m *Manager) ReplicaItems(ctx context.Context, addr transport.Addr, iv keys
 	return ClientReplicaItems(ctx, m.net, m.ring.Self().Addr, addr, iv, epoch)
 }
 
-// RefreshOnce pushes this peer's items to its first k JOINED successors.
-// The k pushes are independent, so they are issued as one pipelined burst
-// instead of k sequential round trips: one slow replica no longer stretches
-// the whole refresh to k deadlines, and the refresh period stays honest as
-// the factor grows. Pushes are bulk calls: a range whose encoding exceeds
-// the transport frame size streams across in chunks and commits atomically
-// at each replica.
+// RefreshOnce brings this peer's first k JOINED successors up to date with
+// its item set: see refresh for what is sent. Pushes are bulk calls: a push
+// whose encoding exceeds the transport frame size streams across in chunks
+// and commits atomically at each replica.
 //
 // Each push advertises this peer's ownership epoch, and the replies carry
 // the verdict: a successor whose own claim covers our range at a strictly
@@ -538,67 +744,150 @@ func (m *Manager) ReplicaItems(ctx context.Context, addr transport.Addr, iv keys
 // losing incarnation (us) must then step down; this reply path is what
 // bounds the dual-claim window to one replication refresh.
 func (m *Manager) RefreshOnce() {
-	rng, epoch, ok := m.ds.RangeEpoch()
-	if !ok {
-		return
-	}
-	items := m.ds.LocalItems()
-	self := m.ring.Self()
-	succs := m.ring.Successors()
-	if len(succs) > m.cfg.Factor {
-		succs = succs[:m.cfg.Factor]
-	}
-	msg := pushMsg{From: self, Range: rng, Epoch: epoch, Items: items, Sig: m.signAdvert(rng, epoch)}
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CallTimeout)
 	defer cancel()
-	pends := make([]*transport.Pending, 0, len(succs))
-	for _, succ := range succs {
-		pends = append(pends, transport.CallBulkAsync(m.net, ctx, self.Addr, succ.Addr, methodPush, msg))
-	}
-	var deposedBy uint64
-	acked := false
-	for _, p := range pends {
-		resp, err := p.Result()
-		if err != nil {
-			continue
-		}
-		if pr, ok := resp.(pushResp); ok {
-			if pr.Deposed {
-				if pr.Epoch > deposedBy {
-					deposedBy = pr.Epoch
-				}
-			} else {
-				acked = true
-			}
-		}
-	}
-	if deposedBy > 0 {
-		m.ds.StepDown(deposedBy)
+	res := m.refresh(ctx, m.cfg.Factor)
+	if res.deposedBy > 0 {
+		m.ds.StepDown(res.deposedBy)
 		return
 	}
 	// Lease renewal is evidence-based: the lease renews only when at least
-	// one successor acknowledged this refresh without deposing us — proof the
-	// push (and with it our advert/renewal) actually landed somewhere. A peer
-	// whose pushes all fail stops renewing and its lease lapses, which is
-	// exactly the wedged-owner case leases exist to bound. A single-peer ring
-	// (no successors) renews vacuously: there is no one to prove anything to
-	// and no one who could adopt.
-	if acked || len(succs) == 0 {
+	// one successor answered this refresh without deposing us — proof the
+	// push (and with it our advert/renewal) actually landed somewhere; a
+	// heartbeat is as good as any other shape. A peer whose pushes all fail
+	// stops renewing and its lease lapses, which is exactly the wedged-owner
+	// case leases exist to bound. A single-peer ring (no successors) renews
+	// vacuously: there is no one to prove anything to and no one who could
+	// adopt (as does a peer serving no range, for which renewal is a no-op).
+	if res.landed || res.targets == 0 {
 		m.ds.RenewLease()
 	}
 }
 
+// refreshResult is what one round of pushes established.
+type refreshResult struct {
+	targets   int    // successors pushed to (none when this peer serves no range)
+	landed    bool   // some successor recorded our advert without deposing us
+	deposedBy uint64 // highest epoch a successor deposed us with; 0 = none
+	err       error  // first transport or handler error
+}
+
+// refresh diffs the Data Store against the set last pushed and sends each of
+// the first fanout successors the smallest shape that brings it to the
+// current version: the delta if it acknowledged the previous version (a
+// heartbeat when nothing changed since), the full set otherwise — and the
+// full set, in the same refresh, to any successor that answers NeedFull. The
+// pushes of a round are independent, so they are issued as one pipelined
+// burst instead of sequential round trips: one slow replica does not stretch
+// the refresh to k deadlines.
+func (m *Manager) refresh(ctx context.Context, fanout int) (res refreshResult) {
+	m.pushMu.Lock()
+	defer m.pushMu.Unlock()
+	rng, epoch, ok := m.ds.RangeEpoch()
+	if !ok {
+		return res
+	}
+	self := m.ring.Self()
+	succs := m.ring.Successors()
+	if len(succs) > fanout {
+		succs = succs[:fanout]
+	}
+	res.targets = len(succs)
+
+	o := &m.origin
+	if o.set == nil || o.rng != rng || o.epoch != epoch {
+		// A new incarnation starts from the empty set with no successor
+		// acknowledged, so everyone is sent the full set.
+		*o = originState{rng: rng, epoch: epoch, sig: m.signAdvert(rng, epoch), version: o.version + 1,
+			set: make(map[keyspace.Key]replica)}
+	}
+	// The range and the items are read in two steps; clip so that the set
+	// summarised is the set a holder can check against its range.
+	items := m.ds.LocalItems()
+	n := 0
+	for _, it := range items {
+		if rng.Contains(it.Key) {
+			items[n] = it
+			n++
+		}
+	}
+	items = items[:n]
+	base, puts, dels := o.advance(items)
+
+	// The delta from base is the heartbeat when nothing changed: Base equals
+	// Version and there is nothing to apply.
+	delta := pushMsg{From: self, Range: rng, Epoch: epoch, Sig: o.sig,
+		Base: base, Version: o.version, Items: puts, Deletes: dels, Count: len(o.set), Digest: o.digest}
+	full := delta
+	full.Full, full.Base, full.Items, full.Deletes = true, 0, items, nil
+
+	// A successor's acknowledgement is forgotten the moment it is pushed to:
+	// until it answers, what it holds is unknown, and a push whose reply is
+	// lost is followed by a full one. Successors that dropped out of the list
+	// are forgotten the same way.
+	prev := o.acked
+	o.acked = make(map[transport.Addr]uint64, len(succs))
+	targets := make([]transport.Addr, len(succs))
+	for i, succ := range succs {
+		targets[i] = succ.Addr
+	}
+	for round := 0; round < 2 && len(targets) > 0; round++ {
+		pends := make([]*transport.Pending, len(targets))
+		for i, to := range targets {
+			msg := full
+			if ack, ok := prev[to]; ok && ack == base && round == 0 {
+				msg = delta
+			}
+			switch {
+			case msg.Full:
+				m.FullPushes.Add(1)
+			case msg.Base == msg.Version:
+				m.HeartbeatPushes.Add(1)
+			default:
+				m.DeltaPushes.Add(1)
+			}
+			pends[i] = transport.CallBulkAsync(m.net, ctx, self.Addr, to, methodPush, msg)
+		}
+		var needFull []transport.Addr
+		for i, p := range pends {
+			resp, err := p.Result()
+			if err != nil {
+				if res.err == nil {
+					res.err = err
+				}
+				continue
+			}
+			pr, ok := resp.(pushResp)
+			switch {
+			case !ok:
+			case pr.Deposed:
+				if pr.Epoch > res.deposedBy {
+					res.deposedBy = pr.Epoch
+				}
+			case pr.NeedFull:
+				res.landed = true
+				m.NeedFulls.Add(1)
+				needFull = append(needFull, targets[i])
+			default:
+				res.landed = true
+				o.acked[targets[i]] = o.version
+			}
+		}
+		targets = needFull
+	}
+	return res
+}
+
 // BeforeLeave implements the replicate-to-additional-hop rule (Section 5.2):
 // before departing, push our own items to one extra successor (the k+1st)
-// and push every replica group we hold one hop further (to our first
-// successor), so no item's replica count drops when we vanish. The naive
-// baseline does nothing and loses items in the Figure 17 scenario.
+// and push the replicas we hold one hop further (to our first successor), so
+// no item's replica count drops when we vanish. The naive baseline does
+// nothing and loses items in the Figure 17 scenario.
 func (m *Manager) BeforeLeave(ctx context.Context) error {
 	if m.cfg.Naive {
 		return nil
 	}
-	rng, epoch, ok := m.ds.RangeEpoch()
-	if !ok {
+	if _, ok := m.ds.Range(); !ok {
 		return nil
 	}
 	self := m.ring.Self()
@@ -606,38 +895,20 @@ func (m *Manager) BeforeLeave(ctx context.Context) error {
 	if len(succs) == 0 {
 		return nil
 	}
-
-	// Own items one extra hop: k+1 successors instead of k. The pushes are
-	// independent, so they run as one pipelined burst.
-	own := pushMsg{From: self, Range: rng, Epoch: epoch, Items: m.ds.LocalItems(), Sig: m.signAdvert(rng, epoch)}
-	limit := m.cfg.Factor + 1
-	if limit > len(succs) {
-		limit = len(succs)
-	}
-	pends := make([]*transport.Pending, 0, limit)
-	for _, succ := range succs[:limit] {
-		pends = append(pends, transport.CallBulkAsync(m.net, ctx, self.Addr, succ.Addr, methodPush, own))
-	}
-
 	// Held replicas one extra hop: hand them to our first successor, which
-	// sits one hop beyond us in every replica group we belong to. Pushed as
-	// a raw merge (no range reconciliation) so they never displace fresher
-	// state: use a degenerate point range around each key so stale deletion
-	// never spans other origins' data. All of these target the same peer —
-	// exactly the case stream multiplexing exists for — so they are
-	// pipelined on one connection instead of paying a round trip each.
-	for _, it := range m.HeldReplicas() {
-		msg := pushMsg{From: self, Range: keyspace.NewRange(it.Key-1, it.Key), Items: []datastore.Item{it}}
-		pends = append(pends, transport.CallBulkAsync(m.net, ctx, self.Addr, succs[0].Addr, methodPush, msg))
+	// sits one hop beyond us in every replica group we belong to. They go as
+	// one raw merge (epoch 0: puts only, nothing reconciled away), so they
+	// never delete another origin's data; where they overwrite fresher state,
+	// that origin's next push fails the holder's digest check and repairs it.
+	held := transport.CallBulkAsync(m.net, ctx, self.Addr, succs[0].Addr, methodPush,
+		pushMsg{From: self, Items: m.HeldReplicas()})
+	// Own items one extra hop: an ordinary refresh, to k+1 successors instead
+	// of k.
+	err := m.refresh(ctx, m.cfg.Factor+1).err
+	if _, herr := held.Result(); err == nil {
+		err = herr
 	}
-
-	var firstErr error
-	for _, p := range pends {
-		if _, err := p.Result(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return err
 }
 
 // Revive implements datastore.Replicator: return held replicas in r, used
@@ -645,9 +916,9 @@ func (m *Manager) BeforeLeave(ctx context.Context) error {
 func (m *Manager) Revive(r keyspace.Range) []datastore.Item {
 	var out []datastore.Item
 	m.mu.Lock()
-	for k, it := range m.replicas {
+	for k, held := range m.replicas {
 		if r.Contains(k) {
-			out = append(out, it)
+			out = append(out, held.Item)
 		}
 	}
 	m.mu.Unlock()

@@ -12,11 +12,12 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/ring"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // repHarness wires ring + datastore + replication manager stacks.
 type repHarness struct {
-	t      *testing.T
+	t      testing.TB
 	net    *simnet.Network
 	log    *history.Log
 	mu     sync.Mutex
@@ -24,15 +25,22 @@ type repHarness struct {
 	mgrs   map[simnet.Addr]*Manager
 	stores map[simnet.Addr]*datastore.Store
 	rings  map[simnet.Addr]*ring.Peer
+
+	// lease, when positive, is the Data Store LeaseDuration of peers added.
+	lease time.Duration
+	// loseReply, when set, is consulted after every handled request: true
+	// loses the reply on the way back, so the handler ran but the caller sees
+	// the destination as unreachable.
+	loseReply func(to simnet.Addr, method string) bool
 }
 
-func newRepHarness(t *testing.T) *repHarness {
+func newRepHarness(t testing.TB) *repHarness {
 	return newRepHarnessNet(t, simnet.Config{DeadCallDelay: time.Millisecond, Seed: 5})
 }
 
 // newRepHarnessNet is newRepHarness over a custom network configuration
 // (strict serialization, chunk sizing, fault injection).
-func newRepHarnessNet(t *testing.T, netCfg simnet.Config) *repHarness {
+func newRepHarnessNet(t testing.TB, netCfg simnet.Config) *repHarness {
 	return &repHarness{
 		t:      t,
 		net:    simnet.New(netCfg),
@@ -75,10 +83,18 @@ func (h *repHarness) addPeer(repCfg Config) (*Manager, *datastore.Store, *ring.P
 		CallTimeout:        40 * time.Millisecond,
 		MaintenanceTimeout: 3 * time.Second,
 		DisableMaintenance: true,
+		LeaseDuration:      h.lease,
 	})
 	m := New(h.net, mux, rp, st, repCfg)
 	st.SetDeps(m, noPool{})
-	if err := h.net.Register(addr, mux.Dispatch); err != nil {
+	handler := func(from simnet.Addr, method string, payload any) (any, error) {
+		resp, err := mux.Dispatch(from, method, payload)
+		if h.loseReply != nil && h.loseReply(addr, method) {
+			return nil, fmt.Errorf("%w: reply from %s lost", transport.ErrUnreachable, addr)
+		}
+		return resp, err
+	}
+	if err := h.net.Register(addr, handler); err != nil {
 		h.t.Fatal(err)
 	}
 	h.mu.Lock()
@@ -128,7 +144,7 @@ func (h *repHarness) bootRing(n int, repCfg Config) ([]*Manager, []*datastore.St
 	return mgrs, stores, rings
 }
 
-func waitRep(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+func waitRep(t testing.TB, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -209,9 +225,9 @@ func TestReviveReturnsRangeSubset(t *testing.T) {
 	h := newRepHarness(t)
 	m, _, _ := h.addPeer(Config{Factor: 2, DisableAutoRefresh: true})
 	m.mu.Lock()
-	m.replicas[10] = datastore.Item{Key: 10}
-	m.replicas[20] = datastore.Item{Key: 20}
-	m.replicas[30] = datastore.Item{Key: 30}
+	m.replicas[10] = newReplica(datastore.Item{Key: 10})
+	m.replicas[20] = newReplica(datastore.Item{Key: 20})
+	m.replicas[30] = newReplica(datastore.Item{Key: 30})
 	m.mu.Unlock()
 	got := m.Revive(keyspace.NewRange(10, 25))
 	if len(got) != 1 || got[0].Key != 20 {
@@ -259,7 +275,7 @@ func TestExtraHopPreservesItemAvailability(t *testing.T) {
 				// Peer 2 may not own the key's range in this hand-driven
 				// setup; store it as a replica instead.
 				m2.mu.Lock()
-				m2.replicas[it.Key] = it
+				m2.replicas[it.Key] = newReplica(it)
 				m2.mu.Unlock()
 			}
 		}
@@ -310,7 +326,7 @@ func TestPullRangeCollectsFromSuccessors(t *testing.T) {
 	for _, idx := range []int{2, 3} {
 		m := mgrs[idx]
 		m.mu.Lock()
-		m.replicas[150] = datastore.Item{Key: 150, Payload: "x"}
+		m.replicas[150] = newReplica(datastore.Item{Key: 150, Payload: "x"})
 		m.mu.Unlock()
 	}
 	// Also a live item at peer 2 inside the range — PullRange includes local

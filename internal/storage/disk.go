@@ -137,15 +137,27 @@ func (d *Disk) flushLoop() {
 // Append encodes the record, applies it to the shadow state, and either
 // fsyncs immediately (SyncInterval zero) or leaves it for the flusher.
 func (d *Disk) Append(rec Record) error {
+	return d.AppendBatch([]Record{rec})
+}
+
+// AppendBatch journals recs as one unit of durability: all records are
+// encoded and applied in order, then flushed with a single write+fsync
+// (SyncInterval zero) and a single snapshot-threshold check.
+func (d *Disk) AppendBatch(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return fmt.Errorf("storage: append on closed backend")
 	}
-	d.pending = appendRecord(d.pending, rec)
-	d.state.apply(rec)
-	d.records++
-	d.sinceSnap++
+	for _, rec := range recs {
+		d.pending = appendRecord(d.pending, rec)
+		d.state.apply(rec)
+	}
+	d.records += uint64(len(recs))
+	d.sinceSnap += len(recs)
 	if d.opts.SyncInterval <= 0 {
 		if err := d.flushLocked(); err != nil {
 			return err

@@ -25,6 +25,12 @@ func (m *Memory) Append(Record) error {
 	return nil
 }
 
+// AppendBatch counts and drops the records.
+func (m *Memory) AppendBatch(recs []Record) error {
+	m.records.Add(uint64(len(recs)))
+	return nil
+}
+
 // Sync is a no-op.
 func (m *Memory) Sync() error { return nil }
 

@@ -229,6 +229,11 @@ type Backend interface {
 	// Disk buffers the encoded record and batches fsyncs on the configured
 	// sync interval (interval zero = fsync every append).
 	Append(rec Record) error
+	// AppendBatch journals recs in order as one unit: one write and (at sync
+	// interval zero) one fsync for the whole batch, however many records it
+	// holds. The replication manager journals each push's replica changes
+	// through it. An empty batch is a no-op.
+	AppendBatch(recs []Record) error
 	// Sync forces every appended record to stable storage.
 	Sync() error
 	// Load returns the recovered state: last snapshot plus WAL replay. A

@@ -235,6 +235,39 @@ func TestDiskAutoSnapshot(t *testing.T) {
 	}
 }
 
+// TestDiskAppendBatch: a batch is journaled in order as one unit — all of it
+// survives a crash right after the call returns, it counts as len(batch)
+// records, an empty batch is a no-op, and however many thresholds it crosses
+// the snapshot check runs once.
+func TestDiskAppendBatch(t *testing.T) {
+	dir := t.TempDir()
+	d := openTestDisk(t, dir, Options{SnapshotEvery: 4})
+	if err := d.AppendBatch(nil); err != nil {
+		t.Fatal(err)
+	}
+	batch := []Record{{Kind: RecReplicaPut, Key: 1, Payload: "old"}}
+	for i := 2; i <= 10; i++ {
+		batch = append(batch, Record{Kind: RecReplicaPut, Key: keyspace.Key(i), Payload: "v"})
+	}
+	batch = append(batch, Record{Kind: RecReplicaPut, Key: 1, Payload: "new"}, Record{Kind: RecReplicaDelete, Key: 2})
+	if err := d.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if s := d.Stats(); s.Records != uint64(len(batch)) || s.Snapshots != 1 {
+		t.Fatalf("after one %d-record batch at SnapshotEvery=4: %+v, want %d records and 1 snapshot", len(batch), s, len(batch))
+	}
+	// No Close: the process died here.
+	d2 := openTestDisk(t, dir, Options{})
+	defer d2.Close()
+	st, _ := d2.Load()
+	if len(st.Replicas) != 9 || st.Replicas[1] != "new" {
+		t.Fatalf("batch recovery wrong (in-order replay of 12 records should leave 9 replicas, key 1 = new): %v", st.Replicas)
+	}
+	if _, ok := st.Replicas[2]; ok {
+		t.Fatal("the batch's trailing delete was lost")
+	}
+}
+
 // TestDiskTornTail: garbage after the last intact record (a crash mid-append)
 // is dropped and physically truncated on reopen.
 func TestDiskTornTail(t *testing.T) {
@@ -407,7 +440,10 @@ func TestMemoryBackend(t *testing.T) {
 	if st.HasRange {
 		t.Fatalf("memory backend must recover nothing, got %+v", st)
 	}
-	if s := m.Stats(); s.Name != "memory" || s.Records != 1 {
+	if err := m.AppendBatch(make([]Record, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if s := m.Stats(); s.Name != "memory" || s.Records != 4 {
 		t.Fatalf("memory stats wrong: %+v", s)
 	}
 	if err := m.Close(); err != nil {
@@ -487,6 +523,29 @@ func BenchmarkWALAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// One push's worth of replica records as one AppendBatch: one fsync for
+	// the batch, against one per record on the fsync-every path above.
+	b.Run("fsync-every-batch64", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("fsync-per-batch benchmark skipped in -short mode")
+		}
+		d, err := OpenDisk(b.TempDir(), Options{SnapshotEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer d.Close()
+		batch := make([]Record, 64)
+		for i := range batch {
+			batch[i] = Record{Kind: RecReplicaPut, Key: keyspace.Key(i), Payload: rec.Payload}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := d.AppendBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/record")
 	})
 	b.Run("memory", func(b *testing.B) {
 		m := NewMemory()

@@ -594,15 +594,24 @@ func (t *Transport) clientHandshake(conn net.Conn) error {
 	}
 }
 
-// resumeWindow is how long a receiver parks an interrupted (or committed but
-// possibly unacknowledged) resumable transfer, waiting for its sender to
-// come back. Senders bound their retries well under this.
+// resumeWindow is how long a receiver parks an interrupted resumable
+// transfer, waiting for its sender to come back. Senders bound their retries
+// well under this.
 const resumeWindow = 60 * time.Second
+
+// memoWindow is how long a COMMITTED transfer's outcome stays memoized for a
+// re-sent commit whose first acknowledgment was lost. It only has to outlast
+// one sender's resume attempts (streamRedialAttempts dials under
+// RedialBackoffMax, and every contact renews it), not ride out an outage the
+// way staged chunks do: every bulk call leaves a memo behind, so at hundreds
+// of small replica pushes per second a minute of them is the receiver's
+// largest heap consumer.
+const memoWindow = 10 * time.Second
 
 // rstream is one resumable inbound transfer. It lives in the transport-level
 // registry, not the connection, so it survives the connection that carried
 // its chunks. After commit the entry is kept (stager released, response
-// memoized) until expiry, so a re-sent commit whose first acknowledgment was
+// memoized) for memoWindow, so a re-sent commit whose first acknowledgment was
 // lost returns the same response without running the handler twice.
 type rstream struct {
 	mu        sync.Mutex
@@ -626,10 +635,20 @@ func (t *Transport) rsGet(from, sid string) *rstream {
 	e := t.rstreams[rsKey(from, sid)]
 	if e != nil {
 		e.mu.Lock()
-		e.expires = time.Now().Add(resumeWindow)
+		e.renewLocked()
 		e.mu.Unlock()
 	}
 	return e
+}
+
+// renewLocked pushes the entry's expiry out by the window its state calls
+// for. Callers hold e.mu.
+func (e *rstream) renewLocked() {
+	window := resumeWindow
+	if e.committed {
+		window = memoWindow
+	}
+	e.expires = time.Now().Add(window)
 }
 
 // rsCreate parks a new transfer, sweeping expired entries while it is here.
@@ -924,6 +943,8 @@ func (t *Transport) commitResumable(h transport.Handler, w *batchWriter, req wir
 	}
 	e.committed = true
 	e.total = req.Seq
+	e.stager = nil // released by Join; the memo keeps only the outcome
+	e.renewLocked()
 	from, method := e.from, e.method
 	e.mu.Unlock()
 	t.wg.Add(1)
@@ -1458,9 +1479,9 @@ func (t *Transport) grabConn(ctx context.Context, addr transport.Addr, deadline 
 			// Inside the backoff window after a failed dial: fail fast with
 			// the remembered cause rather than re-dialing a dead peer on
 			// every call.
-			err := pc.lastDialErr
+			fails, err := pc.failCnt, pc.lastDialErr
 			pc.mu.Unlock()
-			return nil, fmt.Errorf("tcp: dial backoff (%d consecutive failures): %w", pc.failCnt, err)
+			return nil, fmt.Errorf("tcp: dial backoff (%d consecutive failures): %w", fails, err)
 		}
 		pc.dialing = true
 		pc.mu.Unlock()
