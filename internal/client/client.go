@@ -16,11 +16,12 @@
 // Mutations are stamped with the cached ownership epoch, so a deposed
 // incarnation of an owner rejects them with ErrStaleEpoch instead of
 // accepting a write it no longer has the right to serve; mutations never
-// fall back to replicas. Range queries are unjournaled reads: when a primary
-// is unreachable mid-scan the client retries the segment through the replica
-// chain the cluster advertised, accepting the bounded staleness of one
-// replication refresh — the same contract the in-cluster unjournaled read
-// path offers.
+// fall back to replicas. Range queries run the same pipelined scan planner
+// peers run (package scan), handed this client's cache and seed descent as
+// its routes. They are unjournaled reads: when a primary is unreachable
+// mid-scan the planner retries the segment through the replica chain the
+// cluster advertised, accepting the bounded staleness of one replication
+// refresh — the same contract the in-cluster unjournaled read path offers.
 //
 // Many user requests multiplex over a small pool of pipelined connections
 // (the TCP transport's per-destination connection pool); a bounded in-flight
@@ -220,18 +221,6 @@ func (c *Client) nextSeed() transport.Addr {
 	return s
 }
 
-// chainAddrs projects a successor chain to replica-candidate addresses,
-// excluding the owner itself.
-func chainAddrs(owner transport.Addr, chain []ring.Node) []transport.Addr {
-	out := make([]transport.Addr, 0, len(chain))
-	for _, n := range chain {
-		if !n.IsZero() && n.Addr != owner {
-			out = append(out, n.Addr)
-		}
-	}
-	return out
-}
-
 // resolve returns a routing entry for key: the cached hint when present,
 // else a full greedy descent (which learns the owner into the cache). The
 // entry is a hint either way — the target validates.
@@ -269,7 +258,7 @@ func (c *Client) descend(ctx context.Context, key keyspace.Key) (routecache.Entr
 					Range:    h.Range,
 					Addr:     cur,
 					Epoch:    h.Epoch,
-					Replicas: chainAddrs(cur, h.Chain),
+					Replicas: ring.ChainAddrs(cur, h.Chain),
 				}
 				c.cache.Learn(ent.Range, ent.Addr, ent.Epoch, ent.Replicas)
 				return ent, nil
@@ -289,7 +278,7 @@ func (c *Client) descend(ctx context.Context, key keyspace.Key) (routecache.Entr
 
 // learnMeta primes the cache from a mutation reply's ownership facts.
 func (c *Client) learnMeta(owner transport.Addr, meta wireapi.OwnerMeta) {
-	c.cache.Learn(meta.Range, owner, meta.Epoch, chainAddrs(owner, meta.Chain))
+	c.cache.Learn(meta.Range, owner, meta.Epoch, ring.ChainAddrs(owner, meta.Chain))
 }
 
 // routeRejected classifies err after an operation against owner: typed

@@ -2,103 +2,22 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/datastore"
-	"repro/internal/history"
 	"repro/internal/keyspace"
 	"repro/internal/ring"
 	"repro/internal/routecache"
+	"repro/internal/scan"
 	"repro/internal/transport"
-	"repro/internal/wireapi"
 )
 
-// The client's range query is the origin-driven pipelined scan of the
-// in-cluster read path, run from outside the ring: resolve the owner of the
-// interval's lower bound, ask it for its piece AND its successor chain, and
-// keep up to ScanDepth speculative per-range segment scans in flight,
-// reassembling validated pieces in key order. Every piece is validated and
-// snapshotted atomically at its target under the range read lock, pieces
-// must partition the interval (history.CheckScanCover), and any boundary
-// movement surfaces as a NotOwner/StaleEpoch verdict that costs a probe and
-// a re-resolve — the client inherits the cluster's correctness argument
-// wholesale, because the serving side cannot tell a client scan from a peer
-// scan.
-//
-// Client queries are unjournaled reads: a segment whose primary is
-// unreachable is retried through the replica chain advertised alongside the
-// route, at the price of bounded staleness (one replication refresh).
-
-// maxScanSteps bounds one scan attempt against boundary thrash; see the
-// in-cluster scan for the rationale.
-const maxScanSteps = 1024
-
-// segPlan describes one per-range segment scan the client intends to issue.
-type segPlan struct {
-	cursor   keyspace.Key     // first key of the segment
-	addr     transport.Addr   // believed owner
-	epoch    uint64           // believed ownership epoch (0 = unfenced speculation)
-	end      keyspace.Key     // believed last key of the segment (clipped to the query)
-	endKnown bool             // end derived from range metadata (replica fallback needs it)
-	final    bool             // believed to reach the interval's end
-	replicas []transport.Addr // believed replica holders (the owner's successors)
-}
-
-// segCall is an issued segment scan.
-type segCall struct {
-	segPlan
-	pend   *wireapi.SegmentPending
-	cancel context.CancelFunc
-}
-
-// planFromEntry builds the segment plan for cursor from a route-cache entry.
-func planFromEntry(cursor, last keyspace.Key, ent routecache.Entry) segPlan {
-	end, final := ent.Range.ContiguousEnd(cursor, last)
-	return segPlan{cursor: cursor, addr: ent.Addr, epoch: ent.Epoch, end: end, endKnown: true, final: final, replicas: ent.Replicas}
-}
-
-// plansFromChain derives the segments following a peer whose range ends at
-// prevHi from its successor chain: successor s_i owns (val(s_{i-1}),
-// val(s_i)], so cursors and ends fall out of the advertised values. Query
-// intervals never wrap, so a chain value that wraps numerically means that
-// successor's range runs through the top of the key space and covers the
-// interval's remainder.
-func plansFromChain(prevHi, last keyspace.Key, chain []ring.Node) []segPlan {
-	var out []segPlan
-	prev := prevHi
-	for i, n := range chain {
-		if n.IsZero() || prev >= last {
-			break
-		}
-		cursor := prev + 1
-		pl := segPlan{cursor: cursor, addr: n.Addr, endKnown: true}
-		if n.Val < cursor {
-			pl.end, pl.final = last, true
-		} else if n.Val >= last {
-			pl.end, pl.final = last, true
-		} else {
-			pl.end = n.Val
-		}
-		for _, r := range chain[i+1:] {
-			if !r.IsZero() && r.Addr != n.Addr {
-				pl.replicas = append(pl.replicas, r.Addr)
-			}
-		}
-		out = append(out, pl)
-		if pl.final {
-			break
-		}
-		prev = n.Val
-	}
-	return out
-}
-
 // Query evaluates a range predicate, returning the matching items sorted by
-// key. It is an unjournaled read: when a primary dies mid-scan the affected
-// segment is served from its replica chain (bounded staleness of one
-// replication refresh) instead of failing the query.
+// key. It runs the cluster's pipelined scan planner (package scan) from
+// outside the ring, routed by the client's cache and seed descent. It is an
+// unjournaled read: when a primary dies mid-scan the affected segment is
+// served from its replica chain (bounded staleness of one replication
+// refresh) instead of failing the query.
 func (c *Client) Query(ctx context.Context, iv keyspace.Interval) ([]datastore.Item, error) {
 	if !iv.Valid() {
 		return nil, fmt.Errorf("client: empty query interval %v", iv)
@@ -108,10 +27,14 @@ func (c *Client) Query(ctx context.Context, iv keyspace.Interval) ([]datastore.I
 		return nil, err
 	}
 	defer release()
+	planner := scan.Planner{Net: c.net, From: c.cfg.ID, Routes: (*routes)(c), Depth: c.cfg.ScanDepth, AllowReplica: true}
 	var items []datastore.Item
 	err = c.retry(ctx, func() error {
+		var st scan.Stats
 		var err error
-		items, err = c.runScanAttempt(ctx, iv)
+		items, st, err = planner.Attempt(ctx, iv)
+		c.staleRoutes.Add(uint64(st.StaleRoutes))
+		c.replicaReads.Add(uint64(st.ReplicaPieces))
 		return err
 	})
 	if err == nil {
@@ -120,276 +43,23 @@ func (c *Client) Query(ctx context.Context, iv keyspace.Interval) ([]datastore.I
 	return items, err
 }
 
-// runScanAttempt performs one pipelined scan attempt.
-func (c *Client) runScanAttempt(ctx context.Context, iv keyspace.Interval) ([]datastore.Item, error) {
-	first := firstKeyOf(iv)
-	last := lastKeyOf(iv)
+// routes is the client as the scan planner's route seam: hints from the
+// route cache, full lookups by greedy descent from a seed.
+type routes Client
 
-	// Resolve the entry segment: the cache's unvalidated hint when present
-	// (the segment handler validates at the target, so a warm query reaches
-	// the owner in a single round trip), else a full descent.
-	ent, err := c.resolve(ctx, first)
-	if err != nil {
-		return nil, fmt.Errorf("client: owner lookup failed: %w", err)
-	}
-	entry := planFromEntry(first, last, ent)
-
-	var (
-		pieces   []history.ScanPiece
-		items    []datastore.Item
-		inflight []*segCall
-		plan     []segPlan
-		expected = first
-		complete bool
-	)
-	issue := func(pl segPlan) {
-		cctx, cancel := context.WithCancel(ctx)
-		inflight = append(inflight, &segCall{
-			segPlan: pl,
-			pend:    wireapi.ScanSegmentAsync(cctx, c.net, c.cfg.ID, pl.addr, iv, pl.cursor, pl.epoch),
-			cancel:  cancel,
-		})
-	}
-	discard := func() {
-		for _, sc := range inflight {
-			sc.cancel()
-		}
-		inflight = inflight[:0]
-		plan = plan[:0]
-	}
-	defer discard()
-
-	issue(entry)
-	for steps := 0; !complete; steps++ {
-		if steps > maxScanSteps {
-			return nil, fmt.Errorf("client: scan exceeded %d steps at cursor %d", maxScanSteps, expected)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("client: scan attempt timed out: %w", err)
-		}
-
-		// A frontier mismatch means a boundary moved under the speculative
-		// plan: everything downstream is suspect.
-		if len(inflight) > 0 && inflight[0].cursor != expected {
-			discard()
-		}
-		for len(inflight) < c.cfg.ScanDepth && len(plan) > 0 {
-			next := plan[0]
-			plan = plan[1:]
-			issue(next)
-		}
-		if len(inflight) == 0 {
-			// No metadata to speculate from: resolve the frontier's owner
-			// and continue.
-			ent, err := c.resolve(ctx, expected)
-			if err != nil {
-				return nil, fmt.Errorf("client: frontier lookup at %d failed: %w", expected, err)
-			}
-			issue(planFromEntry(expected, last, ent))
-			continue
-		}
-
-		head := inflight[0]
-		inflight = inflight[1:]
-		res, err := head.pend.Result()
-		head.cancel()
-		switch {
-		case err != nil && !errors.Is(err, transport.ErrUnreachable):
-			// A handler or stream error from a live primary (a busy range
-			// lock, a torn-down oversized response resolving with
-			// ErrStreamAborted). The peer is not dead and its route is not
-			// stale: a bounded-stale replica read would be wrong and
-			// invalidating the entry would evict a healthy route — fail the
-			// attempt and let the retry ask the same primary again.
-			return nil, fmt.Errorf("client: segment at %d via %s rejected: %w", head.cursor, head.addr, err)
-		case err != nil:
-			// Fail-stop signature: the primary is unreachable. Later
-			// in-flight segments validate at their own targets, so only this
-			// segment needs saving — serve it from the replica chain, else
-			// fail the attempt.
-			if cent, ok := c.cache.Lookup(head.cursor); ok && cent.Addr == head.addr {
-				if !head.endKnown {
-					pl := planFromEntry(head.cursor, last, cent)
-					head.end, head.endKnown, head.final = pl.end, true, pl.final
-				}
-				if head.epoch == 0 {
-					head.epoch = cent.Epoch
-				}
-				head.replicas = mergeAddrs(head.replicas, cent.Replicas)
-			}
-			if head.endKnown {
-				if ritems, ok := c.replicaSegment(ctx, head, last); ok {
-					// The entry naming the dead owner stays cached: it still
-					// carries the replica candidates that just served this
-					// segment, so follow-up queries pay one fast failed call
-					// instead of a doomed full descent.
-					seg := keyspace.Interval{Lb: head.cursor, Ub: minKey(head.end, last)}
-					pieces = append(pieces, history.ScanPiece{Peer: string(head.addr), Interval: seg})
-					items = append(items, ritems...)
-					c.replicaReads.Inc()
-					if head.final || seg.Ub >= last {
-						complete = true
-					} else {
-						expected = seg.Ub + 1
-					}
-					continue
-				}
-			}
-			c.cache.Invalidate(head.addr)
-			return nil, fmt.Errorf("client: segment at %d via %s failed: %w", head.cursor, head.addr, err)
-		case res.NotOwner:
-			// The boundary moved: the believed owner disclaims the cursor.
-			// Drop the stale route and every speculative segment derived from
-			// the same metadata; the next iteration re-resolves.
-			c.staleRoutes.Inc()
-			c.cache.Invalidate(head.addr)
-			discard()
-			continue
-		case res.StaleEpoch:
-			// Right owner, wrong incarnation: one probe and a re-resolve,
-			// never a wrong answer.
-			c.staleRoutes.Inc()
-			c.cache.Invalidate(head.addr)
-			discard()
-			continue
-		}
-
-		// One validated piece, served atomically under the target's range
-		// read lock.
-		if fk := firstKeyOf(res.Piece); fk != head.cursor {
-			return nil, fmt.Errorf("client: segment at %d answered misaligned piece %v", head.cursor, res.Piece)
-		}
-		c.cache.Learn(res.Range, head.addr, res.Epoch, chainAddrs(head.addr, res.Chain))
-		pieces = append(pieces, history.ScanPiece{Peer: string(head.addr), Interval: res.Piece})
-		items = append(items, res.Items...)
-		if res.Done {
-			complete = true
-			continue
-		}
-		pieceEnd := lastKeyOf(res.Piece)
-		if pieceEnd >= last || pieceEnd == keyspace.MaxKey {
-			complete = true
-			continue
-		}
-		expected = pieceEnd + 1
-
-		// This response carries the freshest view of what lies ahead:
-		// refresh the in-flight segments' metadata and re-plan everything
-		// beyond them.
-		fresh := plansFromChain(res.Range.Hi, last, res.Chain)
-		for _, sc := range inflight {
-			for _, pl := range fresh {
-				if pl.cursor == sc.cursor && pl.addr == sc.addr {
-					sc.end, sc.endKnown, sc.final = pl.end, pl.endKnown, pl.final
-					sc.replicas = mergeAddrs(sc.replicas, pl.replicas)
-				}
-			}
-		}
-		frontier := expected
-		if n := len(inflight); n > 0 {
-			if !inflight[n-1].endKnown {
-				// An end-unknown probe is in flight; let it resolve before
-				// speculating past it.
-				plan = plan[:0]
-				continue
-			}
-			frontier = inflight[n-1].end + 1
-		}
-		plan = plan[:0]
-		for _, pl := range fresh {
-			if pl.cursor == frontier || (len(plan) > 0 && pl.cursor == plan[len(plan)-1].end+1) {
-				plan = append(plan, pl)
-			}
-		}
-	}
-
-	if err := history.CheckScanCover(iv, pieces); err != nil {
-		return nil, fmt.Errorf("client: scan cover check failed: %w", err)
-	}
-	return dedupeItems(items), nil
+func (r *routes) CachedEntry(key keyspace.Key) (routecache.Entry, bool) {
+	return r.cache.Lookup(key)
 }
 
-// replicaSegment serves one segment from the believed replica holders of its
-// dead primary, in order, reporting whether any answered. Requests carry the
-// believed primary's ownership epoch: a holder refusing with ErrStaleEpoch
-// has seen a higher epoch asserted over the segment — the whole chain
-// belongs to a deposed incarnation, so the fallback is abandoned (and the
-// route dropped) rather than tried against further holders of the same
-// stale chain.
-func (c *Client) replicaSegment(ctx context.Context, head *segCall, last keyspace.Key) ([]datastore.Item, bool) {
-	seg := keyspace.ClosedInterval(head.cursor, minKey(head.end, last))
-	for _, r := range head.replicas {
-		if r == "" || r == head.addr {
-			continue
-		}
-		items, err := wireapi.ReplicaItems(ctx, c.net, c.cfg.ID, r, seg, head.epoch)
-		if err != nil {
-			if errors.Is(err, datastore.ErrStaleEpoch) {
-				c.staleRoutes.Inc()
-				c.cache.Invalidate(head.addr)
-				return nil, false
-			}
-			continue
-		}
-		return items, true
-	}
-	return nil, false
+// Resolve always yields a ranged route: a descent's final answer carries the
+// owner's range, epoch and chain.
+func (r *routes) Resolve(ctx context.Context, key keyspace.Key) (routecache.Entry, bool, error) {
+	ent, err := (*Client)(r).resolve(ctx, key)
+	return ent, true, err
 }
 
-// firstKeyOf returns the smallest key satisfying iv.
-func firstKeyOf(iv keyspace.Interval) keyspace.Key {
-	if iv.LbOpen {
-		return iv.Lb + 1
-	}
-	return iv.Lb
+func (r *routes) Learn(rng keyspace.Range, owner transport.Addr, epoch uint64, chain []ring.Node) {
+	r.cache.Learn(rng, owner, epoch, ring.ChainAddrs(owner, chain))
 }
 
-// lastKeyOf returns the largest key satisfying iv.
-func lastKeyOf(iv keyspace.Interval) keyspace.Key {
-	if iv.UbOpen {
-		return iv.Ub - 1
-	}
-	return iv.Ub
-}
-
-// mergeAddrs appends the addresses of extra not already in base, preserving
-// order (existing candidates are tried first).
-func mergeAddrs(base, extra []transport.Addr) []transport.Addr {
-	for _, a := range extra {
-		dup := false
-		for _, b := range base {
-			if a == b {
-				dup = true
-				break
-			}
-		}
-		if !dup && a != "" {
-			base = append(base, a)
-		}
-	}
-	return base
-}
-
-// minKey returns the smaller of two keys.
-func minKey(a, b keyspace.Key) keyspace.Key {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// dedupeItems drops duplicate keys, keeping the first occurrence, and sorts
-// by key.
-func dedupeItems(items []datastore.Item) []datastore.Item {
-	seen := make(map[keyspace.Key]bool, len(items))
-	out := make([]datastore.Item, 0, len(items))
-	for _, it := range items {
-		if seen[it.Key] {
-			continue
-		}
-		seen[it.Key] = true
-		out = append(out, it)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
+func (r *routes) InvalidateOwner(owner transport.Addr) { r.cache.Invalidate(owner) }

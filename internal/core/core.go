@@ -16,9 +16,11 @@
 // them to it.
 //
 // The P2P Index API of the paper (insertItem, deleteItem, findItems as a
-// range query) is exposed on both Peer and Cluster; queries run the
-// scanRange protocol with abort/retry and are journaled for correctness
-// checking against Definition 4.
+// range query) is exposed on both Peer and Cluster. A range query is the
+// pipelined scan planner (package scan) run from the peer, routed by its
+// Content Router; what core adds is what only a ring member has: the query
+// is journaled for correctness checking against Definition 4, each attempt
+// is bounded by QueryAttemptTimeout and failed attempts are retried.
 package core
 
 import (
@@ -60,12 +62,6 @@ type Config struct {
 	QueryAttemptTimeout time.Duration
 	// MaxQueryAttempts bounds retries within the caller's context.
 	MaxQueryAttempts int
-	// ScanDepth bounds how many per-range segment scans a range query keeps
-	// in flight at once (the pipelined read path); 1 degenerates to a
-	// sequential origin-driven walk. The effective depth is additionally
-	// limited by the successor chain advertised with each piece (the ring's
-	// successor list length plus one). Default 4.
-	ScanDepth int
 	// NaiveQueries evaluates range queries with the unlocked application
 	// scan instead of scanRange (the Section 6.2 baseline).
 	NaiveQueries bool
@@ -114,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueryAttempts <= 0 {
 		c.MaxQueryAttempts = 20
-	}
-	if c.ScanDepth <= 0 {
-		c.ScanDepth = 4
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/datastore"
 	"repro/internal/history"
 	"repro/internal/keyspace"
-	"repro/internal/ring"
+	"repro/internal/scan"
 	"repro/internal/transport"
 )
 
@@ -184,7 +183,7 @@ func (c *Cluster) entryPeer(iv keyspace.Interval) (entry *Peer, cached bool, err
 		p, err := c.randomLive()
 		return p, false, err
 	}
-	if ent, ok := c.qcache.Lookup(firstKeyOf(iv)); ok {
+	if ent, ok := c.qcache.Lookup(iv.First()); ok {
 		c.mu.Lock()
 		p := c.peers[ent.Addr]
 		c.mu.Unlock()
@@ -260,6 +259,15 @@ func (p *Peer) RangeQueryUnjournaled(ctx context.Context, iv keyspace.Interval) 
 	return p.rangeQueryStats(ctx, iv, false)
 }
 
+// scanDepth bounds how many per-range segment scans an in-ring range query
+// keeps in flight; the successor chain advertised with each piece (the ring's
+// successor list length plus one) limits the effective depth further.
+const scanDepth = 4
+
+// rangeQueryStats is the in-ring shell over the scan planner (package scan):
+// it journals the query for the Definition 4 audit, bounds each attempt by
+// QueryAttemptTimeout and retries failed attempts. Only unjournaled queries
+// may read replicas.
 func (p *Peer) rangeQueryStats(ctx context.Context, iv keyspace.Interval, journal bool) ([]datastore.Item, QueryStats, error) {
 	if !iv.Valid() {
 		return nil, QueryStats{}, fmt.Errorf("core: empty query interval %v", iv)
@@ -273,379 +281,35 @@ func (p *Peer) rangeQueryStats(ctx context.Context, iv keyspace.Interval, journa
 	if journal {
 		logID, start = p.log.BeginQuery(iv)
 	}
+	planner := scan.Planner{Net: p.tr, From: p.Addr, Routes: p.Router, Depth: scanDepth, AllowReplica: !journal}
 	var lastErr error = ErrQueryFailed
 	for attempt := 1; attempt <= p.cfg.MaxQueryAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, QueryStats{}, err
 		}
-		items, stats, err := p.runScanAttempt(ctx, iv, !journal)
+		attemptCtx, cancel := context.WithTimeout(ctx, p.cfg.QueryAttemptTimeout)
+		items, st, err := planner.Attempt(attemptCtx, iv)
+		cancel()
+		p.ReplicaReads.Add(uint64(st.ReplicaPieces))
 		if err == nil {
-			stats.Attempts = attempt
 			if journal {
 				p.log.EndQuery(logID, iv, start, keysOf(items))
 			}
-			return items, stats, nil
+			return items, QueryStats{
+				Hops:            st.Pieces - 1,
+				Attempts:        attempt,
+				ScanTime:        st.ScanTime,
+				FirstOwner:      st.First.Addr,
+				FirstOwnerRange: st.First.Range,
+				FirstOwnerEpoch: st.First.Epoch,
+				ReplicaPieces:   st.ReplicaPieces,
+				StaleEpochHints: st.StaleEpochHints,
+			}, nil
 		}
 		lastErr = err
 		time.Sleep(2 * time.Millisecond)
 	}
 	return nil, QueryStats{}, fmt.Errorf("%w: %v", ErrQueryFailed, lastErr)
-}
-
-// --- Pipelined scan ---------------------------------------------------------
-
-// The read path's scan is origin-driven: instead of the hand-over-hand
-// forwarding of Algorithm 4 (one hop at a time, results pushed back to the
-// origin), the origin asks the owner of the lower bound for its piece AND
-// its successor chain, then keeps up to ScanDepth per-range segment scans in
-// flight via CallAsync, reassembling pieces in key order.
-//
-// Correctness rests on the same rule as the hand-over-hand scan: every
-// segment is validated and snapshotted atomically at its target under the
-// range read lock, so a piece is exactly the target's items for the piece
-// interval at serve time. Pieces must then partition the query interval
-// (checked with history.CheckScanCover, Definition 6); any boundary movement
-// between speculation and service surfaces as a NotOwner rejection or a
-// continuity break, and the scan re-resolves the frontier. An item that is
-// live throughout the query is, at the moment its key's piece is served,
-// stored at the validated owner of that piece — so it is in the result, and
-// Definition 4 holds without a continuous lock chain across peers.
-
-// maxScanSteps bounds one scan attempt against boundary thrash: each step
-// either serves a piece or rebuilds the frontier, so a run this long means
-// the ring is churning faster than the scan can advance and the attempt
-// should fail (and be retried) rather than spin.
-const maxScanSteps = 1024
-
-// segPlan describes one per-range segment scan the origin intends to issue:
-// derived from the owner-lookup cache (the entry segment) or from successor
-// chain metadata (all following segments).
-type segPlan struct {
-	cursor   keyspace.Key     // first key of the segment
-	addr     transport.Addr   // believed owner
-	epoch    uint64           // believed ownership epoch (0 = unfenced speculation)
-	end      keyspace.Key     // believed last key of the segment (clipped to the query)
-	endKnown bool             // end derived from range metadata (replica fallback needs it)
-	final    bool             // believed to reach the interval's end
-	replicas []transport.Addr // believed replica holders (the owner's successors)
-}
-
-// segCall is an issued segment scan.
-type segCall struct {
-	segPlan
-	pend   *datastore.SegmentPending
-	cancel context.CancelFunc
-}
-
-// planFromRange builds the segment plan for cursor given the believed owner
-// range and epoch (from the owner-lookup cache).
-func planFromRange(cursor, last keyspace.Key, rng keyspace.Range, addr transport.Addr, epoch uint64, replicas []transport.Addr) segPlan {
-	end, final := rng.ContiguousEnd(cursor, last)
-	return segPlan{cursor: cursor, addr: addr, epoch: epoch, end: end, endKnown: true, final: final, replicas: replicas}
-}
-
-// plansFromChain derives the segments that follow a peer whose range ends at
-// prevHi, from its successor chain: successor s_i owns (val(s_{i-1}),
-// val(s_i)], so cursors and ends fall out of the advertised values. The
-// replica candidates for each segment are the nodes after its owner in the
-// same chain (a range's replicas live on its successors). Query intervals
-// never wrap, so a chain value that wraps numerically means that successor's
-// range runs through the top of the key space and must cover the rest of
-// the interval.
-func plansFromChain(prevHi, last keyspace.Key, chain []ring.Node) []segPlan {
-	var out []segPlan
-	prev := prevHi
-	for i, n := range chain {
-		if n.IsZero() || prev >= last {
-			break
-		}
-		cursor := prev + 1
-		pl := segPlan{cursor: cursor, addr: n.Addr, endKnown: true}
-		if n.Val < cursor {
-			// Wrapped successor: owns (prev, MaxKey] at least, which covers
-			// the linear interval's remainder.
-			pl.end, pl.final = last, true
-		} else if n.Val >= last {
-			pl.end, pl.final = last, true
-		} else {
-			pl.end = n.Val
-		}
-		for _, r := range chain[i+1:] {
-			if !r.IsZero() && r.Addr != n.Addr {
-				pl.replicas = append(pl.replicas, r.Addr)
-			}
-		}
-		out = append(out, pl)
-		if pl.final {
-			break
-		}
-		prev = n.Val
-	}
-	return out
-}
-
-// runScanAttempt performs one pipelined scan attempt of a range query.
-// allowReplica enables the per-segment replica-read fallback (unjournaled
-// queries only; see RangeQueryUnjournaled).
-func (p *Peer) runScanAttempt(ctx context.Context, iv keyspace.Interval, allowReplica bool) ([]datastore.Item, QueryStats, error) {
-	first := firstKeyOf(iv)
-	last := lastKeyOf(iv)
-
-	scanCtx, cancelScan := context.WithTimeout(ctx, p.cfg.QueryAttemptTimeout)
-	defer cancelScan()
-
-	// Resolve the entry segment: the owner-lookup cache's unvalidated hint
-	// when present — the segment handler validates ownership at the target,
-	// so a warm query goes straight to the owner in a single round trip —
-	// else a full routed lookup (which itself consults and feeds the cache).
-	var entry segPlan
-	if ent, ok := p.Router.CachedEntry(first); ok {
-		entry = planFromRange(first, last, ent.Range, ent.Addr, ent.Epoch, ent.Replicas)
-	} else {
-		owner, _, err := p.Router.FindOwner(scanCtx, first)
-		if err != nil {
-			return nil, QueryStats{}, fmt.Errorf("core: owner lookup failed: %w", err)
-		}
-		if ent, ok := p.Router.CachedEntry(first); ok && ent.Addr == owner {
-			// FindOwner just validated the owner and learned its range.
-			entry = planFromRange(first, last, ent.Range, ent.Addr, ent.Epoch, ent.Replicas)
-		} else {
-			entry = segPlan{cursor: first, addr: owner}
-		}
-	}
-
-	// The scan-time metric starts after the owner lookup, matching the
-	// paper's Figure 21 methodology ("once the first peer with items in the
-	// search range was found").
-	scanStart := time.Now()
-
-	var (
-		stats    QueryStats
-		pieces   []history.ScanPiece
-		items    []datastore.Item
-		inflight []*segCall
-		plan     []segPlan
-		expected = first
-		complete bool
-	)
-	issue := func(pl segPlan) {
-		cctx, cancel := context.WithCancel(scanCtx)
-		inflight = append(inflight, &segCall{
-			segPlan: pl,
-			pend:    p.Store.ScanSegmentAsync(cctx, pl.addr, iv, pl.cursor, pl.epoch),
-			cancel:  cancel,
-		})
-	}
-	discard := func() {
-		for _, c := range inflight {
-			c.cancel()
-		}
-		inflight = inflight[:0]
-		plan = plan[:0]
-	}
-	defer discard()
-
-	issue(entry)
-	for steps := 0; !complete; steps++ {
-		if steps > maxScanSteps {
-			return nil, QueryStats{}, fmt.Errorf("core: scan exceeded %d steps at cursor %d", maxScanSteps, expected)
-		}
-		if err := scanCtx.Err(); err != nil {
-			return nil, QueryStats{}, fmt.Errorf("core: scan attempt timed out: %w", err)
-		}
-
-		// A frontier mismatch means a boundary moved under the speculative
-		// plan (the last piece ended short of — or past — the next issued
-		// cursor): everything downstream is suspect.
-		if len(inflight) > 0 && inflight[0].cursor != expected {
-			discard()
-		}
-		// Keep up to ScanDepth segments in flight.
-		for len(inflight) < p.cfg.ScanDepth && len(plan) > 0 {
-			next := plan[0]
-			plan = plan[1:]
-			issue(next)
-		}
-		if len(inflight) == 0 {
-			// No metadata to speculate from: resolve the frontier's owner
-			// and continue (the post-lookup cache entry restores end/replica
-			// metadata when available).
-			owner, _, err := p.Router.FindOwner(scanCtx, expected)
-			if err != nil {
-				return nil, QueryStats{}, fmt.Errorf("core: frontier lookup at %d failed: %w", expected, err)
-			}
-			if ent, ok := p.Router.CachedEntry(expected); ok && ent.Addr == owner {
-				issue(planFromRange(expected, last, ent.Range, ent.Addr, ent.Epoch, ent.Replicas))
-			} else {
-				issue(segPlan{cursor: expected, addr: owner})
-			}
-			continue
-		}
-
-		head := inflight[0]
-		inflight = inflight[1:]
-		res, err := head.pend.Result()
-		head.cancel()
-		switch {
-		case err != nil && !errors.Is(err, transport.ErrUnreachable):
-			// A handler error from a live primary — typically ErrLockBusy
-			// while maintenance holds the range write lock. The peer is not
-			// dead and its route is not stale: a bounded-stale replica read
-			// would be wrong here and invalidating the entry would evict a
-			// healthy route, so just fail the attempt and let the retry ask
-			// the same (live) primary again.
-			return nil, QueryStats{}, fmt.Errorf("core: segment at %d via %s rejected: %w", head.cursor, head.addr, err)
-		case err != nil:
-			// The target is unreachable — the fail-stop signature (a dead
-			// peer, or one that stopped answering within the deadline).
-			// Later in-flight segments validate at their own targets, so
-			// only this segment needs saving: try its replica holders
-			// (unjournaled queries only), else fail the attempt.
-			// The owner-lookup cache may know this owner's segment extent
-			// and replica candidates even when the plan did not (an entry
-			// probe, or a chain too short to name successors): consult it
-			// before deciding the entry's fate.
-			if ent, ok := p.Router.CachedEntry(head.cursor); ok && ent.Addr == head.addr {
-				if !head.endKnown {
-					pl := planFromRange(head.cursor, last, ent.Range, ent.Addr, ent.Epoch, nil)
-					head.end, head.endKnown, head.final = pl.end, true, pl.final
-				}
-				if head.epoch == 0 {
-					head.epoch = ent.Epoch
-				}
-				head.replicas = mergeAddrs(head.replicas, ent.Replicas)
-			}
-			if allowReplica && head.endKnown {
-				if ritems, ok := p.replicaSegment(scanCtx, head, last); ok {
-					// The entry that named the dead owner stays cached: it
-					// still carries the replica candidates that just served
-					// this segment, so follow-up queries pay one fast failed
-					// call instead of a doomed full descent. Revival or
-					// rebalance re-learns the region and prunes it.
-					seg := keyspace.Interval{Lb: head.cursor, Ub: minKey(head.end, last)}
-					pieces = append(pieces, history.ScanPiece{Peer: string(head.addr), Interval: seg})
-					items = append(items, ritems...)
-					stats.ReplicaPieces++
-					p.ReplicaReads.Add(1)
-					if head.final || seg.Ub >= last {
-						complete = true
-					} else {
-						expected = seg.Ub + 1
-					}
-					continue
-				}
-			}
-			p.Router.InvalidateOwner(head.addr)
-			return nil, QueryStats{}, fmt.Errorf("core: segment at %d via %s failed: %w", head.cursor, head.addr, err)
-		case res.NotOwner:
-			// The boundary moved: the believed owner disclaims the cursor.
-			// Drop the stale route and every speculative segment derived
-			// from the same metadata; the next iteration re-resolves.
-			p.Router.InvalidateOwner(head.addr)
-			discard()
-			continue
-		case res.StaleEpoch:
-			// The owner is right but the incarnation is not: our cached
-			// epoch does not match the serving one (a hand-off or revival
-			// happened since we learned it). Exactly like a stale route,
-			// this costs one probe and a re-resolve — never a wrong answer.
-			stats.StaleEpochHints++
-			p.Router.InvalidateOwner(head.addr)
-			discard()
-			continue
-		}
-
-		// One validated piece, served atomically under the target's range
-		// read lock.
-		if fk := firstKeyOf(res.Piece); fk != head.cursor {
-			return nil, QueryStats{}, fmt.Errorf("core: segment at %d answered misaligned piece %v", head.cursor, res.Piece)
-		}
-		p.Router.Learn(res.Range, head.addr, res.Epoch, res.Chain)
-		if len(pieces) == 0 {
-			stats.FirstOwner = head.addr
-			stats.FirstOwnerRange = res.Range
-			stats.FirstOwnerEpoch = res.Epoch
-		}
-		pieces = append(pieces, history.ScanPiece{Peer: string(head.addr), Interval: res.Piece})
-		items = append(items, res.Items...)
-		if res.Done {
-			complete = true
-			continue
-		}
-		pieceEnd := lastKeyOf(res.Piece)
-		if pieceEnd >= last || pieceEnd == keyspace.MaxKey {
-			complete = true
-			continue
-		}
-		expected = pieceEnd + 1
-
-		// This response carries the freshest view of what lies ahead:
-		// re-plan everything beyond the segments already in flight, and
-		// refresh the metadata of the segments already issued — an earlier,
-		// shorter chain may have left them without an end or without replica
-		// candidates (a segment planned at the tail of a chain has no
-		// successors after it to name).
-		fresh := plansFromChain(res.Range.Hi, last, res.Chain)
-		for _, c := range inflight {
-			for _, pl := range fresh {
-				if pl.cursor == c.cursor && pl.addr == c.addr {
-					c.end, c.endKnown, c.final = pl.end, pl.endKnown, pl.final
-					c.replicas = mergeAddrs(c.replicas, pl.replicas)
-				}
-			}
-		}
-		frontier := expected
-		if n := len(inflight); n > 0 {
-			if !inflight[n-1].endKnown {
-				// An end-unknown probe is in flight; let it resolve before
-				// speculating past it.
-				plan = plan[:0]
-				continue
-			}
-			frontier = inflight[n-1].end + 1
-		}
-		plan = plan[:0]
-		for _, pl := range fresh {
-			if pl.cursor == frontier || (len(plan) > 0 && pl.cursor == plan[len(plan)-1].end+1) {
-				plan = append(plan, pl)
-			}
-		}
-	}
-
-	if err := history.CheckScanCover(iv, pieces); err != nil {
-		return nil, QueryStats{}, fmt.Errorf("core: scan cover check failed: %w", err)
-	}
-	items = dedupeItems(items)
-	stats.Hops = len(pieces) - 1
-	stats.ScanTime = time.Since(scanStart)
-	return items, stats, nil
-}
-
-// replicaSegment serves one segment from the believed replica holders of its
-// dead primary, in order, reporting whether any of them answered. The
-// answer is bounded-staleness: a replica lags its origin by at most one
-// replication refresh. Requests carry the believed primary's ownership
-// epoch: a holder that refuses with ErrStaleEpoch has seen a higher epoch
-// asserted over the segment — the whole chain we are consulting belongs to a
-// deposed incarnation, so the fallback is abandoned (and the route dropped)
-// rather than tried against further holders of the same stale chain.
-func (p *Peer) replicaSegment(ctx context.Context, head *segCall, last keyspace.Key) ([]datastore.Item, bool) {
-	seg := keyspace.ClosedInterval(head.cursor, minKey(head.end, last))
-	for _, r := range head.replicas {
-		if r == "" || r == head.addr {
-			continue
-		}
-		items, err := p.Rep.ReplicaItems(ctx, r, seg, head.epoch)
-		if err != nil {
-			if errors.Is(err, datastore.ErrStaleEpoch) {
-				p.Router.InvalidateOwner(head.addr)
-				return nil, false
-			}
-			continue
-		}
-		return items, true
-	}
-	return nil, false
 }
 
 // NaiveQueryStatsFrom evaluates a range predicate with the Section 6.2
@@ -667,7 +331,7 @@ func (p *Peer) naiveRangeQuery(ctx context.Context, iv keyspace.Interval) ([]dat
 		if err := ctx.Err(); err != nil {
 			return nil, QueryStats{}, err
 		}
-		first, _, err := p.Router.FindOwner(ctx, firstKeyOf(iv))
+		first, _, err := p.Router.FindOwner(ctx, iv.First())
 		if err != nil {
 			lastErr = err
 			time.Sleep(2 * time.Millisecond)
@@ -680,53 +344,11 @@ func (p *Peer) naiveRangeQuery(ctx context.Context, iv keyspace.Interval) ([]dat
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		items = dedupeItems(items)
+		items = scan.Dedupe(items)
 		p.log.EndQuery(logID, iv, start, keysOf(items))
 		return items, QueryStats{Hops: hops, Attempts: attempt, ScanTime: time.Since(scanStart)}, nil
 	}
 	return nil, QueryStats{}, fmt.Errorf("%w: %v", ErrQueryFailed, lastErr)
-}
-
-// firstKeyOf returns the smallest key satisfying iv.
-func firstKeyOf(iv keyspace.Interval) keyspace.Key {
-	if iv.LbOpen {
-		return iv.Lb + 1
-	}
-	return iv.Lb
-}
-
-// lastKeyOf returns the largest key satisfying iv.
-func lastKeyOf(iv keyspace.Interval) keyspace.Key {
-	if iv.UbOpen {
-		return iv.Ub - 1
-	}
-	return iv.Ub
-}
-
-// mergeAddrs appends the addresses of extra not already present in base,
-// preserving order (existing candidates are tried first).
-func mergeAddrs(base, extra []transport.Addr) []transport.Addr {
-	for _, a := range extra {
-		dup := false
-		for _, b := range base {
-			if a == b {
-				dup = true
-				break
-			}
-		}
-		if !dup && a != "" {
-			base = append(base, a)
-		}
-	}
-	return base
-}
-
-// minKey returns the smaller of two keys.
-func minKey(a, b keyspace.Key) keyspace.Key {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // keysOf projects items to their keys.
@@ -735,21 +357,5 @@ func keysOf(items []datastore.Item) []keyspace.Key {
 	for i, it := range items {
 		out[i] = it.Key
 	}
-	return out
-}
-
-// dedupeItems drops duplicate keys, keeping the first occurrence, and sorts
-// by key.
-func dedupeItems(items []datastore.Item) []datastore.Item {
-	seen := make(map[keyspace.Key]bool, len(items))
-	out := make([]datastore.Item, 0, len(items))
-	for _, it := range items {
-		if seen[it.Key] {
-			continue
-		}
-		seen[it.Key] = true
-		out = append(out, it)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }

@@ -30,21 +30,6 @@ type OwnerMeta struct {
 	Chain []ring.Node
 }
 
-// ChainAddrs projects the successor chain to its addresses (the replica
-// candidates a route cache stores).
-func (m OwnerMeta) ChainAddrs() []transport.Addr {
-	if m.Chain == nil {
-		return nil
-	}
-	out := make([]transport.Addr, 0, len(m.Chain))
-	for _, n := range m.Chain {
-		if !n.IsZero() {
-			out = append(out, n.Addr)
-		}
-	}
-	return out
-}
-
 // ClientInsert asks the peer at owner to store item, stamped with the
 // ownership epoch the caller believes current (0 = unfenced). It returns the
 // owner's metadata on success; ErrNotOwner and ErrStaleEpoch keep their
@@ -78,11 +63,12 @@ func ClientDelete(ctx context.Context, net transport.Transport, from, owner tran
 }
 
 // ClientScanSegmentAsync asks the peer at owner for its piece of iv starting
-// at cursor, without blocking — the client-side pipelined scan keeps several
-// of these in flight over the pooled connections. epoch stamps the request
-// with the believed ownership epoch (0 = unfenced); the target validates
-// cursor ownership under its range read lock exactly as for a peer-issued
-// scan.
+// at cursor, without blocking — the scan planner (package scan) keeps several
+// of these in flight, from a peer's ring address or a client's dial-side
+// identity alike. epoch stamps the request with the believed ownership epoch
+// (0 = unfenced); the target validates cursor ownership under its range read
+// lock. Responses are unbounded on every transport (they chunk when
+// oversized), so a large piece streams back without caller involvement.
 func ClientScanSegmentAsync(ctx context.Context, net transport.Transport, from, owner transport.Addr, iv keyspace.Interval, cursor keyspace.Key, epoch uint64) *SegmentPending {
 	return &SegmentPending{p: transport.CallAsync(net, ctx, from, owner, methodScanSegment, segmentReq{Iv: iv, Cursor: cursor, Epoch: epoch})}
 }

@@ -585,7 +585,10 @@ func (s *Store) InitFirstPeer() {
 // same incarnation resuming with provable identity, not a new one — and the
 // claim plus every recovered item is journaled (as a recovery) in this
 // process's fresh history log, so the Definition 4 and epoch audits treat
-// the restart as a legal continuation rather than a phantom. If a successor
+// the restart as a legal continuation rather than a phantom. Nothing is
+// appended to the backend: the backend just replayed this state, so its log
+// already holds the claim and every item, and a second claim record would
+// reset the persisted lease renewal on the next replay. If a successor
 // revived the range while this peer was down, its higher-epoch claim wins
 // the first push conflict and this peer steps down through the normal
 // fencing path. No-op if the peer already serves a range.
@@ -599,9 +602,6 @@ func (s *Store) Recover(rng keyspace.Range, epoch uint64, items []Item) {
 	s.hasRange = true
 	s.rng = rng
 	s.epoch = epoch
-	// Re-stamp the recovered state into the new run's log (idempotent on
-	// replay) so the log is self-contained from the recovery point onward.
-	_ = s.backend.Append(storage.Record{Kind: storage.RecClaim, Epoch: epoch, Lo: rng.Lo, Hi: rng.Hi})
 	if s.log != nil {
 		s.log.RecoveredClaim(self, rng, epoch)
 	}
@@ -609,7 +609,6 @@ func (s *Store) Recover(rng keyspace.Range, epoch uint64, items []Item) {
 		if !rng.Contains(it.Key) {
 			continue
 		}
-		_ = s.backend.Append(storage.Record{Kind: storage.RecPut, Epoch: epoch, Key: it.Key, Payload: it.Payload})
 		s.items[it.Key] = it
 		if s.log != nil {
 			s.log.Added(self, it.Key)
@@ -843,7 +842,7 @@ func (s *Store) StartScan(ctx context.Context, firstPeer transport.Addr, iv keys
 		ID:        s.scanSeq.Add(1),
 		Origin:    s.Addr(),
 		Iv:        iv,
-		Cursor:    firstKey(iv),
+		Cursor:    iv.First(),
 		HandlerID: handlerID,
 		Param:     param,
 	}
@@ -893,7 +892,7 @@ func (s *Store) runScanStep(msg scanMsg) {
 	// segments — (lo, MaxKey] and [0, hi] — and only the one holding the
 	// cursor may be served now; the scan revisits this peer for the other
 	// segment if the interval reaches it.
-	pieceEnd, finished := contiguousEnd(rng, msg.Cursor, lastKey(msg.Iv))
+	pieceEnd, finished := rng.ContiguousEnd(msg.Cursor, msg.Iv.Last())
 	piece := keyspace.Interval{Lb: msg.Cursor, Ub: pieceEnd}
 	var pieceItems []Item
 	for k, it := range s.items {
@@ -1037,7 +1036,7 @@ func (s *Store) handleScanSegment(_ transport.Addr, _ string, payload any) (any,
 	}
 	rng := s.rng
 	epoch := s.epoch
-	pieceEnd, done := contiguousEnd(rng, req.Cursor, lastKey(req.Iv))
+	pieceEnd, done := rng.ContiguousEnd(req.Cursor, req.Iv.Last())
 	piece := keyspace.Interval{Lb: req.Cursor, Ub: pieceEnd}
 	var pieceItems []Item
 	for k, it := range s.items {
@@ -1072,15 +1071,6 @@ func (sp *SegmentPending) Result() (SegmentResult, error) {
 		return SegmentResult{}, fmt.Errorf("datastore: bad segment response %T", resp)
 	}
 	return res, nil
-}
-
-// ScanSegmentAsync asks the peer at addr for its piece of iv starting at
-// cursor, without blocking: the read path keeps several of these in flight.
-// epoch stamps the request with the believed ownership epoch (0 = unfenced).
-// Responses are unbounded on every transport (they chunk when oversized), so
-// a large piece streams back without caller involvement.
-func (s *Store) ScanSegmentAsync(ctx context.Context, addr transport.Addr, iv keyspace.Interval, cursor keyspace.Key, epoch uint64) *SegmentPending {
-	return &SegmentPending{p: transport.CallAsync(s.net, ctx, s.Addr(), addr, methodScanSegment, segmentReq{Iv: iv, Cursor: cursor, Epoch: epoch})}
 }
 
 // --- Naive application-level scan (Section 6.2 baseline) -------------------
@@ -1120,7 +1110,7 @@ func (s *Store) handleNaiveStep(_ transport.Addr, _ string, payload any) (any, e
 			}
 		}
 		if s.rng.Contains(req.Cursor) {
-			end, covered := contiguousEnd(s.rng, req.Cursor, lastKey(req.Iv))
+			end, covered := s.rng.ContiguousEnd(req.Cursor, req.Iv.Last())
 			resp.Covered = covered
 			if !covered {
 				resp.NextCursor = end + 1
@@ -1143,7 +1133,7 @@ func (s *Store) handleNaiveStep(_ transport.Addr, _ string, payload any) (any, e
 func (s *Store) NaiveScan(ctx context.Context, firstPeer transport.Addr, iv keyspace.Interval, maxHops int) ([]Item, int, error) {
 	var out []Item
 	cur := firstPeer
-	cursor := firstKey(iv)
+	cursor := iv.First()
 	hops := 0
 	for {
 		resp, err := s.net.Call(ctx, s.Addr(), cur, methodNaiveStep, naiveStepReq{Iv: iv, Cursor: cursor})
@@ -1168,26 +1158,4 @@ func (s *Store) NaiveScan(ctx context.Context, firstPeer transport.Addr, iv keys
 			return out, hops, fmt.Errorf("datastore: naive scan exceeded %d hops", maxHops)
 		}
 	}
-}
-
-// contiguousEnd is keyspace.Range.ContiguousEnd, kept as a local name for
-// the scan call sites.
-func contiguousEnd(rng keyspace.Range, cursor, last keyspace.Key) (keyspace.Key, bool) {
-	return rng.ContiguousEnd(cursor, last)
-}
-
-// firstKey returns the smallest key satisfying iv (which must be valid).
-func firstKey(iv keyspace.Interval) keyspace.Key {
-	if iv.LbOpen {
-		return iv.Lb + 1
-	}
-	return iv.Lb
-}
-
-// lastKey returns the largest key satisfying iv.
-func lastKey(iv keyspace.Interval) keyspace.Key {
-	if iv.UbOpen {
-		return iv.Ub - 1
-	}
-	return iv.Ub
 }

@@ -658,35 +658,6 @@ func TestScanAbortNotifiesOrigin(t *testing.T) {
 	}
 }
 
-func TestContiguousEnd(t *testing.T) {
-	cases := []struct {
-		rng          keyspace.Range
-		cursor, last keyspace.Key
-		wantEnd      keyspace.Key
-		wantFinished bool
-	}{
-		// Non-wrapped range, query ends inside.
-		{keyspace.NewRange(10, 100), 20, 50, 50, true},
-		// Non-wrapped range, query extends past.
-		{keyspace.NewRange(10, 100), 20, 500, 100, false},
-		// Full ring: always finished.
-		{keyspace.FullRange(7), 20, 500, 500, true},
-		// Wrapped range, cursor in low segment, query extends past hi.
-		{keyspace.NewRange(900, 100), 20, 500, 100, false},
-		// Wrapped range, cursor in low segment, query ends inside.
-		{keyspace.NewRange(900, 100), 20, 90, 90, true},
-		// Wrapped range, cursor in high segment: linear query always ends here.
-		{keyspace.NewRange(900, 100), 950, 980, 980, true},
-	}
-	for _, c := range cases {
-		end, fin := contiguousEnd(c.rng, c.cursor, c.last)
-		if end != c.wantEnd || fin != c.wantFinished {
-			t.Errorf("contiguousEnd(%v, %d, %d) = %d,%v want %d,%v",
-				c.rng, c.cursor, c.last, end, fin, c.wantEnd, c.wantFinished)
-		}
-	}
-}
-
 func TestMergeTransfersEverything(t *testing.T) {
 	h := newHarness(t, Config{}, ring.Config{})
 	first := h.boot(3)

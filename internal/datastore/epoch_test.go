@@ -73,7 +73,7 @@ func TestScanSegmentEpochFencing(t *testing.T) {
 	epoch := first.Epoch()
 	iv := keyspace.ClosedInterval(0, 100)
 
-	res, err := first.ScanSegmentAsync(ctx, first.Addr(), iv, 0, epoch).Result()
+	res, err := ClientScanSegmentAsync(ctx, h.net, first.Addr(), first.Addr(), iv, 0, epoch).Result()
 	if err != nil || res.NotOwner || res.StaleEpoch {
 		t.Fatalf("current-epoch segment = %+v, %v", res, err)
 	}
@@ -84,7 +84,7 @@ func TestScanSegmentEpochFencing(t *testing.T) {
 		t.Fatalf("segment items = %d, want 3", len(res.Items))
 	}
 
-	res, err = first.ScanSegmentAsync(ctx, first.Addr(), iv, 0, epoch+3).Result()
+	res, err = ClientScanSegmentAsync(ctx, h.net, first.Addr(), first.Addr(), iv, 0, epoch+3).Result()
 	if err != nil {
 		t.Fatalf("stale-epoch segment errored: %v", err)
 	}

@@ -20,7 +20,7 @@ func TestScanSegmentServesValidatedPiece(t *testing.T) {
 		}
 	}
 	iv := keyspace.ClosedInterval(15, 45)
-	res, err := first.ScanSegmentAsync(ctx, first.Addr(), iv, 15, 0).Result()
+	res, err := ClientScanSegmentAsync(ctx, h.net, first.Addr(), first.Addr(), iv, 15, 0).Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestScanSegmentRejectsForeignCursor(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	before := first.ScanAborts.Load()
-	res, err := first.ScanSegmentAsync(ctx, first.Addr(), keyspace.ClosedInterval(300, 400), 300, 0).Result()
+	res, err := ClientScanSegmentAsync(ctx, h.net, first.Addr(), first.Addr(), keyspace.ClosedInterval(300, 400), 300, 0).Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestScanSegmentClipsToRangeAndReportsChain(t *testing.T) {
 	first.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	res, err := first.ScanSegmentAsync(ctx, first.Addr(), keyspace.ClosedInterval(10, 400), 10, 0).Result()
+	res, err := ClientScanSegmentAsync(ctx, h.net, first.Addr(), first.Addr(), keyspace.ClosedInterval(10, 400), 10, 0).Result()
 	if err != nil {
 		t.Fatal(err)
 	}

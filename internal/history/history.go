@@ -493,21 +493,21 @@ func CheckScanCover(scanned keyspace.Interval, pieces []ScanPiece) error {
 	sorted := make([]ScanPiece, len(pieces))
 	copy(sorted, pieces)
 	sort.Slice(sorted, func(i, j int) bool {
-		return firstKey(sorted[i].Interval) < firstKey(sorted[j].Interval)
+		return sorted[i].Interval.First() < sorted[j].Interval.First()
 	})
-	cursor := firstKey(scanned)
+	cursor := scanned.First()
 	for i, p := range sorted {
 		if !p.Interval.Valid() {
 			return fmt.Errorf("scan of %v: piece %d at %s is empty (%v)", scanned, i, p.Peer, p.Interval)
 		}
-		f := firstKey(p.Interval)
+		f := p.Interval.First()
 		if f < cursor {
 			return fmt.Errorf("scan of %v: piece %v at %s overlaps prior coverage (cursor %d)", scanned, p.Interval, p.Peer, cursor)
 		}
 		if f > cursor {
 			return fmt.Errorf("scan of %v: gap before piece %v at %s (cursor %d)", scanned, p.Interval, p.Peer, cursor)
 		}
-		last := lastKey(p.Interval)
+		last := p.Interval.Last()
 		if last == keyspace.MaxKey {
 			cursor = keyspace.MaxKey
 			if i != len(sorted)-1 {
@@ -517,7 +517,7 @@ func CheckScanCover(scanned keyspace.Interval, pieces []ScanPiece) error {
 		}
 		cursor = last + 1
 	}
-	wantEnd := lastKey(scanned)
+	wantEnd := scanned.Last()
 	if cursor == keyspace.MaxKey {
 		if wantEnd != keyspace.MaxKey {
 			return fmt.Errorf("scan of %v: coverage overshoots to MaxKey", scanned)
@@ -528,20 +528,4 @@ func CheckScanCover(scanned keyspace.Interval, pieces []ScanPiece) error {
 		return fmt.Errorf("scan of %v: coverage ends at %d, want through %d", scanned, cursor-1, wantEnd)
 	}
 	return nil
-}
-
-// firstKey returns the smallest key satisfying iv (which must be Valid).
-func firstKey(iv keyspace.Interval) keyspace.Key {
-	if iv.LbOpen {
-		return iv.Lb + 1
-	}
-	return iv.Lb
-}
-
-// lastKey returns the largest key satisfying iv (which must be Valid).
-func lastKey(iv keyspace.Interval) keyspace.Key {
-	if iv.UbOpen {
-		return iv.Ub - 1
-	}
-	return iv.Ub
 }

@@ -203,7 +203,7 @@ func (iv Interval) ClipToRange(r Range) (Interval, bool) {
 	// increasing key order, so prefer the piece adjacent to the interval's
 	// first key; the scan revisits any remainder on a later peer.
 	lowPiece, lowOK := clipSegment(iv, r.Lo, true, MaxKey)
-	if lowOK && lowPiece.Contains(firstKeyOf(iv)) {
+	if lowOK && lowPiece.Contains(iv.First()) {
 		return lowPiece, true
 	}
 	if hiPiece, ok := clipSegment(iv, 0, false, r.Hi); ok {
@@ -212,12 +212,20 @@ func (iv Interval) ClipToRange(r Range) (Interval, bool) {
 	return lowPiece, lowOK
 }
 
-// firstKeyOf returns the smallest key satisfying iv (assuming Valid).
-func firstKeyOf(iv Interval) Key {
+// First returns the smallest key satisfying iv, which must be Valid.
+func (iv Interval) First() Key {
 	if iv.LbOpen {
 		return iv.Lb + 1
 	}
 	return iv.Lb
+}
+
+// Last returns the largest key satisfying iv, which must be Valid.
+func (iv Interval) Last() Key {
+	if iv.UbOpen {
+		return iv.Ub - 1
+	}
+	return iv.Ub
 }
 
 // clipSegment intersects iv with the linear segment whose lower bound is lo

@@ -366,3 +366,32 @@ func TestRangeOverlaps(t *testing.T) {
 		}
 	}
 }
+
+func TestContiguousEnd(t *testing.T) {
+	cases := []struct {
+		rng          Range
+		cursor, last Key
+		wantEnd      Key
+		wantFinished bool
+	}{
+		// Non-wrapped range, query ends inside.
+		{NewRange(10, 100), 20, 50, 50, true},
+		// Non-wrapped range, query extends past.
+		{NewRange(10, 100), 20, 500, 100, false},
+		// Full ring: always finished.
+		{FullRange(7), 20, 500, 500, true},
+		// Wrapped range, cursor in low segment, query extends past hi.
+		{NewRange(900, 100), 20, 500, 100, false},
+		// Wrapped range, cursor in low segment, query ends inside.
+		{NewRange(900, 100), 20, 90, 90, true},
+		// Wrapped range, cursor in high segment: linear query always ends here.
+		{NewRange(900, 100), 950, 980, 980, true},
+	}
+	for _, c := range cases {
+		end, fin := c.rng.ContiguousEnd(c.cursor, c.last)
+		if end != c.wantEnd || fin != c.wantFinished {
+			t.Errorf("ContiguousEnd(%v, %d, %d) = %d,%v want %d,%v",
+				c.rng, c.cursor, c.last, end, fin, c.wantEnd, c.wantFinished)
+		}
+	}
+}

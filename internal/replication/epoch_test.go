@@ -120,7 +120,7 @@ func TestReplicaReadRefusesDeposedChain(t *testing.T) {
 	iv := keyspace.ClosedInterval(40, 60)
 
 	// At the primary's current epoch the holder serves.
-	items, err := mgrs[0].ReplicaItems(ctx, holder, iv, epoch0)
+	items, err := ClientReplicaItems(ctx, h.net, stores[0].Addr(), holder, iv, epoch0)
 	if err != nil || len(items) != 1 {
 		t.Fatalf("replica read at current epoch = (%v, %v), want the one item", items, err)
 	}
@@ -142,11 +142,11 @@ func TestReplicaReadRefusesDeposedChain(t *testing.T) {
 		t.Fatalf("advert push response = %v", resp)
 	}
 
-	if _, err := mgrs[0].ReplicaItems(ctx, holder, iv, epoch0); !errors.Is(err, datastore.ErrStaleEpoch) {
+	if _, err := ClientReplicaItems(ctx, h.net, stores[0].Addr(), holder, iv, epoch0); !errors.Is(err, datastore.ErrStaleEpoch) {
 		t.Fatalf("replica read for deposed chain = %v, want ErrStaleEpoch", err)
 	}
 	// Unfenced reads (no epoch information) still serve.
-	if _, err := mgrs[0].ReplicaItems(ctx, holder, iv, 0); err != nil {
+	if _, err := ClientReplicaItems(ctx, h.net, stores[0].Addr(), holder, iv, 0); err != nil {
 		t.Fatalf("unfenced replica read: %v", err)
 	}
 	holderMgr := h.mgrs[holder]

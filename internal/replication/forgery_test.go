@@ -66,7 +66,7 @@ func TestForgedPushAdvertCannotDepose(t *testing.T) {
 	holder := rings[0].Successors()[0].Addr
 	holderMgr := h.mgrs[holder]
 	iv := keyspace.ClosedInterval(40, 60)
-	if items, err := mgrs[0].ReplicaItems(ctx, holder, iv, epoch0); err != nil || len(items) != 1 {
+	if items, err := ClientReplicaItems(ctx, h.net, stores[0].Addr(), holder, iv, epoch0); err != nil || len(items) != 1 {
 		t.Fatalf("signed refresh did not install replicas: (%v, %v)", items, err)
 	}
 
@@ -104,7 +104,7 @@ func TestForgedPushAdvertCannotDepose(t *testing.T) {
 
 	// The real owner was not deposed: its chain still serves replica reads at
 	// its current epoch, and its store still owns the range.
-	if _, err := mgrs[0].ReplicaItems(ctx, holder, iv, epoch0); err != nil {
+	if _, err := ClientReplicaItems(ctx, h.net, stores[0].Addr(), holder, iv, epoch0); err != nil {
 		t.Fatalf("replica read at the real owner's epoch after the forgery: %v", err)
 	}
 	if got := stores[0].Epoch(); got != epoch0 {

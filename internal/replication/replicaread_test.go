@@ -33,7 +33,7 @@ func TestReplicaItemsServesHeldReplicasAndOwnItems(t *testing.T) {
 	// Read peer 0's segment from its first successor, as the scan path does
 	// when the primary is dead. The successor holds replicas of 20/40/60 and
 	// owns none of those keys itself.
-	items, err := mgrs[0].ReplicaItems(ctx, succ.Addr, keyspace.ClosedInterval(30, 70), 0)
+	items, err := ClientReplicaItems(ctx, h.net, stores[0].Addr(), succ.Addr, keyspace.ClosedInterval(30, 70), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReplicaItemsServesHeldReplicasAndOwnItems(t *testing.T) {
 	if err := stores[1].InsertAt(ctx, stores[1].Addr(), datastore.Item{Key: 150}); err != nil {
 		t.Fatal(err)
 	}
-	items, err = mgrs[0].ReplicaItems(ctx, stores[1].Addr(), keyspace.ClosedInterval(140, 160), 0)
+	items, err = ClientReplicaItems(ctx, h.net, stores[0].Addr(), stores[1].Addr(), keyspace.ClosedInterval(140, 160), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -721,17 +721,6 @@ func (m *Manager) handleReplicaScan(_ transport.Addr, _ string, payload any) (an
 	return out, nil
 }
 
-// ReplicaItems fetches the items in iv visible at the replica holder addr —
-// the caller side of the replica-read fallback. epoch stamps the request
-// with the believed primary's ownership epoch (0 = unfenced): a holder that
-// has seen a higher epoch asserted over the interval refuses with
-// ErrStaleEpoch rather than serve for a deposed chain. Responses are
-// unbounded on every transport (oversized answers chunk back), so whole
-// segments return from one call.
-func (m *Manager) ReplicaItems(ctx context.Context, addr transport.Addr, iv keyspace.Interval, epoch uint64) ([]datastore.Item, error) {
-	return ClientReplicaItems(ctx, m.net, m.ring.Self().Addr, addr, iv, epoch)
-}
-
 // RefreshOnce brings this peer's first k JOINED successors up to date with
 // its item set: see refresh for what is sent. Pushes are bulk calls: a push
 // whose encoding exceeds the transport frame size streams across in chunks

@@ -57,6 +57,24 @@ func (n Node) String() string {
 	return fmt.Sprintf("%s(%d)", n.Addr, n.Val)
 }
 
+// ChainAddrs projects owner's successor chain to the addresses of its replica
+// holders: a range's replicas live on its owner's successors, so unset nodes
+// and the owner itself (a short ring's chain wraps back to it) are dropped.
+// A nil chain yields nil — route caches read that as "no news" and keep the
+// candidates they already hold.
+func ChainAddrs(owner transport.Addr, chain []Node) []transport.Addr {
+	if chain == nil {
+		return nil
+	}
+	out := make([]transport.Addr, 0, len(chain))
+	for _, n := range chain {
+		if !n.IsZero() && n.Addr != owner {
+			out = append(out, n.Addr)
+		}
+	}
+	return out
+}
+
 // EntryState is the state a successor-list entry attributes to a peer.
 type EntryState uint8
 

@@ -68,6 +68,38 @@ func TestFindOwnerCachedEntryResolvesInOneHop(t *testing.T) {
 	}
 }
 
+// Resolve is the route seam the scan planner reads: a full lookup when the
+// cache is cold (returning the entry the lookup learned), the unprobed hint
+// when it is warm, and a bare address for a key this peer owns itself.
+func TestResolveHintOrFullLookup(t *testing.T) {
+	h := newRTHarness(t, 8, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 64})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	h.waitStabilized(t)
+	h.refreshAll(4)
+
+	const key = keyspace.Key(580)
+	want := h.expectOwner(key)
+	cold, ranged, err := h.routers[0].Resolve(ctx, key)
+	if err != nil || !ranged || cold.Addr != want || !cold.Range.Contains(key) || cold.Epoch == 0 || len(cold.Replicas) == 0 {
+		t.Fatalf("cold Resolve = %+v, ranged=%v, err=%v; want %s with range, epoch and replicas", cold, ranged, err, want)
+	}
+	probes := h.net.Stats().ByMethod[methodNextHop]
+	warm, ranged, err := h.routers[0].Resolve(ctx, key)
+	if err != nil || !ranged || warm.Addr != want || warm.Range != cold.Range {
+		t.Fatalf("warm Resolve = %+v, ranged=%v, err=%v; want the cold answer", warm, ranged, err)
+	}
+	if got := h.net.Stats().ByMethod[methodNextHop]; got != probes {
+		t.Errorf("warm Resolve probed %d times, want none (the hint is returned unvalidated)", got-probes)
+	}
+
+	rng, _ := h.stores[0].Range()
+	self, ranged, err := h.routers[0].Resolve(ctx, rng.Hi)
+	if err != nil || ranged || self.Addr != h.addrs[0] {
+		t.Errorf("Resolve of an own key = %+v, ranged=%v, err=%v; want the bare address %s", self, ranged, err, h.addrs[0])
+	}
+}
+
 func TestStaleCacheEntryIsEvictedNotTrusted(t *testing.T) {
 	h := newRTHarness(t, 8, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

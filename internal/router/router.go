@@ -337,7 +337,7 @@ func (r *Router) FindOwner(ctx context.Context, key keyspace.Key) (transport.Add
 			hops++
 			if nh, ok := resp.(nextHopResp); err == nil && ok {
 				if nh.Owner {
-					r.cache.Learn(nh.Range, ent.Addr, nh.Epoch, nodeAddrs(nh.Chain))
+					r.cache.Learn(nh.Range, ent.Addr, nh.Epoch, ring.ChainAddrs(ent.Addr, nh.Chain))
 					return ent.Addr, hops, nil
 				}
 				r.cache.Invalidate(ent.Addr)
@@ -371,7 +371,7 @@ func (r *Router) FindOwner(ctx context.Context, key keyspace.Key) (transport.Add
 		}
 		if nh.Owner {
 			if r.cache != nil && cur != self.Addr {
-				r.cache.Learn(nh.Range, cur, nh.Epoch, nodeAddrs(nh.Chain))
+				r.cache.Learn(nh.Range, cur, nh.Epoch, ring.ChainAddrs(cur, nh.Chain))
 			}
 			return cur, hops, nil
 		}
@@ -428,7 +428,7 @@ func (r *Router) LinearFindOwner(ctx context.Context, key keyspace.Key) (transpo
 		if nh.Owner {
 			cancel()
 			if r.cache != nil && cur != self.Addr {
-				r.cache.Learn(nh.Range, cur, nh.Epoch, nodeAddrs(nh.Chain))
+				r.cache.Learn(nh.Range, cur, nh.Epoch, ring.ChainAddrs(cur, nh.Chain))
 			}
 			return cur, hops, nil
 		}
@@ -461,6 +461,25 @@ func (r *Router) CachedEntry(key keyspace.Key) (routecache.Entry, bool) {
 	return r.cache.Lookup(key)
 }
 
+// Resolve returns a route to key's owner for callers that validate ownership
+// at the target themselves: the unvalidated cached hint when there is one,
+// else a full FindOwner lookup and the entry it just learned. ranged is false
+// when the lookup yielded only an address — the owner is this peer itself, or
+// the cache is disabled — and ent then carries no range, epoch or replicas.
+func (r *Router) Resolve(ctx context.Context, key keyspace.Key) (ent routecache.Entry, ranged bool, err error) {
+	if ent, ok := r.CachedEntry(key); ok {
+		return ent, true, nil
+	}
+	owner, _, err := r.FindOwner(ctx, key)
+	if err != nil {
+		return routecache.Entry{}, false, err
+	}
+	if ent, ok := r.CachedEntry(key); ok && ent.Addr == owner {
+		return ent, true, nil
+	}
+	return routecache.Entry{Addr: owner}, false, nil
+}
+
 // Learn records an ownership fact observed outside the router — a scan hop
 // or a query reply — in the owner-lookup cache. epoch is the fact's
 // ownership epoch (0 = unknown); the cache refuses to regress an overlapping
@@ -470,7 +489,7 @@ func (r *Router) Learn(rng keyspace.Range, addr transport.Addr, epoch uint64, ch
 	if r.cache == nil || addr == r.ring.Self().Addr {
 		return
 	}
-	r.cache.Learn(rng, addr, epoch, nodeAddrs(chain))
+	r.cache.Learn(rng, addr, epoch, ring.ChainAddrs(addr, chain))
 }
 
 // InvalidateOwner drops addr's cached ownership entry — the peer disclaimed
@@ -479,21 +498,6 @@ func (r *Router) InvalidateOwner(addr transport.Addr) {
 	if r.cache != nil {
 		r.cache.Invalidate(addr)
 	}
-}
-
-// nodeAddrs projects ring nodes to their addresses (nil in, nil out, so the
-// cache's "preserve previous replicas" rule still applies).
-func nodeAddrs(nodes []ring.Node) []transport.Addr {
-	if nodes == nil {
-		return nil
-	}
-	out := make([]transport.Addr, 0, len(nodes))
-	for _, n := range nodes {
-		if !n.IsZero() {
-			out = append(out, n.Addr)
-		}
-	}
-	return out
 }
 
 // succAnswer resolves a pipelined successor fetch; a nil pending means the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,5 +228,67 @@ func TestStreamToDeregisteredPeerFails(t *testing.T) {
 	}
 	if errors.Is(err, transport.ErrStreamAborted) {
 		t.Fatalf("deregister surfaced as ErrStreamAborted (%v), want a transport failure", err)
+	}
+}
+
+// Every sender stamps its stream frames with a resumable stream ID; a stream
+// frame without one is a protocol error that drops the connection, like any
+// unknown frame kind, and never reaches the handler.
+func TestStreamFrameWithoutStreamIDDropsConnection(t *testing.T) {
+	var handled atomic.Int64
+	tr := New(Config{DialTimeout: time.Second, CallTimeout: 2 * time.Second})
+	t.Cleanup(func() { tr.Close() })
+	addr, err := tr.Listen("127.0.0.1:0", func(_ transport.Addr, _ string, p any) (any, error) {
+		handled.Add(1)
+		return p, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := transport.Encode(echoMsg{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := map[string]wireMsg{
+		"chunk":         {Kind: kindChunk, ID: 2, From: "raw", Method: "rep.push", Payload: body},
+		"commit":        {Kind: kindCommit, ID: 2, From: "raw", Method: "rep.push"},
+		"abort":         {Kind: kindAbort, ID: 2, From: "raw"},
+		"stream-resume": {Kind: kindStreamResume, ID: 2, From: "raw", Method: "rep.push"},
+	}
+	for name, frame := range frames {
+		conn, err := net.Dial("tcp", string(addr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		exchange := func(m wireMsg) (wireMsg, error) {
+			raw, err := encodeMsg(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := transport.WriteFrame(conn, raw); err != nil {
+				return wireMsg{}, err
+			}
+			raw, err = transport.ReadFrame(conn)
+			if err != nil {
+				return wireMsg{}, err
+			}
+			var out wireMsg
+			return out, decodeMsg(raw, &out)
+		}
+		// The connection is healthy until the malformed frame arrives…
+		if pong, err := exchange(wireMsg{Kind: kindPing, ID: 1}); err != nil || pong.Kind != kindPong {
+			t.Fatalf("%s: ping before the bad frame = %+v, %v", name, pong, err)
+		}
+		// …and gone after it: no response frame, just the hang-up.
+		resp, err := exchange(frame)
+		var ne net.Error
+		if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Errorf("%s without a stream ID: response %+v, err %v; want the connection dropped", name, resp, err)
+		}
+		conn.Close()
+	}
+	if n := handled.Load(); n != 0 {
+		t.Errorf("handler ran %d times for frames that are protocol errors", n)
 	}
 }

@@ -205,7 +205,7 @@ type wireMsg struct {
 	Payload []byte
 	Err     string // kindResp only: non-empty when the handler or stream failed
 	Fail    bool   // kindResp only: Err is a stream-protocol failure, not a handler error
-	SID     string // stream frames: the transfer's resumable stream ID ("" = legacy, connection-scoped transfer)
+	SID     string // stream frames (chunk, commit, abort, stream-resume): the transfer's resumable stream ID; required
 }
 
 // Transport is a TCP implementation of transport.Transport with stream
@@ -716,24 +716,15 @@ func (t *Transport) resumeMark(from, sid string) int {
 	return e.stager.Chunks()
 }
 
-// inboundStream is one transfer being staged at the receiver: chunks
-// accumulate in the configured stager (RAM by default, spill files with a
-// disk-backed storage engine) and nothing touches the handler until the
-// commit frame arrives, so an interrupted transfer leaves the receiver
-// bit-for-bit unchanged.
-type inboundStream struct {
-	from   string
-	method string
-	stager transport.ChunkStager
-}
-
 // serveConn answers request frames on one inbound connection until the peer
 // hangs up or a protocol error occurs. Each request is dispatched in its own
 // goroutine and its response re-enters the connection through the shared
 // batched writer, so a slow handler never blocks the requests pipelined
-// behind it. Stream chunks are staged per connection by this loop (single
-// goroutine, no locking) and dispatched as one reassembled request on
-// commit; a connection that dies mid-stream simply drops its staged state.
+// behind it. Stream chunks are staged in the transport's resume registry,
+// keyed by (sender, stream ID), and dispatched as one reassembled request on
+// commit; a connection that dies mid-stream leaves its staged state parked
+// there for the resume window. A stream frame without a stream ID is a
+// protocol error.
 func (t *Transport) serveConn(conn net.Conn, l *listener) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -762,25 +753,9 @@ func (t *Transport) serveConn(conn net.Conn, l *listener) {
 	}()
 	defer w.stop()
 	h := l.h
-	streams := make(map[uint64]*inboundStream)
-	// A connection that dies mid-stream drops its staged state; disk-spilled
-	// stagers release their files. Resumable (SID-carrying) transfers live
-	// in the transport registry instead and survive for the resume window.
-	defer func() {
-		for _, st := range streams {
-			st.stager.Discard()
-		}
-	}()
-	// failStream rejects a transfer with a typed stream failure; the sender's
-	// Commit resolves with ErrStreamAborted instead of burning its deadline.
-	failStream := func(id uint64, reason string) {
-		if st := streams[id]; st != nil {
-			st.stager.Discard()
-		}
-		delete(streams, id)
-		_ = w.enqueueMsg(wireMsg{Kind: kindResp, ID: id, Fail: true, Err: reason})
-	}
-	// failResumable is failStream for a registry-parked transfer.
+	// failResumable rejects a transfer with a typed stream failure and drops
+	// its parked state; the sender's Commit resolves with ErrStreamAborted
+	// instead of burning its deadline.
 	failResumable := func(id uint64, from, sid, reason string) {
 		t.rsDrop(from, sid)
 		_ = w.enqueueMsg(wireMsg{Kind: kindResp, ID: id, Fail: true, Err: reason})
@@ -789,6 +764,12 @@ func (t *Transport) serveConn(conn net.Conn, l *listener) {
 		var req wireMsg
 		if err := decodeMsg(raw, &req); err != nil {
 			return false
+		}
+		switch req.Kind {
+		case kindChunk, kindCommit, kindAbort, kindStreamResume:
+			if req.SID == "" {
+				return false // protocol error: every sender stamps a stream ID
+			}
 		}
 		switch req.Kind {
 		case kindPing:
@@ -800,89 +781,45 @@ func (t *Transport) serveConn(conn net.Conn, l *listener) {
 				t.dispatch(h, w, req)
 			}()
 		case kindChunk:
-			if req.SID != "" {
-				e := t.rsGet(req.From, req.SID)
-				if e == nil {
-					if req.Seq != 0 {
-						// Tail of a transfer whose parked state expired or was
-						// rejected; tell the sender instead of staging a hole.
-						failResumable(req.ID, req.From, req.SID, "tcp: no parked stream state for resumed chunk")
-						return true
-					}
-					e = t.rsCreate(req.From, req.Method, req.SID)
-				}
-				e.mu.Lock()
-				var apErr error
-				reject := ""
-				switch {
-				case e.committed:
-					if req.Seq >= e.total {
-						reject = "tcp: chunk after commit"
-					} // else: duplicate of an already-applied transfer; ignore
-				case req.Seq < e.stager.Chunks():
-					// Duplicate from a resend race; already staged.
-				case req.Seq > e.stager.Chunks():
-					reject = fmt.Sprintf("tcp: stream chunk %d out of sequence (want %d)", req.Seq, e.stager.Chunks())
-				default:
-					apErr = e.stager.Append(req.Payload)
-				}
-				e.mu.Unlock()
-				if reject != "" {
-					failResumable(req.ID, req.From, req.SID, reject)
-				} else if apErr != nil {
-					failResumable(req.ID, req.From, req.SID, apErr.Error())
-				}
-				return true
-			}
-			st := streams[req.ID]
-			if st == nil {
+			e := t.rsGet(req.From, req.SID)
+			if e == nil {
 				if req.Seq != 0 {
-					return true // tail of a transfer already rejected; ignore
+					// Tail of a transfer whose parked state expired or was
+					// rejected; tell the sender instead of staging a hole.
+					failResumable(req.ID, req.From, req.SID, "tcp: no parked stream state for resumed chunk")
+					return true
 				}
-				st = &inboundStream{from: req.From, method: req.Method, stager: t.cfg.Stager(int64(t.cfg.MaxStreamBytes))}
-				streams[req.ID] = st
+				e = t.rsCreate(req.From, req.Method, req.SID)
 			}
-			if req.Seq != st.stager.Chunks() {
-				failStream(req.ID, fmt.Sprintf("tcp: stream chunk %d out of sequence (want %d)", req.Seq, st.stager.Chunks()))
-				return true
+			e.mu.Lock()
+			var apErr error
+			reject := ""
+			switch {
+			case e.committed:
+				if req.Seq >= e.total {
+					reject = "tcp: chunk after commit"
+				} // else: duplicate of an already-applied transfer; ignore
+			case req.Seq < e.stager.Chunks():
+				// Duplicate from a resend race; already staged.
+			case req.Seq > e.stager.Chunks():
+				reject = fmt.Sprintf("tcp: stream chunk %d out of sequence (want %d)", req.Seq, e.stager.Chunks())
+			default:
+				// A refused chunk — with the default stager the typed
+				// ErrStageOverflow past MaxStreamBytes — fails the transfer;
+				// the reason crosses the wire so the sender's error stays
+				// actionable.
+				apErr = e.stager.Append(req.Payload)
 			}
-			if err := st.stager.Append(req.Payload); err != nil {
-				// Staging refused the chunk — with the default stager this is
-				// the typed ErrStageOverflow past MaxStreamBytes; the reason
-				// crosses the wire so the sender's error stays actionable.
-				failStream(req.ID, err.Error())
-				return true
+			e.mu.Unlock()
+			if reject != "" {
+				failResumable(req.ID, req.From, req.SID, reject)
+			} else if apErr != nil {
+				failResumable(req.ID, req.From, req.SID, apErr.Error())
 			}
 		case kindCommit:
-			if req.SID != "" {
-				t.commitResumable(h, w, req, failResumable)
-				return true
-			}
-			st := streams[req.ID]
-			delete(streams, req.ID)
-			from, method := req.From, req.Method
-			var body []byte
-			var err error
-			if st != nil {
-				from, method = st.from, st.method
-				body, err = st.stager.Join(req.Seq)
-			} else {
-				body, err = transport.JoinChunks(nil, req.Seq)
-			}
-			if err != nil {
-				failStream(req.ID, err.Error())
-				return true
-			}
-			t.wg.Add(1)
-			go func() {
-				defer t.wg.Done()
-				t.dispatchStream(h, w, req.ID, transport.Addr(from), method, body)
-			}()
+			t.commitResumable(h, w, req, failResumable)
 		case kindAbort:
-			delete(streams, req.ID)
-			if req.SID != "" {
-				t.rsDrop(req.From, req.SID)
-			}
+			t.rsDrop(req.From, req.SID)
 		case kindStreamResume:
 			_ = w.enqueueMsg(wireMsg{Kind: kindResumeMark, ID: req.ID, Seq: t.resumeMark(req.From, req.SID)})
 		default:
@@ -962,19 +899,6 @@ func (t *Transport) commitResumable(h transport.Handler, w *batchWriter, req wir
 		close(e.done)
 		t.respond(w, req.ID, resp, herr)
 	}()
-}
-
-// dispatchStream runs one reassembled transfer through the handler and
-// queues the terminal acknowledgment through the same (chunk-capable)
-// response path ordinary calls use.
-func (t *Transport) dispatchStream(h transport.Handler, w *batchWriter, id uint64, from transport.Addr, method string, body []byte) {
-	payload, err := transport.Decode(body)
-	if err != nil {
-		_ = w.enqueueMsg(wireMsg{Kind: kindResp, ID: id, Err: err.Error()})
-		return
-	}
-	resp, herr := h(from, method, payload)
-	t.respond(w, id, resp, herr)
 }
 
 // dispatch runs one request through the handler and, for calls, queues the

@@ -1,5 +1,5 @@
 // Package wireapi is the consolidated dial-side API of the cluster: every
-// RPC a NON-PEER endpoint — a smart client (internal/client), an operator
+// single-call RPC a NON-PEER endpoint — a smart client (internal/client), an operator
 // tool, a test harness — may issue against a running peer, gathered behind
 // one documented surface instead of three per-package seams.
 //
@@ -30,6 +30,9 @@
 //
 // The functions delegate to the per-package wire bridges, which own the
 // unexported message types; this package is the surface tools build against.
+// Range reads are not single calls: a dial-side endpoint runs them through the
+// scan planner (package scan), which peers share and which issues the segment
+// scans and replica reads under this same contract.
 package wireapi
 
 import (
@@ -37,7 +40,6 @@ import (
 
 	"repro/internal/datastore"
 	"repro/internal/keyspace"
-	"repro/internal/replication"
 	"repro/internal/router"
 	"repro/internal/transport"
 )
@@ -52,10 +54,6 @@ type OwnerMeta = datastore.OwnerMeta
 // does not pass the key.
 type Hop = router.Hop
 
-// SegmentPending is an in-flight scan-segment call; Result blocks for the
-// segment.
-type SegmentPending = datastore.SegmentPending
-
 // Insert asks the peer at owner to store item under the believed epoch.
 // Returns the owner's metadata on success; ErrNotOwner / ErrStaleEpoch
 // signal that the hint was stale.
@@ -69,27 +67,9 @@ func Delete(ctx context.Context, net transport.Transport, from, owner transport.
 	return datastore.ClientDelete(ctx, net, from, owner, key, epoch)
 }
 
-// ScanSegmentAsync asks the peer at owner for its piece of iv starting at
-// cursor, without blocking — pipelined scans keep several in flight. The
-// target validates cursor ownership under its range read lock exactly as for
-// a peer-issued scan.
-func ScanSegmentAsync(ctx context.Context, net transport.Transport, from, owner transport.Addr, iv keyspace.Interval, cursor keyspace.Key, epoch uint64) *SegmentPending {
-	return datastore.ClientScanSegmentAsync(ctx, net, from, owner, iv, cursor, epoch)
-}
-
 // NextHop asks the peer at to for its next-hop answer for key — the routing
 // descent primitive. Ownership is decided by the target's own range, so a
 // stale route costs extra hops, never a wrong answer.
 func NextHop(ctx context.Context, net transport.Transport, from, to transport.Addr, key keyspace.Key) (Hop, error) {
 	return router.ClientNextHop(ctx, net, from, to, key)
-}
-
-// ReplicaItems fetches the items in iv visible at the replica holder addr —
-// the read path's availability fallback. epoch stamps the believed primary's
-// epoch; a holder that saw a higher epoch asserted over the interval refuses
-// with ErrStaleEpoch rather than serve a deposed chain's view. Replica reads
-// may lag the primary by up to one replication refresh; that bounded
-// staleness is part of the contract.
-func ReplicaItems(ctx context.Context, net transport.Transport, from, holder transport.Addr, iv keyspace.Interval, epoch uint64) ([]datastore.Item, error) {
-	return replication.ClientReplicaItems(ctx, net, from, holder, iv, epoch)
 }
