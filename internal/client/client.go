@@ -43,8 +43,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ring"
 	"repro/internal/routecache"
+	"repro/internal/router"
 	"repro/internal/transport"
-	"repro/internal/wireapi"
 )
 
 // Config controls a Client.
@@ -246,7 +246,7 @@ func (c *Client) descend(ctx context.Context, key keyspace.Key) (routecache.Entr
 			if err := ctx.Err(); err != nil {
 				return routecache.Entry{}, err
 			}
-			h, err := wireapi.NextHop(ctx, c.net, c.cfg.ID, cur, key)
+			h, err := router.ClientNextHop(ctx, c.net, c.cfg.ID, cur, key)
 			if err != nil {
 				c.cache.Invalidate(cur)
 				lastErr = err
@@ -277,7 +277,7 @@ func (c *Client) descend(ctx context.Context, key keyspace.Key) (routecache.Entr
 }
 
 // learnMeta primes the cache from a mutation reply's ownership facts.
-func (c *Client) learnMeta(owner transport.Addr, meta wireapi.OwnerMeta) {
+func (c *Client) learnMeta(owner transport.Addr, meta datastore.OwnerMeta) {
 	c.cache.Learn(meta.Range, owner, meta.Epoch, ring.ChainAddrs(owner, meta.Chain))
 }
 
@@ -312,7 +312,7 @@ func (c *Client) Insert(ctx context.Context, item datastore.Item) error {
 		if err != nil {
 			return err
 		}
-		meta, err := wireapi.Insert(ctx, c.net, c.cfg.ID, ent.Addr, item, ent.Epoch)
+		meta, err := datastore.ClientInsert(ctx, c.net, c.cfg.ID, ent.Addr, item, ent.Epoch)
 		if err != nil {
 			c.routeRejected(ent.Addr, err)
 			return err
@@ -340,7 +340,7 @@ func (c *Client) Delete(ctx context.Context, key keyspace.Key) (bool, error) {
 		if err != nil {
 			return err
 		}
-		f, meta, err := wireapi.Delete(ctx, c.net, c.cfg.ID, ent.Addr, key, ent.Epoch)
+		f, meta, err := datastore.ClientDelete(ctx, c.net, c.cfg.ID, ent.Addr, key, ent.Epoch)
 		if err != nil {
 			c.routeRejected(ent.Addr, err)
 			return err

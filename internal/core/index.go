@@ -227,15 +227,9 @@ type QueryStats struct {
 	StaleEpochHints int
 }
 
-// RangeQueryFrom evaluates a range predicate issued at the given peer,
-// returning the matching items and the number of ring hops the final
-// (successful) scan took.
-func (c *Cluster) RangeQueryFrom(ctx context.Context, origin *Peer, iv keyspace.Interval) ([]datastore.Item, int, error) {
-	items, stats, err := origin.RangeQueryStats(ctx, iv)
-	return items, stats.Hops, err
-}
-
-// RangeQueryStatsFrom is RangeQueryFrom with execution statistics.
+// RangeQueryStatsFrom evaluates a range predicate issued at the given peer,
+// returning the matching items and the execution statistics of the final
+// (successful) scan.
 func (c *Cluster) RangeQueryStatsFrom(ctx context.Context, origin *Peer, iv keyspace.Interval) ([]datastore.Item, QueryStats, error) {
 	return origin.RangeQueryStats(ctx, iv)
 }

@@ -733,8 +733,7 @@ func (s *Standalone) Rejoin() error {
 	// retry the announce with backoff — roughly half a minute of patience —
 	// before reporting failure through RejoinErr.
 	var lastErr error
-	backoff := 100 * time.Millisecond
-	for attempt := 0; attempt < 8; attempt++ {
+	for attempt := 1; attempt <= 8; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		err := s.JoinAsFree(ctx, bootstrap)
 		cancel()
@@ -742,10 +741,7 @@ func (s *Standalone) Rejoin() error {
 			return nil
 		}
 		lastErr = err
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 5*time.Second {
-			backoff = 5 * time.Second
-		}
+		time.Sleep(transport.BackoffDelay(100*time.Millisecond, 5*time.Second, attempt))
 	}
 	return fmt.Errorf("core: re-announce after merge failed: %w", lastErr)
 }

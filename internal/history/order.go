@@ -57,10 +57,6 @@ func (h History) Project(keep func(Op) bool) History {
 	return History{Ops: out}
 }
 
-// Ordered reports whether a and b are ordered with respect to each other in
-// the history (appendix Definition 3).
-func Ordered(a, b Op) bool { return HappenedBefore(a, b) || HappenedBefore(b, a) }
-
 // OpsOf converts the journal's events into formal operations (each event is
 // instantaneous), tagging them by kind, peer and key.
 func OpsOf(events []Event) []Op {

@@ -27,6 +27,7 @@
 package simnet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -202,20 +203,15 @@ func New(cfg Config) *Network {
 	if seed == 0 {
 		seed = 1
 	}
+	if cfg.ChunkBytes <= 0 {
+		cfg.ChunkBytes = transport.DefaultChunkBytes
+	}
 	return &Network{
 		cfg:      cfg,
 		peers:    make(map[Addr]*endpoint),
 		rng:      rand.New(rand.NewSource(seed)),
 		byMethod: make(map[string]uint64),
 	}
-}
-
-// chunkBytes returns the configured stream chunk size.
-func (n *Network) chunkBytes() int {
-	if n.cfg.ChunkBytes > 0 {
-		return n.cfg.ChunkBytes
-	}
-	return transport.DefaultChunkBytes
 }
 
 // Register attaches a peer to the network. Re-registering an address that was
@@ -243,10 +239,7 @@ func (n *Network) Register(addr Addr, h Handler) error {
 // fail; it never observes further traffic. Killing an unknown or already
 // dead peer is a no-op.
 func (n *Network) Kill(addr Addr) {
-	n.mu.RLock()
-	ep := n.peers[addr]
-	n.mu.RUnlock()
-	if ep != nil {
+	if ep, ok := n.lookup(addr); ok {
 		ep.alive.Store(false)
 	}
 }
@@ -268,10 +261,8 @@ func (n *Network) Close() error {
 
 // Alive reports whether the peer is registered and not failed.
 func (n *Network) Alive(addr Addr) bool {
-	n.mu.RLock()
-	ep := n.peers[addr]
-	n.mu.RUnlock()
-	return ep != nil && ep.alive.Load()
+	_, ok := n.lookup(addr)
+	return ok
 }
 
 // Stats returns a snapshot of traffic counters.
@@ -307,41 +298,28 @@ func (n *Network) StrictErr() error {
 	return n.strictErr
 }
 
-// strictRoundTrip pushes v through the codec in strict mode, recording the
-// first rejection. It also enforces transport.MaxFrameSize: a payload whose
-// encoding could not cross the TCP transport in one frame fails here too, so
-// in-process tests exercise the same boundary instead of being silently
-// unbounded (size violations are counted as failures but kept out of
-// StrictErr, which tracks codec registration bugs).
-func (n *Network) strictRoundTrip(v any) (any, error) {
+// codecRoundTrip pushes v through the wire codec in strict mode, returning the
+// deep copy a real network hop delivers and recording the first codec
+// rejection in StrictErr. A bounded message — the request of a plain call or
+// send — must also fit transport.MaxFrameSize, so in-process tests exercise
+// the TCP transport's boundary instead of being silently unbounded. Responses
+// and stream acknowledgments are not bounded: the TCP transport chunks them
+// back (kindRespChunk), so a small request answered with a whole range — a
+// replica pull, a rebalance — crosses both substrates identically. Size
+// violations are counted as failures but kept out of StrictErr, which tracks
+// codec registration bugs.
+func (n *Network) codecRoundTrip(v any, bounded bool) (any, error) {
 	if !n.cfg.StrictSerialization {
 		return v, nil
 	}
-	b, err := n.encodeStrict(v)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) > transport.MaxFrameSize {
+	b, err := transport.Encode(v)
+	if err == nil && bounded && len(b) > transport.MaxFrameSize {
 		n.strictFailures.Add(1)
 		return nil, fmt.Errorf("%w: %T of %d bytes", transport.ErrFrameTooLarge, v, len(b))
 	}
-	return n.decodeStrict(b)
-}
-
-// codecRoundTrip is strictRoundTrip without the frame-size bound: the round
-// trip streamed transfers and their acknowledgments take (real transports
-// chunk them, so size is no longer a frame concern).
-func (n *Network) codecRoundTrip(v any) (any, error) {
-	b, err := n.encodeStrict(v)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		v, err = transport.Decode(b)
 	}
-	return n.decodeStrict(b)
-}
-
-// encodeStrict encodes v, recording a codec rejection in StrictErr.
-func (n *Network) encodeStrict(v any) ([]byte, error) {
-	b, err := transport.Encode(v)
 	if err != nil {
 		n.strictFailures.Add(1)
 		n.strictMu.Lock()
@@ -351,22 +329,7 @@ func (n *Network) encodeStrict(v any) ([]byte, error) {
 		n.strictMu.Unlock()
 		return nil, err
 	}
-	return b, nil
-}
-
-// decodeStrict decodes b, recording a codec rejection in StrictErr.
-func (n *Network) decodeStrict(b []byte) (any, error) {
-	out, err := transport.Decode(b)
-	if err != nil {
-		n.strictFailures.Add(1)
-		n.strictMu.Lock()
-		if n.strictErr == nil {
-			n.strictErr = err
-		}
-		n.strictMu.Unlock()
-		return nil, err
-	}
-	return out, nil
+	return v, nil
 }
 
 func (n *Network) countMethod(method string) {
@@ -415,6 +378,91 @@ func (n *Network) lookup(addr Addr) (*endpoint, bool) {
 	return ep, true
 }
 
+// senderDead refuses (and counts) a message from a fail-stopped peer: a failed
+// peer sends nothing.
+func (n *Network) senderDead(from Addr) error {
+	if from == "" || n.Alive(from) {
+		return nil
+	}
+	n.failures.Add(1)
+	return fmt.Errorf("%w: %s", ErrSenderDead, from)
+}
+
+// refuse consults the injected faults every Call, Send and OpenStream passes
+// before delivery, in the order a sender observes them, and returns the error
+// a refused sender sees (nil: deliver). The link refuses at once; a message
+// that gets past it crosses the network when travel is set (one sampled
+// propagation delay); only then can the destination be wrongly suspected.
+func (n *Network) refuse(ctx context.Context, from, to Addr, method string, travel bool) error {
+	if f := n.cfg.AuthFault; f != nil && f(from, to) {
+		// Handshake refusal: never a fail-stop signal.
+		n.authRejects.Add(1)
+		n.failures.Add(1)
+		return fmt.Errorf("%w: %s", transport.ErrUnauthenticated, to)
+	}
+	if f := n.cfg.PartitionFault; f != nil && f(from, to) {
+		// Severed link: both endpoints alive.
+		n.partitionDrops.Add(1)
+		n.failures.Add(1)
+		return fmt.Errorf("%w: %s (partitioned)", ErrUnreachable, to)
+	}
+	if travel {
+		if err := sleep(ctx, n.latency()); err != nil {
+			n.failures.Add(1)
+			return err
+		}
+	}
+	if f := n.cfg.SuspectFault; f != nil && f(from, to, method) {
+		// Injected false positive: the destination is alive, but this caller
+		// observes exactly what a fail-stop looks like.
+		n.suspectDrops.Add(1)
+		return n.timeOut(ctx, to, " (suspect fault)")
+	}
+	return nil
+}
+
+// timeOut is what a caller sees of a destination that does not answer: it
+// blocks for DeadCallDelay, then reports ErrUnreachable (why: how it was lost).
+func (n *Network) timeOut(ctx context.Context, to Addr, why string) error {
+	n.failures.Add(1)
+	if err := sleep(ctx, n.cfg.DeadCallDelay); err != nil {
+		return err
+	}
+	return fmt.Errorf("%w: %s%s", ErrUnreachable, to, why)
+}
+
+// deliver hands one request to the handler at to and brings its response
+// back: the half of a round trip Call and a stream's Commit share. arrive
+// yields the payload as the destination sees it (a streamed transfer is
+// decoded from its wire bytes there). If the destination dies while
+// processing, the response is lost (died says in which operation).
+func (n *Network) deliver(ctx context.Context, from, to Addr, method string, arrive func() (any, error), died string) (any, error) {
+	ep, ok := n.lookup(to)
+	if !ok {
+		return nil, n.timeOut(ctx, to, "")
+	}
+	payload, err := arrive()
+	if err != nil {
+		n.failures.Add(1)
+		return nil, err
+	}
+	resp, err := ep.handler(from, method, payload)
+	if !ep.alive.Load() {
+		return nil, n.timeOut(ctx, to, died)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if resp, err = n.codecRoundTrip(resp, false); err != nil {
+		n.failures.Add(1)
+		return nil, err
+	}
+	if err := sleep(ctx, n.latency()); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
 // Call performs a synchronous request/response from one peer to another.
 // The sending peer must be alive (a failed peer sends nothing). A call to a
 // dead destination blocks for DeadCallDelay (modelling a timeout) and then
@@ -423,76 +471,19 @@ func (n *Network) lookup(addr Addr) (*endpoint, bool) {
 func (n *Network) Call(ctx context.Context, from, to Addr, method string, payload any) (any, error) {
 	n.calls.Add(1)
 	n.countMethod(method)
-	if from != "" && !n.Alive(from) {
-		n.failures.Add(1)
-		return nil, fmt.Errorf("%w: %s", ErrSenderDead, from)
+	if err := n.senderDead(from); err != nil {
+		return nil, err
 	}
-	payload, perr := n.strictRoundTrip(payload)
+	payload, perr := n.codecRoundTrip(payload, true)
 	if perr != nil {
 		n.failures.Add(1)
 		return nil, perr
 	}
-	if f := n.cfg.AuthFault; f != nil && f(from, to) {
-		// Handshake refusal: answered promptly, never a fail-stop signal.
-		n.authRejects.Add(1)
-		n.failures.Add(1)
-		return nil, fmt.Errorf("%w: %s", transport.ErrUnauthenticated, to)
-	}
-	if f := n.cfg.PartitionFault; f != nil && f(from, to) {
-		// Severed link: refused immediately, both endpoints alive.
-		n.partitionDrops.Add(1)
-		n.failures.Add(1)
-		return nil, fmt.Errorf("%w: %s (partitioned)", ErrUnreachable, to)
-	}
-	if err := sleep(ctx, n.latency()); err != nil {
-		n.failures.Add(1)
+	if err := n.refuse(ctx, from, to, method, true); err != nil {
 		return nil, err
 	}
-	if f := n.cfg.SuspectFault; f != nil && f(from, to, method) {
-		// Injected false positive: the destination is alive, but this caller
-		// observes exactly what a fail-stop looks like.
-		n.suspectDrops.Add(1)
-		n.failures.Add(1)
-		if err := sleep(ctx, n.cfg.DeadCallDelay); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %s (suspect fault)", ErrUnreachable, to)
-	}
-	ep, ok := n.lookup(to)
-	if !ok {
-		n.failures.Add(1)
-		if err := sleep(ctx, n.cfg.DeadCallDelay); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	resp, err := ep.handler(from, method, payload)
-	if !ep.alive.Load() {
-		// Destination died during processing; the response never made it out.
-		n.failures.Add(1)
-		if serr := sleep(ctx, n.cfg.DeadCallDelay); serr != nil {
-			return nil, serr
-		}
-		return nil, fmt.Errorf("%w: %s (died mid-call)", ErrUnreachable, to)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Responses round-trip the codec in strict mode but are NOT bounded by
-	// the frame size: the TCP transport chunks oversized responses back
-	// (kindRespChunk), so a small request answered with a whole range — a
-	// replica pull, a rebalance — crosses both substrates identically. Only
-	// the request direction of a plain call stays frame-bounded.
-	if n.cfg.StrictSerialization {
-		if resp, err = n.codecRoundTrip(resp); err != nil {
-			n.failures.Add(1)
-			return nil, err
-		}
-	}
-	if lerr := sleep(ctx, n.latency()); lerr != nil {
-		return nil, lerr
-	}
-	return resp, nil
+	arrive := func() (any, error) { return payload, nil }
+	return n.deliver(ctx, from, to, method, arrive, " (died mid-call)")
 }
 
 // CallAsync implements transport.AsyncCaller: the same exchange as Call —
@@ -525,29 +516,11 @@ func (n *Network) OpenStream(_ context.Context, from, to Addr, method string) (t
 	if closed {
 		return nil, transport.ErrClosed
 	}
-	if from != "" && !n.Alive(from) {
-		n.failures.Add(1)
-		return nil, fmt.Errorf("%w: %s", ErrSenderDead, from)
+	if err := n.senderDead(from); err != nil {
+		return nil, err
 	}
-	if f := n.cfg.AuthFault; f != nil && f(from, to) {
-		n.authRejects.Add(1)
-		n.failures.Add(1)
-		return nil, fmt.Errorf("%w: %s", transport.ErrUnauthenticated, to)
-	}
-	if f := n.cfg.PartitionFault; f != nil && f(from, to) {
-		n.partitionDrops.Add(1)
-		n.failures.Add(1)
-		return nil, fmt.Errorf("%w: %s (partitioned)", ErrUnreachable, to)
-	}
-	if f := n.cfg.SuspectFault; f != nil && f(from, to, method) {
-		// A destination this caller wrongly believes failed refuses its
-		// streams exactly as it refuses its calls.
-		n.suspectDrops.Add(1)
-		n.failures.Add(1)
-		if err := sleep(context.Background(), n.cfg.DeadCallDelay); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %s (suspect fault)", ErrUnreachable, to)
+	if err := n.refuse(context.Background(), from, to, method, false); err != nil {
+		return nil, err
 	}
 	return &simStream{n: n, from: from, to: to, method: method}, nil
 }
@@ -564,7 +537,7 @@ type simStream struct {
 	done   bool
 }
 
-func (s *simStream) MaxChunk() int { return s.n.chunkBytes() }
+func (s *simStream) MaxChunk() int { return s.n.cfg.ChunkBytes }
 
 // Chunk stages one sequence-numbered chunk, consulting the fault hook: a
 // dropped chunk kills the whole transfer, exactly as a connection loss does
@@ -640,51 +613,14 @@ func (s *simStream) Commit(ctx context.Context) (any, error) {
 	if s.failed != nil {
 		return nil, s.failed
 	}
-	var body []byte
-	for _, c := range s.chunks {
-		body = append(body, c...)
-	}
+	body := bytes.Join(s.chunks, nil)
 	s.chunks = nil
 	if err := sleep(ctx, s.n.latency()); err != nil {
 		s.n.failures.Add(1)
 		return nil, err
 	}
-	ep, ok := s.n.lookup(s.to)
-	if !ok {
-		s.n.failures.Add(1)
-		if err := sleep(ctx, s.n.cfg.DeadCallDelay); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %s", ErrUnreachable, s.to)
-	}
-	payload, err := transport.Decode(body)
-	if err != nil {
-		s.n.failures.Add(1)
-		return nil, err
-	}
-	resp, err := ep.handler(s.from, s.method, payload)
-	if !ep.alive.Load() {
-		s.n.failures.Add(1)
-		if serr := sleep(ctx, s.n.cfg.DeadCallDelay); serr != nil {
-			return nil, serr
-		}
-		return nil, fmt.Errorf("%w: %s (died mid-commit)", ErrUnreachable, s.to)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The acknowledgment is not frame-bounded (real transports chunk it),
-	// but in strict mode it still round-trips the codec.
-	if s.n.cfg.StrictSerialization {
-		if resp, err = s.n.codecRoundTrip(resp); err != nil {
-			s.n.failures.Add(1)
-			return nil, err
-		}
-	}
-	if lerr := sleep(ctx, s.n.latency()); lerr != nil {
-		return nil, lerr
-	}
-	return resp, nil
+	arrive := func() (any, error) { return transport.Decode(body) }
+	return s.n.deliver(ctx, s.from, s.to, s.method, arrive, " (died mid-commit)")
 }
 
 // Abort discards the staged transfer; the destination never sees it.
@@ -700,32 +636,18 @@ func (s *simStream) Abort(string) {
 func (n *Network) Send(from, to Addr, method string, payload any) {
 	n.sends.Add(1)
 	n.countMethod(method)
-	if from != "" && !n.Alive(from) {
-		n.failures.Add(1)
+	if n.senderDead(from) != nil {
 		return
 	}
-	payload, perr := n.strictRoundTrip(payload)
+	payload, perr := n.codecRoundTrip(payload, true)
 	if perr != nil {
 		n.failures.Add(1)
 		return
 	}
 	go func() {
-		if f := n.cfg.AuthFault; f != nil && f(from, to) {
-			n.authRejects.Add(1)
-			n.failures.Add(1)
-			return
-		}
-		if f := n.cfg.PartitionFault; f != nil && f(from, to) {
-			n.partitionDrops.Add(1)
-			n.failures.Add(1)
-			return
-		}
-		if d := n.latency(); d > 0 {
-			time.Sleep(d)
-		}
-		if f := n.cfg.SuspectFault; f != nil && f(from, to, method) {
-			n.suspectDrops.Add(1)
-			n.failures.Add(1)
+		// Nobody waits on a Send, so a refusal — and the dead-call delay a
+		// suspected destination costs this goroutine — goes unobserved.
+		if n.refuse(context.Background(), from, to, method, true) != nil {
 			return
 		}
 		ep, ok := n.lookup(to)

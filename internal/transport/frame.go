@@ -15,13 +15,22 @@ import (
 // prefix is corrupt or hostile and the connection is abandoned.
 const MaxFrameSize = 16 << 20
 
+// FrameHeaderLen is the size of a frame's length prefix.
+const FrameHeaderLen = 4
+
+// PutFrameHeader stamps the length prefix of an n-byte payload into
+// hdr[:FrameHeaderLen], for senders that build a frame in place.
+func PutFrameHeader(hdr []byte, n int) {
+	binary.BigEndian.PutUint32(hdr, uint32(n))
+}
+
 // WriteFrame writes one length-prefixed frame.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("%w: frame of %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	var hdr [FrameHeaderLen]byte
+	PutFrameHeader(hdr[:], len(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -31,7 +40,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // ReadFrame reads one length-prefixed frame.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}

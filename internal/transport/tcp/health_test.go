@@ -46,12 +46,8 @@ func (fs *fakeServer) serve(conn net.Conn, goSilent bool) {
 	defer conn.Close()
 	answered := 0
 	for {
-		raw, err := transport.ReadFrame(conn)
+		m, err := readMsg(conn)
 		if err != nil {
-			return
-		}
-		var m wireMsg
-		if err := decodeMsg(raw, &m); err != nil {
 			return
 		}
 		if goSilent && answered >= 1 {
@@ -68,11 +64,7 @@ func (fs *fakeServer) serve(conn net.Conn, goSilent bool) {
 		default:
 			continue
 		}
-		body, err := encodeMsg(out)
-		if err != nil {
-			return
-		}
-		if err := transport.WriteFrame(conn, body); err != nil {
+		if err := writeMsg(conn, out); err != nil {
 			return
 		}
 	}

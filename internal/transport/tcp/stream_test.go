@@ -262,19 +262,10 @@ func TestStreamFrameWithoutStreamIDDropsConnection(t *testing.T) {
 		}
 		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 		exchange := func(m wireMsg) (wireMsg, error) {
-			raw, err := encodeMsg(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := transport.WriteFrame(conn, raw); err != nil {
+			if err := writeMsg(conn, m); err != nil {
 				return wireMsg{}, err
 			}
-			raw, err = transport.ReadFrame(conn)
-			if err != nil {
-				return wireMsg{}, err
-			}
-			var out wireMsg
-			return out, decodeMsg(raw, &out)
+			return readMsg(conn)
 		}
 		// The connection is healthy until the malformed frame arrives…
 		if pong, err := exchange(wireMsg{Kind: kindPing, ID: 1}); err != nil || pong.Kind != kindPong {

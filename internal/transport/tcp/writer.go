@@ -1,0 +1,117 @@
+package tcp
+
+import (
+	"bytes"
+	"context"
+	"net"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/transport"
+)
+
+// batchBytes flushes the write batcher once this many bytes are buffered.
+const batchBytes = 64 << 10
+
+// batchWriter coalesces queued frames into as few syscalls as possible: it
+// keeps appending while frames are queued and flushes when the queue drains
+// or batchBytes are buffered, so it amortizes syscalls under pipelined load
+// and never holds a frame back waiting for company.
+type batchWriter struct {
+	conn      net.Conn
+	ch        chan []byte // whole frames; sized to absorb a pipelined burst without blocking callers
+	done      chan struct{}
+	failed    atomic.Bool // flipped by the one call to fail that closes done
+	writeWait time.Duration
+	onError   func(error) // optional: invoked once when the writer stops (write failure or stop)
+}
+
+func newBatchWriter(conn net.Conn, writeWait time.Duration) *batchWriter {
+	return &batchWriter{
+		conn:      conn,
+		ch:        make(chan []byte, 256),
+		done:      make(chan struct{}),
+		writeWait: writeWait,
+	}
+}
+
+// enqueue encodes m and queues its frame, rejecting oversized messages with
+// transport.ErrFrameTooLarge before they reach the queue. The wait for queue
+// space is bounded by ctx: stream chunks apply their per-chunk deadline here,
+// so a stalled receiver fails the transfer instead of blocking the sender
+// forever once the write queue backs up.
+func (w *batchWriter) enqueue(ctx context.Context, m wireMsg) error {
+	var frame bytes.Buffer
+	if err := appendFrame(&frame, m); err != nil {
+		return err
+	}
+	select {
+	case w.ch <- frame.Bytes():
+		return nil
+	case <-w.done:
+		return transport.ErrWriterStopped
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// stop terminates the writer loop. Queued frames not yet written never reach
+// the wire, so the connection's pending calls must not wait out their
+// deadlines: stopping fires onError (once, with the typed
+// transport.ErrWriterStopped) exactly like a write failure, and the dial
+// side's onError — muxConn.fail — resolves every in-flight exchange
+// promptly.
+func (w *batchWriter) stop() {
+	w.fail(transport.ErrWriterStopped)
+}
+
+// fail stops the writer and reports err to onError exactly once. The flag
+// flips before onError runs, so the re-entrant stop() that muxConn.fail
+// issues on its own writer terminates instead of deadlocking.
+func (w *batchWriter) fail(err error) {
+	if w.failed.CompareAndSwap(false, true) {
+		close(w.done)
+		if w.onError != nil {
+			w.onError(err)
+		}
+	}
+}
+
+func (w *batchWriter) loop() {
+	buf := bytes.NewBuffer(make([]byte, 0, batchBytes))
+	for {
+		select {
+		case frame := <-w.ch:
+			buf.Reset()
+			buf.Write(frame)
+			// Coalesce: keep appending queued frames until the queue drains
+			// or the size threshold is hit.
+		coalesce:
+			for buf.Len() < batchBytes {
+				select {
+				case more := <-w.ch:
+					buf.Write(more)
+				case <-w.done:
+					break coalesce
+				default:
+					break coalesce
+				}
+			}
+			_ = w.conn.SetWriteDeadline(time.Now().Add(w.writeWait))
+			if _, err := w.conn.Write(buf.Bytes()); err != nil {
+				w.fail(err)
+				return
+			}
+			_ = w.conn.SetWriteDeadline(time.Time{})
+			if buf.Cap() > 4*batchBytes {
+				// An outsized state transfer grew the buffer (up to a whole
+				// 16 MiB frame); drop the capacity back so long-lived
+				// connections are sized for their typical batch, not their
+				// largest ever.
+				buf = bytes.NewBuffer(make([]byte, 0, batchBytes))
+			}
+		case <-w.done:
+			return
+		}
+	}
+}
