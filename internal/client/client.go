@@ -13,12 +13,14 @@
 // operation into one validated round trip; a cold one pays the greedy
 // O(log n) descent from a seed peer, learning the owner for next time.
 //
-// Mutations are stamped with the cached ownership epoch, so a deposed
-// incarnation of an owner rejects them with ErrStaleEpoch instead of
-// accepting a write it no longer has the right to serve; mutations never
-// fall back to replicas. Range queries run the same pipelined scan planner
-// peers run (package scan), handed this client's cache and seed descent as
-// its routes. They are unjournaled reads: when a primary is unreachable
+// Every operation is the attempt peers run (package scan), handed this
+// client's cache and seed descent as its routes; the client itself is the
+// shell around it — the in-flight window, the operation deadline, the retry
+// loop and the counters. Mutations are stamped with the cached ownership
+// epoch, so a deposed incarnation of an owner rejects them with ErrStaleEpoch
+// instead of accepting a write it no longer has the right to serve; mutations
+// never fall back to replicas. Range queries run the pipelined scan planner.
+// They are unjournaled reads: when a primary is unreachable
 // mid-scan the planner retries the segment through the replica chain the
 // cluster advertised, accepting the bounded staleness of one replication
 // refresh — the same contract the in-cluster unjournaled read path offers.
@@ -44,6 +46,7 @@ import (
 	"repro/internal/ring"
 	"repro/internal/routecache"
 	"repro/internal/router"
+	"repro/internal/scan"
 	"repro/internal/transport"
 )
 
@@ -64,8 +67,6 @@ type Config struct {
 	// MaxAttempts bounds the route-invalidate-and-retry loop of one
 	// operation. Default 8.
 	MaxAttempts int
-	// CacheSize bounds the route cache (routecache.DefaultCapacity when 0).
-	CacheSize int
 	// ScanDepth is how many per-range segment scans a range query keeps in
 	// flight. Default 3.
 	ScanDepth int
@@ -154,7 +155,7 @@ func New(net transport.Transport, cfg Config) (*Client, error) {
 	return &Client{
 		net:    net,
 		cfg:    cfg,
-		cache:  routecache.New(cfg.CacheSize),
+		cache:  routecache.New(routecache.DefaultCapacity),
 		window: make(chan struct{}, cfg.MaxInflight),
 	}, nil
 }
@@ -221,16 +222,6 @@ func (c *Client) nextSeed() transport.Addr {
 	return s
 }
 
-// resolve returns a routing entry for key: the cached hint when present,
-// else a full greedy descent (which learns the owner into the cache). The
-// entry is a hint either way — the target validates.
-func (c *Client) resolve(ctx context.Context, key keyspace.Key) (routecache.Entry, error) {
-	if ent, ok := c.cache.Lookup(key); ok {
-		return ent, nil
-	}
-	return c.descend(ctx, key)
-}
-
 // descend runs one greedy owner lookup for key from a seed peer, hopping
 // via the router's next-hop probe until a peer claims ownership. The
 // owner's answer carries its range, epoch and successor chain, so the
@@ -276,24 +267,11 @@ func (c *Client) descend(ctx context.Context, key keyspace.Key) (routecache.Entr
 	return routecache.Entry{}, lastErr
 }
 
-// learnMeta primes the cache from a mutation reply's ownership facts.
-func (c *Client) learnMeta(owner transport.Addr, meta datastore.OwnerMeta) {
-	c.cache.Learn(meta.Range, owner, meta.Epoch, ring.ChainAddrs(owner, meta.Chain))
-}
-
-// routeRejected classifies err after an operation against owner: typed
-// proof the route is wrong (wrong owner, deposed incarnation) or the
-// fail-stop signature. Either way the cached route is dropped and the
-// operation re-resolves; other errors come from a live peer whose route may
-// well be right, so the route is kept and only the attempt retried.
-func (c *Client) routeRejected(owner transport.Addr, err error) {
-	switch {
-	case errors.Is(err, datastore.ErrNotOwner), errors.Is(err, datastore.ErrStaleEpoch):
-		c.staleRoutes.Inc()
-		c.cache.Invalidate(owner)
-	case errors.Is(err, transport.ErrUnreachable):
-		c.cache.Invalidate(owner)
-	}
+// planner is this client as the origin of routed attempts (package scan):
+// the same scan and mutation attempts peers run, from a dial-side identity,
+// routed by the client's cache and seed descent.
+func (c *Client) planner() scan.Planner {
+	return scan.Planner{Net: c.net, From: c.cfg.ID, Routes: (*routes)(c), Depth: c.cfg.ScanDepth, AllowReplica: true}
 }
 
 // Insert stores item in the index. The write goes to the believed owner,
@@ -302,57 +280,40 @@ func (c *Client) routeRejected(owner transport.Addr, err error) {
 // Mutations never touch replicas — only the validated primary may accept a
 // write.
 func (c *Client) Insert(ctx context.Context, item datastore.Item) error {
+	return c.mutate(ctx, &c.inserts, func(ctx context.Context) (bool, error) {
+		return c.planner().InsertAttempt(ctx, item)
+	})
+}
+
+// Delete removes key from the index, reporting whether it existed. Same
+// routing contract as Insert.
+func (c *Client) Delete(ctx context.Context, key keyspace.Key) (found bool, err error) {
+	err = c.mutate(ctx, &c.deletes, func(ctx context.Context) (stale bool, err error) {
+		found, stale, err = c.planner().DeleteAttempt(ctx, key)
+		return stale, err
+	})
+	return found, err
+}
+
+// mutate is the client's shell around a routed mutation attempt: the
+// in-flight window and operation deadline, the retry loop, the counters.
+func (c *Client) mutate(ctx context.Context, done *metrics.Counter, attempt func(ctx context.Context) (staleRoute bool, err error)) error {
 	ctx, release, err := c.begin(ctx)
 	if err != nil {
 		return err
 	}
 	defer release()
 	err = c.retry(ctx, func() error {
-		ent, err := c.resolve(ctx, item.Key)
-		if err != nil {
-			return err
+		stale, err := attempt(ctx)
+		if stale {
+			c.staleRoutes.Inc()
 		}
-		meta, err := datastore.ClientInsert(ctx, c.net, c.cfg.ID, ent.Addr, item, ent.Epoch)
-		if err != nil {
-			c.routeRejected(ent.Addr, err)
-			return err
-		}
-		c.learnMeta(ent.Addr, meta)
-		return nil
+		return err
 	})
 	if err == nil {
-		c.inserts.Inc()
+		done.Inc()
 	}
 	return err
-}
-
-// Delete removes key from the index, reporting whether it existed. Same
-// routing contract as Insert.
-func (c *Client) Delete(ctx context.Context, key keyspace.Key) (bool, error) {
-	ctx, release, err := c.begin(ctx)
-	if err != nil {
-		return false, err
-	}
-	defer release()
-	var found bool
-	err = c.retry(ctx, func() error {
-		ent, err := c.resolve(ctx, key)
-		if err != nil {
-			return err
-		}
-		f, meta, err := datastore.ClientDelete(ctx, c.net, c.cfg.ID, ent.Addr, key, ent.Epoch)
-		if err != nil {
-			c.routeRejected(ent.Addr, err)
-			return err
-		}
-		c.learnMeta(ent.Addr, meta)
-		found = f
-		return nil
-	})
-	if err == nil {
-		c.deletes.Inc()
-	}
-	return found, err
 }
 
 // retry drives one operation through the invalidate-and-re-resolve loop:

@@ -27,7 +27,7 @@ func (c *Client) Query(ctx context.Context, iv keyspace.Interval) ([]datastore.I
 		return nil, err
 	}
 	defer release()
-	planner := scan.Planner{Net: c.net, From: c.cfg.ID, Routes: (*routes)(c), Depth: c.cfg.ScanDepth, AllowReplica: true}
+	planner := c.planner()
 	var items []datastore.Item
 	err = c.retry(ctx, func() error {
 		var st scan.Stats
@@ -51,10 +51,15 @@ func (r *routes) CachedEntry(key keyspace.Key) (routecache.Entry, bool) {
 	return r.cache.Lookup(key)
 }
 
-// Resolve always yields a ranged route: a descent's final answer carries the
-// owner's range, epoch and chain.
+// Resolve returns the cached hint when present, else runs a full greedy
+// descent (which learns the owner into the cache). Either way the route is
+// ranged — a descent's final answer carries the owner's range, epoch and
+// chain — and a hint: the target validates.
 func (r *routes) Resolve(ctx context.Context, key keyspace.Key) (routecache.Entry, bool, error) {
-	ent, err := (*Client)(r).resolve(ctx, key)
+	if ent, ok := r.cache.Lookup(key); ok {
+		return ent, true, nil
+	}
+	ent, err := (*Client)(r).descend(ctx, key)
 	return ent, true, err
 }
 

@@ -16,11 +16,12 @@
 // them to it.
 //
 // The P2P Index API of the paper (insertItem, deleteItem, findItems as a
-// range query) is exposed on both Peer and Cluster. A range query is the
-// pipelined scan planner (package scan) run from the peer, routed by its
-// Content Router; what core adds is what only a ring member has: the query
-// is journaled for correctness checking against Definition 4, each attempt
-// is bounded by QueryAttemptTimeout and failed attempts are retried.
+// range query) is exposed on both Peer and Cluster. Each operation is an
+// attempt of package scan — the pipelined scan planner, the routed insert
+// and delete — run from the peer and routed by its Content Router; what core
+// adds is what only a ring member has: failed attempts are retried, and a
+// query is journaled for correctness checking against Definition 4 with
+// each attempt bounded by QueryAttemptTimeout.
 package core
 
 import (
@@ -304,8 +305,7 @@ type Cluster struct {
 	// qcache remembers which peer last served the first piece of a range
 	// query, so follow-up queries enter the ring at the owner of their lower
 	// bound instead of at a random peer (zero-hop owner lookup when fresh;
-	// validated at the target when stale). nil when caching is disabled
-	// (Router.CacheSize < 0), so ablation runs are genuinely cache-free.
+	// validated at the target when stale).
 	qcache *routecache.Cache
 
 	mu     sync.Mutex
@@ -323,17 +323,14 @@ type Cluster struct {
 // NewCluster creates an empty cluster.
 func NewCluster(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
-	c := &Cluster{
-		cfg:   cfg,
-		net:   simnet.New(cfg.Net),
-		log:   history.NewLog(),
-		peers: make(map[transport.Addr]*Peer),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+	return &Cluster{
+		cfg:    cfg,
+		net:    simnet.New(cfg.Net),
+		log:    history.NewLog(),
+		qcache: routecache.New(routecache.DefaultCapacity),
+		peers:  make(map[transport.Addr]*Peer),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
-	if cfg.Router.CacheSize >= 0 {
-		c.qcache = routecache.New(cfg.Router.CacheSize)
-	}
-	return c
 }
 
 // Net exposes the network for failure injection and stats.

@@ -118,7 +118,7 @@ func TestEpochFencesFalsePositiveSuspicion(t *testing.T) {
 	// Fencing: a mutation addressed to the deposed incarnation's epoch is
 	// rejected with the typed error — on whichever side currently claims the
 	// key, the deposed epoch is provably not current.
-	err := succPeer.Store.InsertAtFenced(ctx, succPeer.Addr, datastore.Item{Key: vrng.Hi, Payload: "x"}, vepoch)
+	_, err := datastore.ClientInsert(ctx, succPeer.tr, succPeer.Addr, succPeer.Addr, datastore.Item{Key: vrng.Hi, Payload: "x"}, vepoch)
 	if !errors.Is(err, datastore.ErrStaleEpoch) {
 		t.Fatalf("deposed-epoch insert = %v, want ErrStaleEpoch", err)
 	}
@@ -208,7 +208,7 @@ func TestStaleEpochTypedOverTCP(t *testing.T) {
 		t.Fatal("bootstrap peer has epoch 0")
 	}
 
-	err := p.Store.InsertAtFenced(ctx, p.Addr, mkItem(2000), epoch+3)
+	_, err := datastore.ClientInsert(ctx, p.tr, p.Addr, p.Addr, mkItem(2000), epoch+3)
 	if !errors.Is(err, datastore.ErrStaleEpoch) {
 		t.Fatalf("stale insert over TCP = %v, want ErrStaleEpoch", err)
 	}
@@ -216,10 +216,10 @@ func TestStaleEpochTypedOverTCP(t *testing.T) {
 	if !errors.As(err, &remote) {
 		t.Fatalf("stale insert error %T did not cross the wire as a RemoteError", err)
 	}
-	if _, err := p.Store.DeleteAtFenced(ctx, p.Addr, 1000, epoch+3); !errors.Is(err, datastore.ErrStaleEpoch) {
+	if _, _, err := datastore.ClientDelete(ctx, p.tr, p.Addr, p.Addr, 1000, epoch+3); !errors.Is(err, datastore.ErrStaleEpoch) {
 		t.Fatalf("stale delete over TCP = %v, want ErrStaleEpoch", err)
 	}
-	if err := p.Store.InsertAtFenced(ctx, p.Addr, mkItem(2000), epoch); err != nil {
+	if _, err := datastore.ClientInsert(ctx, p.tr, p.Addr, p.Addr, mkItem(2000), epoch); err != nil {
 		t.Fatalf("current-epoch insert over TCP: %v", err)
 	}
 }

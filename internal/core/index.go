@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -25,7 +24,8 @@ import (
 // key value and retries through ownership movements until ctx expires.
 func (c *Cluster) InsertItem(ctx context.Context, item datastore.Item) error {
 	return c.retryRouted(ctx, func(entry *Peer) error {
-		return entry.insertAttempt(ctx, item)
+		_, err := entry.planner(false).InsertAttempt(ctx, item)
+		return err
 	})
 }
 
@@ -34,7 +34,7 @@ func (c *Cluster) DeleteItem(ctx context.Context, key keyspace.Key) (bool, error
 	var found bool
 	err := c.retryRouted(ctx, func(entry *Peer) error {
 		var err error
-		found, err = entry.deleteAttempt(ctx, key)
+		found, _, err = entry.planner(false).DeleteAttempt(ctx, key)
 		return err
 	})
 	return found, err
@@ -55,22 +55,21 @@ func (c *Cluster) retryRouted(ctx context.Context, op func(entry *Peer) error) e
 // InsertItem stores an item in the index, routing from this peer and
 // retrying through ownership movements.
 func (p *Peer) InsertItem(ctx context.Context, item datastore.Item) error {
-	return p.retryRouted(ctx, func() error { return p.insertAttempt(ctx, item) })
+	return retryRouted(ctx, p.cfg.MaxQueryAttempts, func() error {
+		_, err := p.planner(false).InsertAttempt(ctx, item)
+		return err
+	})
 }
 
 // DeleteItem removes an item from the index, reporting whether it existed.
 func (p *Peer) DeleteItem(ctx context.Context, key keyspace.Key) (bool, error) {
 	var found bool
-	err := p.retryRouted(ctx, func() error {
+	err := retryRouted(ctx, p.cfg.MaxQueryAttempts, func() error {
 		var err error
-		found, err = p.deleteAttempt(ctx, key)
+		found, _, err = p.planner(false).DeleteAttempt(ctx, key)
 		return err
 	})
 	return found, err
-}
-
-func (p *Peer) retryRouted(ctx context.Context, op func() error) error {
-	return retryRouted(ctx, p.cfg.MaxQueryAttempts, op)
 }
 
 // retryRouted retries op through ownership movements with a short backoff.
@@ -90,55 +89,11 @@ func retryRouted(ctx context.Context, attempts int, op func() error) error {
 	return fmt.Errorf("core: routed operation failed after retries: %w", lastErr)
 }
 
-// ownerEpoch returns the ownership epoch the route cache attributes to
-// owner for key, or 0 (unfenced) when the cache has no matching entry.
-// Mutations are stamped with it so a deposed incarnation of the owner
-// rejects them with ErrStaleEpoch instead of accepting a write it no longer
-// has the right to serve.
-func (p *Peer) ownerEpoch(key keyspace.Key, owner transport.Addr) uint64 {
-	if ent, ok := p.Router.CachedEntry(key); ok && ent.Addr == owner {
-		return ent.Epoch
-	}
-	return 0
-}
-
-// insertAttempt performs one locate-and-insert from this peer.
-func (p *Peer) insertAttempt(ctx context.Context, item datastore.Item) error {
-	owner, _, err := p.Router.FindOwner(ctx, item.Key)
-	if err != nil {
-		return err
-	}
-	if err := p.Store.InsertAtFenced(ctx, owner, item, p.ownerEpoch(item.Key, owner)); err != nil {
-		p.invalidateIfStale(owner, err)
-		return err
-	}
-	return nil
-}
-
-// deleteAttempt performs one locate-and-delete from this peer.
-func (p *Peer) deleteAttempt(ctx context.Context, key keyspace.Key) (bool, error) {
-	owner, _, err := p.Router.FindOwner(ctx, key)
-	if err != nil {
-		return false, err
-	}
-	found, err := p.Store.DeleteAtFenced(ctx, owner, key, p.ownerEpoch(key, owner))
-	if err != nil {
-		p.invalidateIfStale(owner, err)
-		return false, err
-	}
-	return found, nil
-}
-
-// invalidateIfStale drops a peer's cached route on the fail-stop signature
-// or on an epoch-fence rejection (the route's incarnation is provably
-// wrong). Other handler errors — a busy range lock, a boundary that moved
-// between lookup and operation — come from a live peer whose route may well
-// still be right; the retry's FindOwner re-validates the cached entry at the
-// target and evicts it there if it really went stale.
-func (p *Peer) invalidateIfStale(owner transport.Addr, err error) {
-	if errors.Is(err, transport.ErrUnreachable) || errors.Is(err, datastore.ErrStaleEpoch) {
-		p.Router.InvalidateOwner(owner)
-	}
+// planner is this peer as the origin of routed attempts (package scan), its
+// Content Router the route seam. Scans and mutations alike go to the hinted
+// owner unprobed — the target validates — so a warm operation is one round trip.
+func (p *Peer) planner(allowReplica bool) scan.Planner {
+	return scan.Planner{Net: p.tr, From: p.Addr, Routes: p.Router, Depth: scanDepth, AllowReplica: allowReplica}
 }
 
 // RangeQuery evaluates a range predicate from an entry peer: the last-known
@@ -166,7 +121,7 @@ func (c *Cluster) RangeQuery(ctx context.Context, iv keyspace.Interval) ([]datas
 			c.learnEntry(stats)
 			return items, nil
 		}
-		if cached && c.qcache != nil {
+		if cached {
 			c.qcache.Invalidate(entry.Addr)
 		}
 		lastErr = err
@@ -179,10 +134,6 @@ func (c *Cluster) RangeQuery(ctx context.Context, iv keyspace.Interval) ([]datas
 // a random live peer. cached reports which path was taken so a failed query
 // can invalidate the entry.
 func (c *Cluster) entryPeer(iv keyspace.Interval) (entry *Peer, cached bool, err error) {
-	if c.qcache == nil {
-		p, err := c.randomLive()
-		return p, false, err
-	}
 	if ent, ok := c.qcache.Lookup(iv.First()); ok {
 		c.mu.Lock()
 		p := c.peers[ent.Addr]
@@ -201,7 +152,7 @@ func (c *Cluster) entryPeer(iv keyspace.Interval) (entry *Peer, cached bool, err
 // learnEntry records the peer that served the query's first piece as the
 // future entry point for queries over the same region.
 func (c *Cluster) learnEntry(stats QueryStats) {
-	if c.qcache != nil && stats.FirstOwner != "" {
+	if stats.FirstOwner != "" {
 		c.qcache.Learn(stats.FirstOwnerRange, stats.FirstOwner, stats.FirstOwnerEpoch, nil)
 	}
 }
@@ -275,7 +226,7 @@ func (p *Peer) rangeQueryStats(ctx context.Context, iv keyspace.Interval, journa
 	if journal {
 		logID, start = p.log.BeginQuery(iv)
 	}
-	planner := scan.Planner{Net: p.tr, From: p.Addr, Routes: p.Router, Depth: scanDepth, AllowReplica: !journal}
+	planner := p.planner(!journal)
 	var lastErr error = ErrQueryFailed
 	for attempt := 1; attempt <= p.cfg.MaxQueryAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/datastore"
 	"repro/internal/keyspace"
 	"repro/internal/ring"
+	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/transport/tcp"
@@ -298,5 +300,57 @@ func TestStandaloneJoinerCrashRecovery(t *testing.T) {
 		if v := s.Log.CheckEpochAudit(); len(v) != 0 {
 			t.Fatalf("%s epoch audit: %v", name, v)
 		}
+	}
+}
+
+// refusingFactory opens backends that refuse every append — a data directory
+// that cannot be written.
+type refusingFactory struct{}
+
+type refusingBackend struct{ *storage.Memory }
+
+var errAppendRefused = errors.New("test: append refused")
+
+func (refusingFactory) Open(transport.Addr) (storage.Backend, error) {
+	return refusingBackend{storage.NewMemory()}, nil
+}
+func (refusingBackend) Append(storage.Record) error        { return errAppendRefused }
+func (refusingBackend) AppendBatch([]storage.Record) error { return errAppendRefused }
+
+// A process whose identity record cannot be persisted must not enter the
+// cluster: a restart from that directory would find no identity or bootstrap
+// contact and resume as a single-member ring instead of re-announcing. Both
+// entry points report the refused append, and the joiner reports it before
+// announcing itself to anyone.
+func TestIdentityRecordErrorIsReturned(t *testing.T) {
+	cfg := tcpConfig()
+	cfg.Storage = refusingFactory{}
+	net := simnet.New(simnet.Config{Seed: 1})
+	t.Cleanup(func() { net.Close() })
+
+	boot, err := NewStandalone(net, "boot", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(boot.Close)
+	if err := boot.Bootstrap(); !errors.Is(err, errAppendRefused) {
+		t.Fatalf("Bootstrap = %v, want the refused append", err)
+	}
+	if _, serving := boot.CurrentPeer().Store.Range(); serving {
+		t.Error("Bootstrap claimed a range although its identity record was refused")
+	}
+
+	joiner, err := NewStandalone(net, "joiner", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(joiner.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := joiner.JoinAsFree(ctx, "boot"); !errors.Is(err, errAppendRefused) {
+		t.Fatalf("JoinAsFree = %v, want the refused append", err)
+	}
+	if n := boot.Pool.Len(); n != 0 {
+		t.Errorf("bootstrap pool holds %d peers, want 0: the joiner announced before persisting", n)
 	}
 }

@@ -135,14 +135,12 @@ func (s *Standalone) handleProbe(_ transport.Addr, _ string, payload any) (any, 
 	resp.StaleEpochRejects = p.Store.StaleEpochRejects.Load()
 	resp.StaleChainRefusals = p.Rep.StaleChainRefusals.Load()
 	resp.StepDowns = p.Store.StepDowns.Load()
-	if cache := p.Router.Cache(); cache != nil {
-		st := cache.Stats()
-		resp.CacheHits = st.Hits
-		resp.CacheMisses = st.Misses
-		resp.CacheEvictions = st.Evictions
-		resp.CacheInvalidations = st.Invalidations
-		resp.CacheEntries = st.Size
-	}
+	cst := p.Router.Cache().Stats()
+	resp.CacheHits = cst.Hits
+	resp.CacheMisses = cst.Misses
+	resp.CacheEvictions = cst.Evictions
+	resp.CacheInvalidations = cst.Invalidations
+	resp.CacheEntries = cst.Size
 	resp.ReplicaReads = p.ReplicaReads.Load()
 	if err := s.RejoinErr(); err != nil {
 		resp.RejoinErr = err.Error()
@@ -549,7 +547,9 @@ func (s *Standalone) Bootstrap() error {
 	p := s.CurrentPeer()
 	// Persist the identity first: a recovery from this directory knows the
 	// address it served under and that it had no bootstrap to re-announce to.
-	_ = p.Backend.Append(storage.Record{Kind: storage.RecIdentity, Payload: string(p.Addr)})
+	if err := p.Backend.Append(storage.Record{Kind: storage.RecIdentity, Payload: string(p.Addr)}); err != nil {
+		return fmt.Errorf("core: persisting identity of %s: %w", p.Addr, err)
+	}
 	if err := p.Ring.InitRing(); err != nil {
 		return err
 	}
@@ -644,6 +644,13 @@ func (s *Standalone) Recovered() (bool, int) {
 // fresh peer there on its own.
 func (s *Standalone) JoinAsFree(ctx context.Context, bootstrap transport.Addr) error {
 	p := s.CurrentPeer()
+	// Persist the identity and bootstrap contact before entering the pool: a
+	// recovery from this directory re-announces to the same bootstrap on its
+	// own, and one whose record never landed would resume as a single-member
+	// ring instead.
+	if err := p.Backend.Append(storage.Record{Kind: storage.RecIdentity, Payload: string(p.Addr), Aux: string(bootstrap)}); err != nil {
+		return fmt.Errorf("core: persisting identity of %s: %w", p.Addr, err)
+	}
 	resp, err := s.tr.Call(ctx, p.Addr, bootstrap, methodAnnounceFree, announceMsg{Addr: p.Addr})
 	if err != nil {
 		return fmt.Errorf("core: announce to %s failed: %w", bootstrap, err)
@@ -662,9 +669,6 @@ func (s *Standalone) JoinAsFree(ctx context.Context, bootstrap transport.Addr) e
 		p.Gossip.AddMember(bootstrap)
 		p.Gossip.MarkFree(p.Addr)
 	}
-	// Persist the identity and bootstrap contact: a recovery from this
-	// directory re-announces to the same bootstrap on its own.
-	_ = p.Backend.Append(storage.Record{Kind: storage.RecIdentity, Payload: string(p.Addr), Aux: string(bootstrap)})
 	return nil
 }
 

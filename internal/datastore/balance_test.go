@@ -50,7 +50,7 @@ func TestStorageBalanceAfterLoad(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 				continue
 			}
-			if err := first.InsertAt(ctx, addr, Item{Key: key}); err == nil {
+			if err := insertAt(ctx, first, addr, Item{Key: key}); err == nil {
 				inserted = true
 			} else {
 				time.Sleep(10 * time.Millisecond)
@@ -109,7 +109,7 @@ func TestScanRangeBlocksSplitCarve(t *testing.T) {
 	defer cancel()
 
 	for i := 1; i <= 11; i++ {
-		if err := first.InsertAt(ctx, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
+		if err := insertAt(ctx, first, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestConcurrentScansShareLock(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 1; i <= 5; i++ {
-		if err := first.InsertAt(ctx, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
+		if err := insertAt(ctx, first, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}

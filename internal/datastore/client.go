@@ -9,14 +9,14 @@ import (
 	"repro/internal/transport"
 )
 
-// Dial-side entry points: the Data Store's fenced item operations, issued by
-// a bare transport endpoint that is NOT a peer — a smart client outside the
-// cluster (internal/client). A Store method like InsertAtFenced sends from
-// the peer's own ring address; these package-level functions take the sender
-// address explicitly, so anything that can dial the transport can reach the
-// same validated, epoch-fenced handlers a peer does. The serving side cannot
-// tell the difference — ownership is validated and epochs are checked at the
-// target either way, which is exactly what makes client-held routing state
+// Dial-side entry points: the Data Store's fenced item operations, the only
+// senders of their RPCs. They take the sender address explicitly, so a ring
+// member (from its own address) and a bare transport endpoint that is NOT a
+// peer — a smart client outside the cluster (internal/client) — reach the
+// same validated, epoch-fenced handlers through the same call; the routed
+// attempts of package scan are built on them. The serving side cannot tell
+// the difference — ownership is validated and epochs are checked at the
+// target either way, which is exactly what makes caller-held routing state
 // safe to trust as a hint.
 
 // OwnerMeta is the ownership fact a mutation reply carries back to its

@@ -214,17 +214,17 @@ func TestInsertDeleteLocal(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	if err := first.InsertAt(ctx, first.Addr(), Item{Key: 10, Payload: "x"}); err != nil {
+	if err := insertAt(ctx, first, first.Addr(), Item{Key: 10, Payload: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := first.ItemCount(); got != 1 {
 		t.Fatalf("ItemCount = %d", got)
 	}
-	found, err := first.DeleteAt(ctx, first.Addr(), 10)
+	found, err := deleteAt(ctx, first, first.Addr(), 10)
 	if err != nil || !found {
 		t.Fatalf("delete = %v, %v", found, err)
 	}
-	found, err = first.DeleteAt(ctx, first.Addr(), 10)
+	found, err = deleteAt(ctx, first, first.Addr(), 10)
 	if err != nil || found {
 		t.Fatalf("double delete = %v, %v", found, err)
 	}
@@ -240,7 +240,7 @@ func TestInsertRejectedByNonOwner(t *testing.T) {
 	first.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	err := first.InsertAt(ctx, first.Addr(), Item{Key: 500})
+	err := insertAt(ctx, first, first.Addr(), Item{Key: 500})
 	if !errors.Is(err, ErrNotOwner) {
 		t.Fatalf("err = %v, want ErrNotOwner", err)
 	}
@@ -252,9 +252,10 @@ func TestSplitOnOverflow(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	// sf = 5: the 11th item overflows the peer and triggers a split.
+	// sf = 5: the 11th item overflows the peer and triggers a split, which
+	// moves the boundary under the remaining inserts — hence routed.
 	for i := 1; i <= 12; i++ {
-		if err := first.InsertAt(ctx, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
+		if err := insertRetry(ctx, h, first, keyspace.Key(i*10)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -313,8 +314,10 @@ func TestRedistributeOnUnderflow(t *testing.T) {
 	}
 	before := low.Redistributes.Load() + totalRedis(h)
 	items := low.LocalItems()
+	// The deletes themselves trigger the redistribute (or merge) that moves
+	// low's boundary, so they are routed to whoever owns the key by then.
 	for i := 0; i < len(items)-1; i++ {
-		if _, err := low.DeleteAt(ctx, low.Addr(), items[i].Key); err != nil {
+		if err := deleteRetry(ctx, h, items[i].Key); err != nil {
 			t.Fatalf("delete: %v", err)
 		}
 	}
@@ -343,6 +346,18 @@ func totalMerges(h *harness) uint64 {
 	return n
 }
 
+// insertAt and deleteAt issue one unfenced mutation at the peer at addr
+// through the dial bridges, sent from via's own address.
+func insertAt(ctx context.Context, via *Store, addr simnet.Addr, item Item) error {
+	_, err := ClientInsert(ctx, via.net, via.Addr(), addr, item, 0)
+	return err
+}
+
+func deleteAt(ctx context.Context, via *Store, addr simnet.Addr, key keyspace.Key) (bool, error) {
+	found, _, err := ClientDelete(ctx, via.net, via.Addr(), addr, key, 0)
+	return found, err
+}
+
 // ownerOf finds the serving peer owning key (test-side routing).
 func ownerOf(h *harness, key keyspace.Key) simnet.Addr {
 	for _, st := range h.serving() {
@@ -367,7 +382,29 @@ func insertRetry(ctx context.Context, h *harness, _ *Store, key keyspace.Key) er
 		h.mu.Lock()
 		via := h.stores[addr]
 		h.mu.Unlock()
-		if err := via.InsertAt(ctx, addr, Item{Key: key}); err == nil {
+		if err := insertAt(ctx, via, addr, Item{Key: key}); err == nil {
+			return nil
+		} else {
+			lastErr = err
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return lastErr
+}
+
+// deleteRetry is insertRetry's twin for deletes.
+func deleteRetry(ctx context.Context, h *harness, key keyspace.Key) error {
+	var lastErr error = ErrNoRange
+	for attempt := 0; attempt < 200; attempt++ {
+		addr := ownerOf(h, key)
+		if addr == "" {
+			time.Sleep(5 * time.Millisecond)
+			continue
+		}
+		h.mu.Lock()
+		via := h.stores[addr]
+		h.mu.Unlock()
+		if _, err := deleteAt(ctx, via, addr, key); err == nil {
 			return nil
 		} else {
 			lastErr = err
@@ -383,7 +420,7 @@ func TestScanRangeSinglePeer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 1; i <= 5; i++ {
-		if err := first.InsertAt(ctx, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
+		if err := insertAt(ctx, first, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -446,7 +483,7 @@ func TestNaiveScanMissesDuringRedistribute(t *testing.T) {
 	// maintenance: temporarily enable balancing by inserting past overflow.
 	// Simpler: drive the split by hand using the maintenance entry points.
 	for i := 1; i <= 11; i++ {
-		if err := first.InsertAt(ctx, first.Addr(), Item{Key: keyspace.Key(i * 20)}); err != nil {
+		if err := insertAt(ctx, first, first.Addr(), Item{Key: keyspace.Key(i * 20)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -473,7 +510,7 @@ func TestNaiveScanMissesDuringRedistribute(t *testing.T) {
 	// Enrich b so the underflow at a resolves by redistribution rather than
 	// merge: the combined load must exceed 2·sf.
 	for i := 0; i < 7; i++ {
-		if err := first.InsertAt(ctx, b.Addr(), Item{Key: keyspace.Key(300 + i*20)}); err != nil {
+		if err := insertAt(ctx, first, b.Addr(), Item{Key: keyspace.Key(300 + i*20)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -497,7 +534,7 @@ func TestNaiveScanMissesDuringRedistribute(t *testing.T) {
 	// Concurrently: a redistribution moves b's lowest items down to a.
 	// Delete a's items until underflow, then run its balance check once.
 	for _, it := range a.LocalItems()[1:] {
-		if _, err := a.DeleteAt(ctx, a.Addr(), it.Key); err != nil {
+		if _, err := deleteAt(ctx, a, a.Addr(), it.Key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -553,7 +590,7 @@ func TestScanRangeBlocksRedistribute(t *testing.T) {
 	defer cancel()
 
 	for i := 1; i <= 11; i++ {
-		if err := first.InsertAt(ctx, first.Addr(), Item{Key: keyspace.Key(i * 20)}); err != nil {
+		if err := insertAt(ctx, first, first.Addr(), Item{Key: keyspace.Key(i * 20)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -603,7 +640,7 @@ func TestScanRangeBlocksRedistribute(t *testing.T) {
 	// While the scan handler stalls at a, make a underflow and try to
 	// redistribute: it must not complete until the scan moves on.
 	for _, it := range a.LocalItems()[1:] {
-		if _, err := a.DeleteAt(ctx, a.Addr(), it.Key); err != nil {
+		if _, err := deleteAt(ctx, a, a.Addr(), it.Key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -689,7 +726,7 @@ func TestMergeTransfersEverything(t *testing.T) {
 			h.mu.Lock()
 			via := h.stores[addr]
 			h.mu.Unlock()
-			if _, err := via.DeleteAt(ctx, addr, key); err == nil {
+			if _, err := deleteAt(ctx, via, addr, key); err == nil {
 				deleted = true
 			} else {
 				if attempt%100 == 99 {

@@ -24,20 +24,28 @@ func TestMutationEpochFencing(t *testing.T) {
 	if epoch == 0 {
 		t.Fatalf("first peer has epoch 0, want a claimed epoch")
 	}
+	insert := func(item Item, epoch uint64) error {
+		_, err := ClientInsert(ctx, h.net, first.Addr(), first.Addr(), item, epoch)
+		return err
+	}
+	del := func(key keyspace.Key, epoch uint64) (bool, error) {
+		found, _, err := ClientDelete(ctx, h.net, first.Addr(), first.Addr(), key, epoch)
+		return found, err
+	}
 
-	if err := first.InsertAtFenced(ctx, first.Addr(), Item{Key: 10}, epoch); err != nil {
+	if err := insert(Item{Key: 10}, epoch); err != nil {
 		t.Fatalf("current-epoch insert: %v", err)
 	}
-	if err := first.InsertAtFenced(ctx, first.Addr(), Item{Key: 20}, 0); err != nil {
+	if err := insert(Item{Key: 20}, 0); err != nil {
 		t.Fatalf("unfenced insert: %v", err)
 	}
-	if err := first.InsertAtFenced(ctx, first.Addr(), Item{Key: 30}, epoch+7); err == nil {
+	if err := insert(Item{Key: 30}, epoch+7); err == nil {
 		t.Fatal("higher-epoch insert accepted, want ErrStaleEpoch")
 	} else if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("higher-epoch insert error = %v, want ErrStaleEpoch", err)
 	}
 	if epoch > 1 {
-		if err := first.InsertAtFenced(ctx, first.Addr(), Item{Key: 30}, epoch-1); !errors.Is(err, ErrStaleEpoch) {
+		if err := insert(Item{Key: 30}, epoch-1); !errors.Is(err, ErrStaleEpoch) {
 			t.Fatalf("lower-epoch insert error = %v, want ErrStaleEpoch", err)
 		}
 	}
@@ -45,10 +53,10 @@ func TestMutationEpochFencing(t *testing.T) {
 		t.Fatalf("item count = %d after fenced rejections, want 2", first.ItemCount())
 	}
 
-	if _, err := first.DeleteAtFenced(ctx, first.Addr(), 10, epoch+1); !errors.Is(err, ErrStaleEpoch) {
+	if _, err := del(10, epoch+1); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale delete error = %v, want ErrStaleEpoch", err)
 	}
-	if found, err := first.DeleteAtFenced(ctx, first.Addr(), 10, epoch); err != nil || !found {
+	if found, err := del(10, epoch); err != nil || !found {
 		t.Fatalf("current-epoch delete = (%v, %v), want (true, nil)", found, err)
 	}
 	if got := first.StaleEpochRejects.Load(); got < 2 {
@@ -66,7 +74,7 @@ func TestScanSegmentEpochFencing(t *testing.T) {
 	defer cancel()
 
 	for i := 1; i <= 3; i++ {
-		if err := first.InsertAt(ctx, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
+		if err := insertAt(ctx, first, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +115,7 @@ func TestSplitBumpsEpochs(t *testing.T) {
 
 	before := first.Epoch()
 	for i := 1; i <= 12; i++ {
-		if err := first.InsertAt(ctx, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
+		if err := insertAt(ctx, first, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +142,7 @@ func TestStepDownResignsRange(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	if err := first.InsertAt(ctx, first.Addr(), Item{Key: 50}); err != nil {
+	if err := insertAt(ctx, first, first.Addr(), Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
 	epoch := first.Epoch()

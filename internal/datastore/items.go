@@ -1,0 +1,261 @@
+package datastore
+
+import (
+	"context"
+	"fmt"
+	"sort"
+
+	"repro/internal/history"
+	"repro/internal/keyspace"
+	"repro/internal/storage"
+	"repro/internal/transport"
+)
+
+// --- The item-set seam --------------------------------------------------------
+
+// walMode says what a change writes ahead and what a refused append means.
+type walMode uint8
+
+const (
+	// walRefuse is a client mutation: its record must be in the log before
+	// the requester sees an acknowledgment (up to the backend's sync-interval
+	// batching), so a refused append refuses the change.
+	walRefuse walMode = iota
+	// walDegrade is a hand-off install: membership protocols cannot abort
+	// halfway through, so an append error degrades durability, not serving.
+	walDegrade
+	// walSkip writes nothing because the log already says it: items leaving
+	// with a carve or a release are pruned by that claim or release record's
+	// replay (see storage.RecClaim), and a recovery installs exactly what the
+	// backend just replayed.
+	walSkip
+)
+
+// journalFunc emits the history event of one changed item. A nil journalFunc
+// emits nothing: the other end of the hand-off journals the move.
+type journalFunc func(l *history.Log, self string, key keyspace.Key)
+
+func added(l *history.Log, self string, key keyspace.Key)   { l.Added(self, key) }
+func removed(l *history.Log, self string, key keyspace.Key) { l.Removed(self, key) }
+func movedFrom(peer transport.Addr) journalFunc {
+	return func(l *history.Log, self string, key keyspace.Key) { l.Moved(string(peer), self, key) }
+}
+func movedTo(peer transport.Addr) journalFunc {
+	return func(l *history.Log, self string, key keyspace.Key) { l.Moved(self, string(peer), key) }
+}
+
+// itemChange is one change to the item set: items installed (upserts) or,
+// with del, removed (only their keys are read).
+type itemChange struct {
+	items   []Item
+	del     bool
+	wal     walMode
+	journal journalFunc
+}
+
+// applyLocked is the only place the item set changes: client mutations, both
+// sides of every hand-off, revival, recovery and step-down differ only in
+// which items, which history event and what an append error means. Callers
+// hold s.mu — the lock scan piece snapshots are taken under — and have
+// installed the incarnation the change belongs to: records are stamped with
+// s.epoch, and replay drops a put whose epoch is not the live one, so a
+// hand-off appends its claim (and lease) before its items.
+//
+// The change's records reach the backend as ONE batch — one write, one fsync,
+// however many items — then the map moves, then the history log, all in this
+// critical section, so WAL order = journal order = the order scans observe.
+// Journaling after the unlock could sequence a mutation after a query that
+// already saw its effect, and the Definition 4 checker would flag a phantom
+// violation. An empty change touches nothing, the backend included.
+func (s *Store) applyLocked(c itemChange) error {
+	if len(c.items) == 0 {
+		return nil
+	}
+	if c.wal != walSkip {
+		kind := storage.RecPut
+		if c.del {
+			kind = storage.RecDelete
+		}
+		recs := make([]storage.Record, len(c.items))
+		for i, it := range c.items {
+			recs[i] = storage.Record{Kind: kind, Epoch: s.epoch, Key: it.Key, Payload: it.Payload}
+		}
+		if err := s.backend.AppendBatch(recs); err != nil && c.wal == walRefuse {
+			return err
+		}
+	}
+	self := string(s.ring.Self().Addr)
+	for _, it := range c.items {
+		if c.del {
+			delete(s.items, it.Key)
+		} else {
+			s.items[it.Key] = it
+		}
+		if s.log != nil && c.journal != nil {
+			c.journal(s.log, self, it.Key)
+		}
+	}
+	return nil
+}
+
+// replicate asks the Replication Manager to refresh the replicas soon.
+// Called after s.mu is released, like itemsChanged.
+func (s *Store) replicate() {
+	if s.rep != nil {
+		s.rep.ItemsChanged()
+	}
+}
+
+// itemsChanged tells the layers that follow the item set that it moved:
+// replicas should be refreshed soon and the balance loop should look again.
+// The steps of a balance operation itself — a carve, a join or redistribute
+// install — only replicate: the loop that runs them paces the next operation
+// by CheckPeriod, and a peer that is mid-join must not start a split of its
+// own before its ring layer has finished joining.
+func (s *Store) itemsChanged() {
+	s.replicate()
+	select {
+	case s.maintKick <- struct{}{}:
+	default:
+	}
+}
+
+// LocalItems returns a sorted snapshot of the peer's items (getLocalItems).
+func (s *Store) LocalItems() []Item {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sortedItemsLocked()
+}
+
+// ItemCount returns the number of locally stored items.
+func (s *Store) ItemCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.items)
+}
+
+// sortedItemsLocked returns items sorted clockwise from the range start.
+func (s *Store) sortedItemsLocked() []Item {
+	out := make([]Item, 0, len(s.items))
+	for _, it := range s.items {
+		out = append(out, it)
+	}
+	lo := s.rng.Lo
+	sort.Slice(out, func(i, j int) bool {
+		return keyspace.Dist(lo, out[i].Key) < keyspace.Dist(lo, out[j].Key)
+	})
+	return out
+}
+
+// handleLocalItems returns this peer's items (getLocalItems over the wire).
+func (s *Store) handleLocalItems(_ transport.Addr, _ string, _ any) (any, error) {
+	return s.LocalItems(), nil
+}
+
+// --- insertItem / deleteItem, the owner side -----------------------------------
+
+// Mutation requests carry the ownership epoch the requester believes current
+// (from the owner-lookup cache); 0 means unfenced — the requester has no
+// epoch information and relies on the owns-check alone. A non-zero epoch
+// other than the serving peer's current one is rejected with ErrStaleEpoch:
+// either the requester's route is stale (lower epoch — refetch), or the
+// serving peer itself has been deposed by a higher incarnation the requester
+// already knows about (higher epoch — this peer must not accept writes for a
+// range it provably no longer owns).
+type insertReq struct {
+	Item  Item
+	Epoch uint64
+}
+type deleteReq struct {
+	Key   keyspace.Key
+	Epoch uint64
+}
+
+// Mutation replies carry the serving peer's ownership metadata so the sender
+// can prime its route cache from every write, not just from lookups and
+// scans.
+type insertResp struct{ OwnerMeta }
+type deleteResp struct {
+	Found bool
+	OwnerMeta
+}
+
+// checkEpochLocked applies the fencing rule. Callers hold s.mu.
+func (s *Store) checkEpochLocked(reqEpoch uint64) error {
+	if reqEpoch != 0 && reqEpoch != s.epoch {
+		s.StaleEpochRejects.Add(1)
+		return fmt.Errorf("%w: request epoch %d, serving epoch %d", ErrStaleEpoch, reqEpoch, s.epoch)
+	}
+	return nil
+}
+
+// mutate is the owner side of a client mutation on key: validate ownership
+// and the request's epoch under the range read lock — it keeps the boundary
+// stable while we decide; concurrent scans are fine (shared mode) — apply
+// the change decide returns (called under s.mu; empty when there is nothing
+// to do), and report this peer's ownership facts for the reply. changed is
+// false when nothing was applied.
+func (s *Store) mutate(key keyspace.Key, reqEpoch uint64, decide func() itemChange) (changed bool, meta OwnerMeta, err error) {
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
+	defer cancel()
+	if err := s.rangeLock.RLock(ctx); err != nil {
+		return false, OwnerMeta{}, ErrLockBusy
+	}
+	defer s.rangeLock.RUnlock()
+	s.mu.Lock()
+	if !s.hasRange || !s.rng.Contains(key) {
+		s.mu.Unlock()
+		return false, OwnerMeta{}, ErrNotOwner
+	}
+	if err := s.checkEpochLocked(reqEpoch); err != nil {
+		s.mu.Unlock()
+		return false, OwnerMeta{}, err
+	}
+	c := decide()
+	if err := s.applyLocked(c); err != nil {
+		s.mu.Unlock()
+		return false, OwnerMeta{}, err
+	}
+	meta = OwnerMeta{Range: s.rng, Epoch: s.epoch}
+	s.mu.Unlock()
+	meta.Chain = s.ring.Successors()
+	changed = len(c.items) > 0
+	if changed {
+		s.itemsChanged()
+	}
+	return changed, meta, nil
+}
+
+// handleInsert stores an item this peer owns (the owner side of insertItem).
+func (s *Store) handleInsert(_ transport.Addr, _ string, payload any) (any, error) {
+	req, ok := payload.(insertReq)
+	if !ok {
+		return nil, fmt.Errorf("datastore: bad insert payload %T", payload)
+	}
+	_, meta, err := s.mutate(req.Item.Key, req.Epoch, func() itemChange {
+		return itemChange{items: []Item{req.Item}, journal: added}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return insertResp{OwnerMeta: meta}, nil
+}
+
+// handleDelete removes an item this peer owns; deleting a key it does not
+// hold changes (and writes) nothing.
+func (s *Store) handleDelete(_ transport.Addr, _ string, payload any) (any, error) {
+	req, ok := payload.(deleteReq)
+	if !ok {
+		return nil, fmt.Errorf("datastore: bad delete payload %T", payload)
+	}
+	found, meta, err := s.mutate(req.Key, req.Epoch, func() itemChange {
+		if _, held := s.items[req.Key]; !held {
+			return itemChange{}
+		}
+		return itemChange{items: []Item{{Key: req.Key}}, del: true, journal: removed}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return deleteResp{Found: found, OwnerMeta: meta}, nil
+}

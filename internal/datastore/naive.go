@@ -1,0 +1,98 @@
+package datastore
+
+import (
+	"context"
+	"fmt"
+	"sort"
+
+	"repro/internal/keyspace"
+	"repro/internal/ring"
+	"repro/internal/transport"
+)
+
+// The naive application-level scan: the Section 6.2 baseline.
+
+// naiveStepReq asks a peer for its items in the interval plus its view of
+// where to go next — no locks and no continuation validation anywhere,
+// exactly the application-level scan the paper compares against. The cursor
+// only tracks walk progress for termination; it is deliberately NOT checked
+// against the peer's range, which is what lets this baseline miss items
+// (Section 4.2.2).
+type naiveStepReq struct {
+	Iv     keyspace.Interval
+	Cursor keyspace.Key
+}
+
+type naiveStepResp struct {
+	Items      []Item
+	HasRange   bool
+	Covered    bool // this peer's contiguous segment reaches the interval's end
+	NextCursor keyspace.Key
+	Succ       ring.Node
+	HasSucc    bool
+}
+
+func (s *Store) handleNaiveStep(_ transport.Addr, _ string, payload any) (any, error) {
+	req, ok := payload.(naiveStepReq)
+	if !ok {
+		return nil, fmt.Errorf("datastore: bad naive step payload %T", payload)
+	}
+	resp := naiveStepResp{NextCursor: req.Cursor}
+	s.mu.Lock()
+	resp.HasRange = s.hasRange
+	if s.hasRange {
+		for k, it := range s.items {
+			if req.Iv.Contains(k) {
+				resp.Items = append(resp.Items, it)
+			}
+		}
+		if s.rng.Contains(req.Cursor) {
+			end, covered := s.rng.ContiguousEnd(req.Cursor, req.Iv.Last())
+			resp.Covered = covered
+			if !covered {
+				resp.NextCursor = end + 1
+			}
+		}
+	}
+	s.mu.Unlock()
+	if succ, ok := s.ring.FirstStabilizedSuccessor(); ok {
+		resp.Succ, resp.HasSucc = succ, true
+	} else if succs := s.ring.Successors(); len(succs) > 0 {
+		resp.Succ, resp.HasSucc = succs[0], true
+	}
+	sort.Slice(resp.Items, func(i, j int) bool { return resp.Items[i].Key < resp.Items[j].Key })
+	return resp, nil
+}
+
+// NaiveScan walks the ring collecting items in iv starting from firstPeer,
+// with no locking or continuation validation: the Section 4.2 baseline that
+// can miss live items during concurrent maintenance.
+func (s *Store) NaiveScan(ctx context.Context, firstPeer transport.Addr, iv keyspace.Interval, maxHops int) ([]Item, int, error) {
+	var out []Item
+	cur := firstPeer
+	cursor := iv.First()
+	hops := 0
+	for {
+		resp, err := s.net.Call(ctx, s.Addr(), cur, methodNaiveStep, naiveStepReq{Iv: iv, Cursor: cursor})
+		if err != nil {
+			return out, hops, err
+		}
+		step, ok := resp.(naiveStepResp)
+		if !ok {
+			return out, hops, fmt.Errorf("datastore: bad naive step response %T", resp)
+		}
+		out = append(out, step.Items...)
+		if step.Covered {
+			return out, hops, nil
+		}
+		cursor = step.NextCursor
+		if !step.HasSucc {
+			return out, hops, ErrNoSucc
+		}
+		cur = step.Succ.Addr
+		hops++
+		if hops > maxHops {
+			return out, hops, fmt.Errorf("datastore: naive scan exceeded %d hops", maxHops)
+		}
+	}
+}

@@ -15,7 +15,7 @@ func TestScanSegmentServesValidatedPiece(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 1; i <= 5; i++ {
-		if err := first.InsertAt(ctx, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
+		if err := insertAt(ctx, first, first.Addr(), Item{Key: keyspace.Key(i * 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,7 +21,7 @@ func TestPushRecordsAdvertisedEpochs(t *testing.T) {
 	defer cancel()
 
 	waitRep(t, 5*time.Second, "successor", func() bool { return len(rings[0].Successors()) >= 1 })
-	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
+	if err := insertAt(ctx, h, stores[0], datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
 	mgrs[0].RefreshOnce()
@@ -71,7 +71,7 @@ func testDeposedPushTriggersStepDown(t *testing.T, warm func(m *Manager) *atomic
 	defer cancel()
 
 	waitRep(t, 5*time.Second, "successor", func() bool { return len(rings[0].Successors()) >= 1 })
-	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
+	if err := insertAt(ctx, h, stores[0], datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
 	shape := warm(mgrs[0])
@@ -110,7 +110,7 @@ func TestReplicaReadRefusesDeposedChain(t *testing.T) {
 	defer cancel()
 
 	waitRep(t, 5*time.Second, "successors", func() bool { return len(rings[0].Successors()) >= 2 })
-	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
+	if err := insertAt(ctx, h, stores[0], datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
 	mgrs[0].RefreshOnce()
@@ -171,7 +171,7 @@ func testTiedEpochPushResolvesByReclaim(t *testing.T, warm func(m *Manager) *ato
 	defer cancel()
 
 	waitRep(t, 5*time.Second, "successor", func() bool { return len(rings[0].Successors()) >= 1 })
-	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
+	if err := insertAt(ctx, h, stores[0], datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
 	shape := warm(mgrs[0])
@@ -211,7 +211,7 @@ func TestThirdPartyHolderRefusesDeposedPush(t *testing.T) {
 	defer cancel()
 
 	waitRep(t, 5*time.Second, "successors", func() bool { return len(rings[0].Successors()) >= 2 })
-	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
+	if err := insertAt(ctx, h, stores[0], datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
 	mgrs[0].RefreshOnce()
@@ -265,7 +265,7 @@ func TestLowerClaimReceiverYieldsToHigherPush(t *testing.T) {
 	defer cancel()
 
 	waitRep(t, 5*time.Second, "successor", func() bool { return len(rings[0].Successors()) >= 1 })
-	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
+	if err := insertAt(ctx, h, stores[0], datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
 

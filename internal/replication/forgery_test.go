@@ -57,7 +57,7 @@ func TestForgedPushAdvertCannotDepose(t *testing.T) {
 	defer cancel()
 
 	waitRep(t, 5*time.Second, "successors", func() bool { return len(rings[0].Successors()) >= 2 })
-	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
+	if err := insertAt(ctx, h, stores[0], datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
 	mgrs[0].RefreshOnce() // genuine signed push: must still pass verification
@@ -156,7 +156,7 @@ func TestForgedDeltaAndHeartbeatAreRefused(t *testing.T) {
 	defer cancel()
 
 	waitRep(t, 5*time.Second, "successor", func() bool { return len(rings[0].Successors()) >= 1 })
-	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
+	if err := insertAt(ctx, h, stores[0], datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
 	mgrs[0].RefreshOnce()

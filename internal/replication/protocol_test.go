@@ -54,7 +54,7 @@ func (r *protoRig) put(k uint64, payload string) {
 	r.t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := r.store.InsertAt(ctx, r.store.Addr(), datastore.Item{Key: keyspace.Key(k), Payload: payload}); err != nil {
+	if err := insertAt(ctx, r.h, r.store, datastore.Item{Key: keyspace.Key(k), Payload: payload}); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -63,7 +63,7 @@ func (r *protoRig) del(k uint64) {
 	r.t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := r.store.DeleteAt(ctx, r.store.Addr(), keyspace.Key(k)); err != nil {
+	if _, err := deleteAt(ctx, r.h, r.store, keyspace.Key(k)); err != nil {
 		r.t.Fatal(err)
 	}
 }

@@ -20,7 +20,7 @@ func TestReplicaItemsServesHeldReplicasAndOwnItems(t *testing.T) {
 	defer cancel()
 	// Peer 0 owns the wrap range (300, 100]; give it items and replicate.
 	for _, k := range []uint64{20, 40, 60} {
-		if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: keyspace.Key(k)}); err != nil {
+		if err := insertAt(ctx, h, stores[0], datastore.Item{Key: keyspace.Key(k)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestReplicaItemsServesHeldReplicasAndOwnItems(t *testing.T) {
 
 	// The holder's own items are part of the answer too: ask the successor
 	// for an interval inside its own range.
-	if err := stores[1].InsertAt(ctx, stores[1].Addr(), datastore.Item{Key: 150}); err != nil {
+	if err := insertAt(ctx, h, stores[1], datastore.Item{Key: 150}); err != nil {
 		t.Fatal(err)
 	}
 	items, err = ClientReplicaItems(ctx, h.net, stores[0].Addr(), stores[1].Addr(), keyspace.ClosedInterval(140, 160), 0)

@@ -144,6 +144,18 @@ func (h *repHarness) bootRing(n int, repCfg Config) ([]*Manager, []*datastore.St
 	return mgrs, stores, rings
 }
 
+// insertAt and deleteAt issue one unfenced mutation at st through the Data
+// Store's dial bridges, sent from st's own address.
+func insertAt(ctx context.Context, h *repHarness, st *datastore.Store, item datastore.Item) error {
+	_, err := datastore.ClientInsert(ctx, h.net, st.Addr(), st.Addr(), item, 0)
+	return err
+}
+
+func deleteAt(ctx context.Context, h *repHarness, st *datastore.Store, key keyspace.Key) (bool, error) {
+	found, _, err := datastore.ClientDelete(ctx, h.net, st.Addr(), st.Addr(), key, 0)
+	return found, err
+}
+
 func waitRep(t testing.TB, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -166,7 +178,7 @@ func TestRefreshPlacesKReplicas(t *testing.T) {
 	// Give peer 0 some items (its range after the joins is (400, 100] —
 	// the wrap; use keys 50, 60 inside it).
 	for _, k := range []uint64{50, 60} {
-		if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: keyspace.Key(k)}); err != nil {
+		if err := insertAt(ctx, h, stores[0], datastore.Item{Key: keyspace.Key(k)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +213,7 @@ func TestRefreshReconcilesDeletions(t *testing.T) {
 	defer cancel()
 
 	for _, k := range []uint64{50, 60} {
-		if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: keyspace.Key(k)}); err != nil {
+		if err := insertAt(ctx, h, stores[0], datastore.Item{Key: keyspace.Key(k)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +224,7 @@ func TestRefreshReconcilesDeletions(t *testing.T) {
 		t.Fatalf("replicas = %d, want 2", got)
 	}
 
-	if _, err := stores[0].DeleteAt(ctx, stores[0].Addr(), 50); err != nil {
+	if _, err := deleteAt(ctx, h, stores[0], 50); err != nil {
 		t.Fatal(err)
 	}
 	mgrs[0].RefreshOnce()
@@ -247,7 +259,7 @@ func TestExtraHopPreservesItemAvailability(t *testing.T) {
 		defer cancel()
 
 		// Peer 1 holds one item; its only replica sits at peer 2 (k = 1).
-		if err := stores[1].InsertAt(ctx, stores[1].Addr(), datastore.Item{Key: 150}); err != nil {
+		if err := insertAt(ctx, h, stores[1], datastore.Item{Key: 150}); err != nil {
 			t.Fatal(err)
 		}
 		waitRep(t, 5*time.Second, "successors", func() bool {
@@ -271,7 +283,7 @@ func TestExtraHopPreservesItemAvailability(t *testing.T) {
 			m2 := h.mgrs[stores[2].Addr()]
 			h.mu.Unlock()
 			_ = m2 // peer 2 now serves the item (simulate by direct insert)
-			if err := stores[2].InsertAt(ctx, stores[2].Addr(), datastore.Item{Key: it.Key}); err != nil {
+			if err := insertAt(ctx, h, stores[2], datastore.Item{Key: it.Key}); err != nil {
 				// Peer 2 may not own the key's range in this hand-driven
 				// setup; store it as a replica instead.
 				m2.mu.Lock()
@@ -349,10 +361,10 @@ func TestItemsChangedKicksRefresh(t *testing.T) {
 	mgrs[0].Start()
 
 	waitRep(t, 5*time.Second, "successors", func() bool { return len(rings[0].Successors()) >= 1 })
-	if err := stores[0].InsertAt(ctx, stores[0].Addr(), datastore.Item{Key: 50}); err != nil {
+	if err := insertAt(ctx, h, stores[0], datastore.Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
-	// InsertAt triggers ItemsChanged via the datastore; the kick must cause a
+	// The insert triggers ItemsChanged via the datastore; the kick must cause a
 	// refresh despite the hour-long period.
 	succ := rings[0].Successors()[0]
 	waitRep(t, 5*time.Second, "kicked refresh", func() bool {

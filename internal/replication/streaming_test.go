@@ -40,7 +40,7 @@ func TestPushStreamsOversizedRangeStrict(t *testing.T) {
 	const items = 18
 	for i := 0; i < items; i++ {
 		it := datastore.Item{Key: keyspace.Key(10 + uint64(i)), Payload: payload}
-		if err := stores[0].InsertAt(ctx, stores[0].Addr(), it); err != nil {
+		if err := insertAt(ctx, h, stores[0], it); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestChunkDropLeavesReplicaRangeUnchanged(t *testing.T) {
 	const items = 8
 	for i := 0; i < items; i++ {
 		it := datastore.Item{Key: keyspace.Key(10 + uint64(i)), Payload: payload}
-		if err := stores[0].InsertAt(ctx, stores[0].Addr(), it); err != nil {
+		if err := insertAt(ctx, h, stores[0], it); err != nil {
 			t.Fatal(err)
 		}
 	}

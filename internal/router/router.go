@@ -48,8 +48,6 @@ const (
 
 // Config controls router behaviour.
 type Config struct {
-	// MaxLevels bounds the pointer hierarchy (2^MaxLevels positions).
-	MaxLevels int
 	// RefreshPeriod is the pointer maintenance interval.
 	RefreshPeriod time.Duration
 	// CallTimeout bounds individual routing RPCs.
@@ -58,15 +56,12 @@ type Config struct {
 	MaxHops int
 	// DisableAutoRefresh turns the maintenance loop off for tests.
 	DisableAutoRefresh bool
-	// CacheSize bounds the owner-lookup cache in entries; 0 selects
-	// routecache.DefaultCapacity and a negative value disables the cache.
-	CacheSize int
 }
 
+// maxLevels bounds the pointer hierarchy (2^maxLevels positions).
+const maxLevels = 10
+
 func (c Config) withDefaults() Config {
-	if c.MaxLevels <= 0 {
-		c.MaxLevels = 10
-	}
 	if c.RefreshPeriod <= 0 {
 		c.RefreshPeriod = 60 * time.Millisecond
 	}
@@ -91,7 +86,7 @@ type Router struct {
 	net   transport.Transport
 	ring  *ring.Peer
 	ds    *datastore.Store
-	cache *routecache.Cache // nil when disabled
+	cache *routecache.Cache
 
 	// mu guards levels only. It is a read/write lock held strictly around
 	// in-memory pointer access — never across an RPC — so a slow refresh
@@ -114,12 +109,10 @@ func New(net transport.Transport, mux *transport.Mux, rp *ring.Peer, ds *datasto
 		net:    net,
 		ring:   rp,
 		ds:     ds,
+		cache:  routecache.New(routecache.DefaultCapacity),
+		levels: make([]ring.Node, maxLevels),
 		stopCh: make(chan struct{}),
 	}
-	if r.cfg.CacheSize >= 0 {
-		r.cache = routecache.New(r.cfg.CacheSize)
-	}
-	r.levels = make([]ring.Node, r.cfg.MaxLevels)
 	mux.Handle(methodNextHop, r.handleNextHop)
 	mux.Handle(methodLevelAt, r.handleLevelAt)
 	mux.Handle(methodSucc, r.handleSucc)
@@ -196,14 +189,14 @@ func (r *Router) RefreshOnce() {
 	if !ok {
 		return
 	}
-	for l := 0; l+1 < r.cfg.MaxLevels; l++ {
+	for l := 0; l+1 < maxLevels; l++ {
 		r.mu.RLock()
 		cur := r.levels[l]
 		r.mu.RUnlock()
 		if cur.IsZero() || cur.Addr == self.Addr {
 			// The hierarchy has wrapped the whole ring; clear higher levels.
 			r.mu.Lock()
-			for h := l + 1; h < r.cfg.MaxLevels; h++ {
+			for h := l + 1; h < maxLevels; h++ {
 				r.levels[h] = ring.Node{}
 			}
 			r.mu.Unlock()
@@ -226,7 +219,7 @@ func (r *Router) RefreshOnce() {
 		// beyond us is useless.
 		if next.Addr == self.Addr {
 			r.mu.Lock()
-			for h := l + 1; h < r.cfg.MaxLevels; h++ {
+			for h := l + 1; h < maxLevels; h++ {
 				r.levels[h] = ring.Node{}
 			}
 			r.mu.Unlock()
@@ -329,26 +322,24 @@ func (r *Router) FindOwner(ctx context.Context, key keyspace.Key) (transport.Add
 	}
 	cur := self.Addr
 	hops := 0
-	if r.cache != nil {
-		if ent, ok := r.cache.Lookup(key); ok && ent.Addr != self.Addr {
-			callCtx, cancel := context.WithTimeout(ctx, r.cfg.CallTimeout)
-			resp, err := r.net.Call(callCtx, self.Addr, ent.Addr, methodNextHop, key)
-			cancel()
-			hops++
-			if nh, ok := resp.(nextHopResp); err == nil && ok {
-				if nh.Owner {
-					r.cache.Learn(nh.Range, ent.Addr, nh.Epoch, ring.ChainAddrs(ent.Addr, nh.Chain))
-					return ent.Addr, hops, nil
-				}
-				r.cache.Invalidate(ent.Addr)
-				if nh.Valid {
-					// Stale hint, but its greedy suggestion is still toward
-					// the key: continue the descent from there.
-					cur = nh.Next.Addr
-				}
-			} else {
-				r.cache.Invalidate(ent.Addr)
+	if ent, ok := r.cache.Lookup(key); ok && ent.Addr != self.Addr {
+		callCtx, cancel := context.WithTimeout(ctx, r.cfg.CallTimeout)
+		resp, err := r.net.Call(callCtx, self.Addr, ent.Addr, methodNextHop, key)
+		cancel()
+		hops++
+		if nh, ok := resp.(nextHopResp); err == nil && ok {
+			if nh.Owner {
+				r.cache.Learn(nh.Range, ent.Addr, nh.Epoch, ring.ChainAddrs(ent.Addr, nh.Chain))
+				return ent.Addr, hops, nil
 			}
+			r.cache.Invalidate(ent.Addr)
+			if nh.Valid {
+				// Stale hint, but its greedy suggestion is still toward
+				// the key: continue the descent from there.
+				cur = nh.Next.Addr
+			}
+		} else {
+			r.cache.Invalidate(ent.Addr)
 		}
 	}
 	for hops < r.cfg.MaxHops {
@@ -370,7 +361,7 @@ func (r *Router) FindOwner(ctx context.Context, key keyspace.Key) (transport.Add
 			return "", hops, fmt.Errorf("router: bad nextHop response %T", resp)
 		}
 		if nh.Owner {
-			if r.cache != nil && cur != self.Addr {
+			if cur != self.Addr {
 				r.cache.Learn(nh.Range, cur, nh.Epoch, ring.ChainAddrs(cur, nh.Chain))
 			}
 			return cur, hops, nil
@@ -427,7 +418,7 @@ func (r *Router) LinearFindOwner(ctx context.Context, key keyspace.Key) (transpo
 		}
 		if nh.Owner {
 			cancel()
-			if r.cache != nil && cur != self.Addr {
+			if cur != self.Addr {
 				r.cache.Learn(nh.Range, cur, nh.Epoch, ring.ChainAddrs(cur, nh.Chain))
 			}
 			return cur, hops, nil
@@ -445,8 +436,7 @@ func (r *Router) LinearFindOwner(ctx context.Context, key keyspace.Key) (transpo
 	return "", hops, ErrTooManyHops
 }
 
-// Cache exposes the owner-lookup cache for stats and operational probes; it
-// is nil when the cache is disabled (Config.CacheSize < 0).
+// Cache exposes the owner-lookup cache for stats and operational probes.
 func (r *Router) Cache() *routecache.Cache { return r.cache }
 
 // CachedEntry returns the unvalidated cached ownership entry covering key.
@@ -455,17 +445,15 @@ func (r *Router) Cache() *routecache.Cache { return r.cache }
 // not own, so the scan can skip FindOwner's probe entirely and go straight
 // to the hinted peer.
 func (r *Router) CachedEntry(key keyspace.Key) (routecache.Entry, bool) {
-	if r.cache == nil {
-		return routecache.Entry{}, false
-	}
 	return r.cache.Lookup(key)
 }
 
 // Resolve returns a route to key's owner for callers that validate ownership
 // at the target themselves: the unvalidated cached hint when there is one,
 // else a full FindOwner lookup and the entry it just learned. ranged is false
-// when the lookup yielded only an address — the owner is this peer itself, or
-// the cache is disabled — and ent then carries no range, epoch or replicas.
+// when the lookup yielded only an address — the owner is this peer itself,
+// which the cache never holds (or, in a race, the entry just learned was
+// already displaced) — and ent then carries no range, epoch or replicas.
 func (r *Router) Resolve(ctx context.Context, key keyspace.Key) (ent routecache.Entry, ranged bool, err error) {
 	if ent, ok := r.CachedEntry(key); ok {
 		return ent, true, nil
@@ -486,7 +474,7 @@ func (r *Router) Resolve(ctx context.Context, key keyspace.Key) (ent routecache.
 // entry to a lower epoch. chain is the owner's successor list (its replica
 // holders); nil leaves previously learned candidates in place.
 func (r *Router) Learn(rng keyspace.Range, addr transport.Addr, epoch uint64, chain []ring.Node) {
-	if r.cache == nil || addr == r.ring.Self().Addr {
+	if addr == r.ring.Self().Addr {
 		return
 	}
 	r.cache.Learn(rng, addr, epoch, ring.ChainAddrs(addr, chain))
@@ -494,11 +482,7 @@ func (r *Router) Learn(rng keyspace.Range, addr transport.Addr, epoch uint64, ch
 
 // InvalidateOwner drops addr's cached ownership entry — the peer disclaimed
 // ownership or stopped answering.
-func (r *Router) InvalidateOwner(addr transport.Addr) {
-	if r.cache != nil {
-		r.cache.Invalidate(addr)
-	}
-}
+func (r *Router) InvalidateOwner(addr transport.Addr) { r.cache.Invalidate(addr) }
 
 // succAnswer resolves a pipelined successor fetch; a nil pending means the
 // question was about this peer itself and is answered locally.

@@ -1,9 +1,11 @@
-// Package scan is the pipelined range-scan planner: the one implementation
-// of the read path's scan, run from wherever a range query originates — a
-// ring member (core.Peer) or a dial-side client (internal/client). The two
-// origins differ only in where routes come from (the Routes seam), which
-// address they send from, how deep they pipeline and whether a dead primary's
-// segment may be read from its replicas; everything else is here, once.
+// Package scan is the one implementation of a routed index operation's
+// attempt, run from wherever the operation originates — a ring member
+// (core.Peer) or a dial-side client (internal/client): the pipelined
+// range-scan planner of the read path (this file) and the routed insert and
+// delete attempts of the write path (mutate.go). The two origins differ only
+// in where routes come from (the Routes seam), which address they send from,
+// how deep they pipeline, whether a dead primary's segment may be read from
+// its replicas, and how they retry; everything else is here, once.
 //
 // The scan is origin-driven: instead of the hand-over-hand forwarding of
 // Algorithm 4 (one hop at a time, results pushed back to the origin), the
@@ -43,16 +45,17 @@ import (
 )
 
 // Routes is the planner's view of an origin's routing state. Every route is
-// a hint — segments validate ownership and epoch at their target — so an
-// implementation may be as stale as it likes; it only has to forget what the
-// planner proves wrong.
+// a hint — segments and mutations validate ownership and epoch at their
+// target — so an implementation may be as stale as it likes; it only has to
+// forget what the planner proves wrong.
 type Routes interface {
 	// CachedEntry returns the cached, unvalidated route covering key.
 	CachedEntry(key keyspace.Key) (routecache.Entry, bool)
 	// Resolve returns a route to key's owner: the cached hint when there is
 	// one, else a full lookup. ranged is false when the lookup yielded only
-	// an address; the segment is then planned as a probe whose end is unknown
-	// until it answers.
+	// an address (ent then carries no range, epoch or replicas); a segment is
+	// then planned as a probe whose end is unknown until it answers, and a
+	// mutation goes unfenced.
 	Resolve(ctx context.Context, key keyspace.Key) (ent routecache.Entry, ranged bool, err error)
 	// Learn records that owner served rng at epoch, with chain its ring
 	// successors (where its replicas live).
@@ -62,7 +65,8 @@ type Routes interface {
 	InvalidateOwner(owner transport.Addr)
 }
 
-// Planner runs scan attempts from one origin.
+// Planner runs one origin's attempts: scans (Attempt) and routed mutations
+// (InsertAttempt, DeleteAttempt). Depth and AllowReplica concern scans only.
 type Planner struct {
 	Net    transport.Transport
 	From   transport.Addr // the address requests are sent from

@@ -16,8 +16,9 @@ import (
 )
 
 // The planner is tested without a cluster and without a clock: fakeNet is a
-// stub transport whose peers answer segment scans and replica reads from a
-// scripted ring, synchronously at issue time, and fakeRoutes is a route seam
+// stub transport whose peers answer segment scans, replica reads and
+// mutations from a scripted ring, synchronously at issue time (mutations are
+// scripted in mutate_test.go), and fakeRoutes is a route seam
 // over a real routecache.Cache whose "full lookup" reads the same script.
 // Every test is a deterministic sequence of calls.
 
@@ -45,13 +46,15 @@ type fakePeer struct {
 	dead       bool                                                  // unreachable: the fail-stop signature
 	disclaims  bool                                                  // answers NotOwner whatever the cursor
 	segErr     error                                                 // handler error answering segment scans
+	mutErr     error                                                 // handler error answering mutations
 	tamper     func(datastore.SegmentResult) datastore.SegmentResult // rewrites an honest segment answer
 	replicaErr error                                                 // error answering replica reads
 }
 
 type fakeNet struct {
-	peers map[transport.Addr]*fakePeer
-	calls []*call
+	peers     map[transport.Addr]*fakePeer
+	calls     []*call     // segment scans and replica reads
+	mutations []*mutation // inserts and deletes
 }
 
 // newRing scripts a ring of peers p0..pn-1 where p_i owns (his[i-1], his[i]]
@@ -87,6 +90,9 @@ func (n *fakeNet) CallAsync(ctx context.Context, _, to transport.Addr, _ string,
 	// The request types are unexported wire structs; their exported fields
 	// are the protocol.
 	req := reflect.ValueOf(payload)
+	if !req.FieldByName("Iv").IsValid() {
+		return n.mutate(to, req)
+	}
 	iv := req.FieldByName("Iv").Interface().(keyspace.Interval)
 	c := &call{to: to, epoch: req.FieldByName("Epoch").Uint(), ctx: ctx}
 	if f := req.FieldByName("Cursor"); f.IsValid() {
