@@ -2,7 +2,7 @@
 // per figure, each running a reduced sweep of the same experiment the
 // figure plots and logging the series, plus micro-benchmarks for the index
 // operations themselves. The full sweeps run through cmd/benchrunner; see
-// EXPERIMENTS.md for the paper-vs-measured comparison.
+// internal/bench for how paper seconds are scaled.
 //
 //	go test -bench=. -benchmem
 package main

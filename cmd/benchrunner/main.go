@@ -5,23 +5,16 @@
 // Usage:
 //
 //	benchrunner [-fig N] [-scale ms] [-run paperS] [-quick] [-seed n]
-//	            [-transport] [-readpath] [-tail] [-json FILE]
+//	            [-json FILE]
 //
 // With no -fig, every figure (19–23) runs in order. -quick shrinks the
-// sweeps for a fast sanity pass. -transport appends the transport
-// throughput sweep (pipelined calls vs in-flight depth over one TCP
-// connection). -readpath appends the read-path figure (range query latency
-// vs cluster size: cold descent / cached entry / replica fallback), gated
-// by cmd/benchcheck. -tail appends the open-loop tail-latency figure (smart
-// client query p50/p99/p999 vs fixed Poisson arrival rate over loopback TCP,
-// warm route cache vs cold per-op descent), also gated by cmd/benchcheck.
-// -json also writes every regenerated figure to FILE as a
-// machine-readable report; CI's bench-smoke job uploads that file as the
-// per-PR benchmark artifact (see README.md). Times are reported in "paper
-// seconds": the workload runs with every period scaled down by -scale (real
-// milliseconds per paper second) and measured durations are scaled back up,
-// so series are directly comparable in shape with the paper's plots (see
-// EXPERIMENTS.md).
+// sweeps for a fast sanity pass. -json also writes every regenerated figure
+// to FILE as a machine-readable report; CI's bench-smoke job uploads that
+// file as the per-PR benchmark artifact (see README.md). Times are reported
+// in "paper seconds": the workload runs with every period scaled down by
+// -scale (real milliseconds per paper second) and measured durations are
+// scaled back up, so series are directly comparable in shape with the
+// paper's plots (see bench.Params).
 package main
 
 import (
@@ -52,9 +45,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast pass")
 	seed := flag.Int64("seed", 1, "workload seed")
 	ablation := flag.Bool("ablation", true, "include the no-proactive-contact ablation in figure 20")
-	transportBench := flag.Bool("transport", false, "append the transport pipelined-call throughput sweep")
-	readPath := flag.Bool("readpath", false, "append the read-path figure (query latency vs cluster size: cold / cached / replica fallback)")
-	tail := flag.Bool("tail", false, "append the open-loop tail-latency figure (client query p50/p99/p999 vs arrival rate, warm vs cold cache, TCP loopback)")
 	jsonPath := flag.String("json", "", "also write the regenerated figures to this file as JSON")
 	flag.Parse()
 
@@ -68,17 +58,11 @@ func main() {
 	periods := []float64{2, 3, 4, 5, 6, 7, 8}
 	rates := []float64{0, 2, 4, 6, 8, 10, 12}
 	maxHops, queries := 12, 600
-	depths, callsPerDepth := []int{1, 2, 4, 8, 16}, 3000
-	rpSizes, rpQueries := []int{6, 12, 20, 28}, 40
-	tailRates, tailPeers, tailItems, tailPerArm := []float64{100, 250}, 8, 78, 2*time.Second
 	if *quick {
 		lengths = []int{2, 4, 8}
 		periods = []float64{2, 4, 8}
 		rates = []float64{0, 6, 12}
 		maxHops, queries = 8, 200
-		depths, callsPerDepth = []int{1, 2, 4, 8}, 800
-		rpSizes, rpQueries = []int{6, 12, 20}, 24
-		tailRates, tailPeers, tailItems, tailPerArm = []float64{150}, 8, 78, time.Second
 		if p.RunS == 0 {
 			p.RunS = 40
 		}
@@ -102,7 +86,6 @@ func main() {
 		ScaleMS:     *scaleMS,
 		Seed:        *seed,
 	}
-	ran := 0
 	for _, j := range jobs {
 		if *figNum != 0 && j.num != *figNum {
 			continue
@@ -116,45 +99,8 @@ func main() {
 		fmt.Println(fig.Render())
 		fmt.Printf("# figure %d regenerated in %v\n\n", j.num, time.Since(start).Round(time.Millisecond))
 		rep.Figures = append(rep.Figures, fig)
-		ran++
 	}
-	if *transportBench {
-		start := time.Now()
-		fig, err := bench.TransportFigure(depths, callsPerDepth, 100*time.Microsecond)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "transport bench failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(fig.Render())
-		fmt.Printf("# transport sweep ran in %v\n\n", time.Since(start).Round(time.Millisecond))
-		rep.Figures = append(rep.Figures, fig)
-		ran++
-	}
-	if *readPath {
-		start := time.Now()
-		fig, err := bench.ReadPathFigure(p, rpSizes, rpQueries)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "read-path bench failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(fig.Render())
-		fmt.Printf("# read-path sweep ran in %v\n\n", time.Since(start).Round(time.Millisecond))
-		rep.Figures = append(rep.Figures, fig)
-		ran++
-	}
-	if *tail {
-		start := time.Now()
-		fig, err := bench.TailLatencyFigure(tailRates, tailPeers, tailItems, tailPerArm, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tail-latency bench failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(fig.Render())
-		fmt.Printf("# open-loop tail sweep ran in %v\n\n", time.Since(start).Round(time.Millisecond))
-		rep.Figures = append(rep.Figures, fig)
-		ran++
-	}
-	if ran == 0 {
+	if len(rep.Figures) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown figure %d (valid: 19..23)\n", *figNum)
 		os.Exit(2)
 	}

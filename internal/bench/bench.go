@@ -3,8 +3,8 @@
 // parameters; here the same workloads run in-process with every period
 // scaled by Params.Scale (the real duration of one "paper second"), so the
 // reported series are comparable in shape: who wins, by what factor, and how
-// curves respond to the swept parameter. EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// curves respond to the swept parameter. Measured durations are scaled back
+// up to paper seconds before they are reported.
 //
 //	Figure 19 — insertSucc time vs successor list length (PEPPER vs naive)
 //	Figure 20 — insertSucc time vs ring stabilization period (PEPPER vs

@@ -85,31 +85,3 @@ func TestFig23Quick(t *testing.T) {
 	requireSeries(t, fig, "insertSuccessor")
 	t.Log("\n" + fig.Render())
 }
-
-func TestReadPathFigureQuick(t *testing.T) {
-	fig, err := ReadPathFigure(quickParams(), []int{6, 12, 20}, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSeries(t, fig, "cold descent", "cached entry")
-	// The cache's whole point: cached-entry queries must beat the cold
-	// descent, decisively at the larger size.
-	largest := fig.XOrder[len(fig.XOrder)-1]
-	var cold, cached float64
-	for _, s := range fig.Series {
-		if s.Label == "cold descent" {
-			cold = s.Points[largest]
-		}
-		if s.Label == "cached entry" {
-			cached = s.Points[largest]
-		}
-	}
-	if cold == 0 || cached == 0 {
-		t.Fatalf("missing points at size %s:\n%s", largest, fig.Render())
-	}
-	if cold < 1.5*cached {
-		t.Errorf("cached entry not decisively faster at size %s: cold %.6f vs cached %.6f paper-s\n%s",
-			largest, cold, cached, fig.Render())
-	}
-	t.Log("\n" + fig.Render())
-}

@@ -50,9 +50,7 @@ func (s *Store) claimLocked(rng keyspace.Range, epoch uint64) {
 	// An append error here degrades durability, not serving: membership
 	// protocols cannot abort halfway through a claim.
 	_ = s.backend.Append(storage.Record{Kind: storage.RecClaim, Epoch: epoch, Lo: rng.Lo, Hi: rng.Hi})
-	if s.log != nil {
-		s.log.Claimed(string(s.ring.Self().Addr), rng, epoch)
-	}
+	s.log.Claimed(string(s.ring.Self().Addr), rng, epoch)
 	if s.cfg.LeaseDuration > 0 {
 		// Every leased claim starts with a fresh lease: grant time = claim
 		// time. The RecLease append re-stamps the clock durably (the claim's
@@ -61,9 +59,7 @@ func (s *Store) claimLocked(rng keyspace.Range, epoch uint64) {
 		now := time.Now().UnixNano()
 		s.leaseRenewedAt = now
 		_ = s.backend.Append(storage.Record{Kind: storage.RecLease, Epoch: epoch, Key: keyspace.Key(now)})
-		if s.log != nil {
-			s.log.LeaseGranted(string(s.ring.Self().Addr), rng, epoch)
-		}
+		s.log.LeaseGranted(string(s.ring.Self().Addr), rng, epoch)
 	}
 }
 
@@ -77,9 +73,7 @@ func (s *Store) releaseLocked() {
 	_ = s.backend.Append(storage.Record{Kind: storage.RecRelease})
 	if s.cfg.LeaseDuration > 0 {
 		s.leaseRenewedAt = 0
-		if s.log != nil {
-			s.log.LeaseReleased(string(s.ring.Self().Addr), s.rng, s.epoch)
-		}
+		s.log.LeaseReleased(string(s.ring.Self().Addr), s.rng, s.epoch)
 	}
 }
 
@@ -126,9 +120,7 @@ func (s *Store) RenewLease() {
 	now := time.Now().UnixNano()
 	s.leaseRenewedAt = now
 	_ = s.backend.Append(storage.Record{Kind: storage.RecLease, Epoch: s.epoch, Key: keyspace.Key(now)})
-	if s.log != nil {
-		s.log.LeaseRenewed(string(s.ring.Self().Addr), s.rng, s.epoch)
-	}
+	s.log.LeaseRenewed(string(s.ring.Self().Addr), s.rng, s.epoch)
 }
 
 // RestoreLeaseClock installs the lease-renewal time a durable backend
@@ -251,9 +243,7 @@ func (s *Store) Recover(rng keyspace.Range, epoch uint64, items []Item) {
 	s.hasRange = true
 	s.rng = rng
 	s.epoch = epoch
-	if s.log != nil {
-		s.log.RecoveredClaim(self, rng, epoch)
-	}
+	s.log.RecoveredClaim(self, rng, epoch)
 	owned := make([]Item, 0, len(items))
 	for _, it := range items {
 		if rng.Contains(it.Key) {

@@ -145,7 +145,6 @@ const (
 	methodScanAbort   = "ds.scanAbort"
 	methodInsert      = "ds.insertItem"
 	methodDelete      = "ds.deleteItem"
-	methodLocalItems  = "ds.localItems"
 	methodNaiveStep   = "ds.naiveStep"
 	methodRebalance   = "ds.rebalance"
 	methodMergeIn     = "ds.mergeIn"
@@ -158,7 +157,6 @@ var (
 	ErrLockBusy   = errors.New("datastore: range lock acquisition timed out")
 	ErrNoSucc     = errors.New("datastore: no stabilized successor to forward to")
 	ErrMaintBusy  = errors.New("datastore: maintenance already in progress")
-	ErrNotInRing  = errors.New("datastore: peer is not serving a ring range")
 	ErrWrongState = errors.New("datastore: unexpected rebalance state")
 	// ErrStaleEpoch rejects a request stamped with an ownership epoch other
 	// than the serving peer's current one: the requester's view of who owns
@@ -223,7 +221,8 @@ type Store struct {
 }
 
 // New constructs a Data Store for one peer and registers its RPC handlers on
-// the peer's mux. The replicator and free pool may be set later (SetDeps)
+// the peer's mux. log must be non-nil: every claim, lease and item change is
+// journaled to it. The replicator and free pool may be set later (SetDeps)
 // since construction order is circular in practice.
 func New(net transport.Transport, mux *transport.Mux, rp *ring.Peer, log *history.Log, cfg Config) *Store {
 	s := &Store{
@@ -242,7 +241,6 @@ func New(net transport.Transport, mux *transport.Mux, rp *ring.Peer, log *histor
 	mux.Handle(methodScanAbort, s.handleScanAbort)
 	mux.Handle(methodInsert, s.handleInsert)
 	mux.Handle(methodDelete, s.handleDelete)
-	mux.Handle(methodLocalItems, s.handleLocalItems)
 	mux.Handle(methodNaiveStep, s.handleNaiveStep)
 	mux.Handle(methodRebalance, s.handleRebalance)
 	mux.Handle(methodMergeIn, s.handleMergeIn)

@@ -91,7 +91,7 @@ func (s *Store) applyLocked(c itemChange) error {
 		} else {
 			s.items[it.Key] = it
 		}
-		if s.log != nil && c.journal != nil {
+		if c.journal != nil {
 			c.journal(s.log, self, it.Key)
 		}
 	}
@@ -145,11 +145,6 @@ func (s *Store) sortedItemsLocked() []Item {
 		return keyspace.Dist(lo, out[i].Key) < keyspace.Dist(lo, out[j].Key)
 	})
 	return out
-}
-
-// handleLocalItems returns this peer's items (getLocalItems over the wire).
-func (s *Store) handleLocalItems(_ transport.Addr, _ string, _ any) (any, error) {
-	return s.LocalItems(), nil
 }
 
 // --- insertItem / deleteItem, the owner side -----------------------------------

@@ -68,11 +68,9 @@ func (s *Store) checkPredLease() {
 		s.rangeLock.Unlock()
 		return
 	}
-	if s.log != nil {
-		// Journal the expiry BEFORE the overlapping claim lands, so the
-		// lease audit sees the holder's lease voided first.
-		s.log.LeaseExpired(string(pred.Addr), string(self.Addr), adv, advEpoch)
-	}
+	// Journal the expiry BEFORE the overlapping claim lands, so the lease
+	// audit sees the holder's lease voided first.
+	s.log.LeaseExpired(string(pred.Addr), string(self.Addr), adv, advEpoch)
 	s.claimLocked(s.rng.ExtendDown(adv.Lo), max(s.epoch, fence)+1)
 	s.mu.Unlock()
 	s.rangeLock.Unlock()
@@ -126,7 +124,7 @@ func (s *Store) OnPredChanged(newPred, prev ring.Node, predFailed bool) {
 		return
 	}
 	revive = keyspace.NewRange(newPred.Val, s.rng.Lo)
-	if s.cfg.LeaseDuration > 0 && s.log != nil && prev.Addr != "" {
+	if s.cfg.LeaseDuration > 0 && prev.Addr != "" {
 		// With leases on, a suspicion-driven revival is an adoption of the
 		// failed predecessor's lease: journal the expiry before the
 		// overlapping claim so the lease audit sees its lease voided first.

@@ -209,7 +209,7 @@ func (s *Store) mergeIntoSuccessor(ctx context.Context, succ ring.Node) error {
 	_ = s.applyLocked(itemChange{items: items, del: true, wal: walSkip})
 	s.hasRange = false
 	self := s.ring.Self()
-	if s.cfg.LeaseDuration > 0 && s.log != nil {
+	if s.cfg.LeaseDuration > 0 {
 		// Announce the lease transfer BEFORE the successor's absorbing claim
 		// can land: in journal order its extended grant would otherwise
 		// overlap our still-live lease (our release below is journaled only

@@ -184,7 +184,7 @@ type Config struct {
 	// experimental default in Section 6.1).
 	SuccListLen int
 	// StabPeriod is the ring stabilization period (paper default 4 s,
-	// scaled; see EXPERIMENTS.md).
+	// scaled; see bench.Params).
 	StabPeriod time.Duration
 	// PingPeriod is the successor failure-detection period; defaults to
 	// StabPeriod.

@@ -23,7 +23,7 @@
 // TCP transport does.
 //
 // All delays scale with Config values, so experiments can run the paper's
-// second-scale parameters at millisecond scale (see EXPERIMENTS.md).
+// second-scale parameters at millisecond scale (see bench.Params).
 package simnet
 
 import (

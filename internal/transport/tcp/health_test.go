@@ -144,7 +144,9 @@ func init() { transport.RegisterMessage(bigMsg{}) }
 // ErrUnreachable fail-stop signal that would trigger pointless retries.
 func TestOversizedCallFailsTyped(t *testing.T) {
 	okh := func(transport.Addr, string, any) (any, error) { return true, nil }
-	tr, a, b := newPair(t, okh, okh)
+	// The near-limit call below moves ~16 MiB through gob, which outlasts
+	// newPair's 2 s CallTimeout under -race on a loaded box.
+	tr, a, b := newPairTimeout(t, 60*time.Second, okh, okh)
 
 	_, err := tr.Call(context.Background(), a, b, "ds.mergeIn", bigMsg{Data: make([]byte, transport.MaxFrameSize+1)})
 	if !errors.Is(err, transport.ErrFrameTooLarge) {
@@ -174,16 +176,7 @@ func TestOversizedResponseChunksBack(t *testing.T) {
 	huge := func(transport.Addr, string, any) (any, error) {
 		return bigMsg{Data: make([]byte, size)}, nil
 	}
-	tr := New(Config{DialTimeout: time.Second, CallTimeout: 60 * time.Second})
-	t.Cleanup(func() { tr.Close() })
-	a, err0 := tr.Listen("127.0.0.1:0", huge)
-	if err0 != nil {
-		t.Fatal(err0)
-	}
-	b, err0 := tr.Listen("127.0.0.1:0", huge)
-	if err0 != nil {
-		t.Fatal(err0)
-	}
+	tr, a, b := newPairTimeout(t, 60*time.Second, huge, huge)
 	resp, err := tr.Call(context.Background(), a, b, "rep.pull", echoMsg{})
 	if err != nil {
 		t.Fatalf("oversized response: %v", err)

@@ -25,7 +25,14 @@ func init() {
 // bound addresses.
 func newPair(t *testing.T, ha, hb transport.Handler) (*Transport, transport.Addr, transport.Addr) {
 	t.Helper()
-	tr := New(Config{DialTimeout: time.Second, CallTimeout: 2 * time.Second})
+	return newPairTimeout(t, 2*time.Second, ha, hb)
+}
+
+// newPairTimeout is newPair with the given CallTimeout, for tests that move
+// more through one call than fits in newPair's 2 s.
+func newPairTimeout(t *testing.T, callTimeout time.Duration, ha, hb transport.Handler) (*Transport, transport.Addr, transport.Addr) {
+	t.Helper()
+	tr := New(Config{DialTimeout: time.Second, CallTimeout: callTimeout})
 	t.Cleanup(func() { tr.Close() })
 	a, err := tr.Listen("127.0.0.1:0", ha)
 	if err != nil {
