@@ -68,7 +68,7 @@ func main() {
 	wait := flag.Duration("wait", 0, "with -probe: keep retrying until satisfied or this timeout elapses")
 	probeLB := flag.Uint64("probe-lb", 0, "with -probe -expect: lower bound of the probed query interval")
 	probeUB := flag.Uint64("probe-ub", uint64(keyspace.MaxKey), "with -probe -expect: upper bound of the probed query interval")
-	jsonOut := flag.Bool("json", false, "with -probe: print the final probe status as one JSON object on stdout (machine-readable; see core.ProbeStatus)")
+	jsonOut := flag.Bool("json", false, "with -probe: print the final probe status as one JSON object on stdout (machine-readable; see ops.ProbeStatus)")
 	flag.Parse()
 
 	if *probe != "" {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/datastore"
 	"repro/internal/gossip"
 	"repro/internal/keyspace"
+	"repro/internal/ops"
 	"repro/internal/replication"
 	"repro/internal/ring"
 	"repro/internal/router"
@@ -229,8 +230,8 @@ func probeMain(target string, o probeOpts) int {
 	ctx := context.Background()
 	deadline := time.Now().Add(o.wait)
 
-	req := core.ProbeRequest{Query: o.expect >= 0, Lo: o.lb, Hi: o.ub}
-	var st core.ProbeStatus
+	req := ops.ProbeRequest{Query: o.expect >= 0, Lo: o.lb, Hi: o.ub}
+	var st ops.ProbeStatus
 	var err error
 	for {
 		st, err = core.Probe(ctx, tr, "probe", transport.Addr(target), req)
@@ -294,7 +295,7 @@ func probeMain(target string, o probeOpts) int {
 
 // probeSatisfied checks one status against the criteria (ignoring the audit
 // verdict, which only the final journaled probe carries).
-func probeSatisfied(st core.ProbeStatus, o probeOpts) bool {
+func probeSatisfied(st ops.ProbeStatus, o probeOpts) bool {
 	if o.expect >= 0 && (st.QueryErr != "" || st.QueryCount != o.expect) {
 		return false
 	}
@@ -332,7 +333,7 @@ func probeSatisfied(st core.ProbeStatus, o probeOpts) bool {
 }
 
 // renderStatus formats a probe status for the job log.
-func renderStatus(st core.ProbeStatus) string {
+func renderStatus(st ops.ProbeStatus) string {
 	out := fmt.Sprintf("state=%s val=%d epoch=%d items=%d replicas=%d free-pool=%d cache-hits=%d/%d (entries=%d) replica-reads=%d stale-epoch-rejects=%d stale-chain-refusals=%d step-downs=%d",
 		st.State, st.Val, st.Epoch, st.Items, st.Replicas, st.FreePool, st.CacheHits, st.CacheHits+st.CacheMisses, st.CacheEntries, st.ReplicaReads, st.StaleEpochRejects, st.StaleChainRefusals, st.StepDowns)
 	if st.QueryErr != "" {

@@ -99,7 +99,7 @@ func startCluster(t *testing.T, peers, items int) ([]*testPeer, []keyspace.Key) 
 	defer cancel()
 	for i := 1; i < peers; i++ {
 		n := startPeer(t, cfg)
-		if err := n.s.JoinAsFree(ctx, boot.s.Peer.Addr); err != nil {
+		if err := n.s.JoinAsFree(ctx, boot.s.CurrentPeer().Addr); err != nil {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, n)
@@ -153,7 +153,7 @@ func newTestClient(t *testing.T, seed transport.Addr) *Client {
 // operations stop paying descents.
 func TestClientMixedWorkloadOverTCP(t *testing.T) {
 	nodes, keys := startCluster(t, 2, 14)
-	c := newTestClient(t, nodes[0].s.Peer.Addr)
+	c := newTestClient(t, nodes[0].s.CurrentPeer().Addr)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -199,7 +199,7 @@ func TestClientMixedWorkloadOverTCP(t *testing.T) {
 // on the same region resolve from the cache with no descent.
 func TestClientCachePrimedFromWriteReplies(t *testing.T) {
 	nodes, _ := startCluster(t, 1, 4)
-	c := newTestClient(t, nodes[0].s.Peer.Addr)
+	c := newTestClient(t, nodes[0].s.CurrentPeer().Addr)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -233,7 +233,7 @@ func TestClientCachePrimedFromWriteReplies(t *testing.T) {
 // retry loop, and the operation still succeeds.
 func TestClientRecoversFromPoisonedRoutes(t *testing.T) {
 	nodes, keys := startCluster(t, 2, 14)
-	c := newTestClient(t, nodes[0].s.Peer.Addr)
+	c := newTestClient(t, nodes[0].s.CurrentPeer().Addr)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -287,7 +287,7 @@ func TestClientReplicaFallbackOnDeadPrimary(t *testing.T) {
 		t.Skip("multi-process kill cycle is slow")
 	}
 	nodes, keys := startCluster(t, 2, 14)
-	c := newTestClient(t, nodes[0].s.Peer.Addr)
+	c := newTestClient(t, nodes[0].s.CurrentPeer().Addr)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 

@@ -153,10 +153,6 @@ var (
 	ErrNoFreePeer  = errors.New("core: free-peer pool is empty")
 )
 
-func init() {
-	transport.RegisterMessage(announceMsg{})
-}
-
 // assemblePeer constructs a full peer stack in the FREE state and wires the
 // cross-layer callbacks. It is the single assembly path shared by in-process
 // Clusters and standalone OS processes. The caller must finish installing

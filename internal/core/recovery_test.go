@@ -58,23 +58,23 @@ func TestStandaloneCrashRecovery(t *testing.T) {
 	// membership change, and there are no free peers to split to anyway.
 	const n = 9
 	for i := 1; i <= n; i++ {
-		if err := s1.Peer.InsertItem(ctx, datastore.Item{Key: keyspace.Key(i * 100), Payload: "durable"}); err != nil {
+		if err := s1.CurrentPeer().InsertItem(ctx, datastore.Item{Key: keyspace.Key(i * 100), Payload: "durable"}); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	if _, err := s1.Peer.DeleteItem(ctx, keyspace.Key(100)); err != nil {
+	if _, err := s1.CurrentPeer().DeleteItem(ctx, keyspace.Key(100)); err != nil {
 		t.Fatal(err)
 	}
-	rngBefore, epochBefore, has := s1.Peer.Store.RangeEpoch()
+	rngBefore, epochBefore, has := s1.CurrentPeer().Store.RangeEpoch()
 	if !has {
 		t.Fatal("bootstrap peer has no range")
 	}
-	itemsBefore := s1.Peer.Store.ItemCount()
+	itemsBefore := s1.CurrentPeer().Store.ItemCount()
 
 	// The crash: background work halts, the backend is NOT closed (nothing
 	// flushes), the socket drops. Anything fsynced must survive; with sync
 	// interval zero that is every append.
-	s1.Peer.Abandon()
+	s1.CurrentPeer().Abandon()
 	tr1.Close()
 
 	s2, _, tr2 := durableStandalone(t, dir, addr, cfg)
@@ -87,11 +87,11 @@ func TestStandaloneCrashRecovery(t *testing.T) {
 	if !resumed {
 		t.Fatal("Resume found no durable claim to restart into")
 	}
-	rng, epoch, has := s2.Peer.Store.RangeEpoch()
+	rng, epoch, has := s2.CurrentPeer().Store.RangeEpoch()
 	if !has || rng != rngBefore || epoch != epochBefore {
 		t.Fatalf("recovered (range, epoch) = (%v, %d), want (%v, %d)", rng, epoch, rngBefore, epochBefore)
 	}
-	if got := s2.Peer.Store.ItemCount(); got != itemsBefore {
+	if got := s2.CurrentPeer().Store.ItemCount(); got != itemsBefore {
 		t.Fatalf("recovered %d items, want %d", got, itemsBefore)
 	}
 	if rec, cnt := s2.Recovered(); !rec || cnt != itemsBefore {
@@ -100,7 +100,7 @@ func TestStandaloneCrashRecovery(t *testing.T) {
 
 	// The recovered incarnation serves: journaled reads see every surviving
 	// item (the deleted one stays deleted), and writes land.
-	items, _, err := s2.Peer.RangeQueryStats(ctx, keyspace.ClosedInterval(0, (n+1)*100))
+	items, _, err := s2.CurrentPeer().RangeQueryStats(ctx, keyspace.ClosedInterval(0, (n+1)*100))
 	if err != nil {
 		t.Fatalf("post-recovery query: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestStandaloneCrashRecovery(t *testing.T) {
 			t.Fatal("pre-crash delete resurrected by recovery")
 		}
 	}
-	if err := s2.Peer.InsertItem(ctx, datastore.Item{Key: 950, Payload: "post-crash"}); err != nil {
+	if err := s2.CurrentPeer().InsertItem(ctx, datastore.Item{Key: 950, Payload: "post-crash"}); err != nil {
 		t.Fatalf("post-recovery insert: %v", err)
 	}
 
@@ -139,21 +139,21 @@ func TestStandaloneCrashRecoveryTwice(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := s1.Peer.InsertItem(ctx, datastore.Item{Key: 500, Payload: "v"}); err != nil {
+	if err := s1.CurrentPeer().InsertItem(ctx, datastore.Item{Key: 500, Payload: "v"}); err != nil {
 		t.Fatal(err)
 	}
-	_, epoch0, _ := s1.Peer.Store.RangeEpoch()
-	s1.Peer.Abandon()
+	_, epoch0, _ := s1.CurrentPeer().Store.RangeEpoch()
+	s1.CurrentPeer().Abandon()
 	tr1.Close()
 
 	s2, _, tr2 := durableStandalone(t, dir, addr, cfg)
 	if resumed, err := s2.Resume(); err != nil || !resumed {
 		t.Fatalf("first Resume = (%v, %v)", resumed, err)
 	}
-	if err := s2.Peer.InsertItem(ctx, datastore.Item{Key: 600, Payload: "between-crashes"}); err != nil {
+	if err := s2.CurrentPeer().InsertItem(ctx, datastore.Item{Key: 600, Payload: "between-crashes"}); err != nil {
 		t.Fatal(err)
 	}
-	s2.Peer.Abandon()
+	s2.CurrentPeer().Abandon()
 	tr2.Close()
 
 	s3, _, tr3 := durableStandalone(t, dir, addr, cfg)
@@ -162,11 +162,11 @@ func TestStandaloneCrashRecoveryTwice(t *testing.T) {
 	if resumed, err := s3.Resume(); err != nil || !resumed {
 		t.Fatalf("second Resume = (%v, %v)", resumed, err)
 	}
-	_, epoch2, _ := s3.Peer.Store.RangeEpoch()
+	_, epoch2, _ := s3.CurrentPeer().Store.RangeEpoch()
 	if epoch2 != epoch0 {
 		t.Fatalf("epoch drifted across restarts: %d -> %d (a restart is the same incarnation)", epoch0, epoch2)
 	}
-	if got := s3.Peer.Store.ItemCount(); got != 2 {
+	if got := s3.CurrentPeer().Store.ItemCount(); got != 2 {
 		t.Fatalf("second recovery has %d items, want 2 (both crash generations)", got)
 	}
 	if v := s3.Log.CheckEpochAudit(); len(v) != 0 {
@@ -199,7 +199,7 @@ func TestStandaloneJoinerCrashRecovery(t *testing.T) {
 	// item's liveness (the same ordering the CI smoke scripts use).
 	const n = 14
 	for i := 1; i <= n; i++ {
-		if err := boot.Peer.InsertItem(ctx, datastore.Item{Key: keyspace.Key(i * 100), Payload: "x"}); err != nil {
+		if err := boot.CurrentPeer().InsertItem(ctx, datastore.Item{Key: keyspace.Key(i * 100), Payload: "x"}); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -211,24 +211,24 @@ func TestStandaloneJoinerCrashRecovery(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := joiner.Peer.Store.Range(); ok && joiner.Peer.Ring.State() == ring.StateJoined {
+		if _, ok := joiner.CurrentPeer().Store.Range(); ok && joiner.CurrentPeer().Ring.State() == ring.StateJoined {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	jrng, jepoch, has := joiner.Peer.Store.RangeEpoch()
+	jrng, jepoch, has := joiner.CurrentPeer().Store.RangeEpoch()
 	if !has {
 		t.Fatal("joiner never received a range")
 	}
-	jitems := joiner.Peer.Store.ItemCount()
+	jitems := joiner.CurrentPeer().Store.ItemCount()
 	if jitems == 0 {
 		t.Fatal("joiner joined with no items")
 	}
 	// As the bootstrap's only successor the joiner also holds its replicas.
-	for joiner.Peer.Rep.ReplicaCount() == 0 && time.Now().Before(deadline) {
+	for joiner.CurrentPeer().Rep.ReplicaCount() == 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
-	jreps := joiner.Peer.Rep.ReplicaCount()
+	jreps := joiner.CurrentPeer().Rep.ReplicaCount()
 	if jreps == 0 {
 		t.Fatal("joiner never received the bootstrap's replicas")
 	}
@@ -236,12 +236,12 @@ func TestStandaloneJoinerCrashRecovery(t *testing.T) {
 	// Crash the joiner and restart it promptly from the same directory —
 	// before failure detection declares it dead and revives the range
 	// elsewhere, the operational window the recovery path is for.
-	joiner.Peer.Abandon()
+	joiner.CurrentPeer().Abandon()
 	jtr.Close()
 	revived, _, jtr2 := durableStandalone(t, joinDir, joinAddr, cfg)
 	t.Cleanup(func() { jtr2.Close() })
 	t.Cleanup(revived.Close)
-	walBefore := revived.Peer.Backend.Stats().Records
+	walBefore := revived.CurrentPeer().Backend.Stats().Records
 	resumed, err := revived.Resume()
 	if err != nil {
 		t.Fatalf("joiner Resume: %v", err)
@@ -252,17 +252,17 @@ func TestStandaloneJoinerCrashRecovery(t *testing.T) {
 	// Resume installs what the backend just replayed and writes none of it
 	// again: not the claim, not the owned items, not the held replicas (at
 	// sync interval zero that was one fsync per record before serving).
-	if got := revived.Peer.Backend.Stats().Records - walBefore; got != 0 {
+	if got := revived.CurrentPeer().Backend.Stats().Records - walBefore; got != 0 {
 		t.Fatalf("Resume journaled %d records, want 0 (the claim, %d items and %d replicas are already durable)", got, jitems, jreps)
 	}
-	if got := revived.Peer.Rep.ReplicaCount(); got != jreps {
+	if got := revived.CurrentPeer().Rep.ReplicaCount(); got != jreps {
 		t.Fatalf("joiner recovered %d replicas, want %d", got, jreps)
 	}
-	rng2, epoch2, _ := revived.Peer.Store.RangeEpoch()
+	rng2, epoch2, _ := revived.CurrentPeer().Store.RangeEpoch()
 	if rng2 != jrng || epoch2 != jepoch {
 		t.Fatalf("joiner recovered (%v, %d), want (%v, %d)", rng2, epoch2, jrng, jepoch)
 	}
-	if got := revived.Peer.Store.ItemCount(); got != jitems {
+	if got := revived.CurrentPeer().Store.ItemCount(); got != jitems {
 		t.Fatalf("joiner recovered %d items, want %d", got, jitems)
 	}
 
@@ -275,7 +275,7 @@ func TestStandaloneJoinerCrashRecovery(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			items, _, err := s.Peer.RangeQueryUnjournaled(ctx, keyspace.ClosedInterval(0, (n+1)*100))
+			items, _, err := s.CurrentPeer().RangeQueryUnjournaled(ctx, keyspace.ClosedInterval(0, (n+1)*100))
 			if err == nil && len(items) == n {
 				return
 			}
@@ -290,7 +290,7 @@ func TestStandaloneJoinerCrashRecovery(t *testing.T) {
 
 	// The audited journaled query runs at the bootstrap — the one journal
 	// that witnessed every item's full liveness history.
-	if items, _, err := boot.Peer.RangeQueryStats(ctx, keyspace.ClosedInterval(0, (n+1)*100)); err != nil || len(items) != n {
+	if items, _, err := boot.CurrentPeer().RangeQueryStats(ctx, keyspace.ClosedInterval(0, (n+1)*100)); err != nil || len(items) != n {
 		t.Fatalf("journaled audit query at bootstrap: %d items, err=%v", len(items), err)
 	}
 	if v := boot.Log.CheckAllQueries(); len(v) != 0 {

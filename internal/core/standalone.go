@@ -24,55 +24,40 @@ import (
 // themselves — and splits draw remote peers from it: every protocol message
 // of the resulting membership change crosses the real wire.
 
-// methodAnnounceFree registers a remote process's peer in the bootstrap
-// node's free pool.
-const methodAnnounceFree = "core.announceFree"
+var (
+	// methodAnnounceFree registers a remote process's peer in the bootstrap
+	// node's free pool.
+	methodAnnounceFree = transport.NewMethod[announceMsg, bool]("core.announceFree")
 
-// methodProbe serves operational probes: a thin RPC client (pepperd -probe,
-// the CI cluster smoke) asks a running process for its state and optionally
-// has it execute a range query and a journal audit on the prober's behalf.
-const methodProbe = "core.probe"
+	// methodProbe serves operational probes: a thin RPC client (pepperd
+	// -probe, the CI cluster smoke) asks a running process for its state and
+	// optionally has it execute a range query and a journal audit on the
+	// prober's behalf. The request and the status are the versioned ops
+	// contract of internal/ops.
+	methodProbe = transport.NewMethod[ops.ProbeRequest, ops.ProbeStatus]("core.probe")
 
-// methodAcquireFree lends a pooled free peer to a remote process's split.
-// Free peers announce only to the bootstrap, so without this an overflowed
-// non-bootstrap peer could never split: its local pool is always empty.
-const methodAcquireFree = "core.acquireFree"
+	// methodAcquireFree lends a pooled free peer to a remote process's split;
+	// an empty address means the pool had none. Free peers announce only to
+	// the bootstrap, so without this an overflowed non-bootstrap peer could
+	// never split: its local pool is always empty.
+	methodAcquireFree = transport.NewMethod[transport.None, announceMsg]("core.acquireFree")
+)
 
 // announceMsg announces a free peer's dialable address.
 type announceMsg struct {
 	Addr transport.Addr
 }
 
-// ProbeRequest and ProbeStatus are the versioned ops contract; the types
-// live in internal/ops (the documented stable JSON schema) and are aliased
-// here so existing callers keep working.
-type (
-	ProbeRequest = ops.ProbeRequest
-	ProbeStatus  = ops.ProbeStatus
-)
-
 // Probe asks the standalone process at addr for its status; any process (or
 // a bare transport client like pepperd -probe) can issue it.
-func Probe(ctx context.Context, tr transport.Transport, from, addr transport.Addr, req ProbeRequest) (ProbeStatus, error) {
-	resp, err := tr.Call(ctx, from, addr, methodProbe, req)
-	if err != nil {
-		return ProbeStatus{}, err
-	}
-	st, ok := resp.(ProbeStatus)
-	if !ok {
-		return ProbeStatus{}, fmt.Errorf("core: bad probe response %T", resp)
-	}
-	return st, nil
+func Probe(ctx context.Context, tr transport.Transport, from, addr transport.Addr, req ops.ProbeRequest) (ops.ProbeStatus, error) {
+	return methodProbe.Call(ctx, tr, from, addr, req)
 }
 
 // handleProbe serves methodProbe against the current peer stack.
-func (s *Standalone) handleProbe(_ transport.Addr, _ string, payload any) (any, error) {
-	req, ok := payload.(ProbeRequest)
-	if !ok {
-		return nil, fmt.Errorf("core: bad probe payload %T", payload)
-	}
+func (s *Standalone) handleProbe(_ transport.Addr, req ops.ProbeRequest) (ops.ProbeStatus, error) {
 	p := s.CurrentPeer()
-	resp := ProbeStatus{
+	resp := ops.ProbeStatus{
 		SchemaVersion: ops.SchemaVersion,
 		State:         p.Ring.State().String(),
 		Val:           p.Ring.Self().Val,
@@ -127,7 +112,7 @@ func (s *Standalone) handleProbe(_ transport.Addr, _ string, payload any) (any, 
 	if req.LoadItems > 0 {
 		lo, hi, err := s.probeLoad(p, req.LoadItems)
 		if err != nil {
-			return nil, err
+			return ops.ProbeStatus{}, err
 		}
 		resp.LoadedLo, resp.LoadedHi = lo, hi
 		resp.Items = p.Store.ItemCount()
@@ -392,10 +377,6 @@ type Standalone struct {
 	// previously claimed incarnation, and how many items it recovered.
 	recovered      bool
 	recoveredItems int
-
-	// Peer is the current peer stack. It is replaced on rejoin; concurrent
-	// readers should prefer CurrentPeer.
-	Peer *Peer
 }
 
 // NewStandalone assembles a peer stack on tr at addr, which must be the
@@ -417,7 +398,7 @@ func NewStandalone(tr transport.Transport, addr transport.Addr, cfg Config) (*St
 	if err != nil {
 		return nil, err
 	}
-	s.peer, s.Peer = p, p
+	s.peer = p
 	return s, nil
 }
 
@@ -430,19 +411,15 @@ func (s *Standalone) buildPeer(addr transport.Addr) (*Peer, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Mux.Handle(methodAnnounceFree, func(_ transport.Addr, _ string, payload any) (any, error) {
-		msg, ok := payload.(announceMsg)
-		if !ok {
-			return nil, fmt.Errorf("core: bad announce payload %T", payload)
-		}
+	methodAnnounceFree.Handle(p.Mux, func(_ transport.Addr, msg announceMsg) (bool, error) {
 		s.Pool.Add(msg.Addr)
 		if p.Gossip != nil {
 			p.Gossip.MarkFree(msg.Addr)
 		}
 		return true, nil
 	})
-	p.Mux.Handle(methodProbe, s.handleProbe)
-	p.Mux.Handle(methodAcquireFree, func(_ transport.Addr, _ string, _ any) (any, error) {
+	methodProbe.Handle(p.Mux, s.handleProbe)
+	methodAcquireFree.Handle(p.Mux, func(transport.Addr, transport.None) (announceMsg, error) {
 		addr, err := s.acquireLocal(p)
 		if err != nil {
 			return announceMsg{}, nil
@@ -515,12 +492,11 @@ func (s *Standalone) Acquire() (transport.Addr, error) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	resp, err := s.tr.Call(ctx, cur.Addr, bootstrap, methodAcquireFree, nil)
+	msg, err := methodAcquireFree.Call(ctx, s.tr, cur.Addr, bootstrap, transport.None{})
 	if err != nil {
 		return "", fmt.Errorf("core: acquiring free peer from %s: %w", bootstrap, err)
 	}
-	msg, ok := resp.(announceMsg)
-	if !ok || msg.Addr == "" {
+	if msg.Addr == "" {
 		return "", fmt.Errorf("core: free-peer pool at %s: %w", bootstrap, ErrNoFreePeer)
 	}
 	s.Pool.MarkLent(msg.Addr)
@@ -619,7 +595,7 @@ func (s *Standalone) Resume() (bool, error) {
 		// entry is well-formed; an unreachable contact degrades to a
 		// single-member resume rather than blocking recovery.
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		ps, perr := Probe(ctx, s.tr, p.Addr, bootstrap, ProbeRequest{})
+		ps, perr := Probe(ctx, s.tr, p.Addr, bootstrap, ops.ProbeRequest{})
 		cancel()
 		if perr == nil {
 			return true, p.Ring.AdoptSuccessor(ring.Node{Addr: bootstrap, Val: ps.Val})
@@ -651,12 +627,12 @@ func (s *Standalone) JoinAsFree(ctx context.Context, bootstrap transport.Addr) e
 	if err := p.Backend.Append(storage.Record{Kind: storage.RecIdentity, Payload: string(p.Addr), Aux: string(bootstrap)}); err != nil {
 		return fmt.Errorf("core: persisting identity of %s: %w", p.Addr, err)
 	}
-	resp, err := s.tr.Call(ctx, p.Addr, bootstrap, methodAnnounceFree, announceMsg{Addr: p.Addr})
+	ok, err := methodAnnounceFree.Call(ctx, s.tr, p.Addr, bootstrap, announceMsg{Addr: p.Addr})
 	if err != nil {
 		return fmt.Errorf("core: announce to %s failed: %w", bootstrap, err)
 	}
-	if ok, _ := resp.(bool); !ok {
-		return fmt.Errorf("core: announce to %s rejected: %v", bootstrap, resp)
+	if !ok {
+		return fmt.Errorf("core: announce to %s rejected", bootstrap)
 	}
 	s.mu.Lock()
 	s.bootstrap = bootstrap
@@ -717,9 +693,7 @@ func (s *Standalone) Rejoin() error {
 	old := s.peer
 	bootstrap := s.bootstrap
 	s.mu.Unlock()
-	if old != nil {
-		old.Stop()
-	}
+	old.Stop()
 
 	addr := s.freshAddr(old.Addr)
 	p, err := s.buildPeer(addr)
@@ -727,7 +701,7 @@ func (s *Standalone) Rejoin() error {
 		return fmt.Errorf("core: rejoin assembly at %s failed: %w", addr, err)
 	}
 	s.mu.Lock()
-	s.peer, s.Peer = p, p
+	s.peer = p
 	s.mu.Unlock()
 
 	if bootstrap == "" || bootstrap == old.Addr {

@@ -86,7 +86,7 @@ func TestStandaloneClusterOverTCP(t *testing.T) {
 	joiner := startStandalone(t, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := joiner.JoinAsFree(ctx, boot.Peer.Addr); err != nil {
+	if err := joiner.JoinAsFree(ctx, boot.CurrentPeer().Addr); err != nil {
 		t.Fatal(err)
 	}
 	if boot.Pool.Len() != 1 {
@@ -96,26 +96,26 @@ func TestStandaloneClusterOverTCP(t *testing.T) {
 	// Overflow the bootstrap peer (sf=5, so >10 items force a split); the
 	// split must draw the remote process into the ring over TCP.
 	for i := 1; i <= 14; i++ {
-		if err := boot.Peer.InsertItem(ctx, datastore.Item{Key: keyspace.Key(i * 100), Payload: "x"}); err != nil {
+		if err := boot.CurrentPeer().InsertItem(ctx, datastore.Item{Key: keyspace.Key(i * 100), Payload: "x"}); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := joiner.Peer.Store.Range(); ok && joiner.Peer.Ring.State() == ring.StateJoined {
+		if _, ok := joiner.CurrentPeer().Store.Range(); ok && joiner.CurrentPeer().Ring.State() == ring.StateJoined {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if _, ok := joiner.Peer.Store.Range(); !ok {
+	if _, ok := joiner.CurrentPeer().Store.Range(); !ok {
 		t.Fatal("remote peer never joined the ring (split did not reach it over TCP)")
 	}
-	if joiner.Peer.Store.ItemCount() == 0 {
+	if joiner.CurrentPeer().Store.ItemCount() == 0 {
 		t.Fatal("remote peer joined but received no items")
 	}
 
 	// Range queries issued at either process must see the full item set.
-	for name, origin := range map[string]*Peer{"bootstrap": boot.Peer, "joiner": joiner.Peer} {
+	for name, origin := range map[string]*Peer{"bootstrap": boot.CurrentPeer(), "joiner": joiner.CurrentPeer()} {
 		items, _, err := origin.RangeQueryStats(ctx, keyspace.ClosedInterval(0, 15*100))
 		if err != nil {
 			t.Fatalf("query from %s: %v", name, err)
@@ -126,10 +126,10 @@ func TestStandaloneClusterOverTCP(t *testing.T) {
 	}
 
 	// Inserts routed from the joiner land on whichever process owns the key.
-	if err := joiner.Peer.InsertItem(ctx, datastore.Item{Key: 50, Payload: "late"}); err != nil {
+	if err := joiner.CurrentPeer().InsertItem(ctx, datastore.Item{Key: 50, Payload: "late"}); err != nil {
 		t.Fatal(err)
 	}
-	items, _, err := boot.Peer.RangeQueryStats(ctx, keyspace.Point(50))
+	items, _, err := boot.CurrentPeer().RangeQueryStats(ctx, keyspace.Point(50))
 	if err != nil || len(items) != 1 {
 		t.Fatalf("point query for cross-process insert = %v, %v", items, err)
 	}
@@ -182,7 +182,7 @@ func TestStandaloneRejoinAfterMerge(t *testing.T) {
 	joiner := startStandalone(t, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	if err := joiner.JoinAsFree(ctx, boot.Peer.Addr); err != nil {
+	if err := joiner.JoinAsFree(ctx, boot.CurrentPeer().Addr); err != nil {
 		t.Fatal(err)
 	}
 

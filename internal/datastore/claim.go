@@ -302,7 +302,7 @@ func (s *Store) StepDown(winnerEpoch uint64) {
 	// there is no predecessor left to acknowledge a graceful leave.
 	addr := s.Addr()
 	s.ring.Depart()
-	s.signalStop()
+	s.loops.Signal()
 	if s.pool != nil {
 		s.pool.Release(addr)
 	}

@@ -2,7 +2,6 @@ package datastore
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/keyspace"
 	"repro/internal/ring"
@@ -36,30 +35,16 @@ type OwnerMeta struct {
 // errors.Is identity across the TCP transport, so the caller can distinguish
 // "re-resolve the route" from transient failures.
 func ClientInsert(ctx context.Context, net transport.Transport, from, owner transport.Addr, item Item, epoch uint64) (OwnerMeta, error) {
-	resp, err := net.Call(ctx, from, owner, methodInsert, insertReq{Item: item, Epoch: epoch})
-	if err != nil {
-		return OwnerMeta{}, err
-	}
-	ir, ok := resp.(insertResp)
-	if !ok {
-		return OwnerMeta{}, fmt.Errorf("datastore: bad insert response %T", resp)
-	}
-	return ir.OwnerMeta, nil
+	resp, err := methodInsert.Call(ctx, net, from, owner, insertReq{Item: item, Epoch: epoch})
+	return resp.OwnerMeta, err
 }
 
 // ClientDelete asks the peer at owner to delete key, stamped with the
 // believed ownership epoch. It reports whether the key existed, plus the
 // owner's metadata.
 func ClientDelete(ctx context.Context, net transport.Transport, from, owner transport.Addr, key keyspace.Key, epoch uint64) (bool, OwnerMeta, error) {
-	resp, err := net.Call(ctx, from, owner, methodDelete, deleteReq{Key: key, Epoch: epoch})
-	if err != nil {
-		return false, OwnerMeta{}, err
-	}
-	dr, ok := resp.(deleteResp)
-	if !ok {
-		return false, OwnerMeta{}, fmt.Errorf("datastore: bad delete response %T", resp)
-	}
-	return dr.Found, dr.OwnerMeta, nil
+	resp, err := methodDelete.Call(ctx, net, from, owner, deleteReq{Key: key, Epoch: epoch})
+	return resp.Found, resp.OwnerMeta, err
 }
 
 // ClientScanSegmentAsync asks the peer at owner for its piece of iv starting
@@ -70,5 +55,5 @@ func ClientDelete(ctx context.Context, net transport.Transport, from, owner tran
 // lock. Responses are unbounded on every transport (they chunk when
 // oversized), so a large piece streams back without caller involvement.
 func ClientScanSegmentAsync(ctx context.Context, net transport.Transport, from, owner transport.Addr, iv keyspace.Interval, cursor keyspace.Key, epoch uint64) *SegmentPending {
-	return &SegmentPending{p: transport.CallAsync(net, ctx, from, owner, methodScanSegment, segmentReq{Iv: iv, Cursor: cursor, Epoch: epoch})}
+	return methodScanSegment.CallAsync(ctx, net, from, owner, segmentReq{Iv: iv, Cursor: cursor, Epoch: epoch})
 }

@@ -138,16 +138,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// RPC method names.
-const (
-	methodScan        = "ds.scan"
-	methodScanSegment = "ds.scanSegment"
-	methodScanAbort   = "ds.scanAbort"
-	methodInsert      = "ds.insertItem"
-	methodDelete      = "ds.deleteItem"
-	methodNaiveStep   = "ds.naiveStep"
-	methodRebalance   = "ds.rebalance"
-	methodMergeIn     = "ds.mergeIn"
+// The Data Store's RPCs.
+var (
+	methodScan        = transport.NewMethod[scanMsg, bool]("ds.scan")
+	methodScanSegment = transport.NewMethod[segmentReq, SegmentResult]("ds.scanSegment")
+	methodScanAbort   = transport.NewMethod[abortMsg, bool]("ds.scanAbort")
+	methodInsert      = transport.NewMethod[insertReq, insertResp]("ds.insertItem")
+	methodDelete      = transport.NewMethod[deleteReq, deleteResp]("ds.deleteItem")
+	methodNaiveStep   = transport.NewMethod[naiveStepReq, naiveStepResp]("ds.naiveStep")
+	methodRebalance   = transport.NewMethod[rebalanceReq, rebalanceResp]("ds.rebalance")
+	methodMergeIn     = transport.NewMethod[mergeInReq, bool]("ds.mergeIn")
 )
 
 // Errors surfaced by Data Store operations.
@@ -193,13 +193,9 @@ type Store struct {
 	handlers   map[string]Handler
 	onAbort    func(param any)
 
-	maintMu   sync.Mutex // serializes split/merge/redistribute on this peer
-	maintKick chan struct{}
-	lifeMu    sync.Mutex // guards started/stopped transitions vs wg
-	started   bool
-	stopped   bool
-	stopCh    chan struct{}
-	wg        sync.WaitGroup
+	maintMu sync.Mutex // serializes split/merge/redistribute on this peer
+	loops   transport.Runner
+	maint   *transport.Task // the balance maintenance loop
 
 	scanSeq atomic.Uint64
 
@@ -226,24 +222,23 @@ type Store struct {
 // since construction order is circular in practice.
 func New(net transport.Transport, mux *transport.Mux, rp *ring.Peer, log *history.Log, cfg Config) *Store {
 	s := &Store{
-		cfg:       cfg.withDefaults(),
-		net:       net,
-		ring:      rp,
-		log:       log,
-		backend:   storage.NewMemory(),
-		items:     make(map[keyspace.Key]Item),
-		handlers:  make(map[string]Handler),
-		maintKick: make(chan struct{}, 1),
-		stopCh:    make(chan struct{}),
+		cfg:      cfg.withDefaults(),
+		net:      net,
+		ring:     rp,
+		log:      log,
+		backend:  storage.NewMemory(),
+		items:    make(map[keyspace.Key]Item),
+		handlers: make(map[string]Handler),
 	}
-	mux.Handle(methodScan, s.handleScan)
-	mux.Handle(methodScanSegment, s.handleScanSegment)
-	mux.Handle(methodScanAbort, s.handleScanAbort)
-	mux.Handle(methodInsert, s.handleInsert)
-	mux.Handle(methodDelete, s.handleDelete)
-	mux.Handle(methodNaiveStep, s.handleNaiveStep)
-	mux.Handle(methodRebalance, s.handleRebalance)
-	mux.Handle(methodMergeIn, s.handleMergeIn)
+	s.maint = transport.NewTask(s.cfg.CheckPeriod, s.maintain)
+	methodScan.Handle(mux, s.handleScan)
+	methodScanSegment.Handle(mux, s.handleScanSegment)
+	methodScanAbort.Handle(mux, s.handleScanAbort)
+	methodInsert.Handle(mux, s.handleInsert)
+	methodDelete.Handle(mux, s.handleDelete)
+	methodNaiveStep.Handle(mux, s.handleNaiveStep)
+	methodRebalance.Handle(mux, s.handleRebalance)
+	methodMergeIn.Handle(mux, s.handleMergeIn)
 	return s
 }
 
@@ -268,50 +263,20 @@ func (s *Store) Start() {
 	if s.cfg.DisableMaintenance {
 		return
 	}
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
-	if s.started || s.stopped {
-		return
-	}
-	s.started = true
-	s.wg.Add(1)
-	go s.maintainLoop()
+	s.loops.Start(s.maint)
 }
 
-// maintainLoop watches storage balance (overflow > 2·sf, underflow < sf) and
-// runs splits, merges and redistributions (Section 2.3).
-func (s *Store) maintainLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.CheckPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-t.C:
-		case <-s.maintKick:
-		}
-		s.checkPredLease()
-		s.CheckBalance()
-	}
+// maintain is one wakeup of the maintenance loop: watch the predecessor's
+// lease, then storage balance (overflow > 2·sf, underflow < sf), running
+// splits, merges and redistributions (Section 2.3).
+func (s *Store) maintain() {
+	s.checkPredLease()
+	s.CheckBalance()
 }
 
-// signalStop requests loop termination without waiting (safe from the
-// maintenance loop itself).
-func (s *Store) signalStop() {
-	s.lifeMu.Lock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.stopCh)
-	}
-	s.lifeMu.Unlock()
-}
-
-// Stop halts background work and waits for it.
-func (s *Store) Stop() {
-	s.signalStop()
-	s.wg.Wait()
-}
+// Stop halts background work and waits for it. A peer departing from inside
+// its own maintenance loop signals the loop instead (s.loops.Signal).
+func (s *Store) Stop() { s.loops.Stop() }
 
 // Addr returns this peer's network address.
 func (s *Store) Addr() transport.Addr { return s.ring.Self().Addr }

@@ -525,11 +525,10 @@ func TestNaiveScanMissesDuringRedistribute(t *testing.T) {
 	logID, start := h.log.BeginQuery(iv)
 
 	// Naive scan step 1: read a.
-	resp1, err := h.net.Call(ctx, a.Addr(), a.Addr(), methodNaiveStep, naiveStepReq{Iv: iv, Cursor: 20})
+	step1, err := methodNaiveStep.Call(ctx, h.net, a.Addr(), a.Addr(), naiveStepReq{Iv: iv, Cursor: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	step1 := resp1.(naiveStepResp)
 
 	// Concurrently: a redistribution moves b's lowest items down to a.
 	// Delete a's items until underflow, then run its balance check once.
@@ -556,11 +555,10 @@ func TestNaiveScanMissesDuringRedistribute(t *testing.T) {
 	}
 
 	// Naive scan step 2: continue at b — the moved item is gone from b.
-	resp2, err := h.net.Call(ctx, a.Addr(), b.Addr(), methodNaiveStep, naiveStepReq{Iv: iv, Cursor: step1.NextCursor})
+	step2, err := methodNaiveStep.Call(ctx, h.net, a.Addr(), b.Addr(), naiveStepReq{Iv: iv, Cursor: step1.NextCursor})
 	if err != nil {
 		t.Fatal(err)
 	}
-	step2 := resp2.(naiveStepResp)
 
 	var keys []keyspace.Key
 	for _, it := range append(step1.Items, step2.Items...) {

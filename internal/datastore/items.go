@@ -114,10 +114,7 @@ func (s *Store) replicate() {
 // own before its ring layer has finished joining.
 func (s *Store) itemsChanged() {
 	s.replicate()
-	select {
-	case s.maintKick <- struct{}{}:
-	default:
-	}
+	s.maint.Kick()
 }
 
 // LocalItems returns a sorted snapshot of the peer's items (getLocalItems).
@@ -222,35 +219,21 @@ func (s *Store) mutate(key keyspace.Key, reqEpoch uint64, decide func() itemChan
 }
 
 // handleInsert stores an item this peer owns (the owner side of insertItem).
-func (s *Store) handleInsert(_ transport.Addr, _ string, payload any) (any, error) {
-	req, ok := payload.(insertReq)
-	if !ok {
-		return nil, fmt.Errorf("datastore: bad insert payload %T", payload)
-	}
+func (s *Store) handleInsert(_ transport.Addr, req insertReq) (insertResp, error) {
 	_, meta, err := s.mutate(req.Item.Key, req.Epoch, func() itemChange {
 		return itemChange{items: []Item{req.Item}, journal: added}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return insertResp{OwnerMeta: meta}, nil
+	return insertResp{OwnerMeta: meta}, err
 }
 
 // handleDelete removes an item this peer owns; deleting a key it does not
 // hold changes (and writes) nothing.
-func (s *Store) handleDelete(_ transport.Addr, _ string, payload any) (any, error) {
-	req, ok := payload.(deleteReq)
-	if !ok {
-		return nil, fmt.Errorf("datastore: bad delete payload %T", payload)
-	}
+func (s *Store) handleDelete(_ transport.Addr, req deleteReq) (deleteResp, error) {
 	found, meta, err := s.mutate(req.Key, req.Epoch, func() itemChange {
 		if _, held := s.items[req.Key]; !held {
 			return itemChange{}
 		}
 		return itemChange{items: []Item{{Key: req.Key}}, del: true, journal: removed}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return deleteResp{Found: found, OwnerMeta: meta}, nil
+	return deleteResp{Found: found, OwnerMeta: meta}, err
 }

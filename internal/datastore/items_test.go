@@ -165,7 +165,7 @@ var handOffs = []handOff{
 		name: "merge-in",
 		run: func(t *testing.T, st *Store) {
 			req := mergeInReq{From: ring.Node{Addr: "pred", Val: 100}, Range: keyspace.NewRange(50, 100), Epoch: 5, Items: itemsOf(60, 70)}
-			if _, err := st.handleMergeIn("pred", methodMergeIn, req); err != nil {
+			if _, err := st.handleMergeIn("pred", req); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -358,11 +358,10 @@ func TestCarveJournalsMovesThenClaim(t *testing.T) {
 	t.Run("redistribute", func(t *testing.T) {
 		h, first, rec, skip := boot(t)
 		// 8 here + 3 at the underflowing predecessor: give it our 2 lowest.
-		resp, err := first.handleRebalance("pred", methodRebalance, rebalanceReq{From: ring.Node{Addr: "pred", Val: 0}, FromCount: 3})
+		rb, err := first.handleRebalance("pred", rebalanceReq{From: ring.Node{Addr: "pred", Val: 0}, FromCount: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb := resp.(rebalanceResp)
 		wantSame(t, "given items", keysOf(rb.Items), []keyspace.Key{10, 20})
 		wantSame(t, "boundary", rb.NewBoundary, keyspace.Key(20))
 		wantSame(t, "WAL batches", rec.wal(), []string{"claim (20,0]@2"})

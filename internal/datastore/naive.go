@@ -32,11 +32,7 @@ type naiveStepResp struct {
 	HasSucc    bool
 }
 
-func (s *Store) handleNaiveStep(_ transport.Addr, _ string, payload any) (any, error) {
-	req, ok := payload.(naiveStepReq)
-	if !ok {
-		return nil, fmt.Errorf("datastore: bad naive step payload %T", payload)
-	}
+func (s *Store) handleNaiveStep(_ transport.Addr, req naiveStepReq) (naiveStepResp, error) {
 	resp := naiveStepResp{NextCursor: req.Cursor}
 	s.mu.Lock()
 	resp.HasRange = s.hasRange
@@ -73,13 +69,9 @@ func (s *Store) NaiveScan(ctx context.Context, firstPeer transport.Addr, iv keys
 	cursor := iv.First()
 	hops := 0
 	for {
-		resp, err := s.net.Call(ctx, s.Addr(), cur, methodNaiveStep, naiveStepReq{Iv: iv, Cursor: cursor})
+		step, err := methodNaiveStep.Call(ctx, s.net, s.Addr(), cur, naiveStepReq{Iv: iv, Cursor: cursor})
 		if err != nil {
 			return out, hops, err
-		}
-		step, ok := resp.(naiveStepResp)
-		if !ok {
-			return out, hops, fmt.Errorf("datastore: bad naive step response %T", resp)
 		}
 		out = append(out, step.Items...)
 		if step.Covered {

@@ -79,23 +79,19 @@ func (s *Store) StartScan(ctx context.Context, firstPeer transport.Addr, iv keys
 		HandlerID: handlerID,
 		Param:     param,
 	}
-	_, err := s.net.Call(ctx, s.Addr(), firstPeer, methodScan, msg)
+	_, err := methodScan.Call(ctx, s.net, s.Addr(), firstPeer, msg)
 	return err
 }
 
 // handleScan is processScan (Algorithm 5): acquire the range read lock,
 // validate the continuation point, then run the handler and forwarding
 // asynchronously so the predecessor can release its own lock.
-func (s *Store) handleScan(_ transport.Addr, _ string, payload any) (any, error) {
-	msg, ok := payload.(scanMsg)
-	if !ok {
-		return nil, fmt.Errorf("datastore: bad scan payload %T", payload)
-	}
+func (s *Store) handleScan(_ transport.Addr, msg scanMsg) (bool, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
 	defer cancel()
 	if err := s.rangeLock.RLock(ctx); err != nil {
 		s.ScanAborts.Add(1)
-		return nil, ErrLockBusy
+		return false, ErrLockBusy
 	}
 	s.mu.Lock()
 	owns := s.hasRange && s.rng.Contains(msg.Cursor)
@@ -103,7 +99,7 @@ func (s *Store) handleScan(_ transport.Addr, _ string, payload any) (any, error)
 	if !owns {
 		s.rangeLock.RUnlock()
 		s.ScanAborts.Add(1)
-		return nil, ErrNotOwner
+		return false, ErrNotOwner
 	}
 	// Lock is held; continue asynchronously (the predecessor may now release
 	// its own lock) and release inside.
@@ -153,7 +149,7 @@ func (s *Store) runScanStep(msg scanMsg) {
 	next.Hops++
 	if err := s.forwardScan(next); err != nil {
 		s.ScanAborts.Add(1)
-		s.net.Send(s.Addr(), msg.Origin, methodScanAbort, abortMsg{ID: msg.ID, Param: msg.Param, Reason: err.Error()})
+		methodScanAbort.Send(s.net, s.Addr(), msg.Origin, abortMsg{ID: msg.ID, Param: msg.Param, Reason: err.Error()})
 	}
 }
 
@@ -169,7 +165,7 @@ func (s *Store) forwardScan(msg scanMsg) error {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*s.cfg.CallTimeout)
-		_, err := s.net.Call(ctx, s.Addr(), succ.Addr, methodScan, msg)
+		_, err := methodScan.Call(ctx, s.net, s.Addr(), succ.Addr, msg)
 		cancel()
 		if err == nil {
 			return nil
@@ -186,11 +182,7 @@ func (s *Store) forwardScan(msg scanMsg) error {
 }
 
 // handleScanAbort runs at the scan origin.
-func (s *Store) handleScanAbort(_ transport.Addr, _ string, payload any) (any, error) {
-	msg, ok := payload.(abortMsg)
-	if !ok {
-		return nil, fmt.Errorf("datastore: bad abort payload %T", payload)
-	}
+func (s *Store) handleScanAbort(_ transport.Addr, msg abortMsg) (bool, error) {
 	s.handlersMu.Lock()
 	fn := s.onAbort
 	s.handlersMu.Unlock()

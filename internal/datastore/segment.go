@@ -49,19 +49,15 @@ type SegmentResult struct {
 // is validated and the items snapshotted before any boundary can move — so
 // every piece is internally consistent and the origin's cover check
 // (Definition 6) composes them into a correct result.
-func (s *Store) handleScanSegment(_ transport.Addr, _ string, payload any) (any, error) {
-	req, ok := payload.(segmentReq)
-	if !ok {
-		return nil, fmt.Errorf("datastore: bad segment payload %T", payload)
-	}
+func (s *Store) handleScanSegment(_ transport.Addr, req segmentReq) (SegmentResult, error) {
 	if !req.Iv.Valid() || !req.Iv.Contains(req.Cursor) {
-		return nil, fmt.Errorf("datastore: bad segment cursor %d for %v", req.Cursor, req.Iv)
+		return SegmentResult{}, fmt.Errorf("datastore: bad segment cursor %d for %v", req.Cursor, req.Iv)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
 	defer cancel()
 	if err := s.rangeLock.RLock(ctx); err != nil {
 		s.ScanAborts.Add(1)
-		return nil, ErrLockBusy
+		return SegmentResult{}, ErrLockBusy
 	}
 	s.mu.Lock()
 	if !s.hasRange || !s.rng.Contains(req.Cursor) {
@@ -101,17 +97,4 @@ func (s *Store) handleScanSegment(_ transport.Addr, _ string, payload any) (any,
 }
 
 // SegmentPending is the future of one in-flight segment scan.
-type SegmentPending struct{ p *transport.Pending }
-
-// Result blocks for the segment's outcome.
-func (sp *SegmentPending) Result() (SegmentResult, error) {
-	resp, err := sp.p.Result()
-	if err != nil {
-		return SegmentResult{}, err
-	}
-	res, ok := resp.(SegmentResult)
-	if !ok {
-		return SegmentResult{}, fmt.Errorf("datastore: bad segment response %T", resp)
-	}
-	return res, nil
-}
+type SegmentPending = transport.PendingOf[SegmentResult]

@@ -54,13 +54,9 @@ func (s *Store) underflow() error {
 	defer cancel()
 	// Bulk call: a redistribution answer carries half the successor's items,
 	// which may not fit one transport frame.
-	resp, err := transport.CallBulk(s.net, ctx, self.Addr, succ.Addr, methodRebalance, rebalanceReq{From: self, FromCount: count})
+	rb, err := methodRebalance.CallBulk(ctx, s.net, self.Addr, succ.Addr, rebalanceReq{From: self, FromCount: count})
 	if err != nil {
 		return err
-	}
-	rb, ok := resp.(rebalanceResp)
-	if !ok {
-		return fmt.Errorf("datastore: bad rebalance response %T", resp)
 	}
 	switch {
 	case rb.Redistribute:
@@ -77,11 +73,7 @@ func (s *Store) underflow() error {
 // in one peer). For a redistribution it carves its lowest items under the
 // range write lock and shrinks its range upward before replying, so there is
 // never a moment where both peers claim the boundary region.
-func (s *Store) handleRebalance(from transport.Addr, _ string, payload any) (any, error) {
-	req, ok := payload.(rebalanceReq)
-	if !ok {
-		return nil, fmt.Errorf("datastore: bad rebalance payload %T", payload)
-	}
+func (s *Store) handleRebalance(from transport.Addr, req rebalanceReq) (rebalanceResp, error) {
 	if !s.maintMu.TryLock() {
 		return rebalanceResp{}, nil // busy: caller retries later
 	}
@@ -227,7 +219,7 @@ func (s *Store) mergeIntoSuccessor(ctx context.Context, succ ring.Node) error {
 	// in chunks and the successor applies it atomically at commit, so a
 	// transfer interrupted mid-stream leaves the successor unchanged and the
 	// items safely back here via the error path below.
-	_, err := transport.CallBulk(s.net, ctx, self.Addr, succ.Addr, methodMergeIn, mergeInReq{From: self, Range: rng, Epoch: epoch, Items: items})
+	_, err := methodMergeIn.CallBulk(ctx, s.net, self.Addr, succ.Addr, mergeInReq{From: self, Range: rng, Epoch: epoch, Items: items})
 	if err != nil {
 		// The successor is gone; put the state back and let the ring heal.
 		s.mu.Lock()
@@ -253,7 +245,7 @@ func (s *Store) mergeIntoSuccessor(ctx context.Context, succ ring.Node) error {
 	}
 	s.Merges.Add(1)
 	s.ring.Depart()
-	s.signalStop()
+	s.loops.Signal()
 	if s.pool != nil {
 		s.pool.Release(self.Addr)
 	}
@@ -261,21 +253,17 @@ func (s *Store) mergeIntoSuccessor(ctx context.Context, succ ring.Node) error {
 }
 
 // handleMergeIn absorbs a merging predecessor's range and items.
-func (s *Store) handleMergeIn(_ transport.Addr, _ string, payload any) (any, error) {
-	req, ok := payload.(mergeInReq)
-	if !ok {
-		return nil, fmt.Errorf("datastore: bad mergeIn payload %T", payload)
-	}
+func (s *Store) handleMergeIn(_ transport.Addr, req mergeInReq) (bool, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout*4)
 	defer cancel()
 	if err := s.rangeLock.Lock(ctx); err != nil {
-		return nil, ErrLockBusy
+		return false, ErrLockBusy
 	}
 	defer s.rangeLock.Unlock()
 	s.mu.Lock()
 	if !s.hasRange || s.rng.Lo != req.Range.Hi {
 		s.mu.Unlock()
-		return nil, ErrWrongState
+		return false, ErrWrongState
 	}
 	// Claim the absorbed range strictly above both incarnations it unifies.
 	s.claimLocked(s.rng.ExtendDown(req.Range.Lo), max(s.epoch, req.Epoch)+1)

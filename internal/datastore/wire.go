@@ -2,25 +2,12 @@ package datastore
 
 import "repro/internal/transport"
 
-// Every Data Store payload and response is registered with the wire codec,
-// so the messages survive a real network hop (and simnet's
-// StrictSerialization round trip).
+// The Data Store's methods register their own request and reply types; listed
+// here are the types no method names: items, which also travel inside scan
+// parameters, and the split hand-off the ring carries as an opaque payload.
 func init() {
 	transport.RegisterMessage(Item{})
 	transport.RegisterMessage([]Item(nil))
-	transport.RegisterMessage(insertReq{})
-	transport.RegisterMessage(insertResp{})
-	transport.RegisterMessage(deleteReq{})
-	transport.RegisterMessage(deleteResp{})
-	transport.RegisterMessage(scanMsg{})
-	transport.RegisterMessage(segmentReq{})
-	transport.RegisterMessage(SegmentResult{})
-	transport.RegisterMessage(abortMsg{})
-	transport.RegisterMessage(naiveStepReq{})
-	transport.RegisterMessage(naiveStepResp{})
-	transport.RegisterMessage(rebalanceReq{})
-	transport.RegisterMessage(rebalanceResp{})
-	transport.RegisterMessage(mergeInReq{})
 	transport.RegisterMessage(joinData{})
 	// The stale-epoch and wrong-owner rejections must keep their errors.Is
 	// identity across a real network hop (their text is matched on the dial

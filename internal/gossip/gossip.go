@@ -29,7 +29,6 @@ package gossip
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -42,7 +41,7 @@ import (
 
 // methodExchange is the single RPC of the protocol: a push-pull directory
 // exchange. The payload and the response are both full directory snapshots.
-const methodExchange = "gossip.exchange"
+var methodExchange = transport.NewMethod[exchangeMsg, exchangeMsg]("gossip.exchange")
 
 // FreeEntry is the directory's knowledge of one announced free peer. Version
 // orders conflicting observations (higher wins); at equal versions Taken
@@ -88,10 +87,6 @@ type Directory struct {
 type exchangeMsg struct {
 	From transport.Addr
 	Dir  Directory
-}
-
-func init() {
-	transport.RegisterMessage(exchangeMsg{})
 }
 
 func newDirectory() Directory {
@@ -190,9 +185,7 @@ type Agent struct {
 	rounds     atomic.Uint64
 	sigRejects atomic.Uint64
 
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
+	loops transport.Runner // the round loop
 }
 
 // New creates an Agent for the peer at self and installs its exchange
@@ -201,47 +194,33 @@ type Agent struct {
 func New(tr transport.Transport, mux *transport.Mux, self transport.Addr, cfg Config) *Agent {
 	cfg = cfg.withDefaults()
 	a := &Agent{
-		tr:     tr,
-		self:   self,
-		cfg:    cfg,
-		dir:    newDirectory(),
-		rng:    rand.New(rand.NewSource(cfg.Seed ^ int64(len(self))*7919)),
-		stopCh: make(chan struct{}),
+		tr:   tr,
+		self: self,
+		cfg:  cfg,
+		dir:  newDirectory(),
+		rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(len(self))*7919)),
 	}
 	a.dir.Members[self] = true
-	mux.Handle(methodExchange, a.handleExchange)
+	methodExchange.Handle(mux, a.handleExchange)
 	return a
 }
 
-// Start launches the periodic round loop. A no-op when Interval <= 0.
+// Start launches the periodic round loop (idempotent; no-op after Stop). A
+// no-op when Interval <= 0.
 func (a *Agent) Start() {
 	if a.cfg.Interval <= 0 {
 		return
 	}
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		t := time.NewTicker(a.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-a.stopCh:
-				return
-			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), a.cfg.CallTimeout)
-				a.RunRound(ctx)
-				cancel()
-			}
-		}
-	}()
+	a.loops.Start(transport.NewTask(a.cfg.Interval, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), a.cfg.CallTimeout)
+		defer cancel()
+		a.RunRound(ctx)
+	}))
 }
 
 // Stop halts the round loop (idempotent). The exchange handler keeps
 // serving; a stopped agent still answers, it just stops initiating.
-func (a *Agent) Stop() {
-	a.stopOnce.Do(func() { close(a.stopCh) })
-	a.wg.Wait()
-}
+func (a *Agent) Stop() { a.loops.Stop() }
 
 // Rounds reports how many anti-entropy rounds this agent has initiated.
 func (a *Agent) Rounds() uint64 { return a.rounds.Load() }
@@ -263,26 +242,20 @@ func (a *Agent) RunRound(ctx context.Context) {
 	for _, to := range targets {
 		snap := a.snapshot()
 		callCtx, cancel := context.WithTimeout(ctx, a.cfg.CallTimeout)
-		resp, err := a.tr.Call(callCtx, a.self, to, methodExchange, exchangeMsg{From: a.self, Dir: snap})
+		msg, err := methodExchange.Call(callCtx, a.tr, a.self, to, exchangeMsg{From: a.self, Dir: snap})
 		cancel()
 		if err != nil {
 			a.setSuspected(to, true)
 			continue
 		}
 		a.setSuspected(to, false)
-		if msg, ok := resp.(exchangeMsg); ok {
-			a.merge(msg.Dir)
-		}
+		a.merge(msg.Dir)
 	}
 }
 
 // handleExchange serves the receiving side: merge the pushed state, note the
 // caller as a live member, and answer with the merged directory.
-func (a *Agent) handleExchange(from transport.Addr, _ string, payload any) (any, error) {
-	msg, ok := payload.(exchangeMsg)
-	if !ok {
-		return nil, fmt.Errorf("gossip: bad exchange payload %T", payload)
-	}
+func (a *Agent) handleExchange(from transport.Addr, msg exchangeMsg) (exchangeMsg, error) {
 	sender := msg.From
 	if sender == "" {
 		sender = from

@@ -182,3 +182,27 @@ func TestObserveAdvertFiresOnImprovement(t *testing.T) {
 		t.Fatalf("ObserveAdvert calls = %v, want %v", calls, want)
 	}
 }
+
+// Start is idempotent: a second call must not launch a second round loop.
+// The k-th tick of one ticker is never early, so one loop cannot have
+// initiated k rounds before k intervals have passed; two would by half that.
+func TestSecondStartDoesNotDoubleTheRounds(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	const want = 6
+	net := simnet.New(simnet.Config{})
+	t.Cleanup(func() { _ = net.Close() })
+	a := New(net, simnet.NewMux(), "g1", Config{Interval: interval})
+	start := time.Now()
+	a.Start()
+	a.Start()
+	defer a.Stop()
+	for a.Rounds() < want {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("only %d rounds ran", a.Rounds())
+		}
+		time.Sleep(interval / 5)
+	}
+	if got, floor := time.Since(start), (want-1)*interval; got < floor {
+		t.Fatalf("%d rounds in %v, want at least %v: a second Start launched a second loop", want, got, floor)
+	}
+}

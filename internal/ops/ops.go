@@ -11,13 +11,10 @@
 // check instead of silently reading zero values out of renamed fields.
 //
 // The wire encoding between probe and process is gob and does not depend on
-// the json tags.
+// the json tags; core's probe method registers both types with the codec.
 package ops
 
-import (
-	"repro/internal/keyspace"
-	"repro/internal/transport"
-)
+import "repro/internal/keyspace"
 
 // SchemaVersion identifies the ProbeStatus JSON schema. History:
 //
@@ -143,9 +140,4 @@ type ProbeStatus struct {
 	// items were placed in (both zero when no load ran).
 	LoadedLo keyspace.Key `json:"loaded_lo"`
 	LoadedHi keyspace.Key `json:"loaded_hi"`
-}
-
-func init() {
-	transport.RegisterMessage(ProbeRequest{})
-	transport.RegisterMessage(ProbeStatus{})
 }

@@ -18,7 +18,7 @@ type pushMeter struct {
 
 func (p *pushMeter) OpenStream(ctx context.Context, from, to transport.Addr, method string) (transport.Stream, error) {
 	st, err := p.Network.OpenStream(ctx, from, to, method)
-	if err != nil || method != methodPush {
+	if err != nil || method != methodPush.Name() {
 		return st, err
 	}
 	p.pushes.Add(1)

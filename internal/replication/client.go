@@ -2,7 +2,6 @@ package replication
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/datastore"
 	"repro/internal/keyspace"
@@ -20,13 +19,5 @@ import (
 // unbounded on every transport (oversized answers chunk back), so whole
 // segments return from one call.
 func ClientReplicaItems(ctx context.Context, net transport.Transport, from, holder transport.Addr, iv keyspace.Interval, epoch uint64) ([]datastore.Item, error) {
-	resp, err := net.Call(ctx, from, holder, methodScan, replicaScanReq{Iv: iv, Epoch: epoch})
-	if err != nil {
-		return nil, err
-	}
-	items, ok := resp.([]datastore.Item)
-	if !ok {
-		return nil, fmt.Errorf("replication: bad replica scan response %T", resp)
-	}
-	return items, nil
+	return methodScan.Call(ctx, net, from, holder, replicaScanReq{Iv: iv, Epoch: epoch})
 }

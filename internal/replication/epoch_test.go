@@ -129,7 +129,7 @@ func TestReplicaReadRefusesDeposedChain(t *testing.T) {
 	// successor's refresh); the old chain is now deposed.
 	newOwner := rings[0].Successors()[1]
 	rng0, _ := stores[0].Range()
-	resp, err := h.net.Call(ctx, newOwner.Addr, holder, methodPush, pushMsg{
+	resp, err := h.net.Call(ctx, newOwner.Addr, holder, methodPush.Name(), pushMsg{
 		From:  newOwner,
 		Range: rng0,
 		Epoch: epoch0 + 1,
@@ -222,7 +222,7 @@ func TestThirdPartyHolderRefusesDeposedPush(t *testing.T) {
 
 	// The winner's higher-epoch advert reaches the holder with its
 	// post-revival item set (key 50 deleted).
-	resp, err := h.net.Call(ctx, winner.Addr, holder, methodPush, pushMsg{
+	resp, err := h.net.Call(ctx, winner.Addr, holder, methodPush.Name(), pushMsg{
 		From: winner, Range: rng0, Epoch: epoch0 + 1, Full: true,
 	})
 	if err != nil {
@@ -238,7 +238,7 @@ func TestThirdPartyHolderRefusesDeposedPush(t *testing.T) {
 	// The deposed incarnation's own push (same range, old epoch) must now be
 	// refused — not installed — even though the holder's own range does not
 	// overlap it.
-	resp, err = h.net.Call(ctx, stores[0].Addr(), holder, methodPush, pushMsg{
+	resp, err = h.net.Call(ctx, stores[0].Addr(), holder, methodPush.Name(), pushMsg{
 		From: rings[0].Self(), Range: rng0, Epoch: epoch0, Full: true,
 		Items: []datastore.Item{{Key: 50, Payload: "stale"}},
 	})

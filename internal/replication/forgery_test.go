@@ -85,7 +85,7 @@ func TestForgedPushAdvertCannotDepose(t *testing.T) {
 		Epoch: epoch0 + 1,
 		Sig:   forger.SignAdvert(string(claimant.Addr), rng0.Lo, rng0.Hi, epoch0+1),
 	}
-	if _, err := h.net.Call(ctx, claimant.Addr, holder, methodPush, forged); err == nil {
+	if _, err := h.net.Call(ctx, claimant.Addr, holder, methodPush.Name(), forged); err == nil {
 		t.Fatal("forged higher-epoch push was accepted")
 	} else if !errors.Is(err, auth.ErrBadSignature) {
 		t.Fatalf("forged push: err = %v, want ErrBadSignature", err)
@@ -94,7 +94,7 @@ func TestForgedPushAdvertCannotDepose(t *testing.T) {
 	// An unsigned higher-epoch push is refused the same way on an
 	// authenticated cluster.
 	unsigned := pushMsg{From: claimant, Range: rng0, Epoch: epoch0 + 2}
-	if _, err := h.net.Call(ctx, claimant.Addr, holder, methodPush, unsigned); !errors.Is(err, auth.ErrBadSignature) {
+	if _, err := h.net.Call(ctx, claimant.Addr, holder, methodPush.Name(), unsigned); !errors.Is(err, auth.ErrBadSignature) {
 		t.Fatalf("unsigned push: err = %v, want ErrBadSignature", err)
 	}
 
@@ -191,7 +191,7 @@ func TestForgedDeltaAndHeartbeatAreRefused(t *testing.T) {
 			Base: held.Version, Version: held.Version + 1, Deletes: []keyspace.Key{50}},
 	}
 	for name, msg := range pushes {
-		if _, err := h.net.Call(ctx, owner.Addr, holder.ring.Self().Addr, methodPush, msg); !errors.Is(err, auth.ErrBadSignature) {
+		if _, err := h.net.Call(ctx, owner.Addr, holder.ring.Self().Addr, methodPush.Name(), msg); !errors.Is(err, auth.ErrBadSignature) {
 			t.Fatalf("%s: err = %v, want ErrBadSignature", name, err)
 		}
 	}

@@ -204,7 +204,7 @@ func TestDroppedDeltaIsRepairedByFullPush(t *testing.T) {
 	cut.Store(simnet.Addr(""))
 	h := newRepHarnessNet(t, simnet.Config{DeadCallDelay: time.Millisecond, Seed: 5,
 		SuspectFault: func(_, to simnet.Addr, method string) bool {
-			return method == methodPush && to == cut.Load().(simnet.Addr)
+			return method == methodPush.Name() && to == cut.Load().(simnet.Addr)
 		}})
 	r := bootProto(t, h, 3, 2)
 	r.put(10, "a")
@@ -241,14 +241,14 @@ func TestDroppedDeltaIsRepairedByFullPush(t *testing.T) {
 	// A delta onto a base the holder does not record: NeedFull, untouched.
 	rng, epoch, _ := r.store.RangeEpoch()
 	recs = journaled(lagging)
-	resp, err := lagging.handlePush(r.store.Addr(), methodPush, pushMsg{
+	resp, err := lagging.handlePush(r.store.Addr(), pushMsg{
 		From: r.origin.ring.Self(), Range: rng, Epoch: epoch,
 		Base: 9000, Version: 9001, Items: []datastore.Item{{Key: 14, Payload: "e"}}, Count: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr := resp.(pushResp); !pr.NeedFull || pr.Deposed {
+	if pr := resp; !pr.NeedFull || pr.Deposed {
 		t.Fatalf("delta onto an unknown base answered %+v, want NeedFull", pr)
 	}
 	if journaled(lagging) != recs || lagging.ReplicaCount() != 4 {
@@ -265,7 +265,7 @@ func TestDroppedDeltaIsRepairedByFullPush(t *testing.T) {
 func TestLostReplyIsFollowedByFullPushThatJournalsNothing(t *testing.T) {
 	var lose atomic.Bool
 	h := newRepHarness(t)
-	h.loseReply = func(_ simnet.Addr, method string) bool { return method == methodPush && lose.Load() }
+	h.loseReply = func(_ simnet.Addr, method string) bool { return method == methodPush.Name() && lose.Load() }
 	r := bootProto(t, h, 2, 1)
 	r.put(10, "a")
 	r.refresh()
@@ -422,7 +422,7 @@ func TestStaleMergedKeyIsRemovedOnNextHeartbeat(t *testing.T) {
 
 	// The raw merge of BeforeLeave: epoch 0, puts only, nothing reconciled.
 	stale := pushMsg{From: r.holders[1].ring.Self(), Items: []datastore.Item{{Key: 70, Payload: "deleted long ago"}}}
-	if _, err := holder.handlePush(stale.From.Addr, methodPush, stale); err != nil {
+	if _, err := holder.handlePush(stale.From.Addr, stale); err != nil {
 		t.Fatal(err)
 	}
 	if got := holder.ReplicaCount(); got != 3 {
@@ -455,7 +455,7 @@ func TestBeforeLeaveSendsHeldReplicasAsOnePush(t *testing.T) {
 	if got := leaver.ReplicaCount(); got != 20 {
 		t.Fatalf("leaver holds %d replicas, want 20", got)
 	}
-	pushes := func() uint64 { return h.net.Stats().ByMethod[methodPush] }
+	pushes := func() uint64 { return h.net.Stats().ByMethod[methodPush.Name()] }
 	before := pushes()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -480,7 +480,7 @@ func TestHeartbeatRenewsLeaseAndFailedHeartbeatsLetItLapse(t *testing.T) {
 	const lease = 60 * time.Millisecond
 	var wedged atomic.Bool
 	h := newRepHarnessNet(t, simnet.Config{DeadCallDelay: time.Millisecond, Seed: 5,
-		SuspectFault: func(_, _ simnet.Addr, method string) bool { return wedged.Load() && method == methodPush }})
+		SuspectFault: func(_, _ simnet.Addr, method string) bool { return wedged.Load() && method == methodPush.Name() }})
 	h.lease = lease
 	r := bootProto(t, h, 2, 1)
 	r.put(50, "a")

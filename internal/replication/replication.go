@@ -51,11 +51,11 @@ import (
 	"repro/internal/transport"
 )
 
-// RPC method names.
-const (
-	methodPush = "rep.push"
-	methodPull = "rep.pull"
-	methodScan = "rep.scan"
+// The Replication Manager's RPCs.
+var (
+	methodPush = transport.NewMethod[pushMsg, pushResp]("rep.push")
+	methodPull = transport.NewMethod[pullReq, pullResp]("rep.pull")
+	methodScan = transport.NewMethod[replicaScanReq, []datastore.Item]("rep.scan")
 )
 
 // Config controls replication behaviour.
@@ -245,12 +245,8 @@ type Manager struct {
 	// pushes that change a held replica add to it.
 	ReplicaRecords atomic.Uint64
 
-	kick    chan struct{}
-	lifeMu  sync.Mutex // guards started/stopped transitions vs wg
-	started bool
-	stopped bool
-	stopCh  chan struct{}
-	wg      sync.WaitGroup
+	loops     transport.Runner
+	refresher *transport.Task // the periodic refresh; kicked by ItemsChanged
 }
 
 // New constructs a Manager and registers its RPC handlers on the peer's mux.
@@ -263,12 +259,11 @@ func New(net transport.Transport, mux *transport.Mux, rp *ring.Peer, ds *datasto
 		backend:  storage.NewMemory(),
 		replicas: make(map[keyspace.Key]replica),
 		adverts:  make(map[transport.Addr]advert),
-		kick:     make(chan struct{}, 1),
-		stopCh:   make(chan struct{}),
 	}
-	mux.Handle(methodPush, m.handlePush)
-	mux.Handle(methodPull, m.handlePull)
-	mux.Handle(methodScan, m.handleReplicaScan)
+	m.refresher = transport.NewTask(m.cfg.RefreshPeriod, m.RefreshOnce)
+	methodPush.Handle(mux, m.handlePush)
+	methodPull.Handle(mux, m.handlePull)
+	methodScan.Handle(mux, m.handleReplicaScan)
 	return m
 }
 
@@ -301,49 +296,14 @@ func (m *Manager) Start() {
 	if m.cfg.DisableAutoRefresh {
 		return
 	}
-	m.lifeMu.Lock()
-	defer m.lifeMu.Unlock()
-	if m.started || m.stopped {
-		return
-	}
-	m.started = true
-	m.wg.Add(1)
-	go m.refreshLoop()
+	m.loops.Start(m.refresher)
 }
 
 // Stop halts background work.
-func (m *Manager) Stop() {
-	m.lifeMu.Lock()
-	if !m.stopped {
-		m.stopped = true
-		close(m.stopCh)
-	}
-	m.lifeMu.Unlock()
-	m.wg.Wait()
-}
-
-func (m *Manager) refreshLoop() {
-	defer m.wg.Done()
-	t := time.NewTicker(m.cfg.RefreshPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopCh:
-			return
-		case <-t.C:
-		case <-m.kick:
-		}
-		m.RefreshOnce()
-	}
-}
+func (m *Manager) Stop() { m.loops.Stop() }
 
 // ItemsChanged implements datastore.Replicator: schedule a refresh soon.
-func (m *Manager) ItemsChanged() {
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
-}
+func (m *Manager) ItemsChanged() { m.refresher.Kick() }
 
 // ReplicaCount returns how many replicas this peer currently holds.
 func (m *Manager) ReplicaCount() int {
@@ -414,11 +374,7 @@ type pushResp struct {
 // origin still owned the range — and then applies whichever shape arrived.
 // Signature verification, both deposition checks, advert pruning and the
 // lease-renewal stamp run identically for all three shapes.
-func (m *Manager) handlePush(_ transport.Addr, _ string, payload any) (any, error) {
-	msg, ok := payload.(pushMsg)
-	if !ok {
-		return nil, fmt.Errorf("replication: bad push payload %T", payload)
-	}
+func (m *Manager) handlePush(_ transport.Addr, msg pushMsg) (pushResp, error) {
 	if msg.Epoch == 0 {
 		m.mu.Lock()
 		m.applyLocked(msg.Items, nil)
@@ -437,7 +393,7 @@ func (m *Manager) handlePush(_ transport.Addr, _ string, payload any) (any, erro
 			if m.OnSigReject != nil {
 				m.OnSigReject(msg.From.Addr, msg.Range, msg.Epoch)
 			}
-			return nil, fmt.Errorf("replication: push advert from %s for %v at epoch %d refused: %w",
+			return pushResp{}, fmt.Errorf("replication: push advert from %s for %v at epoch %d refused: %w",
 				msg.From.Addr, msg.Range, msg.Epoch, err)
 		}
 	}
@@ -618,11 +574,7 @@ type pullResp struct {
 	MaxEpoch uint64
 }
 
-func (m *Manager) handlePull(_ transport.Addr, _ string, payload any) (any, error) {
-	req, ok := payload.(pullReq)
-	if !ok {
-		return nil, fmt.Errorf("replication: bad pull payload %T", payload)
-	}
+func (m *Manager) handlePull(_ transport.Addr, req pullReq) (pullResp, error) {
 	resp := pullResp{MaxEpoch: m.MaxAdvertisedEpoch(req.Range)}
 	m.mu.Lock()
 	for k, r := range m.replicas {
@@ -679,11 +631,7 @@ func (m *Manager) staleChainEpochLocked(iv keyspace.Interval) uint64 {
 	return max
 }
 
-func (m *Manager) handleReplicaScan(_ transport.Addr, _ string, payload any) (any, error) {
-	req, ok := payload.(replicaScanReq)
-	if !ok {
-		return nil, fmt.Errorf("replication: bad replica scan payload %T", payload)
-	}
+func (m *Manager) handleReplicaScan(_ transport.Addr, req replicaScanReq) ([]datastore.Item, error) {
 	if !req.Iv.Valid() {
 		return nil, fmt.Errorf("replication: empty replica scan interval %v", req.Iv)
 	}
@@ -821,7 +769,7 @@ func (m *Manager) refresh(ctx context.Context, fanout int) (res refreshResult) {
 		targets[i] = succ.Addr
 	}
 	for round := 0; round < 2 && len(targets) > 0; round++ {
-		pends := make([]*transport.Pending, len(targets))
+		pends := make([]*transport.PendingOf[pushResp], len(targets))
 		for i, to := range targets {
 			msg := full
 			if ack, ok := prev[to]; ok && ack == base && round == 0 {
@@ -835,20 +783,18 @@ func (m *Manager) refresh(ctx context.Context, fanout int) (res refreshResult) {
 			default:
 				m.DeltaPushes.Add(1)
 			}
-			pends[i] = transport.CallBulkAsync(m.net, ctx, self.Addr, to, methodPush, msg)
+			pends[i] = methodPush.CallBulkAsync(ctx, m.net, self.Addr, to, msg)
 		}
 		var needFull []transport.Addr
 		for i, p := range pends {
-			resp, err := p.Result()
+			pr, err := p.Result()
 			if err != nil {
 				if res.err == nil {
 					res.err = err
 				}
 				continue
 			}
-			pr, ok := resp.(pushResp)
 			switch {
-			case !ok:
 			case pr.Deposed:
 				if pr.Epoch > res.deposedBy {
 					res.deposedBy = pr.Epoch
@@ -889,7 +835,7 @@ func (m *Manager) BeforeLeave(ctx context.Context) error {
 	// one raw merge (epoch 0: puts only, nothing reconciled away), so they
 	// never delete another origin's data; where they overwrite fresher state,
 	// that origin's next push fails the holder's digest check and repairs it.
-	held := transport.CallBulkAsync(m.net, ctx, self.Addr, succs[0].Addr, methodPush,
+	held := methodPush.CallBulkAsync(ctx, m.net, self.Addr, succs[0].Addr,
 		pushMsg{From: self, Items: m.HeldReplicas()})
 	// Own items one extra hop: an ordinary refresh, to k+1 successors instead
 	// of k.
@@ -924,18 +870,14 @@ func (m *Manager) PullRange(ctx context.Context, r keyspace.Range) ([]datastore.
 	seen := make(map[keyspace.Key]datastore.Item)
 	self := m.ring.Self()
 	succs := m.ring.Successors()
-	pends := make([]*transport.Pending, 0, len(succs))
+	pends := make([]*transport.PendingOf[pullResp], 0, len(succs))
 	for _, succ := range succs {
-		pends = append(pends, transport.CallBulkAsync(m.net, ctx, self.Addr, succ.Addr, methodPull, pullReq{Range: r}))
+		pends = append(pends, methodPull.CallBulkAsync(ctx, m.net, self.Addr, succ.Addr, pullReq{Range: r}))
 	}
 	var maxEpoch uint64
 	for _, p := range pends {
-		resp, err := p.Result()
+		pr, err := p.Result()
 		if err != nil {
-			continue
-		}
-		pr, ok := resp.(pullResp)
-		if !ok {
 			continue
 		}
 		if pr.MaxEpoch > maxEpoch {

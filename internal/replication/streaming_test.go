@@ -68,7 +68,7 @@ func TestPushStreamsOversizedRangeStrict(t *testing.T) {
 	// frame-bounded — real transports chunk it back).
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel2()
-	resp, err := transport.CallBulk(h.net, ctx2, stores[0].Addr(), succ.Addr, methodPull, pullReq{Range: keyspace.NewRange(0, 100)})
+	resp, err := transport.CallBulk(h.net, ctx2, stores[0].Addr(), succ.Addr, methodPull.Name(), pullReq{Range: keyspace.NewRange(0, 100)})
 	if err != nil {
 		t.Fatalf("oversized pull: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestChunkDropLeavesReplicaRangeUnchanged(t *testing.T) {
 		Seed:          5,
 		ChunkBytes:    4 << 10,
 		ChunkFault: func(_ simnet.Addr, method string, seq int) bool {
-			return arm.Load() && method == methodPush && seq == 3
+			return arm.Load() && method == methodPush.Name() && seq == 3
 		},
 	}
 	h := newRepHarnessNet(t, netCfg)
@@ -123,7 +123,7 @@ func TestChunkDropLeavesReplicaRangeUnchanged(t *testing.T) {
 		Range: keyspace.NewRange(0, 100),
 		Items: []datastore.Item{{Key: 90, Payload: "stale"}},
 	}
-	if _, err := rcv.handlePush(rings[0].Self().Addr, methodPush, staleMsg); err != nil {
+	if _, err := rcv.handlePush(rings[0].Self().Addr, staleMsg); err != nil {
 		t.Fatal(err)
 	}
 	if rcv.ReplicaCount() != 1 {
@@ -193,7 +193,7 @@ func TestPushOversizedRangeOverTCP(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	resp, err := transport.CallBulk(tr, ctx, sndAddr, rcvAddr, methodPush, msg)
+	resp, err := transport.CallBulk(tr, ctx, sndAddr, rcvAddr, methodPush.Name(), msg)
 	if err != nil {
 		t.Fatalf("oversized push over TCP: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestPushOversizedRangeOverTCP(t *testing.T) {
 	// Pull the same >16 MiB range back with a tiny request: the response
 	// chunks over the wire (kindRespChunk) — the revival path an orphaned
 	// peer depends on.
-	resp, err = transport.CallBulk(tr, ctx, sndAddr, rcvAddr, methodPull, pullReq{Range: keyspace.NewRange(100, 300)})
+	resp, err = transport.CallBulk(tr, ctx, sndAddr, rcvAddr, methodPull.Name(), pullReq{Range: keyspace.NewRange(100, 300)})
 	if err != nil {
 		t.Fatalf("oversized pull over TCP: %v", err)
 	}

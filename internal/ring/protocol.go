@@ -9,14 +9,14 @@ import (
 	"repro/internal/transport"
 )
 
-// RPC method names.
-const (
-	methodStabilize = "ring.stabilize"
-	methodPing      = "ring.ping"
-	methodJoinAck   = "ring.joinAck"
-	methodJoined    = "ring.joined"
-	methodLeaveAck  = "ring.leaveAck"
-	methodStabNow   = "ring.stabNow"
+// The ring's RPCs.
+var (
+	methodStabilize = transport.NewMethod[stabilizeReq, stabilizeResp]("ring.stabilize")
+	methodPing      = transport.NewMethod[transport.None, pingResp]("ring.ping")
+	methodJoinAck   = transport.NewMethod[joinAckMsg, transport.None]("ring.joinAck")
+	methodJoined    = transport.NewMethod[joinedMsg, bool]("ring.joined")
+	methodLeaveAck  = transport.NewMethod[transport.None, transport.None]("ring.leaveAck")
+	methodStabNow   = transport.NewMethod[transport.None, transport.None]("ring.stabNow")
 )
 
 // stabilizeReq is sent by a peer to its first live successor each round.
@@ -84,14 +84,10 @@ func (p *Peer) StabilizeOnce() {
 	}
 
 	ctx, cancel := p.ctx()
-	resp, err := p.call(ctx, target.Addr, methodStabilize, stabilizeReq{From: self})
+	sr, err := methodStabilize.Call(ctx, p.net, self.Addr, target.Addr, stabilizeReq{From: self})
 	cancel()
 	if err != nil {
 		return // ping loop handles failed successors
-	}
-	sr, ok := resp.(stabilizeResp)
-	if !ok {
-		return
 	}
 	p.adoptSuccessorList(target, sr)
 }
@@ -212,10 +208,10 @@ func (p *Peer) adoptSuccessorList(target Node, sr stabilizeResp) {
 		go p.verifyAndRectify(rectify.Addr)
 	}
 	if !ackJoinTo.IsZero() {
-		p.net.Send(self.Addr, ackJoinTo.Addr, methodJoinAck, joinAckMsg{Joining: ackJoinAbout})
+		methodJoinAck.Send(p.net, self.Addr, ackJoinTo.Addr, joinAckMsg{Joining: ackJoinAbout})
 	}
 	if !ackLeaveTo.IsZero() {
-		p.net.Send(self.Addr, ackLeaveTo.Addr, methodLeaveAck, nil)
+		methodLeaveAck.Send(p.net, self.Addr, ackLeaveTo.Addr, transport.None{})
 	}
 }
 
@@ -313,21 +309,17 @@ func (p *Peer) raiseNewSuccLocked() {
 
 // handleStabilize answers a predecessor's stabilization request
 // (appendix Algorithm 18). JOINING peers do not respond.
-func (p *Peer) handleStabilize(_ transport.Addr, _ string, payload any) (any, error) {
-	req, ok := payload.(stabilizeReq)
-	if !ok {
-		return nil, fmt.Errorf("ring: bad stabilize payload %T", payload)
-	}
+func (p *Peer) handleStabilize(_ transport.Addr, req stabilizeReq) (stabilizeResp, error) {
 	p.mu.Lock()
 	if p.departed {
 		p.mu.Unlock()
-		return nil, ErrDeparted
+		return stabilizeResp{}, ErrDeparted
 	}
 	switch p.state {
 	case StateJoined, StateInserting, StateLeaving:
 	default:
 		p.mu.Unlock()
-		return nil, ErrNotReady
+		return stabilizeResp{}, ErrNotReady
 	}
 	prev := p.pred
 	self := p.self
@@ -390,11 +382,16 @@ func betweenOnRing(v, lo, hi keyspace.Key) bool {
 	return keyspace.Between(v, lo, hi) && v != hi
 }
 
-// pingNode synchronously checks liveness of a peer.
-func (p *Peer) pingNode(addr transport.Addr) bool {
+// ping asks the peer at addr for its current identity and lifecycle state.
+func (p *Peer) ping(addr transport.Addr) (pingResp, error) {
 	ctx, cancel := p.ctx()
 	defer cancel()
-	_, err := p.call(ctx, addr, methodPing, nil)
+	return methodPing.Call(ctx, p.net, p.Self().Addr, addr, transport.None{})
+}
+
+// pingNode synchronously checks liveness of a peer.
+func (p *Peer) pingNode(addr transport.Addr) bool {
+	_, err := p.ping(addr)
 	return err == nil
 }
 
@@ -405,11 +402,11 @@ type pingResp struct {
 }
 
 // handlePing answers liveness checks in every state except after departure.
-func (p *Peer) handlePing(_ transport.Addr, _ string, _ any) (any, error) {
+func (p *Peer) handlePing(transport.Addr, transport.None) (pingResp, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.departed {
-		return nil, ErrDeparted
+		return pingResp{}, ErrDeparted
 	}
 	return pingResp{Node: p.self, State: p.state}, nil
 }
@@ -419,14 +416,8 @@ func (p *Peer) handlePing(_ transport.Addr, _ string, _ any) (any, error) {
 // between us and our current first successor (and it is serving), adopt it
 // as our new first successor.
 func (p *Peer) verifyAndRectify(addr transport.Addr) {
-	ctx, cancel := p.ctx()
-	resp, err := p.call(ctx, addr, methodPing, nil)
-	cancel()
-	if err != nil {
-		return
-	}
-	pr, ok := resp.(pingResp)
-	if !ok || pr.State != StateJoined && pr.State != StateInserting {
+	pr, err := p.ping(addr)
+	if err != nil || pr.State != StateJoined && pr.State != StateInserting {
 		return
 	}
 	p.mu.Lock()
@@ -442,14 +433,6 @@ func (p *Peer) verifyAndRectify(addr transport.Addr) {
 		return // unresolved JOINING/LEAVING entries in front; do not meddle
 	}
 	p.succ = append([]Entry{{Node: pr.Node, State: EntryJoined}}, p.succ...)
-}
-
-// call wraps a network call from this peer.
-func (p *Peer) call(ctx context.Context, to transport.Addr, method string, payload any) (any, error) {
-	p.mu.Lock()
-	from := p.self.Addr
-	p.mu.Unlock()
-	return p.net.Call(ctx, from, to, method, payload)
 }
 
 // --- Failure detection ----------------------------------------------------
@@ -543,7 +526,7 @@ func (p *Peer) InsertSucc(ctx context.Context, newNode Node) error {
 	}
 	p.state = StateInserting
 	p.succ = append([]Entry{{Node: newNode, State: EntryJoining}}, p.succ...)
-	ack := make(chan Node, 1)
+	ack := make(chan struct{}, 1)
 	p.joinAck = ack
 	soloRing := p.countJoinedLocked(p.succ) == 0
 	pred := p.pred
@@ -559,20 +542,29 @@ func (p *Peer) InsertSucc(ctx context.Context, newNode Node) error {
 	// Optimization from Section 4.3.1: proactively ask our predecessor to
 	// stabilize now instead of waiting out the stabilization period.
 	if !p.cfg.NoProactive && !pred.IsZero() && pred.Addr != self.Addr {
-		p.net.Send(self.Addr, pred.Addr, methodStabNow, nil)
+		methodStabNow.Send(p.net, self.Addr, pred.Addr, transport.None{})
 	}
 
+	if err := p.awaitAck(ctx, ack, fmt.Sprintf("insertSucc(%s)", newNode)); err != nil {
+		p.abortInsert(newNode)
+		return err
+	}
+	return p.completeJoin(ctx, newNode)
+}
+
+// awaitAck waits for a protocol acknowledgment on ch. It fails with ctx.Err()
+// when the caller's context ends first and with ErrTimeout, naming the
+// operation, when AckTimeout passes; the caller then rolls the operation back.
+func (p *Peer) awaitAck(ctx context.Context, ch <-chan struct{}, what string) error {
 	deadline := time.NewTimer(p.cfg.AckTimeout)
 	defer deadline.Stop()
 	select {
-	case <-ack:
-		return p.completeJoin(ctx, newNode)
+	case <-ch:
+		return nil
 	case <-ctx.Done():
-		p.abortInsert(newNode)
 		return ctx.Err()
 	case <-deadline.C:
-		p.abortInsert(newNode)
-		return fmt.Errorf("%w: insertSucc(%s)", ErrTimeout, newNode)
+		return fmt.Errorf("%w: %s", ErrTimeout, what)
 	}
 }
 
@@ -610,7 +602,7 @@ func (p *Peer) completeJoin(ctx context.Context, newNode Node) error {
 	// carved-off items), so it is a bulk call: a split moving more items than
 	// fit one transport frame streams them across in chunks, and the joining
 	// peer installs the range atomically at commit.
-	_, err := transport.CallBulk(p.net, ctx, self.Addr, newNode.Addr, methodJoined, joinedMsg{
+	_, err := methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, joinedMsg{
 		Self: newNode,
 		Pred: self,
 		List: list,
@@ -686,7 +678,7 @@ func (p *Peer) naiveInsertSucc(ctx context.Context, newNode Node) error {
 	if p.cb.PrepareJoinData != nil {
 		data = p.cb.PrepareJoinData(newNode)
 	}
-	_, err := transport.CallBulk(p.net, ctx, self.Addr, newNode.Addr, methodJoined, joinedMsg{
+	_, err := methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, joinedMsg{
 		Self: newNode, Pred: self, List: list, Data: data,
 	})
 	if err != nil {
@@ -705,11 +697,7 @@ func (p *Peer) naiveInsertSucc(ctx context.Context, newNode Node) error {
 
 // handleJoinAck processes the acknowledgment that completes a PEPPER insert
 // (received by the inserting peer from the farthest relevant predecessor).
-func (p *Peer) handleJoinAck(_ transport.Addr, _ string, payload any) (any, error) {
-	msg, ok := payload.(joinAckMsg)
-	if !ok {
-		return nil, fmt.Errorf("ring: bad joinAck payload %T", payload)
-	}
+func (p *Peer) handleJoinAck(_ transport.Addr, msg joinAckMsg) (transport.None, error) {
 	p.mu.Lock()
 	ch := p.joinAck
 	pending := p.state == StateInserting && len(p.succ) > 0 &&
@@ -720,24 +708,20 @@ func (p *Peer) handleJoinAck(_ transport.Addr, _ string, payload any) (any, erro
 	p.mu.Unlock()
 	if pending && ch != nil {
 		select {
-		case ch <- msg.Joining:
+		case ch <- struct{}{}:
 		default:
 		}
 	}
-	return nil, nil
+	return transport.None{}, nil
 }
 
 // handleJoined installs ring state on the joining peer (Algorithm 11) and
 // raises the INSERTED event to higher layers.
-func (p *Peer) handleJoined(_ transport.Addr, _ string, payload any) (any, error) {
-	msg, ok := payload.(joinedMsg)
-	if !ok {
-		return nil, fmt.Errorf("ring: bad joined payload %T", payload)
-	}
+func (p *Peer) handleJoined(_ transport.Addr, msg joinedMsg) (bool, error) {
 	p.mu.Lock()
 	if p.departed {
 		p.mu.Unlock()
-		return nil, ErrDeparted
+		return false, ErrDeparted
 	}
 	if p.state != StateFree && p.state != StateJoining {
 		// Duplicate promotion (e.g. orphan adoption racing the inserter).
@@ -767,7 +751,7 @@ func (p *Peer) handleJoined(_ transport.Addr, _ string, payload any) (any, error
 // handleStabNow triggers an immediate stabilization round (the proactive
 // contact optimization), cascading to our own predecessor while the join or
 // leave being expedited is still unresolved in our list.
-func (p *Peer) handleStabNow(_ transport.Addr, _ string, _ any) (any, error) {
+func (p *Peer) handleStabNow(transport.Addr, transport.None) (transport.None, error) {
 	go func() {
 		p.StabilizeOnce()
 		p.mu.Lock()
@@ -782,10 +766,10 @@ func (p *Peer) handleStabNow(_ transport.Addr, _ string, _ any) (any, error) {
 		self := p.self
 		p.mu.Unlock()
 		if unresolved && !pred.IsZero() && pred.Addr != self.Addr {
-			p.net.Send(self.Addr, pred.Addr, methodStabNow, nil)
+			methodStabNow.Send(p.net, self.Addr, pred.Addr, transport.None{})
 		}
 	}()
-	return nil, nil
+	return transport.None{}, nil
 }
 
 // --- PEPPER leave ---------------------------------------------------------
@@ -826,21 +810,14 @@ func (p *Peer) Leave(ctx context.Context) error {
 	// Proactively trigger stabilization at the predecessor (same
 	// optimization as insertSucc).
 	if !p.cfg.NoProactive {
-		p.net.Send(self.Addr, pred.Addr, methodStabNow, nil)
+		methodStabNow.Send(p.net, self.Addr, pred.Addr, transport.None{})
 	}
 
-	deadline := time.NewTimer(p.cfg.AckTimeout)
-	defer deadline.Stop()
-	select {
-	case <-ack:
-		return nil
-	case <-ctx.Done():
+	if err := p.awaitAck(ctx, ack, fmt.Sprintf("leave(%s)", self)); err != nil {
 		p.revertLeave()
-		return ctx.Err()
-	case <-deadline.C:
-		p.revertLeave()
-		return fmt.Errorf("%w: leave(%s)", ErrTimeout, self)
+		return err
 	}
+	return nil
 }
 
 // revertLeave returns a timed-out leaver to JOINED.
@@ -854,7 +831,7 @@ func (p *Peer) revertLeave() {
 }
 
 // handleLeaveAck signals the leaving peer that it may depart.
-func (p *Peer) handleLeaveAck(_ transport.Addr, _ string, _ any) (any, error) {
+func (p *Peer) handleLeaveAck(transport.Addr, transport.None) (transport.None, error) {
 	p.mu.Lock()
 	ch := p.leaveAck
 	p.leaveAck = nil
@@ -865,7 +842,7 @@ func (p *Peer) handleLeaveAck(_ transport.Addr, _ string, _ any) (any, error) {
 		default:
 		}
 	}
-	return nil, nil
+	return transport.None{}, nil
 }
 
 // Depart removes the peer from the network: it stops answering all traffic

@@ -240,15 +240,11 @@ type Peer struct {
 	succ        []Entry
 	pred        Node
 	lastNewSucc Node
-	joinAck     chan Node // receives the joining node's identity on ack
+	joinAck     chan struct{}
 	leaveAck    chan struct{}
 	departed    bool
 
-	lifeMu  sync.Mutex // guards started/stopped transitions vs wg
-	started bool
-	stopped bool
-	stopCh  chan struct{}
-	wg      sync.WaitGroup
+	loops transport.Runner // stabilization and failure detection
 
 	// stabMu serializes stabilization rounds (periodic and proactive).
 	stabMu sync.Mutex
@@ -259,20 +255,19 @@ type Peer struct {
 // or a join completes.
 func NewPeer(net transport.Transport, mux *transport.Mux, cfg Config, self Node, cb Callbacks) *Peer {
 	p := &Peer{
-		net:    net,
-		cfg:    cfg.withDefaults(),
-		cb:     cb,
-		addr:   self.Addr,
-		self:   self,
-		state:  StateFree,
-		stopCh: make(chan struct{}),
+		net:   net,
+		cfg:   cfg.withDefaults(),
+		cb:    cb,
+		addr:  self.Addr,
+		self:  self,
+		state: StateFree,
 	}
-	mux.Handle(methodStabilize, p.handleStabilize)
-	mux.Handle(methodPing, p.handlePing)
-	mux.Handle(methodJoinAck, p.handleJoinAck)
-	mux.Handle(methodJoined, p.handleJoined)
-	mux.Handle(methodLeaveAck, p.handleLeaveAck)
-	mux.Handle(methodStabNow, p.handleStabNow)
+	methodStabilize.Handle(mux, p.handleStabilize)
+	methodPing.Handle(mux, p.handlePing)
+	methodJoinAck.Handle(mux, p.handleJoinAck)
+	methodJoined.Handle(mux, p.handleJoined)
+	methodLeaveAck.Handle(mux, p.handleLeaveAck)
+	methodStabNow.Handle(mux, p.handleStabNow)
 	return p
 }
 
@@ -407,53 +402,12 @@ func (p *Peer) start() {
 	if p.cfg.DisableAutoStabilize {
 		return
 	}
-	p.lifeMu.Lock()
-	defer p.lifeMu.Unlock()
-	if p.started || p.stopped {
-		return
-	}
-	p.started = true
-	p.wg.Add(2)
-	go p.stabilizeLoop()
-	go p.pingLoop()
+	p.loops.Start(
+		transport.NewTask(p.cfg.StabPeriod, p.StabilizeOnce),
+		transport.NewTask(p.cfg.PingPeriod, p.PingOnce),
+	)
 }
 
 // Stop terminates the peer's background loops without any protocol; used for
 // teardown. It does not mark the peer failed on the network.
-func (p *Peer) Stop() {
-	p.lifeMu.Lock()
-	if !p.stopped {
-		p.stopped = true
-		close(p.stopCh)
-	}
-	p.lifeMu.Unlock()
-	p.wg.Wait()
-}
-
-func (p *Peer) stabilizeLoop() {
-	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.StabPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			p.StabilizeOnce()
-		case <-p.stopCh:
-			return
-		}
-	}
-}
-
-func (p *Peer) pingLoop() {
-	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.PingPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			p.PingOnce()
-		case <-p.stopCh:
-			return
-		}
-	}
-}
+func (p *Peer) Stop() { p.loops.Stop() }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/keyspace"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // testCluster wires peers to one simnet for ring-layer tests.
@@ -674,8 +675,8 @@ func TestStaleContactRejected(t *testing.T) {
 	// while peers[1] is alive between them.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	_, err := tc.net.Call(ctx, peers[0].Self().Addr, peers[2].Self().Addr,
-		methodStabilize, stabilizeReq{From: peers[0].Self()})
+	_, err := methodStabilize.Call(ctx, tc.net, peers[0].Self().Addr, peers[2].Self().Addr,
+		stabilizeReq{From: peers[0].Self()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -975,7 +976,7 @@ func TestDepartStopsTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers[1].Depart()
-	if _, err := tc.net.Call(ctx, "", peers[1].Self().Addr, methodPing, nil); err == nil {
+	if _, err := methodPing.Call(ctx, tc.net, "", peers[1].Self().Addr, transport.None{}); err == nil {
 		t.Error("departed peer must not answer")
 	}
 	waitConsistent(t, []*Peer{peers[0], peers[2]})

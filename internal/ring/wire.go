@@ -2,16 +2,10 @@ package ring
 
 import "repro/internal/transport"
 
-// Every ring protocol payload and response is registered with the wire
-// codec, so the messages survive a real network hop (and simnet's
-// StrictSerialization round trip).
+// The ring's methods register their own request and reply types; listed here
+// are the types no method names.
 func init() {
 	transport.RegisterMessage(Node{})
 	transport.RegisterMessage(Entry{})
 	transport.RegisterMessage([]Entry(nil))
-	transport.RegisterMessage(stabilizeReq{})
-	transport.RegisterMessage(stabilizeResp{})
-	transport.RegisterMessage(joinAckMsg{})
-	transport.RegisterMessage(joinedMsg{})
-	transport.RegisterMessage(pingResp{})
 }

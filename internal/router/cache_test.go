@@ -86,12 +86,12 @@ func TestResolveHintOrFullLookup(t *testing.T) {
 	if err != nil || !ranged || cold.Addr != want || !cold.Range.Contains(key) || cold.Epoch == 0 || len(cold.Replicas) == 0 {
 		t.Fatalf("cold Resolve = %+v, ranged=%v, err=%v; want %s with range, epoch and replicas", cold, ranged, err, want)
 	}
-	probes := h.net.Stats().ByMethod[methodNextHop]
+	probes := h.net.Stats().ByMethod[methodNextHop.Name()]
 	warm, ranged, err := h.routers[0].Resolve(ctx, key)
 	if err != nil || !ranged || warm.Addr != want || warm.Range != cold.Range {
 		t.Fatalf("warm Resolve = %+v, ranged=%v, err=%v; want the cold answer", warm, ranged, err)
 	}
-	if got := h.net.Stats().ByMethod[methodNextHop]; got != probes {
+	if got := h.net.Stats().ByMethod[methodNextHop.Name()]; got != probes {
 		t.Errorf("warm Resolve probed %d times, want none (the hint is returned unvalidated)", got-probes)
 	}
 
@@ -148,7 +148,7 @@ type slowLevelNet struct {
 }
 
 func (s *slowLevelNet) Call(ctx context.Context, from, to transport.Addr, method string, payload any) (any, error) {
-	if method == methodLevelAt {
+	if method == methodLevelAt.Name() {
 		time.Sleep(s.delay)
 	}
 	return s.Transport.Call(ctx, from, to, method, payload)

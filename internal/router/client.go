@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/keyspace"
 	"repro/internal/ring"
@@ -29,13 +28,9 @@ type Hop struct {
 // own range, so a stale cache entry costs the client extra hops, never a
 // wrong answer.
 func ClientNextHop(ctx context.Context, net transport.Transport, from, to transport.Addr, key keyspace.Key) (Hop, error) {
-	resp, err := net.Call(ctx, from, to, methodNextHop, key)
+	nh, err := methodNextHop.Call(ctx, net, from, to, key)
 	if err != nil {
 		return Hop{}, err
-	}
-	nh, ok := resp.(nextHopResp)
-	if !ok {
-		return Hop{}, fmt.Errorf("router: bad next-hop response %T", resp)
 	}
 	return Hop{Owner: nh.Owner, Range: nh.Range, Epoch: nh.Epoch, Chain: nh.Chain, Next: nh.Next, Valid: nh.Valid}, nil
 }

@@ -28,7 +28,6 @@ package router
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -39,11 +38,12 @@ import (
 	"repro/internal/transport"
 )
 
-// RPC method names.
-const (
-	methodNextHop = "rt.nextHop"
-	methodLevelAt = "rt.levelAt"
-	methodSucc    = "rt.succ"
+// The Content Router's RPCs. Lookup keys travel as bare keyspace.Key values
+// and level indices as bare ints.
+var (
+	methodNextHop = transport.NewMethod[keyspace.Key, nextHopResp]("rt.nextHop")
+	methodLevelAt = transport.NewMethod[int, ring.Node]("rt.levelAt")
+	methodSucc    = transport.NewMethod[transport.None, ring.Node]("rt.succ")
 )
 
 // Config controls router behaviour.
@@ -95,11 +95,7 @@ type Router struct {
 	mu     sync.RWMutex
 	levels []ring.Node // levels[l] ≈ peer 2^l positions ahead; zero = unset
 
-	lifeMu  sync.Mutex // guards started/stopped transitions vs wg
-	started bool
-	stopped bool
-	stopCh  chan struct{}
-	wg      sync.WaitGroup
+	loops transport.Runner // pointer maintenance
 }
 
 // New constructs a Router and registers its handlers on the peer's mux.
@@ -111,16 +107,15 @@ func New(net transport.Transport, mux *transport.Mux, rp *ring.Peer, ds *datasto
 		ds:     ds,
 		cache:  routecache.New(routecache.DefaultCapacity),
 		levels: make([]ring.Node, maxLevels),
-		stopCh: make(chan struct{}),
 	}
-	mux.Handle(methodNextHop, r.handleNextHop)
-	mux.Handle(methodLevelAt, r.handleLevelAt)
-	mux.Handle(methodSucc, r.handleSucc)
+	methodNextHop.Handle(mux, r.handleNextHop)
+	methodLevelAt.Handle(mux, r.handleLevelAt)
+	methodSucc.Handle(mux, r.handleSucc)
 	return r
 }
 
 // handleSucc returns this peer's current ring successor.
-func (r *Router) handleSucc(_ transport.Addr, _ string, _ any) (any, error) {
+func (r *Router) handleSucc(transport.Addr, transport.None) (ring.Node, error) {
 	if succ, ok := r.ring.FirstStabilizedSuccessor(); ok {
 		return succ, nil
 	}
@@ -135,40 +130,11 @@ func (r *Router) Start() {
 	if r.cfg.DisableAutoRefresh {
 		return
 	}
-	r.lifeMu.Lock()
-	defer r.lifeMu.Unlock()
-	if r.started || r.stopped {
-		return
-	}
-	r.started = true
-	r.wg.Add(1)
-	go r.refreshLoop()
+	r.loops.Start(transport.NewTask(r.cfg.RefreshPeriod, r.RefreshOnce))
 }
 
 // Stop halts background work.
-func (r *Router) Stop() {
-	r.lifeMu.Lock()
-	if !r.stopped {
-		r.stopped = true
-		close(r.stopCh)
-	}
-	r.lifeMu.Unlock()
-	r.wg.Wait()
-}
-
-func (r *Router) refreshLoop() {
-	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.RefreshPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stopCh:
-			return
-		case <-t.C:
-			r.RefreshOnce()
-		}
-	}
-}
+func (r *Router) Stop() { r.loops.Stop() }
 
 // RefreshOnce rebuilds the pointer hierarchy bottom-up: level 0 from the
 // ring successor, and level l+1 by asking the level-l pointer for its own
@@ -203,13 +169,12 @@ func (r *Router) RefreshOnce() {
 			return
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.CallTimeout)
-		resp, err := r.net.Call(ctx, self.Addr, cur.Addr, methodLevelAt, l)
+		next, err := methodLevelAt.Call(ctx, r.net, self.Addr, cur.Addr, l)
 		cancel()
 		if err != nil {
 			return
 		}
-		next, ok := resp.(ring.Node)
-		if !ok || next.IsZero() {
+		if next.IsZero() {
 			r.mu.Lock()
 			r.levels[l+1] = ring.Node{}
 			r.mu.Unlock()
@@ -232,11 +197,7 @@ func (r *Router) RefreshOnce() {
 }
 
 // handleLevelAt returns this peer's pointer at the requested level.
-func (r *Router) handleLevelAt(_ transport.Addr, _ string, payload any) (any, error) {
-	l, ok := payload.(int)
-	if !ok {
-		return nil, fmt.Errorf("router: bad level payload %T", payload)
-	}
+func (r *Router) handleLevelAt(_ transport.Addr, l int) (ring.Node, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if l < 0 || l >= len(r.levels) {
@@ -261,11 +222,7 @@ type nextHopResp struct {
 }
 
 // handleNextHop implements one greedy routing step at this peer.
-func (r *Router) handleNextHop(_ transport.Addr, _ string, payload any) (any, error) {
-	key, ok := payload.(keyspace.Key)
-	if !ok {
-		return nil, fmt.Errorf("router: bad key payload %T", payload)
-	}
+func (r *Router) handleNextHop(_ transport.Addr, key keyspace.Key) (nextHopResp, error) {
 	if rng, epoch, has := r.ds.RangeEpoch(); has && rng.Contains(key) {
 		return nextHopResp{Owner: true, Range: rng, Epoch: epoch, Chain: r.ring.Successors()}, nil
 	}
@@ -324,10 +281,10 @@ func (r *Router) FindOwner(ctx context.Context, key keyspace.Key) (transport.Add
 	hops := 0
 	if ent, ok := r.cache.Lookup(key); ok && ent.Addr != self.Addr {
 		callCtx, cancel := context.WithTimeout(ctx, r.cfg.CallTimeout)
-		resp, err := r.net.Call(callCtx, self.Addr, ent.Addr, methodNextHop, key)
+		nh, err := methodNextHop.Call(callCtx, r.net, self.Addr, ent.Addr, key)
 		cancel()
 		hops++
-		if nh, ok := resp.(nextHopResp); err == nil && ok {
+		if err == nil {
 			if nh.Owner {
 				r.cache.Learn(nh.Range, ent.Addr, nh.Epoch, ring.ChainAddrs(ent.Addr, nh.Chain))
 				return ent.Addr, hops, nil
@@ -344,7 +301,7 @@ func (r *Router) FindOwner(ctx context.Context, key keyspace.Key) (transport.Add
 	}
 	for hops < r.cfg.MaxHops {
 		callCtx, cancel := context.WithTimeout(ctx, r.cfg.CallTimeout)
-		resp, err := r.net.Call(callCtx, self.Addr, cur, methodNextHop, key)
+		nh, err := methodNextHop.Call(callCtx, r.net, self.Addr, cur, key)
 		cancel()
 		if err != nil {
 			if cur == self.Addr {
@@ -355,10 +312,6 @@ func (r *Router) FindOwner(ctx context.Context, key keyspace.Key) (transport.Add
 			cur = self.Addr
 			hops++
 			continue
-		}
-		nh, ok := resp.(nextHopResp)
-		if !ok {
-			return "", hops, fmt.Errorf("router: bad nextHop response %T", resp)
 		}
 		if nh.Owner {
 			if cur != self.Addr {
@@ -401,20 +354,15 @@ func (r *Router) LinearFindOwner(ctx context.Context, key keyspace.Key) (transpo
 	hops := 0
 	for hops < r.cfg.MaxHops {
 		callCtx, cancel := context.WithTimeout(ctx, r.cfg.CallTimeout)
-		probe := transport.CallAsync(r.net, callCtx, self.Addr, cur, methodNextHop, key)
-		var succPend *transport.Pending
+		probe := methodNextHop.CallAsync(callCtx, r.net, self.Addr, cur, key)
+		var succPend *transport.PendingOf[ring.Node]
 		if cur != self.Addr {
-			succPend = transport.CallAsync(r.net, callCtx, self.Addr, cur, methodSucc, nil)
+			succPend = methodSucc.CallAsync(callCtx, r.net, self.Addr, cur, transport.None{})
 		}
-		resp, err := probe.Result()
+		nh, err := probe.Result()
 		if err != nil {
 			cancel()
 			return "", hops, err
-		}
-		nh, ok := resp.(nextHopResp)
-		if !ok {
-			cancel()
-			return "", hops, fmt.Errorf("router: bad nextHop response %T", resp)
 		}
 		if nh.Owner {
 			cancel()
@@ -486,7 +434,7 @@ func (r *Router) InvalidateOwner(addr transport.Addr) { r.cache.Invalidate(addr)
 
 // succAnswer resolves a pipelined successor fetch; a nil pending means the
 // question was about this peer itself and is answered locally.
-func (r *Router) succAnswer(p *transport.Pending) (transport.Addr, error) {
+func (r *Router) succAnswer(p *transport.PendingOf[ring.Node]) (transport.Addr, error) {
 	if p == nil {
 		if succ, ok := r.ring.FirstStabilizedSuccessor(); ok {
 			return succ.Addr, nil
@@ -496,12 +444,11 @@ func (r *Router) succAnswer(p *transport.Pending) (transport.Addr, error) {
 		}
 		return "", ErrNoProgress
 	}
-	resp, err := p.Result()
+	n, err := p.Result()
 	if err != nil {
 		return "", err
 	}
-	n, ok := resp.(ring.Node)
-	if !ok || n.IsZero() {
+	if n.IsZero() {
 		return "", ErrNoProgress
 	}
 	return n.Addr, nil
