@@ -456,7 +456,8 @@ func (a *Agent) MarkTaken(addr transport.Addr) {
 // advertising a range, and not excluded by the caller. The taken mark is
 // applied locally and spreads by gossip; two concurrent takers of the same
 // address are possible (gossip is eventually consistent) and harmless — the
-// split insert of the loser fails and releases the address. Reports ok=false
+// split insert of the loser finds the peer no longer free before it hands
+// anything over, fails, and releases the address. Reports ok=false
 // when the directory knows no eligible free peer.
 func (a *Agent) TakeFree(exclude func(transport.Addr) bool) (transport.Addr, bool) {
 	a.mu.Lock()

@@ -10,8 +10,9 @@
 // it was written against, so a drifted script fails loudly on the version
 // check instead of silently reading zero values out of renamed fields.
 //
-// The wire encoding between probe and process is gob and does not depend on
-// the json tags; core's probe method registers both types with the codec.
+// The wire encoding between probe and process is the transport codec and does
+// not depend on the json tags; core's probe method registers both types with
+// it.
 package ops
 
 import "repro/internal/keyspace"

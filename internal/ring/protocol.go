@@ -513,6 +513,9 @@ func (p *Peer) InsertSucc(ctx context.Context, newNode Node) error {
 	if p.cfg.Naive {
 		return p.naiveInsertSucc(ctx, newNode)
 	}
+	if err := p.checkFree(newNode); err != nil {
+		return err
+	}
 
 	p.mu.Lock()
 	if p.departed {
@@ -550,6 +553,22 @@ func (p *Peer) InsertSucc(ctx context.Context, newNode Node) error {
 		return err
 	}
 	return p.completeJoin(ctx, newNode)
+}
+
+// checkFree fails unless n is a live FREE peer. One free address can reach
+// two inserters — gossip spreads "taken" with a lag, and two pools can lend
+// it — and a peer that already joined elsewhere ignores a joined message, so
+// the loser must fail before it waits out an ack with its value lowered, and
+// again before it carves its range for a peer that will not take it.
+func (p *Peer) checkFree(n Node) error {
+	pr, err := p.ping(n.Addr)
+	if err == nil && pr.State != StateFree {
+		err = fmt.Errorf("it is %s, not FREE", pr.State)
+	}
+	if err != nil {
+		return fmt.Errorf("ring: cannot insert %s: %w", n, err)
+	}
+	return nil
 }
 
 // awaitAck waits for a protocol acknowledgment on ch. It fails with ctx.Err()
@@ -594,28 +613,38 @@ func (p *Peer) completeJoin(ctx context.Context, newNode Node) error {
 	self := p.self
 	p.mu.Unlock()
 
-	var data any
-	if p.cb.PrepareJoinData != nil {
-		data = p.cb.PrepareJoinData(newNode)
+	// The INSERT event carves our range for good: check again that the new
+	// peer is free, since it may have joined elsewhere while we waited for
+	// the ack.
+	err := p.checkFree(newNode)
+	if err == nil {
+		var data any
+		if p.cb.PrepareJoinData != nil {
+			data = p.cb.PrepareJoinData(newNode)
+		}
+		// The joined message carries the Data Store hand-off (the INSERT
+		// event's carved-off items), so it is a bulk call: a split moving more
+		// items than fit one transport frame streams them across in chunks,
+		// and the joining peer installs the range atomically at commit.
+		_, err = methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, joinedMsg{
+			Self: newNode,
+			Pred: self,
+			List: list,
+			Data: data,
+		})
+		if err != nil {
+			err = fmt.Errorf("ring: joined delivery to %s failed: %v", newNode, err)
+		}
 	}
-	// The joined message carries the Data Store hand-off (the INSERT event's
-	// carved-off items), so it is a bulk call: a split moving more items than
-	// fit one transport frame streams them across in chunks, and the joining
-	// peer installs the range atomically at commit.
-	_, err := methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, joinedMsg{
-		Self: newNode,
-		Pred: self,
-		List: list,
-		Data: data,
-	})
 	if err != nil {
-		// The new peer died before completing its join; drop it.
+		// The new peer joined elsewhere or died before completing its join;
+		// drop it.
 		p.mu.Lock()
 		if len(p.succ) > 0 && p.succ[0].Node.Addr == newNode.Addr {
 			p.succ = p.succ[1:]
 		}
 		p.mu.Unlock()
-		return fmt.Errorf("ring: joined delivery to %s failed: %v", newNode, err)
+		return err
 	}
 	// Stabilize immediately so the new successor becomes usable (STAB) fast.
 	if !p.cfg.DisableAutoStabilize {

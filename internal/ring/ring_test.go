@@ -585,6 +585,62 @@ func TestInsertUnreachableNewPeer(t *testing.T) {
 	}
 }
 
+// One free peer handed to two inserters: the loser fails without carving
+// anything — whether the peer had already joined when its insert began, or
+// joined elsewhere while it waited for the ack — since the joined peer
+// ignores a second joined message and a carved range would be owned by no one.
+func TestInsertOfAnAlreadyJoinedPeerCarvesNothing(t *testing.T) {
+	cfg := fastRingConfig()
+	cfg.DisableAutoStabilize = true
+	cfg.NoProactive = true
+	for _, during := range []bool{false, true} {
+		t.Run(fmt.Sprintf("joined during the ack wait=%v", during), func(t *testing.T) {
+			tc := newTestCluster(t, cfg)
+			a := tc.addPeer("a", 100)
+			b := tc.addPeer("b", 200)
+			carved := false
+			c := tc.addPeerCB("c", 300, Callbacks{PrepareJoinData: func(Node) any { carved = true; return nil }})
+			d := tc.addPeer("d", 400)
+			for _, p := range []*Peer{a, c} {
+				if err := p.InitRing(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			if err := c.InsertSucc(ctx, d.Self()); err != nil { // c's insert of b will need d's ack
+				t.Fatal(err)
+			}
+			carved = false
+			var err error
+			if during {
+				done := make(chan error, 1)
+				go func() { done <- c.InsertSucc(ctx, b.Self()) }()
+				waitUntil(t, time.Second, "c's insert to start", func() bool { return c.State() == StateInserting })
+				if err := a.InsertSucc(ctx, b.Self()); err != nil {
+					t.Fatal(err)
+				}
+				d.StabilizeOnce() // acks c's insert, which now finds b joined
+				err = <-done
+			} else {
+				if err := a.InsertSucc(ctx, b.Self()); err != nil {
+					t.Fatal(err)
+				}
+				err = c.InsertSucc(ctx, b.Self())
+			}
+			if err == nil {
+				t.Fatal("inserting a peer that joined elsewhere succeeded")
+			}
+			if carved {
+				t.Error("the failed insert carved its range for the joined peer")
+			}
+			if c.State() != StateJoined || len(c.Successors()) != 1 {
+				t.Errorf("c after the failed insert: state %s, successors %v; want JOINED and only d", c.State(), c.SuccessorList())
+			}
+		})
+	}
+}
+
 func TestFailureDetectionReconnects(t *testing.T) {
 	tc := newTestCluster(t, fastRingConfig())
 	peers := tc.buildRing(6)

@@ -29,7 +29,7 @@ func streamPattern(n int) []byte {
 // individual frames, no longer whole state transfers.
 func TestBulkCallStreamsOversizedPayloadStrict(t *testing.T) {
 	if testing.Short() {
-		t.Skip("moves >32 MiB through gob; exercised in the full suite")
+		t.Skip("moves >32 MiB through the codec in strict mode; exercised in the full suite")
 	}
 	n := New(Config{DeadCallDelay: time.Millisecond, Seed: 1, StrictSerialization: true})
 	var got atomic.Value

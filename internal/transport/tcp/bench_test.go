@@ -106,7 +106,7 @@ func BenchmarkResumeRegistryCreate(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				close(e.done)
+				r.settle(e, sid, true, nil)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -144,8 +144,8 @@ func init() { transport.RegisterMessage(bigMsg{}) }
 // ErrUnreachable fail-stop signal that would trigger pointless retries.
 func TestOversizedCallFailsTyped(t *testing.T) {
 	okh := func(transport.Addr, string, any) (any, error) { return true, nil }
-	// The near-limit call below moves ~16 MiB through gob, which outlasts
-	// newPair's 2 s CallTimeout under -race on a loaded box.
+	// The near-limit call below encodes, copies and decodes ~16 MiB, which
+	// can outlast newPair's 2 s CallTimeout under -race on a loaded box.
 	tr, a, b := newPairTimeout(t, 60*time.Second, okh, okh)
 
 	_, err := tr.Call(context.Background(), a, b, "ds.mergeIn", bigMsg{Data: make([]byte, transport.MaxFrameSize+1)})
@@ -170,7 +170,7 @@ func TestOversizedCallFailsTyped(t *testing.T) {
 // streamed request direction.
 func TestOversizedResponseChunksBack(t *testing.T) {
 	if testing.Short() {
-		t.Skip("moves >16 MiB through gob; exercised in the full suite")
+		t.Skip("moves >16 MiB through the codec and loopback TCP; exercised in the full suite")
 	}
 	const size = transport.MaxFrameSize + (1 << 20)
 	huge := func(transport.Addr, string, any) (any, error) {

@@ -326,3 +326,115 @@ func TestResumeRegistryExpiry(t *testing.T) {
 		}
 	}
 }
+
+// memoized reports whether (from, sid) is held as a settled memo.
+func memoized(r *resumeRegistry, sid string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, ok := r.memos[rsKey("a", sid)]
+	return ok
+}
+
+// settle is what the serve loop does once a first commit's handler has run:
+// the transfer leaves entries for a compact memo, which answers a re-sent
+// commit, a mark and a duplicate chunk exactly as the full entry did, and
+// expires memoWindow after its last contact.
+func TestResumeRegistrySettleCompactsTheMemo(t *testing.T) {
+	r, clock, discards := testRegistry()
+	commit := func(sid string, total int) (*rstream, bool) {
+		t.Helper()
+		e, _, first, err := r.commit("a", "m", sid, total)
+		if err != nil {
+			t.Fatalf("commit %s: %v", sid, err)
+		}
+		return e, first
+	}
+	sweep := func() {
+		r.create("b", "m", "sweep")
+		r.drop("b", "sweep")
+	}
+
+	stageAll(t, r, "s", "c0", "c1")
+	e, first := commit("s", 2)
+	if !first {
+		t.Fatal("first commit not told to run the handler")
+	}
+	overtaking := make(chan any)
+	go func() { // a re-sent commit racing the handler gets its outcome either way
+		e2, _, _, _ := r.commit("a", "m", "s", 2)
+		<-e2.done
+		overtaking <- e2.resp
+	}()
+	herr := errors.New("handler error")
+	r.settle(e, "s", "ack", herr)
+	if got := <-overtaking; got != "ack" {
+		t.Errorf("re-sent commit racing the handler got %v, want ack", got)
+	}
+	if parked(r, "s") || !memoized(r, "s") {
+		t.Fatalf("settled transfer: full entry %v, memo %v; want only the memo", parked(r, "s"), memoized(r, "s"))
+	}
+	e3, first := commit("s", 2)
+	if first {
+		t.Fatal("a commit re-sent after settle was told to run the handler again")
+	}
+	<-e3.done
+	if e3.resp != "ack" || e3.herr != herr {
+		t.Errorf("memo answered %v, %v; want the handler's ack and error", e3.resp, e3.herr)
+	}
+	if m := r.mark("a", "s"); m != 2 {
+		t.Errorf("mark of a settled transfer = %d, want its total 2", m)
+	}
+	if err := r.stage("a", "m", "s", 1, []byte("dup")); err != nil {
+		t.Errorf("duplicate chunk after settle: %v", err)
+	}
+
+	clock.advance(memoWindow)
+	sweep()
+	if !memoized(r, "s") {
+		t.Fatal("memo swept at its window's last instant")
+	}
+	clock.advance(2 * time.Second)
+	sweep()
+	if memoized(r, "s") || r.mark("a", "s") != 0 {
+		t.Error("memo outlived memoWindow")
+	}
+
+	// Around the memo, protocol failures forget it as they forget a full
+	// entry: a chunk past the total, a commit with another count.
+	for _, tc := range []struct {
+		sid  string
+		next func() error
+		want string
+	}{
+		{"past", func() error { return r.stage("a", "m", "past", 1, []byte("c1")) }, "chunk after commit"},
+		{"count", func() error { _, _, _, err := r.commit("a", "m", "count", 5); return err }, "count 5 does not match committed 1"},
+	} {
+		stageAll(t, r, tc.sid, "c0")
+		e, _ := commit(tc.sid, 1)
+		r.settle(e, tc.sid, true, nil)
+		if err := tc.next(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want %q", tc.sid, err, tc.want)
+		}
+		if memoized(r, tc.sid) {
+			t.Errorf("%s: memo survived a protocol failure", tc.sid)
+		}
+	}
+
+	// A transfer dropped while its handler ran is not brought back by settle.
+	stageAll(t, r, "gone", "c0")
+	e, _ = commit("gone", 1)
+	r.drop("a", "gone")
+	r.settle(e, "gone", true, nil)
+	if parked(r, "gone") || memoized(r, "gone") {
+		t.Error("settle resurrected a dropped transfer")
+	}
+	for i, n := range *discards {
+		want := 0 // joined by commit: nothing left to discard
+		if i == 1 || i == 2 {
+			want = 1 // the two sweeps' own transfers
+		}
+		if *n != want {
+			t.Errorf("stager %d discarded %d times, want %d", i, *n, want)
+		}
+	}
+}

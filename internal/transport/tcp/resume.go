@@ -39,12 +39,31 @@ type resumeRegistry struct {
 
 	mu        sync.Mutex
 	entries   map[string]*rstream
+	memos     map[string]memo // settled transfers, moved out of entries
 	lastSweep time.Time
 }
 
 func newResumeRegistry(stager func() transport.ChunkStager, now func() time.Time) *resumeRegistry {
-	return &resumeRegistry{now: now, stager: stager, entries: make(map[string]*rstream)}
+	return &resumeRegistry{now: now, stager: stager, entries: make(map[string]*rstream), memos: make(map[string]memo)}
 }
+
+// memo is a committed transfer once its handler has run: all a re-sent
+// commit or a mark still needs, with no lock, channel or stager. Every bulk
+// call leaves one behind for memoWindow, so at a high push rate they are the
+// bulk of the registry.
+type memo struct {
+	total   int
+	resp    any
+	herr    error
+	expires time.Time
+}
+
+// settled is the closed done channel of every transfer rebuilt from a memo.
+var settled = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // rstream is one resumable inbound transfer. After commit the entry is kept
 // (stager released, response memoized) for memoWindow, so a re-sent commit
@@ -66,17 +85,26 @@ type rstream struct {
 func rsKey(from, sid string) string { return from + "\x00" + sid }
 
 // get returns the parked transfer for (from, sid), pushing its expiry out by
-// the window its state calls for: every contact renews.
+// the window its state calls for: every contact renews. A settled transfer is
+// handed out as a fresh committed rstream rebuilt from its memo, which answers
+// a re-sent commit, a duplicate chunk or a mark exactly as the original would.
 func (r *resumeRegistry) get(from, sid string) *rstream {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := r.entries[rsKey(from, sid)]
-	if e != nil {
+	key := rsKey(from, sid)
+	if e := r.entries[key]; e != nil {
 		e.mu.Lock()
 		e.renewLocked(r.now())
 		e.mu.Unlock()
+		return e
 	}
-	return e
+	m, ok := r.memos[key]
+	if !ok {
+		return nil
+	}
+	m.expires = r.now().Add(memoWindow)
+	r.memos[key] = m
+	return &rstream{from: from, committed: true, total: m.total, done: settled, resp: m.resp, herr: m.herr, expires: m.expires}
 }
 
 // renewLocked is called with e.mu held.
@@ -111,6 +139,11 @@ func (r *resumeRegistry) create(from, method, sid string) *rstream {
 				old.release()
 			}
 		}
+		for k, m := range r.memos {
+			if now.After(m.expires) {
+				delete(r.memos, k)
+			}
+		}
 	}
 	r.entries[rsKey(from, sid)] = e
 	return e
@@ -118,9 +151,11 @@ func (r *resumeRegistry) create(from, method, sid string) *rstream {
 
 // drop discards a parked transfer (abort, protocol failure).
 func (r *resumeRegistry) drop(from, sid string) {
+	key := rsKey(from, sid)
 	r.mu.Lock()
-	e := r.entries[rsKey(from, sid)]
-	delete(r.entries, rsKey(from, sid))
+	e := r.entries[key]
+	delete(r.entries, key)
+	delete(r.memos, key)
 	r.mu.Unlock()
 	if e != nil {
 		e.release()
@@ -132,6 +167,7 @@ func (r *resumeRegistry) close() {
 	r.mu.Lock()
 	parked := r.entries
 	r.entries = make(map[string]*rstream)
+	r.memos = make(map[string]memo)
 	r.mu.Unlock()
 	for _, e := range parked {
 		e.release()
@@ -222,11 +258,11 @@ func (e *rstream) append(seq int, data []byte) error {
 
 // commit applies the terminal frame of a transfer carrying total chunks. The
 // handler must run exactly once per stream ID, so the first commit joins the
-// staged chunks and returns them (first = true) for the caller to dispatch,
-// store the outcome in e.resp and e.herr, and close e.done; a re-sent commit
-// (the first acknowledgment lost with its connection) returns first = false.
-// Either way the caller answers with that outcome once e.done is closed.
-// Errors are stream-protocol failures, as for stage.
+// staged chunks and returns them (first = true) for the caller to dispatch
+// and settle with the outcome; a re-sent commit (the first acknowledgment
+// lost with its connection) returns first = false. Either way the caller
+// answers with e.resp and e.herr once e.done is closed. Errors are
+// stream-protocol failures, as for stage.
 func (r *resumeRegistry) commit(from, method, sid string, total int) (e *rstream, body []byte, first bool, err error) {
 	if e, err = r.lookup(from, method, sid, total); err == nil {
 		body, first, err = e.join(total, r.now())
@@ -235,6 +271,24 @@ func (r *resumeRegistry) commit(from, method, sid string, total int) (e *rstream
 		r.drop(from, sid)
 	}
 	return e, body, first, err
+}
+
+// settle records the outcome of the handler a first commit ran, wakes every
+// commit waiting on it, and compacts the entry into a memo.
+func (r *resumeRegistry) settle(e *rstream, sid string, resp any, herr error) {
+	e.resp, e.herr = resp, herr
+	close(e.done)
+	key := rsKey(e.from, sid)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.entries[key] != e {
+		return // dropped or replaced while the handler ran
+	}
+	e.mu.Lock()
+	m := memo{total: e.total, resp: resp, herr: herr, expires: e.expires}
+	e.mu.Unlock()
+	delete(r.entries, key)
+	r.memos[key] = m
 }
 
 func (e *rstream) join(total int, now time.Time) (body []byte, first bool, err error) {

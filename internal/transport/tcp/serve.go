@@ -142,8 +142,8 @@ func (c *inbound) handle(req wireMsg) bool {
 		}
 		c.t.track(func() {
 			if first {
-				e.resp, e.herr = c.invoke(e.from, e.method, body)
-				close(e.done)
+				resp, herr := c.invoke(e.from, e.method, body)
+				c.t.resume.settle(e, req.SID, resp, herr)
 			}
 			<-e.done
 			c.respond(req.ID, e.resp, e.herr)

@@ -32,7 +32,7 @@ func patterned(n int) []byte {
 // directions of a bulk call are unbounded by the frame limit.
 func TestBulkCallRoundTripsOversizedPayload(t *testing.T) {
 	if testing.Short() {
-		t.Skip("moves >32 MiB through gob; exercised in the full suite")
+		t.Skip("moves >32 MiB through the codec and loopback TCP; exercised in the full suite")
 	}
 	echo := func(_ transport.Addr, _ string, p any) (any, error) { return p, nil }
 	tr := New(Config{DialTimeout: time.Second, CallTimeout: 60 * time.Second, ConnsPerPeer: 1})

@@ -4,11 +4,11 @@
 // ran 30 peer processes on a LAN cluster (Section 6.1).
 //
 // Wire format (multiplexed): every message is one length-prefixed frame
-// holding a gob-encoded header (wire.go: readMsg and appendFrame are the only
-// code that knows the layout). Call frames carry a connection-scoped request
-// ID; the matching response frame echoes it, so a single connection carries
-// many concurrent in-flight calls and responses return in completion order,
-// not issue order. Protocol chatter (ring stabilization, replica pushes) is
+// holding a binary header encoded by the transport codec (wire.go: readMsg
+// and appendFrame are the only code that knows the layout). Call frames carry
+// a connection-scoped request ID; the matching response frame echoes it, so a
+// single connection carries many concurrent in-flight calls and responses
+// return in completion order, not issue order. Protocol chatter (ring stabilization, replica pushes) is
 // therefore never serialized behind a slow state transfer sharing the
 // connection — the availability protocols keep their maintenance traffic
 // flowing under load.

@@ -2,9 +2,9 @@ package tcp
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/transport"
 )
@@ -59,13 +59,34 @@ type wireMsg struct {
 	SID     string // stream frames (chunk, commit, abort, stream-resume): the transfer's resumable stream ID; required
 }
 
+// frameCodec encodes wireMsg as the frame header: its fields in declaration
+// order, integers as varints, strings and Payload length-prefixed (see
+// ARCHITECTURE.md "The mux wire format").
+var frameCodec = transport.NewCodec[wireMsg]()
+
+// readBufs recycles the buffers frames are read into: decoding copies out
+// everything a wireMsg keeps, so a frame's bytes are garbage once readMsg
+// returns.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // readMsg reads one frame and decodes its header. Together with appendFrame
 // it is the only code in the package that knows how a frame is laid out.
 func readMsg(r io.Reader) (wireMsg, error) {
+	n, err := transport.ReadFrameHeader(r)
+	if err != nil {
+		return wireMsg{}, err
+	}
+	// Only now take a buffer: a connection waiting for its next frame holds
+	// none.
+	bp := readBufs.Get().(*[]byte)
+	raw, err := transport.ReadFrameBody(r, n, *bp)
 	var m wireMsg
-	raw, err := transport.ReadFrame(r)
 	if err == nil {
-		err = gob.NewDecoder(bytes.NewReader(raw)).Decode(&m)
+		m, err = frameCodec.Decode(raw)
+	}
+	if cap(raw) <= maxPooledBuf {
+		*bp = raw
+		readBufs.Put(bp)
 	}
 	return m, err
 }
@@ -74,24 +95,24 @@ func readMsg(r io.Reader) (wireMsg, error) {
 // frame size limit with a typed error so callers can tell an oversized state
 // transfer from a fail-stopped peer. On error buf is left as it was.
 func appendFrame(buf *bytes.Buffer, m wireMsg) error {
-	start := buf.Len()
-	buf.Grow(256 + len(m.Payload)) // prefix, gob's type descriptor and the header fields, in one allocation
-	var hdr [transport.FrameHeaderLen]byte
-	buf.Write(hdr[:])
-	err := gob.NewEncoder(buf).Encode(&m)
-	n := buf.Len() - start - len(hdr)
+	// Room for the prefix, the header's integers and every string, so the
+	// header is encoded in place with no second copy.
+	buf.Grow(transport.FrameHeaderLen + 64 + len(m.From) + len(m.Method) + len(m.Payload) + len(m.Err) + len(m.SID))
+	frame := append(buf.AvailableBuffer(), make([]byte, transport.FrameHeaderLen)...)
+	frame, err := frameCodec.Append(frame, m)
+	n := len(frame) - transport.FrameHeaderLen
 	if err == nil && n > transport.MaxFrameSize {
 		err = fmt.Errorf("%w: %s message of %d bytes", transport.ErrFrameTooLarge, m.Method, n)
 	}
 	if err != nil {
-		buf.Truncate(start)
 		return err
 	}
-	transport.PutFrameHeader(buf.Bytes()[start:], n)
+	transport.PutFrameHeader(frame, n)
+	buf.Write(frame)
 	return nil
 }
 
-// hsPayload is the body of a handshake frame (gob-encoded inside
+// hsPayload is the body of a handshake frame (encoded inside
 // wireMsg.Payload): the hello carries PubKey+Nonce, the proofs carry
 // MAC+Sig over the role-labelled transcript (the server's proof carries all
 // four).
@@ -113,17 +134,20 @@ func writeMsg(w io.Writer, m wireMsg) error {
 	return err
 }
 
+var hsCodec = transport.NewCodec[hsPayload]()
+
 // writeHs writes one handshake frame of the given kind carrying body.
 func writeHs(w io.Writer, kind int, body hsPayload) error {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(&body); err != nil {
+	b, err := hsCodec.Append(nil, body)
+	if err != nil {
 		return err
 	}
-	return writeMsg(w, wireMsg{Kind: kind, Payload: b.Bytes()})
+	return writeMsg(w, wireMsg{Kind: kind, Payload: b})
 }
 
 // hsBody decodes the body of a handshake frame read with readMsg; ok is false
 // when it does not parse.
-func hsBody(m wireMsg) (body hsPayload, ok bool) {
-	return body, gob.NewDecoder(bytes.NewReader(m.Payload)).Decode(&body) == nil
+func hsBody(m wireMsg) (hsPayload, bool) {
+	body, err := hsCodec.Decode(m.Payload)
+	return body, err == nil
 }

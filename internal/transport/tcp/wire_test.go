@@ -3,10 +3,12 @@ package tcp
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -22,13 +24,12 @@ type goldenFrame struct {
 	got  []byte
 }
 
-// goldenFrames is encoded in init, in this order, before anything else in the
-// test binary has used gob: gob numbers user types in order of first use and
-// the number is on the wire, so the bytes are only reproducible from a fixed
-// starting point. testdata/frames.golden was captured the same way at the
-// commit before tcp.go was split (encodeMsg + transport.WriteFrame, six
-// hand-written handshake coders): equal bytes prove the restructure changed
-// nothing on the wire. A codec change must replace the file on purpose.
+// goldenFrames is encoded in init. The binary codec writes no type
+// descriptors and no state carries over from one frame to the next, so each
+// frame's bytes depend on its fields alone. testdata/frames.golden was
+// regenerated when that codec replaced gob (the wire-version note in
+// ARCHITECTURE.md "Wire API and ops contract"): equal bytes prove a change
+// left the wire alone. A codec change must replace the file on purpose.
 var goldenFrames = func() []goldenFrame {
 	const from, sid = "127.0.0.1:7101", "a1b2c3d4e5f6-9"
 	payload := []byte{0xde, 0xad, 0xbe, 0xef}
@@ -128,4 +129,49 @@ func TestAppendFrameRefusesOversizedMessage(t *testing.T) {
 	if m, err := readMsg(&buf); err != nil || m.Kind != kindPing || m.ID != 1 {
 		t.Fatalf("frame before the refused one reads back as %+v, %v", m, err)
 	}
+}
+
+// allocatedBy returns the bytes the process allocated while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// readMsg never panics on arbitrary bytes, and a length prefix claiming more
+// than arrives costs no more than what arrived; a frame that is cut short or
+// carries bytes past its header is refused; what does read back re-encodes
+// to the same header.
+func FuzzReadMsg(f *testing.F) {
+	for _, g := range goldenFrames {
+		f.Add(g.got)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m wireMsg
+		var err error
+		if n := allocatedBy(func() { m, err = readMsg(bytes.NewReader(data)) }); n > 64*uint64(len(data))+16<<10 {
+			t.Fatalf("reading %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		frame := data[:transport.FrameHeaderLen+int(binary.BigEndian.Uint32(data))]
+		if _, err := readMsg(bytes.NewReader(frame[:len(frame)-1])); err == nil {
+			t.Fatal("a truncated frame read back")
+		}
+		long := append(append([]byte(nil), frame...), 0)
+		transport.PutFrameHeader(long, len(long)-transport.FrameHeaderLen)
+		if _, err := readMsg(bytes.NewReader(long)); err == nil {
+			t.Fatal("a frame with a byte past its header read back")
+		}
+		var buf bytes.Buffer
+		if err := appendFrame(&buf, m); err != nil {
+			t.Fatalf("re-encoding %+v: %v", m, err)
+		}
+		if again, err := readMsg(&buf); err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("%+v re-encoded and read back as %+v, %v", m, again, err)
+		}
+	})
 }

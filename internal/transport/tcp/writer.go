@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,6 +13,15 @@ import (
 
 // batchBytes flushes the write batcher once this many bytes are buffered.
 const batchBytes = 64 << 10
+
+// maxPooledBuf is the largest read or batch buffer the package's pools keep:
+// an outsized state transfer (up to a whole 16 MiB frame) is dropped rather
+// than held for the next small batch.
+const maxPooledBuf = 4 * batchBytes
+
+// batchBufs lends batch buffers to the writers for one batch at a time, so a
+// connection holds no buffer while it has nothing to write.
+var batchBufs = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 0, batchBytes)) }}
 
 // batchWriter coalesces queued frames into as few syscalls as possible: it
 // keeps appending while frames are queued and flushes when the queue drains
@@ -78,40 +88,44 @@ func (w *batchWriter) fail(err error) {
 }
 
 func (w *batchWriter) loop() {
-	buf := bytes.NewBuffer(make([]byte, 0, batchBytes))
 	for {
 		select {
 		case frame := <-w.ch:
-			buf.Reset()
-			buf.Write(frame)
-			// Coalesce: keep appending queued frames until the queue drains
-			// or the size threshold is hit.
-		coalesce:
-			for buf.Len() < batchBytes {
-				select {
-				case more := <-w.ch:
-					buf.Write(more)
-				case <-w.done:
-					break coalesce
-				default:
-					break coalesce
-				}
-			}
-			_ = w.conn.SetWriteDeadline(time.Now().Add(w.writeWait))
-			if _, err := w.conn.Write(buf.Bytes()); err != nil {
+			if err := w.write(frame); err != nil {
 				w.fail(err)
 				return
-			}
-			_ = w.conn.SetWriteDeadline(time.Time{})
-			if buf.Cap() > 4*batchBytes {
-				// An outsized state transfer grew the buffer (up to a whole
-				// 16 MiB frame); drop the capacity back so long-lived
-				// connections are sized for their typical batch, not their
-				// largest ever.
-				buf = bytes.NewBuffer(make([]byte, 0, batchBytes))
 			}
 		case <-w.done:
 			return
 		}
 	}
+}
+
+// write sends frame and whatever is queued behind it in one batch: it keeps
+// appending queued frames until the queue drains or the size threshold is
+// hit.
+func (w *batchWriter) write(frame []byte) error {
+	buf := batchBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	buf.Write(frame)
+coalesce:
+	for buf.Len() < batchBytes {
+		select {
+		case more := <-w.ch:
+			buf.Write(more)
+		case <-w.done:
+			break coalesce
+		default:
+			break coalesce
+		}
+	}
+	_ = w.conn.SetWriteDeadline(time.Now().Add(w.writeWait))
+	_, err := w.conn.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledBuf {
+		batchBufs.Put(buf)
+	}
+	if err == nil {
+		_ = w.conn.SetWriteDeadline(time.Time{})
+	}
+	return err
 }
