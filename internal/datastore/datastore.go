@@ -188,6 +188,14 @@ type Store struct {
 	// (RestoreLeaseClock), never from the restart time.
 	leaseRenewedAt int64
 	items          map[keyspace.Key]Item
+	// The change feed (TakeChanges): the keys applyLocked touched since the
+	// last take, and the (range, epoch) that take reported. fed is false
+	// before the first take and after a take that found no range; nothing is
+	// marked dirty then, because the next take is full.
+	dirty    map[keyspace.Key]struct{}
+	fed      bool
+	fedRng   keyspace.Range
+	fedEpoch uint64
 
 	handlersMu sync.Mutex
 	handlers   map[string]Handler

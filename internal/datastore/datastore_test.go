@@ -34,6 +34,8 @@ type fakeRep struct {
 	revive  []Item
 	leaves  int
 	changed int
+	// reviving, when set, runs at the start of every Revive.
+	reviving func()
 }
 
 func (f *fakeRep) ItemsChanged() {
@@ -48,6 +50,9 @@ func (f *fakeRep) BeforeLeave(context.Context) error {
 	return nil
 }
 func (f *fakeRep) Revive(r keyspace.Range) []Item {
+	if f.reviving != nil {
+		f.reviving()
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out []Item

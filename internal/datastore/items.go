@@ -1,9 +1,10 @@
 package datastore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/history"
 	"repro/internal/keyspace"
@@ -66,7 +67,8 @@ type itemChange struct {
 // critical section, so WAL order = journal order = the order scans observe.
 // Journaling after the unlock could sequence a mutation after a query that
 // already saw its effect, and the Definition 4 checker would flag a phantom
-// violation. An empty change touches nothing, the backend included.
+// violation. An empty change touches nothing, the backend included. Every
+// key it touches is marked for the change feed (TakeChanges).
 func (s *Store) applyLocked(c itemChange) error {
 	if len(c.items) == 0 {
 		return nil
@@ -86,6 +88,12 @@ func (s *Store) applyLocked(c itemChange) error {
 	}
 	self := string(s.ring.Self().Addr)
 	for _, it := range c.items {
+		if s.fed {
+			if s.dirty == nil {
+				s.dirty = make(map[keyspace.Key]struct{})
+			}
+			s.dirty[it.Key] = struct{}{}
+		}
 		if c.del {
 			delete(s.items, it.Key)
 		} else {
@@ -117,6 +125,60 @@ func (s *Store) itemsChanged() {
 	s.maint.Kick()
 }
 
+// Changes is what the item set did since the previous TakeChanges: either the
+// whole set (Full) or the keys that changed, split into the items now present
+// and the keys now gone. Items holds only keys inside Range; a changed key
+// outside it is reported in Gone, since a view clipped to Range lacks it.
+type Changes struct {
+	Range keyspace.Range
+	Epoch uint64
+	// Full: Items is the whole item set inside Range and Gone is empty. A take
+	// is full when it is the first, when the previous one found no range, or
+	// when (Range, Epoch) moved since the previous one.
+	Full  bool
+	Items []Item
+	Gone  []keyspace.Key
+}
+
+// TakeChanges returns, under one s.mu, the range, the epoch and what changed
+// in the item set since the previous take, and starts the next interval. It
+// has one consumer, the Replication Manager's refresh: a view that applies
+// every take in order equals the item set clipped to the range. ok is false
+// when the peer serves no range; the next take is then full.
+func (s *Store) TakeChanges() (ch Changes, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	moved := !s.fed || s.fedRng != s.rng || s.fedEpoch != s.epoch
+	s.fed, s.fedRng, s.fedEpoch = s.hasRange, s.rng, s.epoch
+	if !s.hasRange || moved {
+		// A full take needs none of the dirty keys, and after a hand-off they
+		// may be a whole range's worth: let the map go.
+		s.dirty = nil
+	}
+	if !s.hasRange {
+		return Changes{}, false
+	}
+	ch = Changes{Range: s.rng, Epoch: s.epoch, Full: moved}
+	if moved {
+		ch.Items = make([]Item, 0, len(s.items))
+		for k, it := range s.items {
+			if s.rng.Contains(k) {
+				ch.Items = append(ch.Items, it)
+			}
+		}
+		return ch, true
+	}
+	for k := range s.dirty {
+		if it, held := s.items[k]; held && s.rng.Contains(k) {
+			ch.Items = append(ch.Items, it)
+		} else {
+			ch.Gone = append(ch.Gone, k)
+		}
+	}
+	clear(s.dirty)
+	return ch, true
+}
+
 // LocalItems returns a sorted snapshot of the peer's items (getLocalItems).
 func (s *Store) LocalItems() []Item {
 	s.mu.Lock()
@@ -138,8 +200,8 @@ func (s *Store) sortedItemsLocked() []Item {
 		out = append(out, it)
 	}
 	lo := s.rng.Lo
-	sort.Slice(out, func(i, j int) bool {
-		return keyspace.Dist(lo, out[i].Key) < keyspace.Dist(lo, out[j].Key)
+	slices.SortFunc(out, func(a, b Item) int {
+		return cmp.Compare(keyspace.Dist(lo, a.Key), keyspace.Dist(lo, b.Key))
 	})
 	return out
 }

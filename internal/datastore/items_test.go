@@ -321,6 +321,35 @@ func TestRevivalOfHeldKeysAppendsNothing(t *testing.T) {
 	}
 }
 
+// Revival claims the failed predecessor's range, then reads the held replicas
+// into it. Until they are in, the range write lock keeps scans and mutations
+// out, as it does for every hand-off: a scan in between would find the
+// revived region empty, and a delete acknowledged there would be undone when
+// the replica lands.
+func TestRevivalKeepsScansOutUntilItsItemsLand(t *testing.T) {
+	_, st := loneStore(t, newRecBackend(), 0)
+	rep := &fakeRep{revive: itemsOf(90)}
+	st.SetDeps(rep, nil)
+	joinAs100to200(t, st)
+	readerGotIn := false
+	rep.reviving = func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // a reader that would have to wait gives up at once
+		if st.rangeLock.RLock(ctx) == nil {
+			readerGotIn = true
+			st.rangeLock.RUnlock()
+		}
+	}
+	st.OnPredChanged(ring.Node{Addr: "newpred", Val: 80}, ring.Node{Addr: "pred", Val: 100}, true)
+	if rng, _ := st.Range(); rng != keyspace.NewRange(80, 200) {
+		t.Fatalf("range after revival = %v, want (80, 200]", rng)
+	}
+	if readerGotIn {
+		t.Error("a scan or mutation could run between the revival's claim and its items")
+	}
+	wantSame(t, "items", keysOf(st.LocalItems()), []keyspace.Key{90, 150})
+}
+
 // The giving side of a split and of a redistribute journals the moves, then
 // the shrunken claim; the claim's record is all it writes — its replay prunes
 // the carved items.

@@ -57,6 +57,10 @@ func (s *Store) checkPredLease() {
 	if err := s.rangeLock.Lock(ctx); err != nil {
 		return
 	}
+	// Held until the revived items are in, as by every hand-off: a scan or
+	// a mutation served between the claim and the revival would find the
+	// adopted region empty (and a delete acknowledged there be undone by it).
+	defer s.rangeLock.Unlock()
 	// The adopted incarnation must fence both the lapsed holder's last
 	// advertised epoch and anything else ever advertised over the region.
 	fence := max(advEpoch, s.rep.MaxAdvertisedEpoch(adv))
@@ -65,7 +69,6 @@ func (s *Store) checkPredLease() {
 	// our boundary since the check above.
 	if !s.hasRange || adv.Hi != s.rng.Lo {
 		s.mu.Unlock()
-		s.rangeLock.Unlock()
 		return
 	}
 	// Journal the expiry BEFORE the overlapping claim lands, so the lease
@@ -73,7 +76,6 @@ func (s *Store) checkPredLease() {
 	s.log.LeaseExpired(string(pred.Addr), string(self.Addr), adv, advEpoch)
 	s.claimLocked(s.rng.ExtendDown(adv.Lo), max(s.epoch, fence)+1)
 	s.mu.Unlock()
-	s.rangeLock.Unlock()
 	s.LeaseAdoptions.Add(1)
 
 	// Revive the adopted region from held replicas (we are the lapsed
@@ -103,6 +105,17 @@ func (s *Store) OnPredChanged(newPred, prev ring.Node, predFailed bool) {
 	}
 	revive := keyspace.NewRange(newPred.Val, s.rng.Lo)
 	s.mu.Unlock()
+
+	// Hold the range write lock from the claim until the revived items are
+	// in, as every hand-off does: a scan or a mutation served in between
+	// would find the revived region empty, and a delete acknowledged there
+	// would be undone by the revival. The failed peer's range must be revived
+	// even if the lock cannot be had in time, so then it goes ahead without.
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaintenanceTimeout)
+	defer cancel()
+	if s.rangeLock.Lock(ctx) == nil {
+		defer s.rangeLock.Unlock()
+	}
 
 	// Fence the incarnation we replace: the revived claim's epoch must
 	// strictly exceed both our own and anything the failed predecessor ever

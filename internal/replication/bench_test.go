@@ -2,9 +2,11 @@ package replication
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/simnet"
 	"repro/internal/transport"
@@ -37,21 +39,41 @@ func (s meteredStream) Chunk(ctx context.Context, data []byte) error {
 
 // BenchmarkRefreshSteadyState measures what one mutation costs the
 // replication path once the successors are up to date: an origin holding 99
-// items of 128 bytes (the client-path benchmark's payload) with k = 3
-// successors applies one insert or delete and refreshes, b.N times. It
+// (or 1,999) items of 128 bytes (the client-path benchmark's payload) with
+// k = 3 successors applies one insert or delete and refreshes, b.N times. It
 // reports the bytes of one push and the replica records each holder journals
 // per mutation, and fails if that exceeds 1 — the steady-state contract of
-// the versioned push protocol (re-pushing the range would journal ~100).
+// the versioned push protocol (re-pushing the range would journal ~100). It
+// also fails if a refresh over 2,000 items costs more than 3x one over 100
+// in the same run: steady state costs what the change costs, at the origin
+// and at every holder, not what the range holds. Self-normalized, so it does
+// not depend on the hardware.
 func BenchmarkRefreshSteadyState(b *testing.B) {
+	perOp := map[int]time.Duration{}
+	for _, items := range []int{100, 2000} {
+		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
+			perOp[items] = refreshSteadyState(b, items)
+		})
+	}
+	if small, big := perOp[100], perOp[2000]; small > 0 && big > 3*small {
+		b.Fatalf("a refresh over 2000 items costs %v, over 100 items %v: more than 3x", big, small)
+	}
+}
+
+// refreshSteadyState runs one size of BenchmarkRefreshSteadyState and returns
+// the time per mutation and refresh.
+func refreshSteadyState(b *testing.B, items int) time.Duration {
 	const k = 3
-	r := bootProto(b, newRepHarness(b), k+1, k)
+	h := newRepHarness(b)
+	h.span = uint64(items)
+	r := bootProto(b, h, k+1, k)
 	meter := &pushMeter{Network: r.h.net}
 	r.origin.net = meter
-	// The harness gives the origin the range (0, 100]: fill it, leaving one
+	// The harness gives the origin the range (0, items]: fill it, leaving one
 	// key free for the mutations.
-	const hot = 50
+	hot := uint64(items / 2)
 	payload := strings.Repeat("p", 128)
-	for key := uint64(1); key <= 100; key++ {
+	for key := uint64(1); key <= uint64(items); key++ {
 		if key != hot {
 			r.put(key, payload)
 		}
@@ -85,4 +107,5 @@ func BenchmarkRefreshSteadyState(b *testing.B) {
 	if worst > 1 {
 		b.Fatalf("a holder journaled %.2f replica records per mutation, want at most 1", worst)
 	}
+	return b.Elapsed() / time.Duration(b.N)
 }

@@ -337,6 +337,7 @@ func TestHolderRestartFromWALConvergesWithoutRewriting(t *testing.T) {
 	holder.mu.Lock()
 	holder.replicas = make(map[keyspace.Key]replica)
 	holder.adverts = make(map[transport.Addr]advert)
+	holder.sums = make(map[transport.Addr]*heldSum)
 	holder.mu.Unlock()
 	holder.SetBackend(reopened)
 	recs := journaled(holder)

@@ -10,8 +10,8 @@
 //
 // Replica freshness is maintained by one versioned push protocol. The origin
 // numbers the states of its item set for the current (range, epoch): every
-// refresh diffs the Data Store against the set it last pushed, bumps the
-// version when something changed, and sends each successor the smallest
+// refresh applies what changed in the Data Store since the last one, bumps
+// the version when something did, and sends each successor the smallest
 // sufficient shape of the same message — a delta (Base -> Version) when the
 // successor acknowledged Base, a heartbeat (nothing but the advert) when it
 // already acknowledged Version, and the full set when the successor is new,
@@ -20,9 +20,18 @@
 // order-independent digest of the origin's set at Version; the receiver
 // applies a delta only onto the matching base, re-checks count and digest
 // over what it then holds inside the range, and answers NeedFull on any
-// mismatch. Update cost is therefore proportional to the change, not to the
-// range, and a holder that missed a delta, restarted, or had a stale key
+// mismatch. A holder that missed a delta, restarted, or had a stale key
 // merged into it is repaired by the next push.
+//
+// Steady-state cost is proportional to the change, not to the range, in
+// bytes and in CPU at both ends. The origin reads the Data Store's change
+// feed (the keys its item-set seam touched since the last take), not the
+// item set, and keeps its digest by adding and subtracting terms. The holder
+// keeps each origin's count and digest over the replicas inside its advert's
+// range, moved by every replica it puts or deletes. What is left of O(range)
+// runs once per incarnation change: the origin's first take after its
+// (range, epoch) moves is the whole set, and the holder walks its replicas
+// when an origin is first seen or its advertised range moves.
 //
 // The invariant the protocol maintains (and the tests assert): if holder h
 // records version v for origin o at (range, epoch), then h's replicas inside
@@ -137,11 +146,10 @@ func itemSum(it datastore.Item) uint64 {
 
 // originState is the origin's half of the push protocol: the item set it last
 // pushed for its (range, epoch), that set's version, and which version each
-// current successor is known to hold.
+// current successor is known to hold. The Data Store's change feed says when
+// (range, epoch) moved (a full take), and the state then starts over.
 type originState struct {
-	rng     keyspace.Range
-	epoch   uint64
-	sig     auth.AdvertSig           // advert signature for (rng, epoch)
+	sig     auth.AdvertSig           // advert signature for the (range, epoch)
 	version uint64                   // never reused, not even across (range, epoch) changes
 	set     map[keyspace.Key]replica // the item set at version
 	digest  uint64                   // sum of set's terms
@@ -151,19 +159,19 @@ type originState struct {
 	acked map[transport.Addr]uint64
 }
 
-// advance moves the state to the item set items (the Data Store's, inside
-// o.rng) and returns the delta from the previous version: the items to upsert
-// and the keys to delete. base == o.version afterwards means nothing changed.
-func (o *originState) advance(items []datastore.Item) (base uint64, puts []datastore.Item, dels []keyspace.Key) {
+// apply moves the state by one change of the Data Store's item set inside
+// the range (datastore.Changes): items now present and keys now gone. It returns
+// the delta from the previous version: the items to upsert (new keys and
+// changed payloads) and the keys to delete (members that are gone). base ==
+// o.version afterwards means nothing changed.
+func (o *originState) apply(items []datastore.Item, gone []keyspace.Key) (base uint64, puts []datastore.Item, dels []keyspace.Key) {
 	base = o.version
-	kept := 0 // members of the previous set still present
-	before := len(o.set)
 	for _, it := range items {
-		if prev, ok := o.set[it.Key]; ok {
-			kept++
-			if prev.Payload == it.Payload {
-				continue
-			}
+		prev, ok := o.set[it.Key]
+		if ok && prev.Payload == it.Payload {
+			continue
+		}
+		if ok {
 			o.digest -= prev.sum
 		}
 		r := newReplica(it)
@@ -171,23 +179,26 @@ func (o *originState) advance(items []datastore.Item) (base uint64, puts []datas
 		o.digest += r.sum
 		puts = append(puts, it)
 	}
-	if kept < before {
-		live := make(map[keyspace.Key]struct{}, len(items))
-		for _, it := range items {
-			live[it.Key] = struct{}{}
-		}
-		for k, r := range o.set {
-			if _, ok := live[k]; !ok {
-				delete(o.set, k)
-				o.digest -= r.sum
-				dels = append(dels, k)
-			}
+	for _, k := range gone {
+		if r, ok := o.set[k]; ok {
+			delete(o.set, k)
+			o.digest -= r.sum
+			dels = append(dels, k)
 		}
 	}
 	if len(puts)+len(dels) > 0 {
 		o.version++
 	}
 	return base, puts, dels
+}
+
+// items returns the set at o.version, the Items of a full push.
+func (o *originState) items() []datastore.Item {
+	out := make([]datastore.Item, 0, len(o.set))
+	for _, r := range o.set {
+		out = append(out, r.Item)
+	}
+	return out
 }
 
 // Manager is one peer's Replication Manager. It implements
@@ -216,6 +227,12 @@ type Manager struct {
 	mu       sync.Mutex
 	replicas map[keyspace.Key]replica
 	adverts  map[transport.Addr]advert // latest epoch advert (and held version) per origin
+	// sums holds, per origin with an advert, the count and digest of the
+	// replicas held inside the advert's range: applyLocked keeps them current,
+	// so the per-push check costs nothing, and a walk over every replica runs
+	// only when an origin is first seen or its advert's range moves. Kept
+	// apart from adverts because handlePush writes a copied advert back.
+	sums map[transport.Addr]*heldSum
 
 	// pushMu serializes this peer's own pushes (refresh loop, manual
 	// RefreshOnce, BeforeLeave) and guards origin. It is never taken by a
@@ -259,6 +276,7 @@ func New(net transport.Transport, mux *transport.Mux, rp *ring.Peer, ds *datasto
 		backend:  storage.NewMemory(),
 		replicas: make(map[keyspace.Key]replica),
 		adverts:  make(map[transport.Addr]advert),
+		sums:     make(map[transport.Addr]*heldSum),
 	}
 	m.refresher = transport.NewTask(m.cfg.RefreshPeriod, m.RefreshOnce)
 	methodPush.Handle(mux, m.handlePush)
@@ -287,7 +305,7 @@ func (m *Manager) RestoreReplicas(items []datastore.Item) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, it := range items {
-		m.replicas[it.Key] = newReplica(it)
+		m.putLocked(it)
 	}
 }
 
@@ -438,6 +456,7 @@ func (m *Manager) handlePush(_ transport.Addr, msg pushMsg) (pushResp, error) {
 	for from, a := range m.adverts {
 		if from != msg.From.Addr && a.Range.Overlaps(msg.Range) && a.Epoch < msg.Epoch {
 			delete(m.adverts, from)
+			delete(m.sums, from)
 		}
 	}
 	// Record the origin's advert. The receive time doubles as the origin's
@@ -450,6 +469,9 @@ func (m *Manager) handlePush(_ transport.Addr, msg pushMsg) (pushResp, error) {
 	if current {
 		if a.Range != msg.Range || a.Epoch != msg.Epoch {
 			a.Version = 0
+		}
+		if sum := m.sums[msg.From.Addr]; sum == nil || sum.rng != msg.Range {
+			m.sums[msg.From.Addr] = m.summaryLocked(msg.Range)
 		}
 		a.Range, a.Epoch, a.RenewedAt = msg.Range, msg.Epoch, time.Now()
 		m.adverts[msg.From.Addr] = a
@@ -481,7 +503,7 @@ func (m *Manager) handlePush(_ transport.Addr, msg pushMsg) (pushResp, error) {
 	// version and asks for the full set, which reconciles the range.
 	a.Version = 0
 	if current {
-		if count, digest := m.summaryLocked(msg.Range); count == msg.Count && digest == msg.Digest {
+		if sum := m.sums[msg.From.Addr]; sum.count == msg.Count && sum.digest == msg.Digest {
 			a.Version = msg.Version
 		}
 	}
@@ -497,17 +519,16 @@ func (m *Manager) handlePush(_ transport.Addr, msg pushMsg) (pushResp, error) {
 func (m *Manager) applyLocked(puts []datastore.Item, dels []keyspace.Key) {
 	var recs []storage.Record
 	for _, k := range dels {
-		if _, ok := m.replicas[k]; ok {
+		if cur, ok := m.replicas[k]; ok {
 			delete(m.replicas, k)
+			m.countLocked(k, -1, -cur.sum)
 			recs = append(recs, storage.Record{Kind: storage.RecReplicaDelete, Key: k})
 		}
 	}
 	for _, it := range puts {
-		if cur, ok := m.replicas[it.Key]; ok && cur.Payload == it.Payload {
-			continue
+		if m.putLocked(it) {
+			recs = append(recs, storage.Record{Kind: storage.RecReplicaPut, Key: it.Key, Payload: it.Payload})
 		}
-		m.replicas[it.Key] = newReplica(it)
-		recs = append(recs, storage.Record{Kind: storage.RecReplicaPut, Key: it.Key, Payload: it.Payload})
 	}
 	if len(recs) > 0 {
 		_ = m.backend.AppendBatch(recs)
@@ -515,16 +536,54 @@ func (m *Manager) applyLocked(puts []datastore.Item, dels []keyspace.Key) {
 	}
 }
 
-// summaryLocked returns the count and digest of the replicas held inside
-// rng, the holder's side of the per-push check. Callers hold m.mu.
-func (m *Manager) summaryLocked(rng keyspace.Range) (count int, digest uint64) {
-	for k, r := range m.replicas {
-		if rng.Contains(k) {
-			count++
-			digest += r.sum
+// putLocked upserts one replica, reporting whether that changed what is held.
+// Callers hold m.mu.
+func (m *Manager) putLocked(it datastore.Item) bool {
+	cur, ok := m.replicas[it.Key]
+	if ok && cur.Payload == it.Payload {
+		return false
+	}
+	r := newReplica(it)
+	m.replicas[it.Key] = r
+	if ok {
+		m.countLocked(it.Key, 0, r.sum-cur.sum)
+	} else {
+		m.countLocked(it.Key, 1, r.sum)
+	}
+	return true
+}
+
+// heldSum is the count and digest of the replicas held inside rng.
+type heldSum struct {
+	rng    keyspace.Range
+	count  int
+	digest uint64
+}
+
+// countLocked moves every summary whose range holds key by one replica change:
+// dn replicas and dsum of digest (both wrap like the digest itself). Callers
+// hold m.mu.
+func (m *Manager) countLocked(key keyspace.Key, dn int, dsum uint64) {
+	for _, sum := range m.sums {
+		if sum.rng.Contains(key) {
+			sum.count += dn
+			sum.digest += dsum
 		}
 	}
-	return count, digest
+}
+
+// summaryLocked walks every held replica for the count and digest of those
+// inside rng: the holder's side of the per-push check, computed in full only
+// when an origin or its range is new (see Manager.sums). Callers hold m.mu.
+func (m *Manager) summaryLocked(rng keyspace.Range) *heldSum {
+	sum := &heldSum{rng: rng}
+	for k, r := range m.replicas {
+		if rng.Contains(k) {
+			sum.count++
+			sum.digest += r.sum
+		}
+	}
+	return sum
 }
 
 // signAdvert signs this peer's ownership advert when an identity is wired,
@@ -709,7 +768,8 @@ type refreshResult struct {
 	err       error  // first transport or handler error
 }
 
-// refresh diffs the Data Store against the set last pushed and sends each of
+// refresh applies what changed in the Data Store since the last refresh
+// (datastore.Store.TakeChanges) to the set last pushed and sends each of
 // the first fanout successors the smallest shape that brings it to the
 // current version: the delta if it acknowledged the previous version (a
 // heartbeat when nothing changed since), the full set otherwise — and the
@@ -720,7 +780,7 @@ type refreshResult struct {
 func (m *Manager) refresh(ctx context.Context, fanout int) (res refreshResult) {
 	m.pushMu.Lock()
 	defer m.pushMu.Unlock()
-	rng, epoch, ok := m.ds.RangeEpoch()
+	ch, ok := m.ds.TakeChanges()
 	if !ok {
 		return res
 	}
@@ -732,31 +792,21 @@ func (m *Manager) refresh(ctx context.Context, fanout int) (res refreshResult) {
 	res.targets = len(succs)
 
 	o := &m.origin
-	if o.set == nil || o.rng != rng || o.epoch != epoch {
-		// A new incarnation starts from the empty set with no successor
-		// acknowledged, so everyone is sent the full set.
-		*o = originState{rng: rng, epoch: epoch, sig: m.signAdvert(rng, epoch), version: o.version + 1,
-			set: make(map[keyspace.Key]replica)}
+	if ch.Full {
+		// A new incarnation (or the first refresh) starts from the empty set
+		// with no successor acknowledged, so everyone is sent the full set.
+		*o = originState{sig: m.signAdvert(ch.Range, ch.Epoch), version: o.version + 1,
+			set: make(map[keyspace.Key]replica, len(ch.Items))}
 	}
-	// The range and the items are read in two steps; clip so that the set
-	// summarised is the set a holder can check against its range.
-	items := m.ds.LocalItems()
-	n := 0
-	for _, it := range items {
-		if rng.Contains(it.Key) {
-			items[n] = it
-			n++
-		}
-	}
-	items = items[:n]
-	base, puts, dels := o.advance(items)
+	base, puts, dels := o.apply(ch.Items, ch.Gone)
 
 	// The delta from base is the heartbeat when nothing changed: Base equals
-	// Version and there is nothing to apply.
-	delta := pushMsg{From: self, Range: rng, Epoch: epoch, Sig: o.sig,
+	// Version and there is nothing to apply. The full set's items are built
+	// only when some successor needs them.
+	delta := pushMsg{From: self, Range: ch.Range, Epoch: ch.Epoch, Sig: o.sig,
 		Base: base, Version: o.version, Items: puts, Deletes: dels, Count: len(o.set), Digest: o.digest}
 	full := delta
-	full.Full, full.Base, full.Items, full.Deletes = true, 0, items, nil
+	full.Full, full.Base, full.Items, full.Deletes = true, 0, nil, nil
 
 	// A successor's acknowledgement is forgotten the moment it is pushed to:
 	// until it answers, what it holds is unknown, and a push whose reply is
@@ -771,9 +821,12 @@ func (m *Manager) refresh(ctx context.Context, fanout int) (res refreshResult) {
 	for round := 0; round < 2 && len(targets) > 0; round++ {
 		pends := make([]*transport.PendingOf[pushResp], len(targets))
 		for i, to := range targets {
-			msg := full
-			if ack, ok := prev[to]; ok && ack == base && round == 0 {
-				msg = delta
+			msg := delta
+			if ack, ok := prev[to]; !ok || ack != base || round > 0 {
+				if full.Items == nil {
+					full.Items = o.items() // non-nil: built once
+				}
+				msg = full
 			}
 			switch {
 			case msg.Full:

@@ -28,6 +28,9 @@ type repHarness struct {
 
 	// lease, when positive, is the Data Store LeaseDuration of peers added.
 	lease time.Duration
+	// span, when positive, is the width of each range bootRing assigns
+	// (default 100).
+	span uint64
 	// loseReply, when set, is consulted after every handled request: true
 	// loses the reply on the way back, so the handler ran but the caller sees
 	// the destination as unreachable.
@@ -106,8 +109,9 @@ func (h *repHarness) addPeer(repCfg Config) (*Manager, *datastore.Store, *ring.P
 	return m, st, rp
 }
 
-// bootRing builds an n-peer ring with evenly assigned ranges by driving the
-// ring join protocol directly, assigning each peer an explicit value.
+// bootRing builds an n-peer ring with evenly assigned ranges (h.span wide) by
+// driving the ring join protocol directly, assigning each peer an explicit
+// value.
 func (h *repHarness) bootRing(n int, repCfg Config) ([]*Manager, []*datastore.Store, []*ring.Peer) {
 	h.t.Helper()
 	mgrs := make([]*Manager, n)
@@ -128,13 +132,17 @@ func (h *repHarness) bootRing(n int, repCfg Config) ([]*Manager, []*datastore.St
 	// Simplest: give every peer items through the first peer and split by
 	// hand is complex — instead we drive InsertSucc directly and install
 	// ranges through the join payload produced by PrepareJoinData after
-	// setting values. For an even ring over [0, n*100):
+	// setting values. For an even ring over [0, n*span):
+	span := uint64(100)
+	if h.span > 0 {
+		span = h.span
+	}
 	for i := 1; i < n; i++ {
 		// peer i-1 currently owns up to its value; lower it and hand the top
 		// to peer i, exactly like a split.
 		prev := rings[i-1]
 		oldVal := prev.Self().Val
-		newVal := keyspace.Key(uint64(i) * 100)
+		newVal := keyspace.Key(uint64(i) * span)
 		_ = oldVal
 		prev.SetVal(newVal)
 		if err := prev.InsertSucc(ctx, ring.Node{Addr: rings[i].Self().Addr, Val: oldVal}); err != nil {

@@ -3,6 +3,7 @@ package ring
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/keyspace"
@@ -285,23 +286,26 @@ func (p *Peer) countJoinedLocked(list []Entry) int {
 	return n
 }
 
-// raiseNewSuccLocked fires OnNewSuccessor when the first stabilized usable
-// successor changed. Callers hold p.mu; the callback runs asynchronously.
+// raiseNewSuccLocked fires OnNewSuccessor when the JOINED successors changed
+// since it last fired, whichever site changed the list: stabilization and
+// failure removal call it. Callers hold p.mu; the callback runs
+// asynchronously.
 func (p *Peer) raiseNewSuccLocked() {
+	var joined []transport.Addr
 	var first Node
 	for _, e := range p.succ {
-		if e.State == EntryJoining {
+		if e.State != EntryJoined {
 			continue
 		}
-		if e.Stabilized {
+		if first.IsZero() {
 			first = e.Node
 		}
-		break
+		joined = append(joined, e.Node.Addr)
 	}
-	if first.IsZero() || first.Addr == p.lastNewSucc.Addr {
+	if first.IsZero() || slices.Equal(joined, p.lastSuccs) {
 		return
 	}
-	p.lastNewSucc = first
+	p.lastSuccs = joined
 	if cb := p.cb.OnNewSuccessor; cb != nil {
 		go cb(first)
 	}

@@ -173,8 +173,11 @@ type Callbacks struct {
 	// predFailed reports whether prev was detected dead, which is the
 	// trigger for failure revival in the replication manager.
 	OnPredChanged func(newPred, prev Node, predFailed bool)
-	// OnNewSuccessor is the NEWSUCCEVENT: the first stabilized JOINED
-	// successor changed.
+	// OnNewSuccessor is the NEWSUCCEVENT, raised with the first JOINED
+	// successor whenever the JOINED successors (Successors, the replication
+	// targets) change: a new first successor, and also a new peer further
+	// down the list, which the replication manager must push to at once
+	// rather than at its next periodic refresh.
 	OnNewSuccessor func(succ Node)
 }
 
@@ -234,15 +237,15 @@ type Peer struct {
 	cb   Callbacks
 	addr transport.Addr // immutable identity, safe to read without mu
 
-	mu          sync.Mutex
-	self        Node
-	state       PeerState
-	succ        []Entry
-	pred        Node
-	lastNewSucc Node
-	joinAck     chan struct{}
-	leaveAck    chan struct{}
-	departed    bool
+	mu        sync.Mutex
+	self      Node
+	state     PeerState
+	succ      []Entry
+	pred      Node
+	lastSuccs []transport.Addr // the JOINED successors OnNewSuccessor last reported
+	joinAck   chan struct{}
+	leaveAck  chan struct{}
+	departed  bool
 
 	loops transport.Runner // stabilization and failure detection
 

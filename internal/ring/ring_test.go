@@ -718,6 +718,45 @@ func TestPredFailureRaisesCallback(t *testing.T) {
 	})
 }
 
+// OnNewSuccessor fires when any JOINED successor changes, not only the first:
+// a peer that enters the list further down is a new replication target, and
+// the replication manager must push to it at once rather than at its next
+// periodic refresh. Adopting an unchanged list raises nothing.
+func TestNewSuccessorRaisedWhenALaterSuccessorChanges(t *testing.T) {
+	p := newBareRingPeer(4, "p", 100)
+	events := make(chan Node, 8)
+	p.cb.OnNewSuccessor = func(first Node) { events <- first }
+	p.state = StateJoined
+	a, b, c, d := Node{Addr: "a", Val: 200}, Node{Addr: "b", Val: 300}, Node{Addr: "c", Val: 400}, Node{Addr: "d", Val: 350}
+	p.succ = []Entry{{Node: a, State: EntryJoined}}
+	adopt := func(list ...Node) {
+		resp := stabilizeResp{Node: a, State: StateJoined}
+		for _, n := range list {
+			resp.List = append(resp.List, Entry{Node: n, State: EntryJoined})
+		}
+		p.adoptSuccessorList(a, resp)
+	}
+	next := func(what string) {
+		t.Helper()
+		select {
+		case first := <-events:
+			if first.Addr != a.Addr {
+				t.Fatalf("%s: OnNewSuccessor(%v), want the first successor %v", what, first, a)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: OnNewSuccessor not raised", what)
+		}
+	}
+	adopt(b, c)
+	next("first list")
+	adopt(b, c) // unchanged
+	adopt(b, d) // the third successor changes; the first does not
+	next("third successor changed")
+	if n := len(events); n != 0 {
+		t.Errorf("%d more OnNewSuccessor events, want none for an unchanged list", n)
+	}
+}
+
 // The Figure 9 guard: a stale predecessor contact (from a peer further back
 // than the live current predecessor) must not be accepted.
 func TestStaleContactRejected(t *testing.T) {

@@ -102,7 +102,7 @@ func BenchmarkResumeRegistryCreate(b *testing.B) {
 			r := newResumeRegistry(func() transport.ChunkStager { return transport.NewMemStager(0) }, time.Now)
 			for i := 0; i < parked; i++ {
 				sid := fmt.Sprintf("memo-%d", i)
-				e, _, _, err := r.commit("peer", "rep.push", sid, 0)
+				e, _, _, err := r.commit("peer", "rep.push", sid, 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

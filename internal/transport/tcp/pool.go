@@ -270,8 +270,9 @@ func (c *muxConn) unregister(id uint64) {
 // readLoop delivers response frames to their waiting exchanges until the
 // connection fails, then resolves everything still pending.
 func (c *muxConn) readLoop() {
+	r := newConnReader(c.conn)
 	for {
-		m, err := readMsg(c.conn)
+		m, err := readMsg(r)
 		if err != nil {
 			c.fail(err)
 			return

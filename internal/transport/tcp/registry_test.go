@@ -97,7 +97,7 @@ func TestResumeRegistryStaging(t *testing.T) {
 		{
 			name: "commit count mismatch rejected",
 			run: func(t *testing.T, r *resumeRegistry) error {
-				_, _, _, err := r.commit("a", "m", "s", 3)
+				_, _, _, err := r.commit("a", "m", "s", 3, 0)
 				return err
 			},
 			want: "committed 3 chunks, staged 2",
@@ -112,7 +112,7 @@ func TestResumeRegistryStaging(t *testing.T) {
 		{
 			name: "tail commit with no parked state rejected",
 			run: func(t *testing.T, r *resumeRegistry) error {
-				_, _, _, err := r.commit("a", "m", "expired", 4)
+				_, _, _, err := r.commit("a", "m", "expired", 4, 0)
 				return err
 			},
 			want: errNoParkedState.Error(), wantBody: "c0c1",
@@ -122,7 +122,7 @@ func TestResumeRegistryStaging(t *testing.T) {
 			run: func(t *testing.T, r *resumeRegistry) error {
 				e := r.get("a", "s")
 				r.drop("a", "s")
-				if _, _, err := e.join(2, r.now()); !errors.Is(err, errNoParkedState) {
+				if _, _, err := e.join(2, memoWindow, r.now()); !errors.Is(err, errNoParkedState) {
 					t.Errorf("commit racing a drop: %v", err)
 				}
 				return e.append(2, []byte("c2"))
@@ -152,7 +152,7 @@ func TestResumeRegistryStaging(t *testing.T) {
 			if m := r.mark("a", "s"); m != 2 {
 				t.Errorf("high-water mark = %d, want 2", m)
 			}
-			_, body, first, err := r.commit("a", "m", "s", 2)
+			_, body, first, err := r.commit("a", "m", "s", 2, 0)
 			if err != nil || !first || string(body) != tc.wantBody {
 				t.Errorf("commit = %q, first=%v, %v; want %q", body, first, err, tc.wantBody)
 			}
@@ -168,7 +168,7 @@ func TestResumeRegistryCommitOnce(t *testing.T) {
 	stageAll(t, r, "s", "c0", "c1")
 	ran := 0
 	commit := func() (*rstream, any, error) {
-		e, body, first, err := r.commit("a", "m", "s", 2)
+		e, body, first, err := r.commit("a", "m", "s", 2, 0)
 		if err != nil {
 			t.Fatalf("commit: %v", err)
 		}
@@ -181,7 +181,7 @@ func TestResumeRegistryCommitOnce(t *testing.T) {
 	e1, resp, herr := commit()
 	early := make(chan any)
 	go func() { // a re-sent commit that overtakes the handler waits for it
-		e2, _, _, _ := r.commit("a", "m", "s", 2)
+		e2, _, _, _ := r.commit("a", "m", "s", 2, 0)
 		<-e2.done
 		early <- e2.resp
 	}()
@@ -220,10 +220,10 @@ func TestResumeRegistryCommitOnce(t *testing.T) {
 		t.Error("memo survived a chunk after commit")
 	}
 	stageAll(t, r, "t", "c0")
-	if _, _, _, err := r.commit("a", "m", "t", 1); err != nil {
+	if _, _, _, err := r.commit("a", "m", "t", 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := r.commit("a", "m", "t", 5); err == nil || !strings.Contains(err.Error(), "count 5 does not match committed 1") {
+	if _, _, _, err := r.commit("a", "m", "t", 5, 0); err == nil || !strings.Contains(err.Error(), "count 5 does not match committed 1") {
 		t.Errorf("re-sent commit with another count: %v", err)
 	}
 	// Join released the staging; nothing is left for drop to discard.
@@ -251,7 +251,7 @@ func TestResumeRegistryExpiry(t *testing.T) {
 	stageAll(t, r, "committed", "c0") // stager 2
 	stageAll(t, r, "recommit", "c0")  // stager 3
 	for _, sid := range []string{"committed", "recommit"} {
-		e, _, _, err := r.commit("a", "m", sid, 1)
+		e, _, _, err := r.commit("a", "m", sid, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestResumeRegistryExpiry(t *testing.T) {
 			t.Fatalf("%s gone at its window's last instant", sid)
 		}
 	}
-	if _, _, first, err := r.commit("a", "m", "recommit", 1); err != nil || first { // contact: renews the memo
+	if _, _, first, err := r.commit("a", "m", "recommit", 1, 0); err != nil || first { // contact: renews the memo
 		t.Fatalf("re-sent commit: first=%v, %v", first, err)
 	}
 	clock.advance(2 * time.Second)
@@ -297,9 +297,9 @@ func TestResumeRegistryExpiry(t *testing.T) {
 	// only collected by a create at least sweepEvery later.
 	r.mark("a", "renewed") // good for resumeWindow from here
 	clock.advance(resumeWindow - sweepEvery/2 + time.Millisecond)
-	sweep() // 499ms left: survives
+	sweep() // sweepEvery/2 - 1ms left: survives
 	clock.advance(sweepEvery / 2)
-	sweep() // expired by 1ms, but the last sweep was 500ms ago
+	sweep() // expired by 1ms, but the last sweep was sweepEvery/2 ago
 	if !parked(r, "renewed") {
 		t.Fatal("swept twice within sweepEvery")
 	}
@@ -343,7 +343,7 @@ func TestResumeRegistrySettleCompactsTheMemo(t *testing.T) {
 	r, clock, discards := testRegistry()
 	commit := func(sid string, total int) (*rstream, bool) {
 		t.Helper()
-		e, _, first, err := r.commit("a", "m", sid, total)
+		e, _, first, err := r.commit("a", "m", sid, total, 0)
 		if err != nil {
 			t.Fatalf("commit %s: %v", sid, err)
 		}
@@ -361,7 +361,7 @@ func TestResumeRegistrySettleCompactsTheMemo(t *testing.T) {
 	}
 	overtaking := make(chan any)
 	go func() { // a re-sent commit racing the handler gets its outcome either way
-		e2, _, _, _ := r.commit("a", "m", "s", 2)
+		e2, _, _, _ := r.commit("a", "m", "s", 2, 0)
 		<-e2.done
 		overtaking <- e2.resp
 	}()
@@ -407,7 +407,7 @@ func TestResumeRegistrySettleCompactsTheMemo(t *testing.T) {
 		want string
 	}{
 		{"past", func() error { return r.stage("a", "m", "past", 1, []byte("c1")) }, "chunk after commit"},
-		{"count", func() error { _, _, _, err := r.commit("a", "m", "count", 5); return err }, "count 5 does not match committed 1"},
+		{"count", func() error { _, _, _, err := r.commit("a", "m", "count", 5, 0); return err }, "count 5 does not match committed 1"},
 	} {
 		stageAll(t, r, tc.sid, "c0")
 		e, _ := commit(tc.sid, 1)
@@ -435,6 +435,71 @@ func TestResumeRegistrySettleCompactsTheMemo(t *testing.T) {
 		}
 		if *n != want {
 			t.Errorf("stager %d discarded %d times, want %d", i, *n, want)
+		}
+	}
+}
+
+// A commit frame carries how long its sender still resumes (wireMsg.TTL): no
+// re-sent commit can arrive after that, so the memo lapses at the TTL, not at
+// memoWindow. Within it, a re-sent commit is answered from the memo.
+func TestResumeRegistryMemoExpiresWithSendersTTL(t *testing.T) {
+	r, clock, _ := testRegistry()
+	sweep := func() {
+		r.create("b", "m", "sweep")
+		r.drop("b", "sweep")
+	}
+	const ttl = 2 * time.Second
+	stageAll(t, r, "s", "c0")
+	e, _, first, err := r.commit("a", "m", "s", 1, ttl)
+	if err != nil || !first {
+		t.Fatalf("first commit: first=%v, %v", first, err)
+	}
+	r.settle(e, "s", "ack", nil)
+
+	clock.advance(ttl - time.Second)
+	e2, _, first, err := r.commit("a", "m", "s", 1, time.Second) // the re-sent commit, one second later
+	if err != nil || first {
+		t.Fatalf("re-sent commit within the TTL: first=%v, %v; want the memo", first, err)
+	}
+	<-e2.done
+	if e2.resp != "ack" {
+		t.Errorf("re-sent commit answered %v, want the memoized ack", e2.resp)
+	}
+	// The contact renewed the memo by its TTL, which is all it gets.
+	clock.advance(ttl)
+	sweep()
+	if !memoized(r, "s") {
+		t.Fatal("memo swept at its TTL's last instant")
+	}
+	clock.advance(sweepEvery)
+	sweep()
+	if memoized(r, "s") {
+		t.Error("memo outlived its sender's TTL")
+	}
+}
+
+// A commit with no deadline (TTL 0), or with one beyond memoWindow, is
+// memoized for memoWindow.
+func TestResumeRegistryMemoTTLFallsBackToMemoWindow(t *testing.T) {
+	for _, ttl := range []time.Duration{0, memoWindow + time.Minute} {
+		r, clock, _ := testRegistry()
+		stageAll(t, r, "s", "c0")
+		e, _, _, err := r.commit("a", "m", "s", 1, ttl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.settle(e, "s", true, nil)
+		clock.advance(memoWindow)
+		r.create("b", "m", "sweep")
+		r.drop("b", "sweep")
+		if !memoized(r, "s") {
+			t.Errorf("TTL %v: memo swept before memoWindow", ttl)
+		}
+		clock.advance(sweepEvery)
+		r.create("b", "m", "sweep2")
+		r.drop("b", "sweep2")
+		if memoized(r, "s") {
+			t.Errorf("TTL %v: memo outlived memoWindow", ttl)
 		}
 	}
 }

@@ -14,19 +14,33 @@ import (
 // well under this.
 const resumeWindow = 60 * time.Second
 
-// memoWindow is how long a COMMITTED transfer's outcome stays memoized for a
-// re-sent commit whose first acknowledgment was lost. It only has to outlast
-// one sender's resume attempts (streamRedialAttempts dials under
-// RedialBackoffMax, and every contact renews it), not ride out an outage the
-// way staged chunks do: every bulk call leaves a memo behind, so at hundreds
-// of small replica pushes per second a minute of them is the receiver's
-// largest heap consumer.
+// memoWindow is how long, at most, a COMMITTED transfer's outcome stays
+// memoized for a re-sent commit whose first acknowledgment was lost. It only
+// has to outlast one sender's resume attempts (streamRedialAttempts dials
+// under RedialBackoffMax, and every contact renews it), not ride out an
+// outage the way staged chunks do: every bulk call leaves a memo behind, so
+// at hundreds of small replica pushes per second a minute of them is the
+// receiver's largest heap consumer. A commit that says how long its sender
+// still resumes (wireMsg.TTL) is memoized only that long; see memoTTL.
 const memoWindow = 10 * time.Second
+
+// memoTTL is the memo window of a transfer whose commit carried ttl: the
+// sender's remaining deadline, past which no re-sent commit can arrive, capped
+// at memoWindow. 0 (no deadline) falls back to memoWindow.
+func memoTTL(ttl time.Duration) time.Duration {
+	if ttl <= 0 || ttl > memoWindow {
+		return memoWindow
+	}
+	return ttl
+}
 
 // sweepEvery bounds how often the registry walks its entries for expired ones
 // (a walk per new transfer is quadratic in the push rate: every bulk call
-// parks an entry). An entry may outlive its window by this much.
-const sweepEvery = time.Second
+// parks an entry). An entry may outlive its window by this much, so it is
+// short next to a memo's window: a memo usually lives as long as its sender's
+// push deadline, a couple of seconds, and at a second per sweep a third of the
+// memos held — the bulk of a busy receiver's heap — would be expired ones.
+const sweepEvery = 100 * time.Millisecond
 
 // resumeRegistry holds the receiver side of every resumable inbound transfer,
 // keyed by (sender, stream ID). Entries outlive the connection that carried
@@ -55,6 +69,7 @@ type memo struct {
 	total   int
 	resp    any
 	herr    error
+	window  time.Duration // memoTTL of the commit
 	expires time.Time
 }
 
@@ -76,6 +91,7 @@ type rstream struct {
 	stager    transport.ChunkStager // nil once joined by commit or released
 	committed bool
 	total     int           // chunk count fixed at commit
+	window    time.Duration // how long a contact renews a committed transfer: memoTTL of its commit
 	done      chan struct{} // closed once the handler has run and resp, herr hold its outcome
 	resp      any
 	herr      error
@@ -102,16 +118,16 @@ func (r *resumeRegistry) get(from, sid string) *rstream {
 	if !ok {
 		return nil
 	}
-	m.expires = r.now().Add(memoWindow)
+	m.expires = r.now().Add(m.window)
 	r.memos[key] = m
-	return &rstream{from: from, committed: true, total: m.total, done: settled, resp: m.resp, herr: m.herr, expires: m.expires}
+	return &rstream{from: from, committed: true, total: m.total, window: m.window, done: settled, resp: m.resp, herr: m.herr, expires: m.expires}
 }
 
 // renewLocked is called with e.mu held.
 func (e *rstream) renewLocked(now time.Time) {
 	window := resumeWindow
 	if e.committed {
-		window = memoWindow
+		window = e.window
 	}
 	e.expires = now.Add(window)
 }
@@ -261,11 +277,12 @@ func (e *rstream) append(seq int, data []byte) error {
 // staged chunks and returns them (first = true) for the caller to dispatch
 // and settle with the outcome; a re-sent commit (the first acknowledgment
 // lost with its connection) returns first = false. Either way the caller
-// answers with e.resp and e.herr once e.done is closed. Errors are
+// answers with e.resp and e.herr once e.done is closed. ttl is the commit
+// frame's; the first commit fixes the memo window at memoTTL(ttl). Errors are
 // stream-protocol failures, as for stage.
-func (r *resumeRegistry) commit(from, method, sid string, total int) (e *rstream, body []byte, first bool, err error) {
+func (r *resumeRegistry) commit(from, method, sid string, total int, ttl time.Duration) (e *rstream, body []byte, first bool, err error) {
 	if e, err = r.lookup(from, method, sid, total); err == nil {
-		body, first, err = e.join(total, r.now())
+		body, first, err = e.join(total, memoTTL(ttl), r.now())
 	}
 	if err != nil {
 		r.drop(from, sid)
@@ -285,13 +302,13 @@ func (r *resumeRegistry) settle(e *rstream, sid string, resp any, herr error) {
 		return // dropped or replaced while the handler ran
 	}
 	e.mu.Lock()
-	m := memo{total: e.total, resp: resp, herr: herr, expires: e.expires}
+	m := memo{total: e.total, resp: resp, herr: herr, window: e.window, expires: e.expires}
 	e.mu.Unlock()
 	delete(r.entries, key)
 	r.memos[key] = m
 }
 
-func (e *rstream) join(total int, now time.Time) (body []byte, first bool, err error) {
+func (e *rstream) join(total int, window time.Duration, now time.Time) (body []byte, first bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	switch {
@@ -307,6 +324,7 @@ func (e *rstream) join(total int, now time.Time) (body []byte, first bool, err e
 	}
 	e.committed = true
 	e.total = total
+	e.window = window
 	e.stager = nil // released by Join; the memo keeps only the outcome
 	e.renewLocked(now)
 	return body, true, nil

@@ -103,8 +103,9 @@ func (t *Transport) serveConn(conn net.Conn, l *listener) {
 	if first != nil && !c.handle(*first) {
 		return
 	}
+	r := newConnReader(conn)
 	for {
-		req, err := readMsg(conn)
+		req, err := readMsg(r)
 		if err != nil || !c.handle(req) {
 			return
 		}
@@ -135,7 +136,7 @@ func (c *inbound) handle(req wireMsg) bool {
 			c.failStream(req.ID, err)
 		}
 	case kindCommit:
-		e, body, first, err := c.t.resume.commit(req.From, req.Method, req.SID, req.Seq)
+		e, body, first, err := c.t.resume.commit(req.From, req.Method, req.SID, req.Seq, req.TTL)
 		if err != nil {
 			c.failStream(req.ID, err)
 			break

@@ -103,9 +103,16 @@ func (s *tcpStream) Chunk(ctx context.Context, data []byte) error {
 // carries no deadline. A connection-level failure leaves the stream open
 // (not done): the transfer is resumable, and a retried Commit after Resume
 // reaches the receiver's memoized response without re-running its handler.
+// The frame carries what is left of ctx's own deadline (before the default
+// timeout), past which the caller resumes no more: the receiver keeps the
+// memo that long.
 func (s *tcpStream) Commit(ctx context.Context) (any, error) {
 	if s.done {
 		return nil, transport.ErrStreamAborted
+	}
+	var ttl time.Duration
+	if deadline, ok := ctx.Deadline(); ok {
+		ttl = max(time.Until(deadline), 1) // an expired deadline must not read as none
 	}
 	ctx, cancel := s.t.withCallTimeout(ctx)
 	defer cancel()
@@ -113,7 +120,7 @@ func (s *tcpStream) Commit(ctx context.Context) (any, error) {
 		s.mc.unregister(s.id)
 		return nil, s.earlyErr()
 	}
-	msg := wireMsg{Kind: kindCommit, ID: s.id, Seq: s.seq, From: s.from, Method: s.method, SID: s.sid}
+	msg := wireMsg{Kind: kindCommit, ID: s.id, Seq: s.seq, From: s.from, Method: s.method, SID: s.sid, TTL: ttl}
 	ack, err := s.mc.await(ctx, msg, s.ch)
 	resp, err := outcome(s.to, ack, err)
 	if err == nil || !errors.Is(err, transport.ErrUnreachable) {

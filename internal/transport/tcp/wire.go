@@ -1,10 +1,13 @@
 package tcp
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"sync"
+	"time"
 
 	"repro/internal/transport"
 )
@@ -57,6 +60,10 @@ type wireMsg struct {
 	Err     string // kindResp only: non-empty when the handler or stream failed
 	Fail    bool   // kindResp only: Err is a stream-protocol failure, not a handler error
 	SID     string // stream frames (chunk, commit, abort, stream-resume): the transfer's resumable stream ID; required
+	// TTL is kindCommit only: how long the sender's context had left when it
+	// sent the commit, 0 when it has no deadline. No re-sent commit can come
+	// after that, so the receiver keeps the transfer's memo no longer.
+	TTL time.Duration
 }
 
 // frameCodec encodes wireMsg as the frame header: its fields in declaration
@@ -68,6 +75,17 @@ var frameCodec = transport.NewCodec[wireMsg]()
 // everything a wireMsg keeps, so a frame's bytes are garbage once readMsg
 // returns.
 var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBufSize is the read buffer of one connection's mux loop: one read
+// syscall fetches a burst of small frames, and a body larger than the buffer
+// is read past it, straight into the frame buffer. It is kept small because
+// every connection end holds one for its lifetime.
+const readBufSize = 1 << 10
+
+// newConnReader buffers a connection's reads once its handshake is over: the
+// handshake reads unbuffered, so no byte it did not consume is left behind in
+// a buffer the mux loop does not own.
+func newConnReader(conn net.Conn) *bufio.Reader { return bufio.NewReaderSize(conn, readBufSize) }
 
 // readMsg reads one frame and decodes its header. Together with appendFrame
 // it is the only code in the package that knows how a frame is laid out.

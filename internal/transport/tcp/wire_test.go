@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 )
@@ -27,9 +28,10 @@ type goldenFrame struct {
 // goldenFrames is encoded in init. The binary codec writes no type
 // descriptors and no state carries over from one frame to the next, so each
 // frame's bytes depend on its fields alone. testdata/frames.golden was
-// regenerated when that codec replaced gob (the wire-version note in
-// ARCHITECTURE.md "Wire API and ops contract"): equal bytes prove a change
-// left the wire alone. A codec change must replace the file on purpose.
+// regenerated when that codec replaced gob and again when commit frames
+// gained their TTL (the wire-version note in ARCHITECTURE.md "Wire API and
+// ops contract"): equal bytes prove a change left the wire alone. A codec or
+// header change must replace the file on purpose.
 var goldenFrames = func() []goldenFrame {
 	const from, sid = "127.0.0.1:7101", "a1b2c3d4e5f6-9"
 	payload := []byte{0xde, 0xad, 0xbe, 0xef}
@@ -44,7 +46,7 @@ var goldenFrames = func() []goldenFrame {
 		{name: "ping", msg: wireMsg{Kind: kindPing, ID: 9}},
 		{name: "pong", msg: wireMsg{Kind: kindPong, ID: 9}},
 		{name: "chunk", msg: wireMsg{Kind: kindChunk, ID: 3, Seq: 2, From: from, Method: "rep.push", Payload: payload, SID: sid}},
-		{name: "commit", msg: wireMsg{Kind: kindCommit, ID: 3, Seq: 3, From: from, Method: "rep.push", SID: sid}},
+		{name: "commit", msg: wireMsg{Kind: kindCommit, ID: 3, Seq: 3, From: from, Method: "rep.push", SID: sid, TTL: 250 * time.Millisecond}},
 		{name: "abort", msg: wireMsg{Kind: kindAbort, ID: 3, From: from, Err: "context deadline exceeded", SID: sid}},
 		{name: "resp-chunk", msg: wireMsg{Kind: kindRespChunk, ID: 7, Seq: 1, Payload: payload}},
 		{name: "stream-resume", msg: wireMsg{Kind: kindStreamResume, ID: 4, From: from, Method: "rep.push", SID: sid}},
