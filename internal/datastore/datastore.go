@@ -188,6 +188,10 @@ type Store struct {
 	// (RestoreLeaseClock), never from the restart time.
 	leaseRenewedAt int64
 	items          map[keyspace.Key]Item
+	// index is the item set in ascending key order, kept beside items by
+	// applyLocked, so a piece of a scan is a binary search and one copy
+	// (itemsInLocked), not a walk of the map and a sort.
+	index []Item
 	// The change feed (TakeChanges): the keys applyLocked touched since the
 	// last take, and the (range, epoch) that take reported. fed is false
 	// before the first take and after a take that found no range; nothing is

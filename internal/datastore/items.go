@@ -63,11 +63,11 @@ type itemChange struct {
 // hand-off appends its claim (and lease) before its items.
 //
 // The change's records reach the backend as ONE batch — one write, one fsync,
-// however many items — then the map moves, then the history log, all in this
-// critical section, so WAL order = journal order = the order scans observe.
-// Journaling after the unlock could sequence a mutation after a query that
-// already saw its effect, and the Definition 4 checker would flag a phantom
-// violation. An empty change touches nothing, the backend included. Every
+// however many items — then the map and its key-ordered index move, then the
+// history log, all in this critical section, so WAL order = journal order =
+// the order scans observe. Journaling after the unlock could sequence a
+// mutation after a query that already saw its effect, and the Definition 4
+// checker would flag a phantom violation. An empty change touches nothing, the backend included. Every
 // key it touches is marked for the change feed (TakeChanges).
 func (s *Store) applyLocked(c itemChange) error {
 	if len(c.items) == 0 {
@@ -87,6 +87,11 @@ func (s *Store) applyLocked(c itemChange) error {
 		}
 	}
 	self := string(s.ring.Self().Addr)
+	var (
+		fresh []keyspace.Key // keys the change added to s.items, not yet in s.index
+		gone  int            // keys it deleted from s.items, still in s.index
+		last  keyspace.Key   // the last of those
+	)
 	for _, it := range c.items {
 		if s.fed {
 			if s.dirty == nil {
@@ -94,16 +99,79 @@ func (s *Store) applyLocked(c itemChange) error {
 			}
 			s.dirty[it.Key] = struct{}{}
 		}
-		if c.del {
+		_, held := s.items[it.Key]
+		switch {
+		case c.del && held:
 			delete(s.items, it.Key)
-		} else {
+			gone, last = gone+1, it.Key
+		case c.del:
+		case !held:
 			s.items[it.Key] = it
+			fresh = append(fresh, it.Key)
+		default:
+			s.items[it.Key] = it
+			// A key added earlier in this change is not in the index yet;
+			// the merge below reads its final value from the map.
+			if i, found := s.indexOf(it.Key); found {
+				s.index[i] = it
+			}
 		}
 		if c.journal != nil {
 			c.journal(s.log, self, it.Key)
 		}
 	}
+	s.indexDeleted(gone, last)
+	s.indexAdded(fresh)
 	return nil
+}
+
+// indexOf finds key in s.index: its position, or where it would go.
+func (s *Store) indexOf(key keyspace.Key) (int, bool) {
+	return slices.BinarySearchFunc(s.index, key, func(it Item, k keyspace.Key) int { return cmp.Compare(it.Key, k) })
+}
+
+// indexDeleted drops from s.index the n keys applyLocked just deleted from
+// s.items, the last of which is last: one by binary search, more in one pass.
+func (s *Store) indexDeleted(n int, last keyspace.Key) {
+	switch n {
+	case 0:
+	case 1:
+		i, _ := s.indexOf(last)
+		s.index = slices.Delete(s.index, i, i+1)
+	default:
+		s.index = slices.DeleteFunc(s.index, func(it Item) bool {
+			_, held := s.items[it.Key]
+			return !held
+		})
+	}
+}
+
+// indexAdded merges into s.index the keys applyLocked just added to s.items,
+// with their items: one by binary search, more by sorting them and merging.
+func (s *Store) indexAdded(fresh []keyspace.Key) {
+	switch len(fresh) {
+	case 0:
+		return
+	case 1:
+		i, _ := s.indexOf(fresh[0])
+		s.index = slices.Insert(s.index, i, s.items[fresh[0]])
+		return
+	}
+	slices.Sort(fresh)
+	merged := make([]Item, 0, len(s.index)+len(fresh))
+	old := s.index
+	for len(old) > 0 && len(fresh) > 0 {
+		if old[0].Key < fresh[0] {
+			merged, old = append(merged, old[0]), old[1:]
+		} else {
+			merged, fresh = append(merged, s.items[fresh[0]]), fresh[1:]
+		}
+	}
+	merged = append(merged, old...)
+	for _, k := range fresh {
+		merged = append(merged, s.items[k])
+	}
+	s.index = merged
 }
 
 // replicate asks the Replication Manager to refresh the replicas soon.
@@ -193,16 +261,30 @@ func (s *Store) ItemCount() int {
 	return len(s.items)
 }
 
-// sortedItemsLocked returns items sorted clockwise from the range start.
+// sortedItemsLocked returns items sorted clockwise from the range start: the
+// index rotated to begin at the first key at or above rng.Lo.
 func (s *Store) sortedItemsLocked() []Item {
-	out := make([]Item, 0, len(s.items))
-	for _, it := range s.items {
-		out = append(out, it)
+	i, _ := s.indexOf(s.rng.Lo)
+	out := make([]Item, 0, len(s.index))
+	return append(append(out, s.index[i:]...), s.index[:i]...)
+}
+
+// itemsInLocked returns the items whose keys satisfy iv, in key order, in a
+// slice of their exact number (nil when there are none). Callers hold s.mu.
+func (s *Store) itemsInLocked(iv keyspace.Interval) []Item {
+	if !iv.Valid() {
+		return nil
 	}
-	lo := s.rng.Lo
-	slices.SortFunc(out, func(a, b Item) int {
-		return cmp.Compare(keyspace.Dist(lo, a.Key), keyspace.Dist(lo, b.Key))
-	})
+	lo, _ := s.indexOf(iv.First())
+	hi, found := s.indexOf(iv.Last())
+	if found {
+		hi++
+	}
+	if lo >= hi {
+		return nil
+	}
+	out := make([]Item, hi-lo)
+	copy(out, s.index[lo:hi])
 	return out
 }
 

@@ -3,7 +3,6 @@ package datastore
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/keyspace"
 	"repro/internal/ring"
@@ -37,11 +36,7 @@ func (s *Store) handleNaiveStep(_ transport.Addr, req naiveStepReq) (naiveStepRe
 	s.mu.Lock()
 	resp.HasRange = s.hasRange
 	if s.hasRange {
-		for k, it := range s.items {
-			if req.Iv.Contains(k) {
-				resp.Items = append(resp.Items, it)
-			}
-		}
+		resp.Items = s.itemsInLocked(req.Iv)
 		if s.rng.Contains(req.Cursor) {
 			end, covered := s.rng.ContiguousEnd(req.Cursor, req.Iv.Last())
 			resp.Covered = covered
@@ -56,7 +51,6 @@ func (s *Store) handleNaiveStep(_ transport.Addr, req naiveStepReq) (naiveStepRe
 	} else if succs := s.ring.Successors(); len(succs) > 0 {
 		resp.Succ, resp.HasSucc = succs[0], true
 	}
-	sort.Slice(resp.Items, func(i, j int) bool { return resp.Items[i].Key < resp.Items[j].Key })
 	return resp, nil
 }
 

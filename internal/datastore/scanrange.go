@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/keyspace"
@@ -123,14 +122,8 @@ func (s *Store) runScanStep(msg scanMsg) {
 	// segment if the interval reaches it.
 	pieceEnd, finished := rng.ContiguousEnd(msg.Cursor, msg.Iv.Last())
 	piece := keyspace.Interval{Lb: msg.Cursor, Ub: pieceEnd}
-	var pieceItems []Item
-	for k, it := range s.items {
-		if piece.Contains(k) {
-			pieceItems = append(pieceItems, it)
-		}
-	}
+	pieceItems := s.itemsInLocked(piece)
 	s.mu.Unlock()
-	sort.Slice(pieceItems, func(i, j int) bool { return pieceItems[i].Key < pieceItems[j].Key })
 
 	newParam := msg.Param
 	if h := s.handler(msg.HandlerID); h != nil {

@@ -3,7 +3,6 @@ package datastore
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/keyspace"
 	"repro/internal/ring"
@@ -77,15 +76,9 @@ func (s *Store) handleScanSegment(_ transport.Addr, req segmentReq) (SegmentResu
 	epoch := s.epoch
 	pieceEnd, done := rng.ContiguousEnd(req.Cursor, req.Iv.Last())
 	piece := keyspace.Interval{Lb: req.Cursor, Ub: pieceEnd}
-	var pieceItems []Item
-	for k, it := range s.items {
-		if piece.Contains(k) {
-			pieceItems = append(pieceItems, it)
-		}
-	}
+	pieceItems := s.itemsInLocked(piece)
 	s.mu.Unlock()
 	s.rangeLock.RUnlock()
-	sort.Slice(pieceItems, func(i, j int) bool { return pieceItems[i].Key < pieceItems[j].Key })
 	return SegmentResult{
 		Piece: piece,
 		Items: pieceItems,

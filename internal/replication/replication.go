@@ -45,9 +45,10 @@
 package replication
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -724,7 +725,7 @@ func (m *Manager) handleReplicaScan(_ transport.Addr, req replicaScanReq) ([]dat
 	for _, it := range seen {
 		out = append(out, it)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b datastore.Item) int { return cmp.Compare(a.Key, b.Key) })
 	return out, nil
 }
 

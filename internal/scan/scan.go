@@ -28,11 +28,11 @@
 package scan
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/datastore"
@@ -194,7 +194,8 @@ func (p Planner) Attempt(ctx context.Context, iv keyspace.Interval) ([]datastore
 
 	var (
 		pieces   []history.ScanPiece
-		items    []datastore.Item
+		parts    [][]datastore.Item // each piece's items, in piece order
+		nitems   int
 		inflight []*segCall
 		plan     []segPlan
 		expected = first
@@ -292,7 +293,7 @@ func (p Planner) Attempt(ctx context.Context, iv keyspace.Interval) ([]datastore
 					// call instead of a doomed full lookup. Revival or
 					// rebalance re-learns the region and prunes it.
 					pieces = append(pieces, history.ScanPiece{Peer: string(head.addr), Interval: seg})
-					items = append(items, ritems...)
+					parts, nitems = append(parts, ritems), nitems+len(ritems)
 					stats.ReplicaPieces++
 					if head.final || seg.Ub >= last {
 						complete = true
@@ -329,7 +330,7 @@ func (p Planner) Attempt(ctx context.Context, iv keyspace.Interval) ([]datastore
 			stats.First = routecache.Entry{Range: res.Range, Addr: head.addr, Epoch: res.Epoch}
 		}
 		pieces = append(pieces, history.ScanPiece{Peer: string(head.addr), Interval: res.Piece})
-		items = append(items, res.Items...)
+		parts, nitems = append(parts, res.Items), nitems+len(res.Items)
 		pieceEnd := res.Piece.Last()
 		if res.Done || pieceEnd >= last || pieceEnd == keyspace.MaxKey {
 			complete = true
@@ -344,7 +345,24 @@ func (p Planner) Attempt(ctx context.Context, iv keyspace.Interval) ([]datastore
 	}
 	stats.Pieces = len(pieces)
 	stats.ScanTime = time.Since(scanStart)
-	return Dedupe(items), stats, nil
+	return join(parts, nitems), stats, nil
+}
+
+// join concatenates the pieces' items, n in all, into one slice of that size.
+// Pieces partition the interval in key order and each is sorted, so the
+// result is sorted with no key twice; only if it is not does join fall back
+// to Dedupe.
+func join(parts [][]datastore.Item, n int) []datastore.Item {
+	out := make([]datastore.Item, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	for i := 1; i < len(out); i++ {
+		if out[i-1].Key >= out[i].Key {
+			return Dedupe(out)
+		}
+	}
+	return out
 }
 
 // replan folds the freshest view of what lies ahead — the segments fresh,
@@ -427,6 +445,6 @@ func Dedupe(items []datastore.Item) []datastore.Item {
 		seen[it.Key] = true
 		out = append(out, it)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b datastore.Item) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }

@@ -583,3 +583,14 @@ func TestDedupeKeepsFirstAndSorts(t *testing.T) {
 	want := []datastore.Item{{Key: 10}, {Key: 30, Payload: "a"}}
 	wantEqual(t, "deduped", got, want)
 }
+
+func TestJoinConcatenatesSortedPiecesAndDedupesOthers(t *testing.T) {
+	parts := [][]datastore.Item{{{Key: 10}, {Key: 20}}, nil, {{Key: 30}}}
+	got := join(parts, 3)
+	wantEqual(t, "joined", got, []datastore.Item{{Key: 10}, {Key: 20}, {Key: 30}})
+	if cap(got) != 3 {
+		t.Fatalf("joined into a slice of capacity %d, want 3", cap(got))
+	}
+	overlapping := [][]datastore.Item{{{Key: 10}, {Key: 30, Payload: "a"}}, {{Key: 20}, {Key: 30, Payload: "b"}}}
+	wantEqual(t, "joined overlapping", join(overlapping, 4), []datastore.Item{{Key: 10}, {Key: 20}, {Key: 30, Payload: "a"}})
+}

@@ -153,8 +153,22 @@ func (c Codec[T]) Append(b []byte, v T) (out []byte, err error) {
 
 // Decode decodes one value that must span all of data.
 func (c Codec[T]) Decode(data []byte) (T, error) {
+	return c.decode(data, false)
+}
+
+// DecodeAliasing is Decode, except that every byte-slice field of the result
+// aliases data instead of copying it (strings are still copied). The caller
+// must not reuse data while the result's byte slices are in use. It is for a
+// header whose body the caller decodes in turn — the TCP transport's frame
+// header, read into a pooled buffer — so a body is copied once, by the decode
+// of its own envelope, and never on its way there.
+func (c Codec[T]) DecodeAliasing(data []byte) (T, error) {
+	return c.decode(data, true)
+}
+
+func (c Codec[T]) decode(data []byte, alias bool) (T, error) {
 	var v T
-	if err := c.c.decode(data, reflect.ValueOf(&v).Elem()); err != nil {
+	if err := c.c.decode(data, alias, reflect.ValueOf(&v).Elem()); err != nil {
 		var zero T
 		return zero, err
 	}
@@ -167,6 +181,17 @@ var envelope = NewCodec[any]()
 // its exact size, so a payload costs one allocation however it grew.
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
+// AppendEncode appends the Encode stream of v to b. A transport that frames
+// the envelope into a buffer of its own encodes it into a recycled one with
+// this, and so allocates nothing for it.
+func AppendEncode(b []byte, v any) ([]byte, error) {
+	out, err := envelope.Append(b, v)
+	if err != nil {
+		return b, fmt.Errorf("transport: encode %T: %w", v, err)
+	}
+	return out, nil
+}
+
 // maxPooledBuf is the largest buffer the transport's pools keep: an outsized
 // state transfer is not held on to for the next small message.
 const maxPooledBuf = 256 << 10
@@ -177,14 +202,14 @@ const maxPooledBuf = 256 << 10
 // exists to surface.
 func Encode(v any) ([]byte, error) {
 	bp := encodeBufs.Get().(*[]byte)
-	b, err := envelope.Append((*bp)[:0], v)
+	b, err := AppendEncode((*bp)[:0], v)
 	out := bytes.Clone(b)
 	if cap(b) <= maxPooledBuf {
 		*bp = b
 		encodeBufs.Put(bp)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("transport: encode %T: %w", v, err)
+		return nil, err
 	}
 	return out, nil
 }
@@ -237,12 +262,16 @@ func fail(format string, args ...any) {
 	panic(codecError{fmt.Errorf(format, args...)})
 }
 
-// decoder is the unread rest of a decoder's input.
-type decoder struct{ b []byte }
+// decoder is the unread rest of a decoder's input. alias makes byte slices
+// alias it (DecodeAliasing).
+type decoder struct {
+	b     []byte
+	alias bool
+}
 
-func (c *typeCodec) decode(data []byte, v reflect.Value) (err error) {
+func (c *typeCodec) decode(data []byte, alias bool, v reflect.Value) (err error) {
 	defer catch(&err)
-	d := decoder{b: data}
+	d := decoder{b: data, alias: alias}
 	c.dec(&d, v)
 	if len(d.b) != 0 {
 		return fmt.Errorf("%d trailing bytes after %s", len(d.b), c.typ)
@@ -363,7 +392,12 @@ func compileType(t reflect.Type, path string, building map[reflect.Type]*typeCod
 				return append(binary.AppendUvarint(b, uint64(len(p))), p...)
 			}
 			c.dec = func(d *decoder, v reflect.Value) {
-				if p := d.bytes(); len(p) > 0 {
+				p := d.bytes()
+				switch {
+				case len(p) == 0:
+				case d.alias:
+					v.SetBytes(p)
+				default:
 					v.SetBytes(bytes.Clone(p))
 				}
 			}

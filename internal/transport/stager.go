@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -30,7 +31,9 @@ func init() {
 // transport either caps in RAM everywhere or spills everywhere.
 type ChunkStager interface {
 	// Append stages the next chunk. An error poisons the transfer; the
-	// caller discards the stager and aborts the stream.
+	// caller discards the stager and aborts the stream. The chunk is only
+	// lent: its bytes are reused once Append returns, so a stager that keeps
+	// them copies them.
 	Append(chunk []byte) error
 	// Chunks returns how many chunks are staged.
 	Chunks() int
@@ -48,7 +51,9 @@ type ChunkStager interface {
 // transport's in-memory cap; disk-backed factories may ignore it.
 type StagerFactory func(maxBytes int64) ChunkStager
 
-// memStager is the default ChunkStager: RAM staging under a byte cap.
+// memStager is the default ChunkStager: RAM staging under a byte cap. It
+// keeps a copy of every chunk: a transport hands Append a slice of its read
+// buffer, which it reuses once Append returns.
 type memStager struct {
 	chunks [][]byte
 	bytes  int64
@@ -64,7 +69,7 @@ func (s *memStager) Append(chunk []byte) error {
 		return fmt.Errorf("%w: %d staged + %d incoming bytes over the %d-byte cap (raise MaxStreamBytes or use disk staging via a durable storage backend)",
 			ErrStageOverflow, s.bytes, len(chunk), s.max)
 	}
-	s.chunks = append(s.chunks, chunk)
+	s.chunks = append(s.chunks, bytes.Clone(chunk))
 	s.bytes += int64(len(chunk))
 	return nil
 }

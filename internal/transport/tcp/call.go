@@ -20,6 +20,7 @@ func (t *Transport) CallAsync(ctx context.Context, from, to transport.Addr, meth
 	p := transport.NewPending()
 	msg, err := request(kindCall, from, method, payload)
 	if err == nil && !t.track(func() { p.Resolve(t.roundTrip(ctx, msg, to)) }) {
+		msg.release()
 		err = transport.ErrClosed
 	}
 	if err != nil {
@@ -36,21 +37,32 @@ func (t *Transport) Send(from, to transport.Addr, method string, payload any) {
 	if err != nil {
 		return
 	}
-	t.track(func() {
+	sent := t.track(func() {
 		ctx, cancel := t.withCallTimeout(context.Background())
 		defer cancel()
-		if mc, err := t.grabConn(ctx, to); err == nil {
-			_ = mc.w.enqueue(ctx, msg)
+		mc, err := t.grabConn(ctx, to)
+		if err != nil {
+			msg.release()
+			return
 		}
+		_ = mc.w.enqueue(ctx, msg)
 	})
+	if !sent {
+		msg.release()
+	}
 }
 
 // request is how every call and send leaves its caller's goroutine: the
-// payload encoded into a frame of the given kind, which the caller then hands
-// to a tracked goroutine to exchange.
+// payload encoded, into a pooled buffer, as the body of a message of the
+// given kind, which the caller then hands to a tracked goroutine to exchange.
+// Whoever ends up holding the message releases it: enqueue, or the path that
+// gives up before it.
 func request(kind int, from transport.Addr, method string, payload any) (wireMsg, error) {
-	body, err := transport.Encode(payload)
-	return wireMsg{Kind: kind, From: string(from), Method: method, Payload: body}, err
+	bp, err := encode(payload)
+	if err != nil {
+		return wireMsg{}, err
+	}
+	return wireMsg{Kind: kind, From: string(from), Method: method, Payload: *bp, buf: bp}, nil
 }
 
 // withCallTimeout applies the default per-call deadline — the "known bounded
@@ -69,6 +81,7 @@ func (t *Transport) roundTrip(ctx context.Context, msg wireMsg, to transport.Add
 	defer cancel()
 	mc, err := t.grabConn(ctx, to)
 	if err != nil {
+		msg.release()
 		return nil, unreachable(to, err)
 	}
 	resp, err := mc.exchange(ctx, msg)
@@ -77,8 +90,11 @@ func (t *Transport) roundTrip(ctx context.Context, msg wireMsg, to transport.Add
 
 // outcome turns the end of an exchange with to — its response frame, or the
 // error that cut it short — into what the caller is told. Only a failure of
-// the connection reads as the peer being unreachable.
+// the connection reads as the peer being unreachable. The response is
+// decoded here, on the waiter's goroutine, and then released: outcome is its
+// last owner.
 func outcome(to transport.Addr, resp wireMsg, err error) (any, error) {
+	defer resp.release()
 	var se *stageError
 	switch {
 	case errors.Is(err, transport.ErrFrameTooLarge):

@@ -219,6 +219,7 @@ func (c *muxConn) isDead() bool {
 func (c *muxConn) exchange(ctx context.Context, msg wireMsg) (wireMsg, error) {
 	id, ch, err := c.register()
 	if err != nil {
+		msg.release()
 		return wireMsg{}, err
 	}
 	msg.ID = id
@@ -226,6 +227,7 @@ func (c *muxConn) exchange(ctx context.Context, msg wireMsg) (wireMsg, error) {
 }
 
 // await queues msg, whose ID is registered to ch, and waits for its response.
+// The response is the caller's to release.
 func (c *muxConn) await(ctx context.Context, msg wireMsg, ch chan pendingResp) (wireMsg, error) {
 	if err := c.w.enqueue(ctx, msg); err != nil {
 		c.unregister(msg.ID)
@@ -268,7 +270,10 @@ func (c *muxConn) unregister(id uint64) {
 }
 
 // readLoop delivers response frames to their waiting exchanges until the
-// connection fails, then resolves everything still pending.
+// connection fails, then resolves everything still pending. A response is
+// handed over with its read buffer, which the waiter releases once it has
+// decoded the payload; a chunk's bytes are copied when they are staged, and
+// its buffer goes back at once.
 func (c *muxConn) readLoop() {
 	r := newConnReader(c.conn)
 	for {
@@ -303,6 +308,7 @@ func (c *muxConn) readLoop() {
 				}
 			}
 			c.mu.Unlock()
+			m.release()
 			if stageErr != nil {
 				ch <- pendingResp{err: &stageError{err: fmt.Errorf("tcp: staging chunked response: %w", stageErr)}}
 			}
@@ -315,9 +321,11 @@ func (c *muxConn) readLoop() {
 		delete(c.respBuf, m.ID)
 		c.mu.Unlock()
 		if ch == nil {
+			m.release()
 			continue // abandoned by its caller; staging only ever exists beside a pending entry
 		}
 		if m.Kind == kindResp && m.Seq > 0 && m.Err == "" {
+			m.release() // the terminal frame of a chunked response carries no body of its own
 			var body []byte
 			var err error
 			if staged != nil {

@@ -113,8 +113,11 @@ func (t *Transport) serveConn(conn net.Conn, l *listener) {
 }
 
 // handle processes one request frame; false reports a protocol error, on
-// which the connection is abandoned.
+// which the connection is abandoned. It is the frame's last owner: a request
+// body is decoded, and a chunk staged, before handle returns and releases the
+// frame's buffer, so nothing it starts reads the frame's bytes.
 func (c *inbound) handle(req wireMsg) bool {
+	defer req.release()
 	switch req.Kind {
 	case kindChunk, kindCommit, kindAbort, kindStreamResume:
 		if req.SID == "" {
@@ -125,10 +128,12 @@ func (c *inbound) handle(req wireMsg) bool {
 	case kindPing:
 		_ = c.send(wireMsg{Kind: kindPong, ID: req.ID})
 	case kindSend, kindCall:
+		payload, err := transport.Decode(req.Payload)
+		from, method, id, call := req.From, req.Method, req.ID, req.Kind == kindCall
 		c.t.track(func() {
-			resp, herr := c.invoke(req.From, req.Method, req.Payload)
-			if req.Kind == kindCall { // a kindSend is one-way: no response frame
-				c.respond(req.ID, resp, herr)
+			resp, herr := c.invoke(from, method, payload, err)
+			if call { // a kindSend is one-way: no response frame
+				c.respond(id, resp, herr)
 			}
 		})
 	case kindChunk:
@@ -141,13 +146,15 @@ func (c *inbound) handle(req wireMsg) bool {
 			c.failStream(req.ID, err)
 			break
 		}
+		id, sid := req.ID, req.SID
 		c.t.track(func() {
 			if first {
-				resp, herr := c.invoke(e.from, e.method, body)
-				c.t.resume.settle(e, req.SID, resp, herr)
+				payload, err := transport.Decode(body)
+				resp, herr := c.invoke(e.from, e.method, payload, err)
+				c.t.resume.settle(e, sid, resp, herr)
 			}
 			<-e.done
-			c.respond(req.ID, e.resp, e.herr)
+			c.respond(id, e.resp, e.herr)
 		})
 	case kindAbort:
 		c.t.resume.drop(req.From, req.SID)
@@ -171,9 +178,9 @@ func (c *inbound) failStream(id uint64, reason error) {
 	_ = c.send(wireMsg{Kind: kindResp, ID: id, Fail: true, Err: reason.Error()})
 }
 
-// invoke decodes one request body and runs the handler on it.
-func (c *inbound) invoke(from, method string, body []byte) (any, error) {
-	payload, err := transport.Decode(body)
+// invoke runs the handler on a decoded request payload, or reports the error
+// that decoding it failed with.
+func (c *inbound) invoke(from, method string, payload any, err error) (any, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -184,27 +191,31 @@ func (c *inbound) invoke(from, method string, body []byte) (any, error) {
 // chunking the encoded payload as kindRespChunk frames when it exceeds the
 // chunk size — so a small request (a pull, a rebalance probe) can be answered
 // with an arbitrarily large range. The batched writer preserves enqueue order
-// per connection, so the chunk run lands before its terminal frame.
+// per connection, so the chunk run lands before its terminal frame. The body
+// is encoded into a pooled buffer, which goes back once its frames are built.
 func (c *inbound) respond(id uint64, resp any, herr error) {
 	out := wireMsg{Kind: kindResp, ID: id}
-	var body []byte
+	var bp *[]byte
 	if herr == nil {
-		body, herr = transport.Encode(resp)
+		bp, herr = encode(resp)
 	}
 	chunk := c.t.cfg.ChunkBytes
 	switch {
 	case herr != nil:
 		out.Err = herr.Error()
-	case len(body) <= chunk:
-		out.Payload = body
+	case len(*bp) <= chunk:
+		out.Payload, out.buf = *bp, bp // enqueue releases it
 	default:
+		body := *bp
 		for off := 0; off < len(body); off += chunk {
 			part := wireMsg{Kind: kindRespChunk, ID: id, Seq: out.Seq, Payload: body[off:min(off+chunk, len(body))]}
 			if err := c.send(part); err != nil {
+				putBuf(bp)
 				return // connection dying; the caller sees its failure
 			}
 			out.Seq++
 		}
+		putBuf(bp)
 	}
 	_ = c.send(out)
 }

@@ -51,7 +51,7 @@ type tcpStream struct {
 	method string
 	sid    string // resumable stream ID, constant across connections
 	seq    int
-	early  *pendingResp // receiver rejected the transfer before commit
+	early  error // the receiver's answer before commit: a rejection, or the connection's death
 	done   bool
 }
 
@@ -74,12 +74,12 @@ func (s *tcpStream) Chunk(ctx context.Context, data []byte) error {
 	if s.early == nil {
 		select {
 		case r := <-s.ch:
-			s.early = &r
+			s.early = s.earlyErr(r)
 		default:
 		}
 	}
 	if s.early != nil {
-		return s.earlyErr()
+		return s.early
 	}
 	if n := s.t.cfg.ChaosChunkDrop; n > 0 && s.seq == n && s.t.chaosFired.CompareAndSwap(false, true) {
 		// Fault injection: kill the carrying connection right before this
@@ -118,7 +118,7 @@ func (s *tcpStream) Commit(ctx context.Context) (any, error) {
 	defer cancel()
 	if s.early != nil {
 		s.mc.unregister(s.id)
-		return nil, s.earlyErr()
+		return nil, s.early
 	}
 	msg := wireMsg{Kind: kindCommit, ID: s.id, Seq: s.seq, From: s.from, Method: s.method, SID: s.sid, TTL: ttl}
 	ack, err := s.mc.await(ctx, msg, s.ch)
@@ -195,11 +195,12 @@ func (s *tcpStream) reattach(ctx context.Context) error {
 	return nil
 }
 
-// earlyErr converts a pre-commit receiver rejection into the caller error. A
-// connection-level failure (the rejection is the connection dying, not the
-// receiver refusing) leaves the stream resumable.
-func (s *tcpStream) earlyErr() error {
-	_, err := outcome(s.to, s.early.msg, s.early.err)
+// earlyErr converts a pre-commit receiver rejection into the caller error,
+// once: outcome releases the response. A connection-level failure (the
+// rejection is the connection dying, not the receiver refusing) leaves the
+// stream resumable.
+func (s *tcpStream) earlyErr(r pendingResp) error {
+	_, err := outcome(s.to, r.msg, r.err)
 	if err == nil {
 		err = transport.ErrStreamAborted // a success ack before commit is a protocol bug
 	}

@@ -2,10 +2,10 @@ package tcp
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,6 +64,23 @@ type wireMsg struct {
 	// sent the commit, 0 when it has no deadline. No re-sent commit can come
 	// after that, so the receiver keeps the transfer's memo no longer.
 	TTL time.Duration
+
+	// buf is the pooled buffer Payload aliases, nil when it aliases none. It
+	// is not on the wire. On the send side it holds the body request or
+	// respond encoded, and enqueue releases it once the body is framed; on the
+	// receive side it holds the frame readMsg read, and whoever consumes the
+	// payload releases it once the payload is decoded or staged.
+	buf *[]byte
+}
+
+// release hands m's pooled buffer back and detaches Payload from it. Only
+// the message's one owner calls it, when it is done with Payload; a copy of
+// m made before must not read Payload after.
+func (m *wireMsg) release() {
+	if m.buf != nil {
+		putBuf(m.buf)
+		m.buf, m.Payload = nil, nil
+	}
 }
 
 // frameCodec encodes wireMsg as the frame header: its fields in declaration
@@ -71,10 +88,38 @@ type wireMsg struct {
 // ARCHITECTURE.md "The mux wire format").
 var frameCodec = transport.NewCodec[wireMsg]()
 
-// readBufs recycles the buffers frames are read into: decoding copies out
-// everything a wireMsg keeps, so a frame's bytes are garbage once readMsg
-// returns.
-var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+// bufs lends the package's byte buffers: the frames readMsg reads, the
+// bodies encode encodes, and the frames enqueue builds, which the batcher
+// writes. Each goes back once its bytes are consumed — decoded, staged,
+// framed or written — so a message's bytes are copied once on each end and
+// allocated by neither.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func getBuf() *[]byte {
+	bp := bufs.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+// putBuf returns bp to the pool unless it has grown past maxPooledBuf.
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		bufs.Put(bp)
+	}
+}
+
+// encode encodes payload's envelope into a pooled buffer, for a message that
+// carries it as Payload (with buf set) to enqueue.
+func encode(payload any) (*[]byte, error) {
+	bp := getBuf()
+	b, err := transport.AppendEncode(*bp, payload)
+	*bp = b
+	if err != nil {
+		putBuf(bp)
+		return nil, err
+	}
+	return bp, nil
+}
 
 // readBufSize is the read buffer of one connection's mux loop: one read
 // syscall fetches a burst of small frames, and a body larger than the buffer
@@ -88,7 +133,10 @@ const readBufSize = 1 << 10
 func newConnReader(conn net.Conn) *bufio.Reader { return bufio.NewReaderSize(conn, readBufSize) }
 
 // readMsg reads one frame and decodes its header. Together with appendFrame
-// it is the only code in the package that knows how a frame is laid out.
+// it is the only code in the package that knows how a frame is laid out. The
+// frame is read into a pooled buffer that the returned Payload aliases (m.buf
+// holds it), so the caller releases m once it has decoded or staged the
+// payload; a frame without one has its buffer back in the pool already.
 func readMsg(r io.Reader) (wireMsg, error) {
 	n, err := transport.ReadFrameHeader(r)
 	if err != nil {
@@ -96,38 +144,39 @@ func readMsg(r io.Reader) (wireMsg, error) {
 	}
 	// Only now take a buffer: a connection waiting for its next frame holds
 	// none.
-	bp := readBufs.Get().(*[]byte)
-	raw, err := transport.ReadFrameBody(r, n, *bp)
+	bp := getBuf()
+	*bp, err = transport.ReadFrameBody(r, n, *bp)
 	var m wireMsg
 	if err == nil {
-		m, err = frameCodec.Decode(raw)
+		m, err = frameCodec.DecodeAliasing(*bp)
 	}
-	if cap(raw) <= maxPooledBuf {
-		*bp = raw
-		readBufs.Put(bp)
+	if err != nil || m.Payload == nil { // an empty Payload decodes as nil
+		putBuf(bp)
+		return m, err
 	}
-	return m, err
+	m.buf = bp
+	return m, nil
 }
 
-// appendFrame appends m to buf as one length-prefixed frame, enforcing the
+// appendFrame appends m to b as one length-prefixed frame, enforcing the
 // frame size limit with a typed error so callers can tell an oversized state
-// transfer from a fail-stopped peer. On error buf is left as it was.
-func appendFrame(buf *bytes.Buffer, m wireMsg) error {
+// transfer from a fail-stopped peer. On error it returns b as it was.
+func appendFrame(b []byte, m wireMsg) ([]byte, error) {
 	// Room for the prefix, the header's integers and every string, so the
-	// header is encoded in place with no second copy.
-	buf.Grow(transport.FrameHeaderLen + 64 + len(m.From) + len(m.Method) + len(m.Payload) + len(m.Err) + len(m.SID))
-	frame := append(buf.AvailableBuffer(), make([]byte, transport.FrameHeaderLen)...)
+	// header is encoded with no regrowth.
+	start := len(b)
+	frame := slices.Grow(b, transport.FrameHeaderLen+64+len(m.From)+len(m.Method)+len(m.Payload)+len(m.Err)+len(m.SID))
+	frame = append(frame, make([]byte, transport.FrameHeaderLen)...)
 	frame, err := frameCodec.Append(frame, m)
-	n := len(frame) - transport.FrameHeaderLen
+	n := len(frame) - start - transport.FrameHeaderLen
 	if err == nil && n > transport.MaxFrameSize {
 		err = fmt.Errorf("%w: %s message of %d bytes", transport.ErrFrameTooLarge, m.Method, n)
 	}
 	if err != nil {
-		return err
+		return b, err
 	}
-	transport.PutFrameHeader(frame, n)
-	buf.Write(frame)
-	return nil
+	transport.PutFrameHeader(frame[start:], n)
+	return frame, nil
 }
 
 // hsPayload is the body of a handshake frame (encoded inside
@@ -144,11 +193,11 @@ type hsPayload struct {
 // writeMsg writes m as one frame directly to w: the handshake runs before the
 // mux loops start, so the connection is exclusively its own.
 func writeMsg(w io.Writer, m wireMsg) error {
-	var frame bytes.Buffer
-	if err := appendFrame(&frame, m); err != nil {
+	frame, err := appendFrame(nil, m)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(frame.Bytes())
+	_, err = w.Write(frame)
 	return err
 }
 

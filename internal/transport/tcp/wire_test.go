@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"io"
 	"os"
 	"reflect"
 	"runtime"
@@ -65,14 +66,24 @@ func init() {
 		var err error
 		if g.body != nil {
 			err = writeHs(&buf, g.msg.Kind, *g.body)
+			g.got = buf.Bytes()
 		} else {
-			err = appendFrame(&buf, g.msg)
+			g.got, err = appendFrame(nil, g.msg)
 		}
 		if err != nil {
 			panic(err)
 		}
-		g.got = buf.Bytes()
 	}
+}
+
+// readOwned is readMsg for a test that keeps the message: its payload is
+// copied out of the pooled read buffer, which goes back to the pool.
+func readOwned(r io.Reader) (wireMsg, error) {
+	m, err := readMsg(r)
+	own := m
+	own.Payload, own.buf = bytes.Clone(m.Payload), nil
+	m.release()
+	return own, err
 }
 
 func TestGoldenFrameBytes(t *testing.T) {
@@ -95,7 +106,7 @@ func TestGoldenFrameBytes(t *testing.T) {
 		if !bytes.Equal(g.got, want[g.name]) {
 			t.Errorf("%s: encoded\n%x\nwant\n%x", g.name, g.got, want[g.name])
 		}
-		m, err := readMsg(bytes.NewReader(want[g.name]))
+		m, err := readOwned(bytes.NewReader(want[g.name]))
 		if err != nil {
 			t.Errorf("%s: decoding the golden bytes: %v", g.name, err)
 			continue
@@ -116,19 +127,19 @@ func TestGoldenFrameBytes(t *testing.T) {
 // The size limit is enforced where the frame is built: an oversized message
 // is a typed error and leaves the buffer as it was.
 func TestAppendFrameRefusesOversizedMessage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := appendFrame(&buf, wireMsg{Kind: kindPing, ID: 1}); err != nil {
+	buf, err := appendFrame(nil, wireMsg{Kind: kindPing, ID: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := buf.Len()
-	err := appendFrame(&buf, wireMsg{Kind: kindCall, Method: "big", Payload: make([]byte, transport.MaxFrameSize)})
+	before := len(buf)
+	after, err := appendFrame(buf, wireMsg{Kind: kindCall, Method: "big", Payload: make([]byte, transport.MaxFrameSize)})
 	if !errors.Is(err, transport.ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if buf.Len() != before {
-		t.Fatalf("buffer grew from %d to %d bytes on a refused frame", before, buf.Len())
+	if len(after) != before {
+		t.Fatalf("buffer grew from %d to %d bytes on a refused frame", before, len(after))
 	}
-	if m, err := readMsg(&buf); err != nil || m.Kind != kindPing || m.ID != 1 {
+	if m, err := readMsg(bytes.NewReader(after)); err != nil || m.Kind != kindPing || m.ID != 1 {
 		t.Fatalf("frame before the refused one reads back as %+v, %v", m, err)
 	}
 }
@@ -153,7 +164,7 @@ func FuzzReadMsg(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m wireMsg
 		var err error
-		if n := allocatedBy(func() { m, err = readMsg(bytes.NewReader(data)) }); n > 64*uint64(len(data))+16<<10 {
+		if n := allocatedBy(func() { m, err = readOwned(bytes.NewReader(data)) }); n > 64*uint64(len(data))+16<<10 {
 			t.Fatalf("reading %d bytes allocated %d", len(data), n)
 		}
 		if err != nil {
@@ -168,11 +179,11 @@ func FuzzReadMsg(f *testing.F) {
 		if _, err := readMsg(bytes.NewReader(long)); err == nil {
 			t.Fatal("a frame with a byte past its header read back")
 		}
-		var buf bytes.Buffer
-		if err := appendFrame(&buf, m); err != nil {
+		buf, err := appendFrame(nil, m)
+		if err != nil {
 			t.Fatalf("re-encoding %+v: %v", m, err)
 		}
-		if again, err := readMsg(&buf); err != nil || !reflect.DeepEqual(again, m) {
+		if again, err := readOwned(bytes.NewReader(buf)); err != nil || !reflect.DeepEqual(again, m) {
 			t.Fatalf("%+v re-encoded and read back as %+v, %v", m, again, err)
 		}
 	})

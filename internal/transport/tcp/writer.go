@@ -1,10 +1,8 @@
 package tcp
 
 import (
-	"bytes"
 	"context"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,14 +12,10 @@ import (
 // batchBytes flushes the write batcher once this many bytes are buffered.
 const batchBytes = 64 << 10
 
-// maxPooledBuf is the largest read or batch buffer the package's pools keep:
-// an outsized state transfer (up to a whole 16 MiB frame) is dropped rather
-// than held for the next small batch.
+// maxPooledBuf is the largest buffer the package's pool keeps: an outsized
+// state transfer (up to a whole 16 MiB frame) is dropped rather than held for
+// the next small batch.
 const maxPooledBuf = 4 * batchBytes
-
-// batchBufs lends batch buffers to the writers for one batch at a time, so a
-// connection holds no buffer while it has nothing to write.
-var batchBufs = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 0, batchBytes)) }}
 
 // batchWriter coalesces queued frames into as few syscalls as possible: it
 // keeps appending while frames are queued and flushes when the queue drains
@@ -29,7 +23,7 @@ var batchBufs = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 
 // and never holds a frame back waiting for company.
 type batchWriter struct {
 	conn      net.Conn
-	ch        chan []byte // whole frames; sized to absorb a pipelined burst without blocking callers
+	ch        chan *[]byte // whole frames in pooled buffers; sized to absorb a pipelined burst without blocking callers
 	done      chan struct{}
 	failed    atomic.Bool // flipped by the one call to fail that closes done
 	writeWait time.Duration
@@ -39,30 +33,38 @@ type batchWriter struct {
 func newBatchWriter(conn net.Conn, writeWait time.Duration) *batchWriter {
 	return &batchWriter{
 		conn:      conn,
-		ch:        make(chan []byte, 256),
+		ch:        make(chan *[]byte, 256),
 		done:      make(chan struct{}),
 		writeWait: writeWait,
 	}
 }
 
-// enqueue encodes m and queues its frame, rejecting oversized messages with
-// transport.ErrFrameTooLarge before they reach the queue. The wait for queue
-// space is bounded by ctx: stream chunks apply their per-chunk deadline here,
-// so a stalled receiver fails the transfer instead of blocking the sender
-// forever once the write queue backs up.
+// enqueue frames m into a pooled buffer and queues the frame, rejecting
+// oversized messages with transport.ErrFrameTooLarge before they reach the
+// queue. It releases m's pooled body, queued or not: the caller hands it
+// over, and the body is framed exactly once. The wait for queue space is
+// bounded by ctx: stream chunks apply their per-chunk deadline here, so a
+// stalled receiver fails the transfer instead of blocking the sender forever
+// once the write queue backs up.
 func (w *batchWriter) enqueue(ctx context.Context, m wireMsg) error {
-	var frame bytes.Buffer
-	if err := appendFrame(&frame, m); err != nil {
+	fp := getBuf()
+	frame, err := appendFrame(*fp, m)
+	m.release()
+	if err != nil {
+		putBuf(fp)
 		return err
 	}
+	*fp = frame
 	select {
-	case w.ch <- frame.Bytes():
+	case w.ch <- fp:
 		return nil
 	case <-w.done:
-		return transport.ErrWriterStopped
+		err = transport.ErrWriterStopped
 	case <-ctx.Done():
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	putBuf(fp)
+	return err
 }
 
 // stop terminates the writer loop. Queued frames not yet written never reach
@@ -102,17 +104,17 @@ func (w *batchWriter) loop() {
 }
 
 // write sends frame and whatever is queued behind it in one batch: it keeps
-// appending queued frames until the queue drains or the size threshold is
-// hit.
-func (w *batchWriter) write(frame []byte) error {
-	buf := batchBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.Write(frame)
+// appending queued frames to the first one's buffer until the queue drains or
+// the size threshold is hit, so a frame that goes alone is never copied. Each
+// buffer goes back to the pool once its bytes are in the batch, the batch's
+// own once it is written.
+func (w *batchWriter) write(batch *[]byte) error {
 coalesce:
-	for buf.Len() < batchBytes {
+	for len(*batch) < batchBytes {
 		select {
 		case more := <-w.ch:
-			buf.Write(more)
+			*batch = append(*batch, *more...)
+			putBuf(more)
 		case <-w.done:
 			break coalesce
 		default:
@@ -120,10 +122,8 @@ coalesce:
 		}
 	}
 	_ = w.conn.SetWriteDeadline(time.Now().Add(w.writeWait))
-	_, err := w.conn.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledBuf {
-		batchBufs.Put(buf)
-	}
+	_, err := w.conn.Write(*batch)
+	putBuf(batch)
 	if err == nil {
 		_ = w.conn.SetWriteDeadline(time.Time{})
 	}

@@ -65,11 +65,11 @@ func startWriter(t *testing.T) (*batchWriter, *gatedConn) {
 // frameOf is what enqueue(m) puts on the wire.
 func frameOf(t *testing.T, m wireMsg) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := appendFrame(&buf, m); err != nil {
+	frame, err := appendFrame(nil, m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return frame
 }
 
 func TestBatchWriterCoalescesFramesQueuedDuringAWrite(t *testing.T) {
