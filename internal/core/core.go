@@ -424,10 +424,21 @@ func (fp *freePool) Acquire() (transport.Addr, error) {
 	return addr, nil
 }
 
-// Release recycles a merged-away peer: the departed stack is defunct (the
+// Release re-pools the peer of a failed split while it is alive.
+func (fp *freePool) Release(addr transport.Addr) {
+	c := (*Cluster)(fp)
+	if !c.net.Alive(addr) {
+		return
+	}
+	c.mu.Lock()
+	c.free = append(c.free, addr)
+	c.mu.Unlock()
+}
+
+// Retire recycles a merged-away peer: the departed stack is defunct (the
 // paper's model forbids re-entering with the same identifier), so a fresh
 // peer replaces it in the pool.
-func (fp *freePool) Release(addr transport.Addr) {
+func (fp *freePool) Retire(addr transport.Addr) {
 	c := (*Cluster)(fp)
 	c.mu.Lock()
 	old := c.peers[addr]

@@ -35,12 +35,13 @@ func (n *lostAckNet) Call(ctx context.Context, from, to transport.Addr, method s
 
 func (n *lostAckNet) Deregister(addr transport.Addr) { transport.Deregister(n.Transport, addr) }
 
-// recyclePool is a free pool that lends nothing and counts what is released
+// recyclePool is a free pool that lends nothing and counts the peers retired
 // to it.
-type recyclePool struct{ released atomic.Int64 }
+type recyclePool struct{ retired atomic.Int64 }
 
 func (*recyclePool) Acquire() (transport.Addr, error) { return "", ErrNoFreePeer }
-func (p *recyclePool) Release(transport.Addr)         { p.released.Add(1) }
+func (*recyclePool) Release(transport.Addr)           {}
+func (p *recyclePool) Retire(transport.Addr)          { p.retired.Add(1) }
 
 // A merge hand-off whose acknowledgment is lost: the successor absorbed the
 // range, but the merging peer reads the call as failed and takes its range
@@ -135,8 +136,8 @@ func TestMergeWhoseAckIsLostEndsWithOneOwner(t *testing.T) {
 	if n := merger.Store.StepDowns.Load(); n != 1 {
 		t.Fatalf("merger stepped down %d times, want 1", n)
 	}
-	if n := pool.released.Load(); n != 1 {
-		t.Fatalf("%d peers went back to the free pool, want the merger", n)
+	if n := pool.retired.Load(); n != 1 {
+		t.Fatalf("%d peers were retired, want the merger", n)
 	}
 
 	items, _, err := succ.RangeQueryStats(ctx, keyspace.ClosedInterval(0, 9000))

@@ -245,43 +245,10 @@ func (s *Standalone) probeLoad(p *Peer, n int) (keyspace.Key, keyspace.Key, erro
 	return first, last, nil
 }
 
-// AddrPool is a datastore.FreePool over announced remote peer addresses.
-//
-// Release distinguishes two cases by whether the address was handed out by
-// Acquire. A lent address being released means a split's insert failed
-// before the peer ever joined: its identity is unused, so it returns to the
-// pool intact. Any other address is this process's own peer reporting that
-// it merged away: the departed stack is defunct (the paper's model forbids
-// re-entering with the same identifier), so the release is forwarded to
-// OnMergedAway — Standalone uses it to assemble a fresh peer and re-announce
-// instead of requiring an operator restart.
+// AddrPool holds the addresses of the free peers announced to this process.
 type AddrPool struct {
 	mu    sync.Mutex
 	addrs []transport.Addr
-	lent  map[transport.Addr]time.Time // when the addr was handed to a split
-
-	// OnMergedAway, when set, observes Release of an address this pool never
-	// lent out — a local peer that merged away. Set before the pool is
-	// shared; called without the pool lock held.
-	OnMergedAway func(addr transport.Addr)
-}
-
-// lentTTL bounds how long a lent address stays recognized for the
-// failed-split Release path. A failed insert releases within the
-// maintenance timeout (seconds); a successfully joined peer never releases
-// back to its lender, so entries older than this are joined peers and are
-// purged to keep the map bounded under sustained churn.
-const lentTTL = 5 * time.Minute
-
-// purgeLentLocked drops lent entries old enough to have joined. Callers
-// hold ap.mu.
-func (ap *AddrPool) purgeLentLocked() {
-	cutoff := time.Now().Add(-lentTTL)
-	for a, at := range ap.lent {
-		if at.Before(cutoff) {
-			delete(ap.lent, a)
-		}
-	}
 }
 
 // Add parks a free peer's address in the pool.
@@ -306,45 +273,7 @@ func (ap *AddrPool) Acquire() (transport.Addr, error) {
 	}
 	addr := ap.addrs[0]
 	ap.addrs = ap.addrs[1:]
-	if ap.lent == nil {
-		ap.lent = make(map[transport.Addr]time.Time)
-	}
-	ap.purgeLentLocked()
-	ap.lent[addr] = time.Now()
 	return addr, nil
-}
-
-// MarkLent records addr as lent out by this pool even though Acquire never
-// handed it out locally — a split that borrowed the address from a remote
-// pool uses it so a failed insert's Release re-pools the peer here instead
-// of dropping it.
-func (ap *AddrPool) MarkLent(addr transport.Addr) {
-	ap.mu.Lock()
-	defer ap.mu.Unlock()
-	if ap.lent == nil {
-		ap.lent = make(map[transport.Addr]time.Time)
-	}
-	ap.purgeLentLocked()
-	ap.lent[addr] = time.Now()
-}
-
-// Release implements datastore.FreePool: a never-joined lent peer returns to
-// the pool; a merged-away local peer is reported to OnMergedAway so the
-// process can re-enter with a fresh identity.
-func (ap *AddrPool) Release(addr transport.Addr) {
-	ap.mu.Lock()
-	ap.purgeLentLocked()
-	if _, ok := ap.lent[addr]; ok {
-		delete(ap.lent, addr)
-		ap.addrs = append(ap.addrs, addr)
-		ap.mu.Unlock()
-		return
-	}
-	cb := ap.OnMergedAway
-	ap.mu.Unlock()
-	if cb != nil {
-		cb(addr)
-	}
 }
 
 // Len returns the number of pooled free peers.
@@ -393,7 +322,6 @@ func NewStandalone(tr transport.Transport, addr transport.Addr, cfg Config) (*St
 		cfg:     cfg,
 		rejoins: make(chan struct{}, 16),
 	}
-	s.Pool.OnMergedAway = s.mergedAway
 	p, err := s.buildPeer(addr)
 	if err != nil {
 		return nil, err
@@ -420,7 +348,7 @@ func (s *Standalone) buildPeer(addr transport.Addr) (*Peer, error) {
 	})
 	methodProbe.Handle(p.Mux, s.handleProbe)
 	methodAcquireFree.Handle(p.Mux, func(transport.Addr, transport.None) (announceMsg, error) {
-		addr, err := s.acquireLocal(p)
+		addr, err := s.Pool.Acquire()
 		if err != nil {
 			return announceMsg{}, nil
 		}
@@ -433,27 +361,6 @@ func (s *Standalone) buildPeer(addr transport.Addr) (*Peer, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// acquireLocal pops from the locally announced pool, discarding any address
-// the gossiped directory has seen advertise a range. Such an identity is
-// spent: the peer joined the ring (a merged-away process re-announces under
-// a fresh identity, never the old address), so handing it out again can only
-// produce a doomed insert. The discard matters after two members race for
-// the same gossiped free entry — the loser's failed split Releases the
-// already-joined address back into its local pool, and without this filter
-// every retry would re-acquire it first and wedge the split loop for good.
-func (s *Standalone) acquireLocal(cur *Peer) (transport.Addr, error) {
-	for {
-		addr, err := s.Pool.Acquire()
-		if err != nil {
-			return "", err
-		}
-		if cur != nil && cur.Gossip != nil && cur.Gossip.OwnsRange(addr) {
-			continue
-		}
-		return addr, nil
-	}
 }
 
 // Acquire implements datastore.FreePool for this process's splits, trying
@@ -473,7 +380,7 @@ func (s *Standalone) Acquire() (transport.Addr, error) {
 	bootstrap := s.bootstrap
 	cur := s.peer
 	s.mu.Unlock()
-	if addr, err := s.acquireLocal(cur); err == nil {
+	if addr, err := s.Pool.Acquire(); err == nil {
 		if cur != nil && cur.Gossip != nil {
 			cur.Gossip.MarkTaken(addr)
 		}
@@ -481,9 +388,6 @@ func (s *Standalone) Acquire() (transport.Addr, error) {
 	}
 	if cur != nil && cur.Gossip != nil {
 		if addr, ok := cur.Gossip.TakeFree(func(a transport.Addr) bool { return a == cur.Addr }); ok {
-			// Track the address as lent locally, so a failed split's Release
-			// re-pools it here instead of dropping it on the floor.
-			s.Pool.MarkLent(addr)
 			return addr, nil
 		}
 	}
@@ -499,12 +403,12 @@ func (s *Standalone) Acquire() (transport.Addr, error) {
 	if msg.Addr == "" {
 		return "", fmt.Errorf("core: free-peer pool at %s: %w", bootstrap, ErrNoFreePeer)
 	}
-	s.Pool.MarkLent(msg.Addr)
 	return msg.Addr, nil
 }
 
-// Release implements datastore.FreePool; see AddrPool.Release.
-func (s *Standalone) Release(addr transport.Addr) { s.Pool.Release(addr) }
+// Release implements datastore.FreePool: the peer of a failed split joins
+// this process's pool, whichever source lent it.
+func (s *Standalone) Release(addr transport.Addr) { s.Pool.Add(addr) }
 
 // CurrentPeer returns the live peer stack (which changes across rejoins).
 func (s *Standalone) CurrentPeer() *Peer {
@@ -648,18 +552,19 @@ func (s *Standalone) JoinAsFree(ctx context.Context, bootstrap transport.Addr) e
 	return nil
 }
 
-// mergedAway is the AddrPool's OnMergedAway hook: the local peer finished a
-// merge and departed the ring. Its identity is spent, so rebuild under a
-// fresh one off the maintenance goroutine that is reporting the merge. The
-// outcome — success or the final error — is recorded in RejoinErr and
-// signalled on Rejoins either way, so a process stuck out of the cluster is
-// observable instead of silently idle.
-func (s *Standalone) mergedAway(addr transport.Addr) {
+// Retire implements datastore.FreePool: the local peer merged away or
+// stepped down and departed the ring. Its identity is spent (the paper's
+// model forbids re-entering with the same identifier), so rebuild under a
+// fresh one off the maintenance goroutine that is reporting it. The outcome
+// — success or the final error — is recorded in RejoinErr and signalled on
+// Rejoins either way, so a process stuck out of the cluster is observable
+// instead of silently idle.
+func (s *Standalone) Retire(addr transport.Addr) {
 	s.mu.Lock()
 	cur := s.peer
 	s.mu.Unlock()
 	if cur == nil || cur.Addr != addr {
-		return // not ours (e.g. a foreign release); nothing to rebuild
+		return // not ours; nothing to rebuild
 	}
 	go func() {
 		err := s.Rejoin()

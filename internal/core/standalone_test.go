@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/datastore"
-	"repro/internal/gossip"
 	"repro/internal/keyspace"
 	"repro/internal/replication"
 	"repro/internal/ring"
@@ -135,34 +134,51 @@ func TestStandaloneClusterOverTCP(t *testing.T) {
 	}
 }
 
-// AddrPool.Release semantics: a lent-but-never-joined peer returns to the
-// pool (a split whose insert failed), while a foreign address — the local
-// peer reporting its own merge-away — is forwarded to OnMergedAway.
+// A Standalone's two hand-backs: the peer of a failed split re-enters the
+// local pool, while the process's own peer retiring (merged away or stepped
+// down) reaches the rejoin and never the pool — a spent identity must not
+// re-enter circulation. Retiring a foreign address rebuilds nothing.
 func TestAddrPoolReleaseSemantics(t *testing.T) {
-	pool := &AddrPool{}
-	var merged []transport.Addr
-	pool.OnMergedAway = func(a transport.Addr) { merged = append(merged, a) }
+	net := simnet.New(simnet.DefaultConfig())
+	defer net.Close()
+	s, err := NewStandalone(net, "node-0", tcpConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 
-	pool.Add("peer-a")
-	pool.Add("peer-b")
-	addr, err := pool.Acquire()
+	s.Pool.Add("peer-a")
+	s.Pool.Add("peer-b")
+	addr, err := s.Acquire()
 	if err != nil || addr != "peer-a" {
 		t.Fatalf("Acquire = %v, %v", addr, err)
 	}
-	pool.Release(addr) // failed split insert: identity unused, back to the pool
-	if pool.Len() != 2 {
-		t.Fatalf("pool has %d peers after lent release, want 2", pool.Len())
-	}
-	if len(merged) != 0 {
-		t.Fatalf("lent release reached OnMergedAway: %v", merged)
+	s.Release(addr) // failed split: the peer goes back to the pool
+	if s.Pool.Len() != 2 {
+		t.Fatalf("pool has %d peers after a failed split's release, want 2", s.Pool.Len())
 	}
 
-	pool.Release("self-addr") // our own peer merged away
-	if len(merged) != 1 || merged[0] != "self-addr" {
-		t.Fatalf("merged-away release = %v, want [self-addr]", merged)
+	s.Retire("peer-b") // not this process's peer
+	self := s.CurrentPeer().Addr
+	s.Retire(self) // our own peer merged away
+	select {
+	case <-s.Rejoins():
+	case <-time.After(10 * time.Second):
+		t.Fatal("retiring our own peer never reached the rejoin")
 	}
-	if pool.Len() != 2 {
-		t.Fatalf("pool has %d peers after merged-away release, want 2 (defunct identity must not re-enter)", pool.Len())
+	if err := s.RejoinErr(); err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	select {
+	case <-s.Rejoins():
+		t.Fatal("two rejoins; retiring a foreign address must rebuild nothing")
+	default:
+	}
+	if fresh := s.CurrentPeer().Addr; fresh == self {
+		t.Fatalf("rejoined under the spent identity %s", self)
+	}
+	if s.Pool.Len() != 2 {
+		t.Fatalf("pool has %d peers after the retire, want 2 (a spent identity must not re-enter)", s.Pool.Len())
 	}
 }
 
@@ -286,63 +302,67 @@ func TestAcquireBorrowsFreePeerFromBootstrap(t *testing.T) {
 	if boot.Pool.Len() != 0 {
 		t.Fatalf("bootstrap pool still holds %d peers after the remote acquire", boot.Pool.Len())
 	}
-	// A failed split releases the borrowed address: it must re-pool locally
-	// (the lent bookkeeping), not vanish or be mistaken for a merge-away.
+	// A failed split releases the borrowed address: it must re-pool locally,
+	// not vanish or be mistaken for a merge-away.
 	member.Release(addr)
 	if member.Pool.Len() != 1 {
 		t.Fatalf("released borrowed peer not re-pooled locally (len=%d)", member.Pool.Len())
 	}
 }
 
-// A locally pooled address that the gossip directory has since seen
-// advertise a range is a spent identity and must never be handed to a
-// split. Regression for a livelock: two members race for the same gossiped
-// free entry, the loser's failed insert Releases the already-joined address
-// back into its local pool, and every subsequent split would re-acquire it
-// first and wedge in INSERTING forever (the joined node never acks a second
-// join). A merged-away peer re-announces under a fresh identity, so
-// dropping the spent address loses nothing.
+// A pooled address that has since joined the ring elsewhere refuses the
+// split's reservation. The split changes nothing and does not hand the
+// address back, so it cannot wedge the pool; the next split draws the free
+// peer behind it.
 func TestAcquireSkipsPooledPeerThatJoinedElsewhere(t *testing.T) {
 	net := simnet.New(simnet.DefaultConfig())
 	defer net.Close()
-
 	cfg := tcpConfig()
-	cfg.Gossip = gossip.Config{Interval: time.Hour, Fanout: 2, CallTimeout: 200 * time.Millisecond, Seed: 1}
-	s, err := NewStandalone(net, "node-0", cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Store.DisableMaintenance = true
+	start := func(addr transport.Addr) *Standalone {
+		s, err := NewStandalone(net, addr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
 	}
-	defer s.Close()
-
-	// "stale-owner" once announced to this process, then joined the ring
-	// through someone else; its signedless range advert arrives via gossip.
-	mux := simnet.NewMux()
-	owner := gossip.New(net, mux, "stale-owner", gossip.Config{Fanout: 2, CallTimeout: 200 * time.Millisecond, Seed: 7})
-	if err := net.Register("stale-owner", mux.Dispatch); err != nil {
-		t.Fatal(err)
+	s := start("node-0")
+	elsewhere := start("elsewhere")
+	fresh := start("fresh-peer")
+	for _, b := range []*Standalone{s, elsewhere} {
+		if err := b.Bootstrap(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	owner.SelfAdvert = func() (keyspace.Range, uint64, bool) {
-		return keyspace.Range{Lo: 0, Hi: 100}, 2, true
-	}
-	owner.AddMember("node-0")
-
-	s.Pool.Add("stale-owner")
+	s.Pool.Add("elsewhere")
 	s.Pool.Add("fresh-peer")
 
-	deadline := time.Now().Add(5 * time.Second)
-	for !s.CurrentPeer().Gossip.OwnsRange("stale-owner") {
-		if time.Now().After(deadline) {
-			t.Fatal("range advert never reached the local directory")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	p := s.CurrentPeer()
+	for i := 1; i <= 11; i++ {
+		if err := p.InsertItem(ctx, datastore.Item{Key: keyspace.Key(i * 100), Payload: "x"}); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
 		}
-		owner.RunRound(context.Background())
-		time.Sleep(5 * time.Millisecond)
+	}
+	p.Store.CheckBalance() // draws "elsewhere", which refuses
+	if n := p.Store.Splits.Load(); n != 0 {
+		t.Fatalf("split into a joined peer succeeded (%d splits)", n)
+	}
+	if s.Pool.Len() != 1 || p.Ring.State() != ring.StateJoined || len(p.Ring.SuccessorList()) != 0 {
+		t.Fatalf("after the refused split: pool %d, state %s, successors %v; want the free peer only, JOINED, alone",
+			s.Pool.Len(), p.Ring.State(), p.Ring.SuccessorList())
+	}
+	if rng, ok := elsewhere.CurrentPeer().Store.Range(); !ok || !rng.IsFull() {
+		t.Fatalf("the joined peer's range changed to %v (%v)", rng, ok)
 	}
 
-	addr, err := s.Acquire()
-	if err != nil || addr != "fresh-peer" {
-		t.Fatalf("Acquire = %v, %v; want fresh-peer (stale-owner's identity is spent)", addr, err)
+	p.Store.CheckBalance() // draws the free peer
+	if n := p.Store.Splits.Load(); n != 1 || s.Pool.Len() != 0 {
+		t.Fatalf("second split: %d splits, pool %d; want 1 and empty", n, s.Pool.Len())
 	}
-	if addr, err := s.Acquire(); err == nil {
-		t.Fatalf("Acquire handed out %s; the spent identity must not re-enter circulation", addr)
+	if fp := fresh.CurrentPeer(); fp.Ring.State() != ring.StateJoined || fp.Store.ItemCount() == 0 {
+		t.Fatalf("fresh peer after the split: %s with %d items", fp.Ring.State(), fp.Store.ItemCount())
 	}
 }

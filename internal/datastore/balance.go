@@ -2,6 +2,7 @@ package datastore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -97,7 +98,9 @@ func (s *Store) split() error {
 	start := time.Now()
 	if err := s.ring.InsertSucc(ctx, newNode); err != nil {
 		s.ring.SetVal(oldHi)
-		s.pool.Release(newNode.Addr)
+		if !errors.Is(err, ring.ErrNotFree) {
+			s.pool.Release(newNode.Addr)
+		}
 		return fmt.Errorf("datastore: split insert failed: %w", err)
 	}
 	if s.cfg.InsertSuccRecorder != nil {

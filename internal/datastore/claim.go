@@ -304,6 +304,6 @@ func (s *Store) StepDown(winnerEpoch uint64) {
 	s.ring.Depart()
 	s.loops.Signal()
 	if s.pool != nil {
-		s.pool.Release(addr)
+		s.pool.Retire(addr)
 	}
 }

@@ -76,17 +76,23 @@ type Replicator interface {
 	AdvertInfo(addr transport.Addr) (keyspace.Range, uint64, time.Time, bool)
 }
 
-// FreePool hands out free peers for splits and takes back merged peers
-// (the P-Ring free-peer model, Section 2.3).
+// FreePool is a directory of free peers for splits (the P-Ring free-peer
+// model, Section 2.3). It lists candidates and grants nothing: the free peer
+// grants itself to one inserter (ring.reserve), so an address handed to two
+// splits costs the loser one refused round trip.
 type FreePool interface {
-	// Acquire reserves a free peer — fully constructed, registered on the
+	// Acquire draws a candidate free peer — constructed, registered on the
 	// network and ready to receive a ring join — returning its address. The
 	// error explains WHERE acquisition failed (the local pool, the gossiped
 	// directory, a contacted remote pool) so a failed split in a smoke run
 	// is attributable to a peer instead of a bare "no free peer".
 	Acquire() (transport.Addr, error)
-	// Release returns a peer to the free pool after it merged away.
+	// Release hands back the peer of a failed split. A split the peer
+	// refused (ring.ErrNotFree) drops the address instead.
 	Release(addr transport.Addr)
+	// Retire reports that this peer's own ring identity is spent (it merged
+	// away or stepped down); the owner rebuilds or recycles the process.
+	Retire(addr transport.Addr)
 }
 
 // Config controls Data Store behaviour.

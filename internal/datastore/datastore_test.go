@@ -115,18 +115,19 @@ func (pl *pool) Acquire() (simnet.Addr, error) {
 	return a, nil
 }
 
-// Release returns a never-joined peer to the pool (a join that timed out);
-// departed peers are not reusable (the paper's model forbids re-entering
-// with the same identifier).
+// Release returns a failed split's live peer to the pool.
 func (pl *pool) Release(addr simnet.Addr) {
 	h := (*harness)(pl)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	rp := h.rings[addr]
-	if rp != nil && rp.State() == ring.StateFree && h.net.Alive(addr) {
+	if h.net.Alive(addr) {
 		h.free = append(h.free, addr)
 	}
 }
+
+// Retire drops a departed peer: the paper's model forbids re-entering with
+// the same identifier.
+func (pl *pool) Retire(simnet.Addr) {}
 
 // addPeer constructs a full ring+store stack.
 func (h *harness) addPeer() (*Store, *ring.Peer) {

@@ -247,7 +247,7 @@ func (s *Store) mergeIntoSuccessor(ctx context.Context, succ ring.Node) error {
 	s.ring.Depart()
 	s.loops.Signal()
 	if s.pool != nil {
-		s.pool.Release(self.Addr)
+		s.pool.Retire(self.Addr)
 	}
 	return nil
 }

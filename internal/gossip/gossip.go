@@ -454,11 +454,12 @@ func (a *Agent) MarkTaken(addr transport.Addr) {
 // TakeFree resolves a free peer from the gossiped directory for a split:
 // the first known-free address that is not this peer, not suspected, not
 // advertising a range, and not excluded by the caller. The taken mark is
-// applied locally and spreads by gossip; two concurrent takers of the same
-// address are possible (gossip is eventually consistent) and harmless — the
-// split insert of the loser finds the peer no longer free before it hands
-// anything over, fails, and releases the address. Reports ok=false
-// when the directory knows no eligible free peer.
+// applied locally and spreads by gossip, so two concurrent takers of the same
+// address are possible (gossip is eventually consistent). The directory
+// grants nothing: the free peer grants itself to one inserter
+// (ring.reserve), and the other split fails in one round trip, having
+// changed nothing, and drops the address. Reports ok=false when the
+// directory knows no eligible free peer.
 func (a *Agent) TakeFree(exclude func(transport.Addr) bool) (transport.Addr, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -497,18 +498,6 @@ func (a *Agent) FreeCount() int {
 		n++
 	}
 	return n
-}
-
-// OwnsRange reports whether the directory has seen a range advert from addr.
-// An address that ever served a range never legitimately returns to the free
-// pool — a merged-away peer rejoins under a fresh identity — so free-peer
-// resolution uses this to discard stale pool entries for peers that have
-// since joined the ring elsewhere.
-func (a *Agent) OwnsRange(addr transport.Addr) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_, ok := a.dir.Ranges[addr]
-	return ok
 }
 
 // MemberCount reports how many distinct peers the directory knows of

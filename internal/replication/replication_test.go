@@ -58,6 +58,7 @@ type noPool struct{}
 
 func (noPool) Acquire() (simnet.Addr, error) { return "", fmt.Errorf("no pool") }
 func (noPool) Release(simnet.Addr)           {}
+func (noPool) Retire(simnet.Addr)            {}
 
 func (h *repHarness) addPeer(repCfg Config) (*Manager, *datastore.Store, *ring.Peer) {
 	h.t.Helper()

@@ -14,6 +14,7 @@ import (
 var (
 	methodStabilize = transport.NewMethod[stabilizeReq, stabilizeResp]("ring.stabilize")
 	methodPing      = transport.NewMethod[transport.None, pingResp]("ring.ping")
+	methodReserve   = transport.NewMethod[reserveReq, transport.None]("ring.reserve")
 	methodJoinAck   = transport.NewMethod[joinAckMsg, transport.None]("ring.joinAck")
 	methodJoined    = transport.NewMethod[joinedMsg, bool]("ring.joined")
 	methodLeaveAck  = transport.NewMethod[transport.None, transport.None]("ring.leaveAck")
@@ -43,6 +44,13 @@ type stabilizeResp struct {
 // every predecessor that needs it (Algorithm 2 lines 12–14).
 type joinAckMsg struct {
 	Joining Node // the JOINING peer the ack is about
+}
+
+// reserveReq asks a FREE peer to hold itself for one inserter for TTL, the
+// inserter's remaining deadline (a duration, so clocks need not agree).
+type reserveReq struct {
+	Inserter transport.Addr
+	TTL      time.Duration
 }
 
 // joinedMsg tells a JOINING peer it is now part of the ring (Algorithm 11).
@@ -453,7 +461,7 @@ func (p *Peer) verifyAndRectify(addr transport.Addr) {
 // dead inserter's successor concurrently revives the failed range from its
 // replicas (Section 5.2). Promoting the orphan would make two peers claim
 // overlapping responsibility; dropping it keeps recovery single-owner, and
-// the orphan peer simply never joins (it can be pooled again as free).
+// the orphan never joins (its reservation lapses; it can be reserved again).
 func (p *Peer) PingOnce() {
 	p.mu.Lock()
 	if p.departed || (p.state != StateJoined && p.state != StateInserting && p.state != StateLeaving) {
@@ -513,23 +521,28 @@ func (p *Peer) PingOnce() {
 // PEPPER protocol (Algorithms 1–2) unless the ring is configured naive.
 // The call blocks until the new peer is JOINED (ack received and the
 // join payload delivered) or ctx/AckTimeout expires.
+//
+// Both arms first reserve newNode until ctx's deadline, which the caller
+// must set: a free peer grants itself to one inserter at a time, so another
+// inserter of the same peer fails here with ErrNotFree, changing nothing.
 func (p *Peer) InsertSucc(ctx context.Context, newNode Node) error {
+	p.mu.Lock()
+	err := p.busyLocked()
+	p.mu.Unlock()
+	if err == nil {
+		err = p.reserve(ctx, newNode)
+	}
+	if err != nil {
+		return err
+	}
 	if p.cfg.Naive {
 		return p.naiveInsertSucc(ctx, newNode)
 	}
-	if err := p.checkFree(newNode); err != nil {
-		return err
-	}
 
 	p.mu.Lock()
-	if p.departed {
+	if err := p.busyLocked(); err != nil {
 		p.mu.Unlock()
-		return ErrDeparted
-	}
-	if p.state != StateJoined {
-		st := p.state
-		p.mu.Unlock()
-		return fmt.Errorf("%w: state %s", ErrBusy, st)
+		return err
 	}
 	p.state = StateInserting
 	p.succ = append([]Entry{{Node: newNode, State: EntryJoining}}, p.succ...)
@@ -559,20 +572,53 @@ func (p *Peer) InsertSucc(ctx context.Context, newNode Node) error {
 	return p.completeJoin(ctx, newNode)
 }
 
-// checkFree fails unless n is a live FREE peer. One free address can reach
-// two inserters — gossip spreads "taken" with a lag, and two pools can lend
-// it — and a peer that already joined elsewhere ignores a joined message, so
-// the loser must fail before it waits out an ack with its value lowered, and
-// again before it carves its range for a peer that will not take it.
-func (p *Peer) checkFree(n Node) error {
-	pr, err := p.ping(n.Addr)
-	if err == nil && pr.State != StateFree {
-		err = fmt.Errorf("it is %s, not FREE", pr.State)
+// busyLocked reports why this peer cannot start a membership operation, or
+// nil when it is JOINED. Callers hold p.mu.
+func (p *Peer) busyLocked() error {
+	if p.departed {
+		return ErrDeparted
 	}
+	if p.state != StateJoined {
+		return fmt.Errorf("%w: state %s", ErrBusy, p.state)
+	}
+	return nil
+}
+
+// reserve asks n to grant itself to this peer until ctx's deadline: one free
+// address can reach two inserters (gossip's "taken" lags; two pools can
+// lend it), and the free peer grants only one.
+func (p *Peer) reserve(ctx context.Context, n Node) error {
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		return fmt.Errorf("ring: inserting %s needs a deadline to reserve it until", n)
+	}
+	cctx, cancel := context.WithTimeout(ctx, p.cfg.CallTimeout)
+	defer cancel()
+	_, err := methodReserve.Call(cctx, p.net, p.addr, n.Addr, reserveReq{Inserter: p.addr, TTL: time.Until(deadline)})
 	if err != nil {
 		return fmt.Errorf("ring: cannot insert %s: %w", n, err)
 	}
 	return nil
+}
+
+// handleReserve grants this peer to req.Inserter, FREE → JOINING until its
+// deadline. The same inserter may renew the grant; any other is refused
+// until then, and a peer that joined or departed refuses everyone.
+func (p *Peer) handleReserve(_ transport.Addr, req reserveReq) (transport.None, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.departed:
+		return transport.None{}, fmt.Errorf("%w: departed", ErrNotFree)
+	case p.state != StateFree && p.state != StateJoining:
+		return transport.None{}, fmt.Errorf("%w: it is %s", ErrNotFree, p.state)
+	case p.state == StateJoining && p.reserver != req.Inserter && time.Now().Before(p.reservedUntil):
+		return transport.None{}, fmt.Errorf("%w: reserved by %s", ErrNotFree, p.reserver)
+	}
+	p.state = StateJoining
+	p.reserver = req.Inserter
+	p.reservedUntil = time.Now().Add(req.TTL)
+	return transport.None{}, nil
 }
 
 // awaitAck waits for a protocol acknowledgment on ch. It fails with ctx.Err()
@@ -592,8 +638,8 @@ func (p *Peer) awaitAck(ctx context.Context, ch <-chan struct{}, what string) er
 }
 
 // completeJoin transitions the JOINING successor to JOINED: update local
-// state, gather the higher-layer payload (INSERT event) and deliver the
-// joined message (Algorithm 10 lines 13–25, Algorithm 11).
+// state, then raise the INSERT event and deliver the joined message
+// (Algorithm 10 lines 13–25, Algorithm 11).
 func (p *Peer) completeJoin(ctx context.Context, newNode Node) error {
 	p.mu.Lock()
 	if len(p.succ) == 0 || p.succ[0].Node.Addr != newNode.Addr || p.succ[0].State != EntryJoining {
@@ -616,39 +662,26 @@ func (p *Peer) completeJoin(ctx context.Context, newNode Node) error {
 	list = appendWrapIfEmpty(list, p.self)
 	self := p.self
 	p.mu.Unlock()
+	return p.deliverJoined(ctx, newNode, self, list)
+}
 
-	// The INSERT event carves our range for good: check again that the new
-	// peer is free, since it may have joined elsewhere while we waited for
-	// the ack.
-	err := p.checkFree(newNode)
-	if err == nil {
-		var data any
-		if p.cb.PrepareJoinData != nil {
-			data = p.cb.PrepareJoinData(newNode)
-		}
-		// The joined message carries the Data Store hand-off (the INSERT
-		// event's carved-off items), so it is a bulk call: a split moving more
-		// items than fit one transport frame streams them across in chunks,
-		// and the joining peer installs the range atomically at commit.
-		_, err = methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, joinedMsg{
-			Self: newNode,
-			Pred: self,
-			List: list,
-			Data: data,
-		})
-		if err != nil {
-			err = fmt.Errorf("ring: joined delivery to %s failed: %v", newNode, err)
-		}
+// deliverJoined raises the INSERT event, which carves our range for good
+// (newNode is reserved for us until ctx ends), and sends newNode the joined
+// message: a bulk call, since it carries the Data Store hand-off, which the
+// joining peer installs at commit. A dead newNode is dropped from our list.
+func (p *Peer) deliverJoined(ctx context.Context, newNode, self Node, list []Entry) error {
+	var data any
+	if p.cb.PrepareJoinData != nil {
+		data = p.cb.PrepareJoinData(newNode)
 	}
+	_, err := methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, joinedMsg{Self: newNode, Pred: self, List: list, Data: data})
 	if err != nil {
-		// The new peer joined elsewhere or died before completing its join;
-		// drop it.
 		p.mu.Lock()
 		if len(p.succ) > 0 && p.succ[0].Node.Addr == newNode.Addr {
 			p.succ = p.succ[1:]
 		}
 		p.mu.Unlock()
-		return err
+		return fmt.Errorf("ring: joined delivery to %s failed: %w", newNode, err)
 	}
 	// Stabilize immediately so the new successor becomes usable (STAB) fast.
 	if !p.cfg.DisableAutoStabilize {
@@ -687,14 +720,9 @@ func (p *Peer) abortInsert(newNode Node) {
 // skip over it, producing the incorrect results of Section 4.2.1.
 func (p *Peer) naiveInsertSucc(ctx context.Context, newNode Node) error {
 	p.mu.Lock()
-	if p.departed {
+	if err := p.busyLocked(); err != nil {
 		p.mu.Unlock()
-		return ErrDeparted
-	}
-	if p.state != StateJoined {
-		st := p.state
-		p.mu.Unlock()
-		return fmt.Errorf("%w: state %s", ErrBusy, st)
+		return err
 	}
 	list := make([]Entry, len(p.succ), len(p.succ)+1)
 	copy(list, p.succ)
@@ -706,26 +734,7 @@ func (p *Peer) naiveInsertSucc(ctx context.Context, newNode Node) error {
 	}
 	self := p.self
 	p.mu.Unlock()
-
-	var data any
-	if p.cb.PrepareJoinData != nil {
-		data = p.cb.PrepareJoinData(newNode)
-	}
-	_, err := methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, joinedMsg{
-		Self: newNode, Pred: self, List: list, Data: data,
-	})
-	if err != nil {
-		p.mu.Lock()
-		if len(p.succ) > 0 && p.succ[0].Node.Addr == newNode.Addr {
-			p.succ = p.succ[1:]
-		}
-		p.mu.Unlock()
-		return err
-	}
-	if !p.cfg.DisableAutoStabilize {
-		go p.StabilizeOnce()
-	}
-	return nil
+	return p.deliverJoined(ctx, newNode, self, list)
 }
 
 // handleJoinAck processes the acknowledgment that completes a PEPPER insert
@@ -752,14 +761,10 @@ func (p *Peer) handleJoinAck(_ transport.Addr, msg joinAckMsg) (transport.None, 
 // raises the INSERTED event to higher layers.
 func (p *Peer) handleJoined(_ transport.Addr, msg joinedMsg) (bool, error) {
 	p.mu.Lock()
-	if p.departed {
+	// Only a live reservation's inserter may promote us (Depart sets FREE).
+	if p.state != StateJoining || p.reserver != msg.Pred.Addr || time.Now().After(p.reservedUntil) {
 		p.mu.Unlock()
-		return false, ErrDeparted
-	}
-	if p.state != StateFree && p.state != StateJoining {
-		// Duplicate promotion (e.g. orphan adoption racing the inserter).
-		p.mu.Unlock()
-		return true, nil
+		return false, fmt.Errorf("%w: no live reservation for %s", ErrNotFree, msg.Pred.Addr)
 	}
 	p.state = StateJoined
 	p.self = msg.Self
@@ -814,14 +819,9 @@ func (p *Peer) handleStabNow(transport.Addr, transport.None) (transport.None, er
 // configured, Leave returns immediately (the baseline simply leaves).
 func (p *Peer) Leave(ctx context.Context) error {
 	p.mu.Lock()
-	if p.departed {
+	if err := p.busyLocked(); err != nil {
 		p.mu.Unlock()
-		return ErrDeparted
-	}
-	if p.state != StateJoined {
-		st := p.state
-		p.mu.Unlock()
-		return fmt.Errorf("%w: state %s", ErrBusy, st)
+		return err
 	}
 	if p.cfg.Naive {
 		p.state = StateLeaving

@@ -113,6 +113,10 @@ type PeerState uint8
 // Peer lifecycle states.
 const (
 	StateFree PeerState = iota
+	// StateJoining is a free peer reserved by one inserter until that
+	// inserter's deadline (ring.reserve): it accepts the joined message from
+	// that inserter only, and refuses every other reservation until the
+	// deadline passes.
 	StateJoining
 	StateJoined
 	StateInserting
@@ -143,6 +147,9 @@ var (
 	ErrNotReady  = errors.New("ring: peer not ready (JOINING)")
 	ErrTimeout   = errors.New("ring: protocol acknowledgment timed out")
 	ErrDeparted  = errors.New("ring: peer has departed")
+	// ErrNotFree refuses a reservation or a joined message: the peer has
+	// joined, departed, or is reserved by another inserter.
+	ErrNotFree = errors.New("ring: peer is not free")
 )
 
 // Callbacks connect the ring to higher layers. All callbacks are optional
@@ -247,6 +254,10 @@ type Peer struct {
 	leaveAck  chan struct{}
 	departed  bool
 
+	// While JOINING: the inserter holding this free peer, and until when.
+	reserver      transport.Addr
+	reservedUntil time.Time
+
 	loops transport.Runner // stabilization and failure detection
 
 	// stabMu serializes stabilization rounds (periodic and proactive).
@@ -267,6 +278,7 @@ func NewPeer(net transport.Transport, mux *transport.Mux, cfg Config, self Node,
 	}
 	methodStabilize.Handle(mux, p.handleStabilize)
 	methodPing.Handle(mux, p.handlePing)
+	methodReserve.Handle(mux, p.handleReserve)
 	methodJoinAck.Handle(mux, p.handleJoinAck)
 	methodJoined.Handle(mux, p.handleJoined)
 	methodLeaveAck.Handle(mux, p.handleLeaveAck)

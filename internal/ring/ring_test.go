@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -585,10 +588,11 @@ func TestInsertUnreachableNewPeer(t *testing.T) {
 	}
 }
 
-// One free peer handed to two inserters: the loser fails without carving
-// anything — whether the peer had already joined when its insert began, or
-// joined elsewhere while it waited for the ack — since the joined peer
-// ignores a second joined message and a carved range would be owned by no one.
+// One free peer handed to two inserters: the loser fails with ErrNotFree
+// without carving anything or touching its successor list — whether the peer
+// had already joined when its insert began, or the winner was still waiting
+// for its ack (the peer is reserved for the winner then, so it cannot join
+// elsewhere during that wait, and the winner's insert completes).
 func TestInsertOfAnAlreadyJoinedPeerCarvesNothing(t *testing.T) {
 	cfg := fastRingConfig()
 	cfg.DisableAutoStabilize = true
@@ -596,10 +600,11 @@ func TestInsertOfAnAlreadyJoinedPeerCarvesNothing(t *testing.T) {
 	for _, during := range []bool{false, true} {
 		t.Run(fmt.Sprintf("joined during the ack wait=%v", during), func(t *testing.T) {
 			tc := newTestCluster(t, cfg)
-			a := tc.addPeer("a", 100)
+			var carvedBy []Node
+			carve := Callbacks{PrepareJoinData: func(n Node) any { carvedBy = append(carvedBy, n); return nil }}
+			a := tc.addPeerCB("a", 100, carve)
 			b := tc.addPeer("b", 200)
-			carved := false
-			c := tc.addPeerCB("c", 300, Callbacks{PrepareJoinData: func(Node) any { carved = true; return nil }})
+			c := tc.addPeerCB("c", 300, carve)
 			d := tc.addPeer("d", 400)
 			for _, p := range []*Peer{a, c} {
 				if err := p.InitRing(); err != nil {
@@ -611,33 +616,221 @@ func TestInsertOfAnAlreadyJoinedPeerCarvesNothing(t *testing.T) {
 			if err := c.InsertSucc(ctx, d.Self()); err != nil { // c's insert of b will need d's ack
 				t.Fatal(err)
 			}
-			carved = false
+			carvedBy = nil
 			var err error
+			loser, loserSuccs := c, 1 // c keeps only d
 			if during {
 				done := make(chan error, 1)
 				go func() { done <- c.InsertSucc(ctx, b.Self()) }()
 				waitUntil(t, time.Second, "c's insert to start", func() bool { return c.State() == StateInserting })
-				if err := a.InsertSucc(ctx, b.Self()); err != nil {
-					t.Fatal(err)
+				err = a.InsertSucc(ctx, b.Self())
+				loser, loserSuccs = a, 0 // a stays alone
+				// d's round acks c's insert, which still holds b.
+				d.StabilizeOnce()
+				if err := <-done; err != nil {
+					t.Fatalf("the reserving insert failed: %v", err)
 				}
-				d.StabilizeOnce() // acks c's insert, which now finds b joined
-				err = <-done
 			} else {
 				if err := a.InsertSucc(ctx, b.Self()); err != nil {
 					t.Fatal(err)
 				}
 				err = c.InsertSucc(ctx, b.Self())
 			}
-			if err == nil {
-				t.Fatal("inserting a peer that joined elsewhere succeeded")
+			if !errors.Is(err, ErrNotFree) {
+				t.Fatalf("second insert of b = %v, want ErrNotFree", err)
 			}
-			if carved {
-				t.Error("the failed insert carved its range for the joined peer")
+			if len(carvedBy) != 1 || b.State() != StateJoined {
+				t.Errorf("carved %d times, b %s; want one carve, by the winner, and b JOINED", len(carvedBy), b.State())
 			}
-			if c.State() != StateJoined || len(c.Successors()) != 1 {
-				t.Errorf("c after the failed insert: state %s, successors %v; want JOINED and only d", c.State(), c.SuccessorList())
+			if loser.State() != StateJoined || len(loser.Successors()) != loserSuccs {
+				t.Errorf("%s after the failed insert: state %s, successors %v; want JOINED with %d", loser.Self(), loser.State(), loser.SuccessorList(), loserSuccs)
 			}
 		})
+	}
+}
+
+// Race (i): two JOINED peers insert the same FREE peer at once. The free peer
+// grants itself to one of them; the other fails with ErrNotFree in one round
+// trip, before it enters INSERTING, lowers anything or carves anything —
+// instead of waiting out AckTimeout with a JOINING entry the ring must
+// abort. Stabilization is driven by hand, so nothing acks the loser.
+func TestConcurrentInsertersOfOneFreePeer(t *testing.T) {
+	cfg := fastRingConfig()
+	cfg.SuccListLen = 3
+	cfg.DisableAutoStabilize = true
+	cfg.NoProactive = true
+	cfg.AckTimeout = 10 * time.Second
+	tc := newTestCluster(t, cfg)
+
+	var mu sync.Mutex
+	carved := map[transport.Addr]bool{}
+	peers := make([]*Peer, 3)
+	for i := range peers {
+		addr := fmt.Sprintf("p%d", i)
+		peers[i] = tc.addPeerCB(addr, uint64(i+1)*100, Callbacks{PrepareJoinData: func(Node) any {
+			mu.Lock()
+			carved[transport.Addr(addr)] = true
+			mu.Unlock()
+			return nil
+		}})
+	}
+	if err := peers[0].InitRing(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	stabilizeUntil := func(done <-chan error, ps []*Peer) error {
+		for {
+			select {
+			case err := <-done:
+				return err
+			default:
+				for _, p := range ps {
+					p.StabilizeOnce()
+				}
+			}
+		}
+	}
+	for i := 1; i < len(peers); i++ {
+		done := make(chan error, 1)
+		go func() { done <- peers[i-1].InsertSucc(ctx, peers[i].Self()) }()
+		if err := stabilizeUntil(done, peers[:i]); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		for _, p := range peers {
+			p.StabilizeOnce()
+		}
+	}
+	mu.Lock()
+	clear(carved)
+	mu.Unlock()
+
+	x := tc.addPeer("x", 0)
+	inserters := peers[:2]
+	before := [][]Entry{inserters[0].SuccessorList(), inserters[1].SuccessorList()}
+	var sawInserting [2]atomic.Bool
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() { // records which inserter ever reached INSERTING
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i, p := range inserters {
+				if p.State() == StateInserting {
+					sawInserting[i].Store(true)
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	type result struct {
+		i   int
+		err error
+		in  time.Duration
+	}
+	results := make(chan result, 2)
+	start := time.Now()
+	for i, p := range inserters {
+		go func() {
+			err := p.InsertSucc(ctx, Node{Addr: x.Self().Addr, Val: p.Self().Val + 50})
+			results <- result{i, err, time.Since(start)}
+		}()
+	}
+	var lose result
+	select {
+	case lose = <-results:
+	case <-time.After(time.Second):
+		t.Fatal("neither insert of the one free peer failed within 1 s")
+	}
+	close(stop)
+	<-watched
+	if !errors.Is(lose.err, ErrNotFree) || lose.in > time.Second {
+		t.Fatalf("loser %s returned %v after %v, want ErrNotFree within 1 s", inserters[lose.i].Self(), lose.err, lose.in)
+	}
+	loser, winner := inserters[lose.i], inserters[1-lose.i]
+	if sawInserting[lose.i].Load() {
+		t.Errorf("loser %s entered INSERTING", loser.Self())
+	}
+	if after := loser.SuccessorList(); loser.State() != StateJoined || !slices.Equal(after, before[lose.i]) {
+		t.Errorf("loser %s: state %s, successors %v; want JOINED and unchanged %v", loser.Self(), loser.State(), after, before[lose.i])
+	}
+
+	won := make(chan error, 1)
+	go func() { r := <-results; won <- r.err }()
+	if err := stabilizeUntil(won, append(peers, x)); err != nil {
+		t.Fatalf("winner %s: %v", winner.Self(), err)
+	}
+	mu.Lock()
+	if carved[loser.Self().Addr] || !carved[winner.Self().Addr] {
+		t.Errorf("carved %v; want the winner %s only", carved, winner.Self())
+	}
+	mu.Unlock()
+	if x.State() != StateJoined {
+		t.Fatalf("x is %s after the winning insert, want JOINED", x.State())
+	}
+	all := append(peers, x)
+	for i := 0; i < 6; i++ {
+		for _, p := range all {
+			p.StabilizeOnce()
+		}
+	}
+	if err := CheckConsistency(all); err != nil {
+		t.Fatalf("ring inconsistent after the race: %v", err)
+	}
+}
+
+// ring.reserve grants a free peer to one inserter at a time: granted once,
+// renewed for the same inserter, refused to a second one and by a JOINED
+// peer, and granted to the second once the first one's deadline passed —
+// after which the first inserter's late joined message is refused.
+func TestReserveGrantsOnce(t *testing.T) {
+	tc := newTestCluster(t, fastRingConfig())
+	a := tc.addPeer("a", 100)
+	b := tc.addPeer("b", 200)
+	x := tc.addPeer("x", 300)
+	if err := a.InitRing(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	short, cancelShort := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer cancelShort()
+
+	if err := a.reserve(short, x.Self()); err != nil {
+		t.Fatalf("grant: %v", err)
+	}
+	if x.State() != StateJoining {
+		t.Fatalf("x is %s after the grant, want JOINING", x.State())
+	}
+	if err := a.reserve(short, x.Self()); err != nil {
+		t.Fatalf("re-reserve by the same inserter: %v", err)
+	}
+	if err := b.reserve(ctx, x.Self()); !errors.Is(err, ErrNotFree) {
+		t.Fatalf("second inserter = %v, want ErrNotFree", err)
+	}
+	if err := b.reserve(ctx, a.Self()); !errors.Is(err, ErrNotFree) {
+		t.Fatalf("reserve of a JOINED peer = %v, want ErrNotFree", err)
+	}
+
+	waitUntil(t, 2*time.Second, "a's reservation to lapse", func() bool { return b.reserve(ctx, x.Self()) == nil })
+	late := joinedMsg{Self: x.Self(), Pred: a.Self()}
+	if _, err := methodJoined.Call(ctx, tc.net, a.Self().Addr, x.Self().Addr, late); !errors.Is(err, ErrNotFree) {
+		t.Fatalf("late joined from the lapsed inserter = %v, want ErrNotFree", err)
+	}
+	if x.State() != StateJoining {
+		t.Fatalf("x is %s after the refused joined, want JOINING for b", x.State())
+	}
+	if _, err := methodJoined.Call(ctx, tc.net, b.Self().Addr, x.Self().Addr, joinedMsg{Self: x.Self(), Pred: b.Self()}); err != nil {
+		t.Fatalf("joined from the reserving inserter: %v", err)
+	}
+	if x.State() != StateJoined {
+		t.Fatalf("x is %s after its reserver's joined, want JOINED", x.State())
 	}
 }
 

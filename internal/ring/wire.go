@@ -8,4 +8,5 @@ func init() {
 	transport.RegisterMessage(Node{})
 	transport.RegisterMessage(Entry{})
 	transport.RegisterMessage([]Entry(nil))
+	transport.RegisterWireError(ErrNotFree)
 }
