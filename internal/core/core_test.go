@@ -25,11 +25,6 @@ func fastConfig() Config {
 			MaxLatency:    200 * time.Microsecond,
 			DeadCallDelay: 2 * time.Millisecond,
 			Seed:          7,
-			// Every protocol message is forced through the wire codec, so the
-			// whole suite doubles as proof that the system survives a real
-			// network boundary (no by-reference sharing, no unregistered or
-			// unencodable payloads).
-			StrictSerialization: true,
 		},
 		Ring: ring.Config{
 			SuccListLen: 4,
@@ -83,8 +78,8 @@ func bootCluster(t *testing.T, cfg Config, freePeers int) *Cluster {
 	// Send failures are silent (as on a real network), so a codec rejection
 	// of a one-way message would otherwise go unnoticed.
 	t.Cleanup(func() {
-		if err := c.Net().StrictErr(); err != nil {
-			t.Errorf("strict serialization violation: %v", err)
+		if err := c.Net().CodecErr(); err != nil {
+			t.Errorf("codec violation: %v", err)
 		}
 	})
 	if _, err := c.AddFirstPeer(); err != nil {

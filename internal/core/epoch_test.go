@@ -10,13 +10,14 @@ import (
 	"repro/internal/datastore"
 	"repro/internal/history"
 	"repro/internal/keyspace"
+	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/transport/tcp"
 )
 
 // The deterministic regression for the old TestSoakMixedWorkload flake: the
 // ring's failure detector false-positives on a live peer (injected via
-// simnet's SuspectFault aimed at ring.ping), its successor revives the range
+// a simnet Lose verdict aimed at ring.ping), its successor revives the range
 // while the original owner keeps serving — the dual-claim window — and a
 // concurrent insert straddles the overlap. With ownership epochs the revived
 // claim fences the deposed incarnation: mutations stamped with the deposed
@@ -30,12 +31,14 @@ func TestEpochFencesFalsePositiveSuspicion(t *testing.T) {
 
 	cfg := fastConfig()
 	cfg.Replication.Factor = 3
-	cfg.Net.SuspectFault = func(from, to transport.Addr, method string) bool {
-		if !armed.Load() || method != "ring.ping" {
-			return false
+	cfg.Net.Fault = func(m simnet.Msg) simnet.Verdict {
+		if !armed.Load() || m.Method != "ring.ping" {
+			return simnet.Deliver
 		}
-		va, _ := victimAddr.Load().(transport.Addr)
-		return va != "" && to == va
+		if va, _ := victimAddr.Load().(transport.Addr); va != "" && m.To == va {
+			return simnet.Lose
+		}
+		return simnet.Deliver
 	}
 	c := bootCluster(t, cfg, 12)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -135,7 +135,7 @@ func TestClusterStats(t *testing.T) {
 //     push meets that claim and it steps down (journaled), so the overlap
 //     lasts at most one replication refresh and the journal stays a
 //     faithful physical record. TestEpochFencesFalsePositiveSuspicion
-//     reproduces that scenario deterministically via simnet's SuspectFault.
+//     reproduces that scenario deterministically via a simnet Lose verdict.
 func TestSoakMixedWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")

@@ -59,8 +59,8 @@ func TestMergeWhoseAckIsLostEndsWithOneOwner(t *testing.T) {
 	c := NewCluster(cfg)
 	t.Cleanup(c.Shutdown)
 	t.Cleanup(func() {
-		if err := c.Net().StrictErr(); err != nil {
-			t.Errorf("strict serialization violation: %v", err)
+		if err := c.Net().CodecErr(); err != nil {
+			t.Errorf("codec violation: %v", err)
 		}
 	})
 	cfg = c.cfg

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gossip"
 	"repro/internal/keyspace"
+	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -38,12 +39,14 @@ func TestLeaseExpiryAdoptsWedgedOwnersRange(t *testing.T) {
 	// every other method of its keeps working. No push lands, so no refresh
 	// is acknowledged, so the lease is never renewed — the failure mode the
 	// ring's detector cannot see.
-	cfg.Net.SuspectFault = func(from, _ transport.Addr, method string) bool {
-		if !armed.Load() || method != "rep.push" {
-			return false
+	cfg.Net.Fault = func(m simnet.Msg) simnet.Verdict {
+		if !armed.Load() || m.Method != "rep.push" {
+			return simnet.Deliver
 		}
-		va, _ := victimAddr.Load().(transport.Addr)
-		return va != "" && from == va
+		if va, _ := victimAddr.Load().(transport.Addr); va != "" && m.From == va {
+			return simnet.Lose
+		}
+		return simnet.Deliver
 	}
 	c := bootCluster(t, cfg, 10)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

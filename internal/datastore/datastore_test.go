@@ -89,9 +89,17 @@ func newHarness(t *testing.T, dsCfg Config, rCfg ring.Config) *harness {
 			DisableMaintenance: dsCfg.DisableMaintenance,
 		}
 	}
+	net := simnet.New(simnet.Config{DeadCallDelay: time.Millisecond, Seed: 3})
+	// Send failures are silent (as on a real network), so a codec rejection
+	// of a one-way message would otherwise go unnoticed.
+	t.Cleanup(func() {
+		if err := net.CodecErr(); err != nil {
+			t.Errorf("codec violation: %v", err)
+		}
+	})
 	return &harness{
 		t:      t,
-		net:    simnet.New(simnet.Config{DeadCallDelay: time.Millisecond, Seed: 3}),
+		net:    net,
 		log:    history.NewLog(),
 		stores: make(map[simnet.Addr]*Store),
 		rings:  make(map[simnet.Addr]*ring.Peer),

@@ -19,6 +19,13 @@ func testCluster(t *testing.T, n int, netCfg simnet.Config) (*simnet.Network, []
 	t.Helper()
 	net := simnet.New(netCfg)
 	t.Cleanup(func() { _ = net.Close() })
+	// Send failures are silent (as on a real network), so a codec rejection
+	// of a one-way message would otherwise go unnoticed.
+	t.Cleanup(func() {
+		if err := net.CodecErr(); err != nil {
+			t.Errorf("codec violation: %v", err)
+		}
+	})
 	agents := make([]*Agent, n)
 	for i := 0; i < n; i++ {
 		addr := transport.Addr(fmt.Sprintf("g%d", i+1))
@@ -44,7 +51,7 @@ func runRounds(agents []*Agent, rounds int) {
 }
 
 // Directory convergence after a partition heals: two halves of the cluster
-// diverge under a PartitionFault cut (free entries and membership spread
+// diverge under a severed cut (free entries and membership spread
 // only within each half), then agree within a bounded number of rounds once
 // the cut is removed — including healing the suspicions the halves formed
 // of each other.
@@ -58,13 +65,15 @@ func TestDirectoryConvergesAfterPartitionHeals(t *testing.T) {
 		return 1
 	}
 	cfg := simnet.Config{
-		MinLatency:          50 * time.Microsecond,
-		MaxLatency:          200 * time.Microsecond,
-		DeadCallDelay:       time.Millisecond,
-		Seed:                7,
-		StrictSerialization: true,
-		PartitionFault: func(from, to simnet.Addr) bool {
-			return cut.Load() && side(from) != side(to)
+		MinLatency:    50 * time.Microsecond,
+		MaxLatency:    200 * time.Microsecond,
+		DeadCallDelay: time.Millisecond,
+		Seed:          7,
+		Fault: func(m simnet.Msg) simnet.Verdict {
+			if cut.Load() && side(m.From) != side(m.To) {
+				return simnet.Sever
+			}
+			return simnet.Deliver
 		},
 	}
 	_, agents := testCluster(t, 6, cfg)

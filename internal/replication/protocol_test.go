@@ -203,8 +203,11 @@ func TestDroppedDeltaIsRepairedByFullPush(t *testing.T) {
 	var cut atomic.Value // simnet.Addr no push reaches
 	cut.Store(simnet.Addr(""))
 	h := newRepHarnessNet(t, simnet.Config{DeadCallDelay: time.Millisecond, Seed: 5,
-		SuspectFault: func(_, to simnet.Addr, method string) bool {
-			return method == methodPush.Name() && to == cut.Load().(simnet.Addr)
+		Fault: func(m simnet.Msg) simnet.Verdict {
+			if m.Method == methodPush.Name() && m.To == cut.Load().(simnet.Addr) {
+				return simnet.Lose
+			}
+			return simnet.Deliver
 		}})
 	r := bootProto(t, h, 3, 2)
 	r.put(10, "a")
@@ -481,7 +484,12 @@ func TestHeartbeatRenewsLeaseAndFailedHeartbeatsLetItLapse(t *testing.T) {
 	const lease = 60 * time.Millisecond
 	var wedged atomic.Bool
 	h := newRepHarnessNet(t, simnet.Config{DeadCallDelay: time.Millisecond, Seed: 5,
-		SuspectFault: func(_, _ simnet.Addr, method string) bool { return wedged.Load() && method == methodPush.Name() }})
+		Fault: func(m simnet.Msg) simnet.Verdict {
+			if wedged.Load() && m.Method == methodPush.Name() {
+				return simnet.Lose
+			}
+			return simnet.Deliver
+		}})
 	h.lease = lease
 	r := bootProto(t, h, 2, 1)
 	r.put(50, "a")

@@ -42,11 +42,19 @@ func newRepHarness(t testing.TB) *repHarness {
 }
 
 // newRepHarnessNet is newRepHarness over a custom network configuration
-// (strict serialization, chunk sizing, fault injection).
+// (chunk sizing, fault injection).
 func newRepHarnessNet(t testing.TB, netCfg simnet.Config) *repHarness {
+	net := simnet.New(netCfg)
+	// Send failures are silent (as on a real network), so a codec rejection
+	// of a one-way message would otherwise go unnoticed.
+	t.Cleanup(func() {
+		if err := net.CodecErr(); err != nil {
+			t.Errorf("codec violation: %v", err)
+		}
+	})
 	return &repHarness{
 		t:      t,
-		net:    simnet.New(netCfg),
+		net:    net,
 		log:    history.NewLog(),
 		mgrs:   make(map[simnet.Addr]*Manager),
 		stores: make(map[simnet.Addr]*datastore.Store),

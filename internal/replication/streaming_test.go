@@ -22,13 +22,13 @@ import (
 // unchanged (the atomic-commit property of ISSUE 3 / acceptance criteria).
 
 // TestPushStreamsOversizedRangeStrict replicates a range whose encoding
-// exceeds transport.MaxFrameSize under strict serialization: before chunked
-// streaming this exact push died with ErrFrameTooLarge at the frame boundary.
+// exceeds transport.MaxFrameSize across the codec: before chunked streaming
+// this exact push died with ErrFrameTooLarge at the frame boundary.
 func TestPushStreamsOversizedRangeStrict(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicates >17 MiB per push; exercised in the full suite")
 	}
-	h := newRepHarnessNet(t, simnet.Config{DeadCallDelay: time.Millisecond, Seed: 5, StrictSerialization: true})
+	h := newRepHarnessNet(t, simnet.Config{DeadCallDelay: time.Millisecond, Seed: 5})
 	cfg := Config{Factor: 1, DisableAutoRefresh: true, CallTimeout: 30 * time.Second}
 	mgrs, stores, rings := h.bootRing(2, cfg)
 
@@ -56,15 +56,15 @@ func TestPushStreamsOversizedRangeStrict(t *testing.T) {
 			t.Fatalf("replica %d payload truncated to %d bytes", it.Key, len(it.Payload))
 		}
 	}
-	if serr := h.net.StrictErr(); serr != nil {
-		t.Fatalf("StrictErr = %v", serr)
+	if cerr := h.net.CodecErr(); cerr != nil {
+		t.Fatalf("CodecErr = %v", cerr)
 	}
 	if st := h.net.Stats(); st.Chunks < items {
 		t.Fatalf("Chunks = %d, want a chunked transfer (>= %d)", st.Chunks, items)
 	}
 
 	// The pull direction: a tiny pull request answered with the same
-	// oversized range must cross strict simnet too (the response is not
+	// oversized range must cross simnet too (the response is not
 	// frame-bounded — real transports chunk it back).
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel2()
@@ -92,8 +92,11 @@ func TestChunkDropLeavesReplicaRangeUnchanged(t *testing.T) {
 		DeadCallDelay: time.Millisecond,
 		Seed:          5,
 		ChunkBytes:    4 << 10,
-		ChunkFault: func(_ simnet.Addr, method string, seq int) bool {
-			return arm.Load() && method == methodPush.Name() && seq == 3
+		Fault: func(m simnet.Msg) simnet.Verdict {
+			if arm.Load() && m.Method == methodPush.Name() && m.Seq == 3 {
+				return simnet.Lose
+			}
+			return simnet.Deliver
 		},
 	}
 	h := newRepHarnessNet(t, netCfg)
@@ -139,7 +142,7 @@ func TestChunkDropLeavesReplicaRangeUnchanged(t *testing.T) {
 	if reps := rcv.HeldReplicas(); len(reps) != 1 || reps[0].Key != 90 || reps[0].Payload != "stale" {
 		t.Fatalf("stale replica mutated by a dropped transfer: %+v", reps)
 	}
-	if st := h.net.Stats(); st.ChunkDrops == 0 {
+	if st := h.net.Stats(); st.Lost == 0 {
 		t.Fatal("fault injection never fired; the test proved nothing")
 	}
 

@@ -37,10 +37,17 @@ func fastRingConfig() Config {
 
 func newTestCluster(t *testing.T, cfg Config) *testCluster {
 	t.Helper()
-	nc := simnet.Config{DeadCallDelay: time.Millisecond, Seed: 1}
+	net := simnet.New(simnet.Config{DeadCallDelay: time.Millisecond, Seed: 1})
+	// Send failures are silent (as on a real network), so a codec rejection
+	// of a one-way message would otherwise go unnoticed.
+	t.Cleanup(func() {
+		if err := net.CodecErr(); err != nil {
+			t.Errorf("codec violation: %v", err)
+		}
+	})
 	return &testCluster{
 		t:     t,
-		net:   simnet.New(nc),
+		net:   net,
 		cfg:   cfg,
 		peers: make(map[simnet.Addr]*Peer),
 	}

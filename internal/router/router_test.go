@@ -36,6 +36,13 @@ func newRTHarness(t *testing.T, n int, cfg Config) *rtHarness {
 func newRTHarnessNet(t *testing.T, n int, cfg Config, wrap func(transport.Transport) transport.Transport) *rtHarness {
 	t.Helper()
 	h := &rtHarness{t: t, net: simnet.New(simnet.Config{DeadCallDelay: time.Millisecond, Seed: 11})}
+	// Send failures are silent (as on a real network), so a codec rejection
+	// of a one-way message would otherwise go unnoticed.
+	t.Cleanup(func() {
+		if err := h.net.CodecErr(); err != nil {
+			t.Errorf("codec violation: %v", err)
+		}
+	})
 	log := history.NewLog()
 	rCfg := ring.Config{
 		SuccListLen: 4,

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -13,147 +12,35 @@ import (
 	"repro/internal/transport"
 )
 
-// A DisconnectFault mid-transfer models a connection loss, not a transfer
-// failure: the chunks staged so far survive, CallBulk resumes from the
-// high-water mark, and the committed payload is byte-exact. Only the dropped
-// chunk is retransmitted.
-func TestDisconnectFaultResumesFromHighWaterMark(t *testing.T) {
-	var arm atomic.Bool
-	cfg := Config{
-		DeadCallDelay: time.Millisecond,
-		Seed:          3,
-		ChunkBytes:    1024,
-		DisconnectFault: func(_ Addr, method string, seq int) bool {
-			// One-shot: the first rep.push chunk 2 loses its connection.
-			return method == "rep.push" && seq == 2 && arm.CompareAndSwap(true, false)
-		},
-	}
-	n := New(cfg)
-	var got atomic.Value
-	if err := n.Register("rcv", func(_ Addr, _ string, p any) (any, error) {
-		got.Store(p)
-		return true, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Register("snd", func(Addr, string, any) (any, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	want := streamPattern(8 * 1024)
-	payload := chunkedPayload{Data: want}
-	body, err := transport.Encode(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantChunks := (len(body) + cfg.ChunkBytes - 1) / cfg.ChunkBytes
-
-	arm.Store(true)
-	resp, err := transport.CallBulk(n, context.Background(), "snd", "rcv", "rep.push", payload)
-	if err != nil {
-		t.Fatalf("bulk call across the connection loss: %v", err)
-	}
-	if ok, _ := resp.(bool); !ok {
-		t.Fatalf("bulk response = %v, want true", resp)
-	}
-	cp, ok := got.Load().(chunkedPayload)
-	if !ok {
-		t.Fatalf("handler payload type %T", got.Load())
-	}
-	if !bytes.Equal(cp.Data, want) {
-		t.Fatal("resumed payload corrupted in flight")
-	}
-
-	st := n.Stats()
-	if st.DisconnectDrops != 1 {
-		t.Fatalf("DisconnectDrops = %d, want 1", st.DisconnectDrops)
-	}
-	if st.StreamResumes != 1 {
-		t.Fatalf("StreamResumes = %d, want 1", st.StreamResumes)
-	}
-	if st.ChunkDrops != 0 {
-		t.Fatalf("ChunkDrops = %d, want 0 (a connection loss is not a chunk drop)", st.ChunkDrops)
-	}
-	// The dropped chunk is the only one retransmitted: total chunk frames are
-	// the transfer's chunk count plus exactly one retry.
-	if st.Chunks != uint64(wantChunks)+1 {
-		t.Fatalf("Chunks = %d, want %d (%d chunks + 1 retransmit)", st.Chunks, wantChunks+1, wantChunks)
-	}
-}
-
-// An AuthFault refusal is prompt and typed: the caller gets
-// transport.ErrUnauthenticated without waiting out the dead-call delay, so a
-// policy refusal can never be mistaken for a fail-stopped peer.
-func TestAuthFaultRefusesPromptlyAndTyped(t *testing.T) {
-	cfg := Config{
-		DeadCallDelay: 500 * time.Millisecond, // long on purpose: rejects must not wait it out
-		Seed:          1,
-		AuthFault: func(_, to Addr) bool {
-			return to == "locked"
-		},
-	}
-	n := New(cfg)
-	for _, a := range []Addr{"locked", "open", "snd"} {
-		if err := n.Register(a, func(Addr, string, any) (any, error) { return true, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	start := time.Now()
-	_, err := n.Call(context.Background(), "snd", "locked", "m", int64(1))
-	if !errors.Is(err, transport.ErrUnauthenticated) {
-		t.Fatalf("call to locked peer: err = %v, want ErrUnauthenticated", err)
-	}
-	if errors.Is(err, ErrUnreachable) {
-		t.Fatal("auth refusal read as ErrUnreachable: callers would treat a policy failure as a fail-stop")
-	}
-	if elapsed := time.Since(start); elapsed >= cfg.DeadCallDelay {
-		t.Fatalf("auth refusal took %v, want < the %v dead-call delay", elapsed, cfg.DeadCallDelay)
-	}
-
-	if _, err := n.OpenStream(context.Background(), "snd", "locked", "m"); !errors.Is(err, transport.ErrUnauthenticated) {
-		t.Fatalf("stream to locked peer: err = %v, want ErrUnauthenticated", err)
-	}
-
-	// The same sender still reaches unlocked peers.
-	if _, err := n.Call(context.Background(), "snd", "open", "m", int64(1)); err != nil {
-		t.Fatalf("call to open peer: %v", err)
-	}
-
-	// A Send is silently dropped and counted.
-	n.Send("snd", "locked", "m", int64(1))
-	deadline := time.Now().Add(2 * time.Second)
-	for n.Stats().AuthRejects < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := n.Stats().AuthRejects; got != 3 {
-		t.Fatalf("AuthRejects = %d, want 3 (call + stream + send)", got)
-	}
-}
-
-// Every way a message can be refused or lost — the sender already dead, the
-// three link hooks, a dead destination, a destination dying in its handler —
-// driven through all three operations. Call, OpenStream+Commit and Send share
-// one fault path (senderDead, refuse, deliver); this table pins what each
-// operation's caller and the Stats counters observe of it, which is what the
-// three hand-written copies it replaced produced.
+// Every way a message can be refused or lost — the network closed, the
+// sender already dead, each fault verdict, a dead destination, a destination
+// dying in its handler — driven through all three operations. Call,
+// OpenStream+Commit and Send share one fault path (admit, refuse, deliver);
+// this table pins what each operation's caller and the Stats counters observe
+// of it, which is what the three hand-written copies it replaced produced.
 func TestFaultParityAcrossOperations(t *testing.T) {
 	type counters struct {
-		auth, partition, suspect, failures uint64
-		handled                            int64
+		severed, lost, failures uint64
+		handled                 int64
 	}
 	scenarios := []struct {
 		name       string
-		cfg        func(*Config)  // arm a hook
-		prep       func(*Network) // or break an endpoint
-		die        bool           // the handler kills its own endpoint before answering
-		is, not    error          // the identity a caller is told, and one it must not be mistaken for
-		text       string         // what the error text ends in
-		streamText string         // the same for the stream, where it differs
-		atOpen     bool           // the stream is refused at OpenStream (else at Commit)
+		fault      func(Msg) Verdict // the fault hook, if any
+		prep       func(*Network)    // or break an endpoint
+		die        bool              // the handler kills its own endpoint before answering
+		is, not    error             // the identity a caller is told, and one it must not be mistaken for
+		text       string            // what the error text ends in
+		streamText string            // the same for the stream, where it differs
+		atOpen     bool              // the stream is refused at OpenStream (else at Commit)
 		want       counters
 		wantSend   *counters // what a Send leaves behind, where it differs
 	}{
+		{
+			name: "closed",
+			prep: func(n *Network) { _ = n.Close() },
+			is:   transport.ErrClosed, not: ErrSenderDead, text: "transport: closed",
+			atOpen: true, want: counters{failures: 1},
+		},
 		{
 			name: "sender dead",
 			prep: func(n *Network) { n.Kill("snd") },
@@ -161,22 +48,16 @@ func TestFaultParityAcrossOperations(t *testing.T) {
 			atOpen: true, want: counters{failures: 1},
 		},
 		{
-			name: "auth",
-			cfg:  func(c *Config) { c.AuthFault = func(_, to Addr) bool { return to == "rcv" } },
-			is:   transport.ErrUnauthenticated, not: ErrUnreachable, text: "peer not authenticated: rcv",
-			atOpen: true, want: counters{auth: 1, failures: 1},
+			name:  "partition",
+			fault: func(m Msg) Verdict { return verdictIf(m.To == "rcv", Sever) },
+			is:    ErrUnreachable, not: transport.ErrUnauthenticated, text: "peer unreachable: rcv (partitioned)",
+			atOpen: true, want: counters{severed: 1, failures: 1},
 		},
 		{
-			name: "partition",
-			cfg:  func(c *Config) { c.PartitionFault = func(_, to Addr) bool { return to == "rcv" } },
-			is:   ErrUnreachable, not: transport.ErrUnauthenticated, text: "peer unreachable: rcv (partitioned)",
-			atOpen: true, want: counters{partition: 1, failures: 1},
-		},
-		{
-			name: "suspect",
-			cfg:  func(c *Config) { c.SuspectFault = func(_, to Addr, m string) bool { return to == "rcv" && m == "m" } },
-			is:   ErrUnreachable, not: transport.ErrUnauthenticated, text: "peer unreachable: rcv (suspect fault)",
-			atOpen: true, want: counters{suspect: 1, failures: 1},
+			name:  "suspect",
+			fault: func(m Msg) Verdict { return verdictIf(m.To == "rcv" && m.Method == "m", Lose) },
+			is:    ErrUnreachable, not: transport.ErrUnauthenticated, text: "peer unreachable: rcv (lost)",
+			atOpen: true, want: counters{lost: 1, failures: 1},
 		},
 		{
 			name: "dead destination",
@@ -196,11 +77,7 @@ func TestFaultParityAcrossOperations(t *testing.T) {
 	for _, sc := range scenarios {
 		for _, op := range []string{"call", "stream", "send"} {
 			t.Run(sc.name+"/"+op, func(t *testing.T) {
-				cfg := Config{Seed: 1, StrictSerialization: true}
-				if sc.cfg != nil {
-					sc.cfg(&cfg)
-				}
-				n := New(cfg)
+				n := New(Config{Seed: 1, Fault: sc.fault})
 				var handled atomic.Int64
 				if err := n.Register("rcv", func(Addr, string, any) (any, error) {
 					handled.Add(1)
@@ -268,8 +145,7 @@ func TestFaultParityAcrossOperations(t *testing.T) {
 						t.Errorf("err = %v, want text ending %q", err, text)
 					}
 				}
-				wantStats.AuthRejects, wantStats.PartitionDrops, wantStats.SuspectDrops, wantStats.Failures =
-					want.auth, want.partition, want.suspect, want.failures
+				wantStats.Severed, wantStats.Lost, wantStats.Failures = want.severed, want.lost, want.failures
 				got := n.Stats()
 				got.ByMethod = nil
 				if !reflect.DeepEqual(got, wantStats) {
@@ -281,4 +157,12 @@ func TestFaultParityAcrossOperations(t *testing.T) {
 			})
 		}
 	}
+}
+
+// verdictIf returns v when cond holds, else Deliver.
+func verdictIf(cond bool, v Verdict) Verdict {
+	if cond {
+		return v
+	}
+	return Deliver
 }

@@ -73,12 +73,12 @@ func TestCallAsyncToDeadPeer(t *testing.T) {
 	}
 }
 
-// Strict mode enforces the TCP frame size limit in-process: a state transfer
+// A bounded call obeys the TCP frame size limit in-process: a state transfer
 // whose encoding exceeds transport.MaxFrameSize fails with the typed error
 // instead of being silently unbounded, and the rejection is counted without
-// polluting StrictErr (which tracks codec registration bugs).
-func TestStrictModeEnforcesFrameLimit(t *testing.T) {
-	n := New(Config{DeadCallDelay: time.Millisecond, Seed: 1, StrictSerialization: true})
+// polluting CodecErr (which tracks codec registration bugs).
+func TestBoundedCallEnforcesFrameLimit(t *testing.T) {
+	n := New(Config{DeadCallDelay: time.Millisecond, Seed: 1})
 	ok := func(Addr, string, any) (any, error) { return true, nil }
 	if err := n.Register("a", ok); err != nil {
 		t.Fatal(err)
@@ -89,20 +89,20 @@ func TestStrictModeEnforcesFrameLimit(t *testing.T) {
 
 	_, err := n.Call(context.Background(), "a", "b", "ds.mergeIn", bigPayload{Data: make([]byte, transport.MaxFrameSize+1)})
 	if !errors.Is(err, transport.ErrFrameTooLarge) {
-		t.Fatalf("oversized strict call: err = %v, want ErrFrameTooLarge", err)
+		t.Fatalf("oversized call: err = %v, want ErrFrameTooLarge", err)
 	}
 	if errors.Is(err, ErrUnreachable) {
 		t.Fatal("oversized payload reported ErrUnreachable: a payload bug must not read as a peer failure")
 	}
-	if serr := n.StrictErr(); serr != nil {
-		t.Fatalf("StrictErr = %v, want nil (size violations are not codec bugs)", serr)
+	if cerr := n.CodecErr(); cerr != nil {
+		t.Fatalf("CodecErr = %v, want nil (size violations are not codec bugs)", cerr)
 	}
-	if st := n.Stats(); st.StrictFailures == 0 {
-		t.Fatal("oversized payload not counted in StrictFailures")
+	if st := n.Stats(); st.CodecFailures == 0 {
+		t.Fatal("oversized payload not counted in CodecFailures")
 	}
 
 	// Within the limit the same shape crosses fine.
 	if _, err := n.Call(context.Background(), "a", "b", "ds.mergeIn", bigPayload{Data: make([]byte, 1024)}); err != nil {
-		t.Fatalf("normal strict call: %v", err)
+		t.Fatalf("normal call: %v", err)
 	}
 }

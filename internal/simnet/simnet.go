@@ -15,12 +15,12 @@
 //     it time out after the configured dead-call delay, exactly how a live
 //     peer observes a failed one ("no response" in Algorithm 14).
 //
-// With Config.StrictSerialization set, every payload and response is pushed
-// through the wire codec (transport.Encode/Decode) instead of being handed
-// over by reference. Handlers then observe exactly the deep copy a real
-// network hop would deliver, so tests catch unregistered message types,
-// unencodable fields and accidental sharing of mutable state long before the
-// TCP transport does.
+// Every payload and response crosses the wire codec (transport.Encode and
+// Decode) instead of being handed over by reference. Handlers observe exactly
+// the deep copy a real network hop delivers, so tests catch unregistered
+// message types, unencodable fields and accidental sharing of mutable state
+// long before the TCP transport does. One hook, Config.Fault, decides the fate
+// of every message and stream chunk.
 //
 // All delays scale with Config values, so experiments can run the paper's
 // second-scale parameters at millisecond scale (see bench.Params).
@@ -59,7 +59,7 @@ var (
 	ErrDuplicate   = transport.ErrDuplicate
 )
 
-// Config controls network timing.
+// Config controls network timing and fault injection.
 type Config struct {
 	// MinLatency and MaxLatency bound the uniformly sampled one-way
 	// propagation delay. Zero values mean instantaneous delivery.
@@ -69,59 +69,46 @@ type Config struct {
 	DeadCallDelay time.Duration
 	// Seed initializes the latency sampler; zero means a fixed default.
 	Seed int64
-	// StrictSerialization routes every payload and response through the wire
-	// codec, delivering a deep copy: what a real network hop produces. A
-	// payload that cannot be encoded fails the Call (or silently drops the
-	// Send, counted in Stats.StrictFailures and retained by StrictErr).
-	StrictSerialization bool
 	// ChunkBytes is the chunk size for streamed bulk transfers (OpenStream).
 	// Default transport.DefaultChunkBytes.
 	ChunkBytes int
-	// ChunkFault, when set, is consulted for every chunk frame of every
-	// streamed transfer (fault injection): returning true drops that chunk
-	// on the floor, which tears the whole transfer down — the sender's
-	// stream fails, the receiver discards everything staged and its handler
-	// never runs. seq is the zero-based chunk sequence number within the
-	// transfer.
-	ChunkFault func(to Addr, method string, seq int) bool
-	// SuspectFault, when set, is consulted for every Call, Send and
-	// OpenStream (fault
-	// injection): returning true makes the destination appear failed for
-	// that one message — the caller blocks for DeadCallDelay and reports
-	// ErrUnreachable (a Send is silently dropped) — while the destination
-	// stays alive and keeps serving everyone else. This is deterministic
-	// false-positive failure detection: aim it at ring.ping traffic toward a
-	// live peer and the ring's failure detector wrongly declares that peer
-	// dead while its datastore keeps serving, reproducing the dual-claim
-	// ownership window that epoch fencing exists to close.
-	SuspectFault func(from, to Addr, method string) bool
-	// PartitionFault, when set, is consulted for every Call, Send and
-	// OpenStream (fault injection): returning true severs the (from, to)
-	// link for that message — the caller fails immediately with
-	// ErrUnreachable (no DeadCallDelay: a partition refuses, it does not
-	// time out), a Send is silently dropped, a stream fails to open. Both
-	// endpoints stay alive. Unlike SuspectFault it is meant to be aimed at
-	// whole peer pairs regardless of method, modelling a network partition:
-	// gossip convergence tests cut the cluster in half, let the directory
-	// diverge, then heal the cut and assert agreement within N rounds.
-	PartitionFault func(from, to Addr) bool
-	// DisconnectFault, when set, is consulted for every chunk frame of every
-	// streamed transfer (fault injection): returning true drops that chunk
-	// as a CONNECTION loss rather than a transfer failure. The sender's
-	// stream reports ErrUnreachable for that chunk, but — unlike ChunkFault —
-	// the chunks staged so far survive (the in-process twin of a real
-	// receiver parking its staged state across connections) and the stream
-	// is resumable: transport.CallBulk asks for the high-water mark and
-	// continues from it, so only the dropped chunk is retransmitted.
-	DisconnectFault func(to Addr, method string, seq int) bool
-	// AuthFault, when set, is consulted for every Call, Send and OpenStream
-	// (fault injection): returning true models an authentication-handshake
-	// refusal on the (from, to) link — the operation fails immediately with
-	// transport.ErrUnauthenticated (a Send is silently dropped). There is
-	// deliberately no dead-call delay: a policy refusal answers promptly, it
-	// does not time out, and callers must not mistake it for a fail-stop.
-	AuthFault func(from, to Addr) bool
+	// Fault, when set, decides the fate of every message before it is
+	// delivered: each Call, Send and OpenStream (Msg.Seq = -1) and each chunk
+	// of a streamed transfer (Msg.Seq = its zero-based index). Both endpoints
+	// stay alive whatever it returns. Sever models a network partition, Lose
+	// a message that vanishes in flight: aimed at ring.ping traffic toward a
+	// live peer, Lose makes the ring's failure detector wrongly declare that
+	// peer dead while its datastore keeps serving — the dual-claim window
+	// epoch fencing exists to close.
+	Fault func(Msg) Verdict
 }
+
+// Msg is one message as Config.Fault sees it.
+type Msg struct {
+	From, To Addr
+	Method   string
+	// Seq is -1 for a Call, Send or OpenStream, and the chunk index for a
+	// chunk of a streamed transfer.
+	Seq int
+}
+
+// Verdict is the fate Config.Fault assigns to one message.
+type Verdict int
+
+const (
+	// Deliver lets the message through.
+	Deliver Verdict = iota
+	// Sever refuses the message at once with ErrUnreachable ("partitioned"):
+	// a partition refuses, it does not time out. A Send is dropped; a severed
+	// chunk tears its transfer down.
+	Sever
+	// Lose drops the message in flight: the caller blocks for DeadCallDelay
+	// and reports ErrUnreachable, exactly what a fail-stopped destination
+	// looks like. A Send is dropped; a lost chunk tears its transfer down at
+	// once — the sender's stream fails, everything staged is discarded and
+	// the receiver's handler never runs.
+	Lose
+)
 
 // DefaultConfig returns timing suited to millisecond-scale experiments.
 func DefaultConfig() Config {
@@ -135,19 +122,15 @@ func DefaultConfig() Config {
 
 // Stats aggregates network traffic counters.
 type Stats struct {
-	Calls           uint64 // synchronous request/responses attempted
-	Sends           uint64 // one-way messages attempted
-	Streams         uint64 // chunked transfers opened
-	Chunks          uint64 // chunk frames carried by streamed transfers
-	ChunkDrops      uint64 // chunk frames dropped by fault injection
-	SuspectDrops    uint64 // calls/sends dropped by SuspectFault injection
-	PartitionDrops  uint64 // calls/sends/streams severed by PartitionFault injection
-	DisconnectDrops uint64 // chunk frames lost to DisconnectFault connection losses
-	StreamResumes   uint64 // streamed transfers resumed from their high-water mark
-	AuthRejects     uint64 // calls/sends/streams refused by AuthFault injection
-	Failures        uint64 // calls/sends that could not be delivered
-	StrictFailures  uint64 // messages rejected by the codec in strict mode
-	ByMethod        map[string]uint64
+	Calls         uint64 // synchronous request/responses attempted
+	Sends         uint64 // one-way messages attempted
+	Streams       uint64 // chunked transfers opened
+	Chunks        uint64 // chunk frames carried by streamed transfers
+	Severed       uint64 // messages and chunks refused by a Sever verdict
+	Lost          uint64 // messages and chunks dropped by a Lose verdict
+	Failures      uint64 // calls/sends that could not be delivered
+	CodecFailures uint64 // messages the codec rejected or the frame limit refused
+	ByMethod      map[string]uint64
 }
 
 // Network is an in-process message network implementing transport.Transport.
@@ -157,26 +140,21 @@ type Network struct {
 
 	mu     sync.RWMutex
 	peers  map[Addr]*endpoint
-	closed bool
+	closed atomic.Bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	calls           atomic.Uint64
-	sends           atomic.Uint64
-	streams         atomic.Uint64
-	chunks          atomic.Uint64
-	chunkDrops      atomic.Uint64
-	suspectDrops    atomic.Uint64
-	partitionDrops  atomic.Uint64
-	disconnectDrops atomic.Uint64
-	streamResumes   atomic.Uint64
-	authRejects     atomic.Uint64
-	failures        atomic.Uint64
-	strictFailures  atomic.Uint64
+	calls         atomic.Uint64
+	sends         atomic.Uint64
+	streams       atomic.Uint64
+	chunks        atomic.Uint64
+	severed       atomic.Uint64
+	lost          atomic.Uint64
+	failures      atomic.Uint64
+	codecFailures atomic.Uint64
 
-	strictMu  sync.Mutex
-	strictErr error // first codec rejection observed in strict mode
+	codecErr atomic.Pointer[error] // first codec rejection observed
 
 	methodMu sync.Mutex
 	byMethod map[string]uint64
@@ -223,7 +201,7 @@ func (n *Network) Register(addr Addr, h Handler) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Load() {
 		return transport.ErrClosed
 	}
 	if ep, ok := n.peers[addr]; ok && ep.alive.Load() {
@@ -247,12 +225,13 @@ func (n *Network) Kill(addr Addr) {
 // Deregister implements transport.Deregistrar as a fail-stop.
 func (n *Network) Deregister(addr Addr) { n.Kill(addr) }
 
-// Close fail-stops the whole network: every peer stops being served and
-// further registrations fail.
+// Close fail-stops the whole network: every peer stops being served, and
+// further registrations, calls and streams fail with transport.ErrClosed (a
+// Send is dropped).
 func (n *Network) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.closed = true
+	n.closed.Store(true)
 	for _, ep := range n.peers {
 		ep.alive.Store(false)
 	}
@@ -274,59 +253,51 @@ func (n *Network) Stats() Stats {
 	}
 	n.methodMu.Unlock()
 	return Stats{
-		Calls:           n.calls.Load(),
-		Sends:           n.sends.Load(),
-		Streams:         n.streams.Load(),
-		Chunks:          n.chunks.Load(),
-		ChunkDrops:      n.chunkDrops.Load(),
-		SuspectDrops:    n.suspectDrops.Load(),
-		PartitionDrops:  n.partitionDrops.Load(),
-		DisconnectDrops: n.disconnectDrops.Load(),
-		StreamResumes:   n.streamResumes.Load(),
-		AuthRejects:     n.authRejects.Load(),
-		Failures:        n.failures.Load(),
-		StrictFailures:  n.strictFailures.Load(),
-		ByMethod:        by,
+		Calls:         n.calls.Load(),
+		Sends:         n.sends.Load(),
+		Streams:       n.streams.Load(),
+		Chunks:        n.chunks.Load(),
+		Severed:       n.severed.Load(),
+		Lost:          n.lost.Load(),
+		Failures:      n.failures.Load(),
+		CodecFailures: n.codecFailures.Load(),
+		ByMethod:      by,
 	}
 }
 
-// StrictErr returns the first codec rejection observed in strict mode, or
-// nil. Tests assert on it to prove every message type survives the wire.
-func (n *Network) StrictErr() error {
-	n.strictMu.Lock()
-	defer n.strictMu.Unlock()
-	return n.strictErr
+// CodecErr returns the first codec rejection observed, or nil. Tests assert
+// on it to prove every message type survives the wire.
+func (n *Network) CodecErr() error {
+	if p := n.codecErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
-// codecRoundTrip pushes v through the wire codec in strict mode, returning the
-// deep copy a real network hop delivers and recording the first codec
-// rejection in StrictErr. A bounded message — the request of a plain call or
-// send — must also fit transport.MaxFrameSize, so in-process tests exercise
-// the TCP transport's boundary instead of being silently unbounded. Responses
-// and stream acknowledgments are not bounded: the TCP transport chunks them
-// back (kindRespChunk), so a small request answered with a whole range — a
-// replica pull, a rebalance — crosses both substrates identically. Size
-// violations are counted as failures but kept out of StrictErr, which tracks
+// codecRoundTrip pushes v through the wire codec, returning the deep copy a
+// real network hop delivers and recording the first codec rejection in
+// CodecErr. A bounded message — the request of a plain call or send — must
+// also fit transport.MaxFrameSize, so in-process tests exercise the TCP
+// transport's boundary instead of being silently unbounded. Responses and
+// stream acknowledgments are not bounded: the TCP transport chunks them back
+// (kindRespChunk), so a small request answered with a whole range — a replica
+// pull, a rebalance — crosses both substrates identically. A rejected message
+// counts as a failure; size violations are kept out of CodecErr, which tracks
 // codec registration bugs.
 func (n *Network) codecRoundTrip(v any, bounded bool) (any, error) {
-	if !n.cfg.StrictSerialization {
-		return v, nil
-	}
 	b, err := transport.Encode(v)
 	if err == nil && bounded && len(b) > transport.MaxFrameSize {
-		n.strictFailures.Add(1)
+		n.codecFailures.Add(1)
+		n.failures.Add(1)
 		return nil, fmt.Errorf("%w: %T of %d bytes", transport.ErrFrameTooLarge, v, len(b))
 	}
 	if err == nil {
 		v, err = transport.Decode(b)
 	}
 	if err != nil {
-		n.strictFailures.Add(1)
-		n.strictMu.Lock()
-		if n.strictErr == nil {
-			n.strictErr = err
-		}
-		n.strictMu.Unlock()
+		n.codecFailures.Add(1)
+		n.failures.Add(1)
+		n.codecErr.CompareAndSwap(nil, &err)
 		return nil, err
 	}
 	return v, nil
@@ -378,9 +349,14 @@ func (n *Network) lookup(addr Addr) (*endpoint, bool) {
 	return ep, true
 }
 
-// senderDead refuses (and counts) a message from a fail-stopped peer: a failed
-// peer sends nothing.
-func (n *Network) senderDead(from Addr) error {
+// admit refuses (and counts) a message the network does not carry at all:
+// the network is closed, or the sender has fail-stopped (a failed peer sends
+// nothing).
+func (n *Network) admit(from Addr) error {
+	if n.closed.Load() {
+		n.failures.Add(1)
+		return transport.ErrClosed
+	}
 	if from == "" || n.Alive(from) {
 		return nil
 	}
@@ -388,21 +364,23 @@ func (n *Network) senderDead(from Addr) error {
 	return fmt.Errorf("%w: %s", ErrSenderDead, from)
 }
 
-// refuse consults the injected faults every Call, Send and OpenStream passes
-// before delivery, in the order a sender observes them, and returns the error
-// a refused sender sees (nil: deliver). The link refuses at once; a message
-// that gets past it crosses the network when travel is set (one sampled
-// propagation delay); only then can the destination be wrongly suspected.
-func (n *Network) refuse(ctx context.Context, from, to Addr, method string, travel bool) error {
-	if f := n.cfg.AuthFault; f != nil && f(from, to) {
-		// Handshake refusal: never a fail-stop signal.
-		n.authRejects.Add(1)
-		n.failures.Add(1)
-		return fmt.Errorf("%w: %s", transport.ErrUnauthenticated, to)
+// verdict asks Config.Fault for m's fate.
+func (n *Network) verdict(m Msg) Verdict {
+	if n.cfg.Fault == nil {
+		return Deliver
 	}
-	if f := n.cfg.PartitionFault; f != nil && f(from, to) {
-		// Severed link: both endpoints alive.
-		n.partitionDrops.Add(1)
+	return n.cfg.Fault(m)
+}
+
+// refuse applies the fault verdict every Call, Send and OpenStream gets before
+// delivery, in the order a sender observes it, and returns the error a
+// refused sender sees (nil: deliver). A severed link refuses at once; a
+// message that gets past it crosses the network when travel is set (one
+// sampled propagation delay); only then can it be lost.
+func (n *Network) refuse(ctx context.Context, from, to Addr, method string, travel bool) error {
+	v := n.verdict(Msg{From: from, To: to, Method: method, Seq: -1})
+	if v == Sever {
+		n.severed.Add(1)
 		n.failures.Add(1)
 		return fmt.Errorf("%w: %s (partitioned)", ErrUnreachable, to)
 	}
@@ -412,11 +390,11 @@ func (n *Network) refuse(ctx context.Context, from, to Addr, method string, trav
 			return err
 		}
 	}
-	if f := n.cfg.SuspectFault; f != nil && f(from, to, method) {
-		// Injected false positive: the destination is alive, but this caller
-		// observes exactly what a fail-stop looks like.
-		n.suspectDrops.Add(1)
-		return n.timeOut(ctx, to, " (suspect fault)")
+	if v == Lose {
+		// The destination is alive, but this caller observes exactly what a
+		// fail-stop looks like.
+		n.lost.Add(1)
+		return n.timeOut(ctx, to, " (lost)")
 	}
 	return nil
 }
@@ -454,7 +432,6 @@ func (n *Network) deliver(ctx context.Context, from, to Addr, method string, arr
 		return nil, err
 	}
 	if resp, err = n.codecRoundTrip(resp, false); err != nil {
-		n.failures.Add(1)
 		return nil, err
 	}
 	if err := sleep(ctx, n.latency()); err != nil {
@@ -471,15 +448,14 @@ func (n *Network) deliver(ctx context.Context, from, to Addr, method string, arr
 func (n *Network) Call(ctx context.Context, from, to Addr, method string, payload any) (any, error) {
 	n.calls.Add(1)
 	n.countMethod(method)
-	if err := n.senderDead(from); err != nil {
+	if err := n.admit(from); err != nil {
 		return nil, err
 	}
-	payload, perr := n.codecRoundTrip(payload, true)
-	if perr != nil {
-		n.failures.Add(1)
-		return nil, perr
+	payload, err := n.codecRoundTrip(payload, true)
+	if err != nil {
+		return nil, err
 	}
-	if err := n.refuse(ctx, from, to, method, true); err != nil {
+	if err = n.refuse(ctx, from, to, method, true); err != nil {
 		return nil, err
 	}
 	arrive := func() (any, error) { return payload, nil }
@@ -487,10 +463,10 @@ func (n *Network) Call(ctx context.Context, from, to Addr, method string, payloa
 }
 
 // CallAsync implements transport.AsyncCaller: the same exchange as Call —
-// sender-aliveness, strict-mode codec checks, latency sampling, fail-stop
-// reporting — resolved in the background, so callers can hold many in-flight
-// calls at once (including several to the same peer, which the handler then
-// observes concurrently, exactly as on the multiplexed TCP transport).
+// sender-aliveness, codec checks, latency sampling, fail-stop reporting —
+// resolved in the background, so callers can hold many in-flight calls at
+// once (including several to the same peer, which the handler then observes
+// concurrently, exactly as on the multiplexed TCP transport).
 func (n *Network) CallAsync(ctx context.Context, from, to Addr, method string, payload any) *transport.Pending {
 	p := transport.NewPending()
 	go func() { p.Resolve(n.Call(ctx, from, to, method, payload)) }()
@@ -500,23 +476,16 @@ func (n *Network) CallAsync(ctx context.Context, from, to Addr, method string, p
 // OpenStream implements transport.StreamOpener: one chunked transfer whose
 // reassembled payload is delivered to the destination handler atomically at
 // commit time. Chunks are staged sender-side (the in-process twin of the
-// receiver staging a real transport does); per-chunk fault injection via
-// Config.ChunkFault models a transfer dying mid-stream: the staged chunks
-// are discarded and the destination handler never observes the transfer.
-// The payload bytes are the wire form, so the transfer round-trips the codec
-// even without StrictSerialization — exactly what crossing a process
-// boundary produces; strict mode additionally round-trips the response.
-// Propagation latency is charged once, at commit, like one Call round trip.
+// receiver staging a real transport does); a chunk that Config.Fault severs
+// or loses kills the transfer: the staged chunks are discarded and the
+// destination handler never observes it. The payload bytes are the wire
+// form, decoded at the destination; the response round-trips the codec like
+// a Call's. Propagation latency is charged once, at commit, like one Call
+// round trip.
 func (n *Network) OpenStream(_ context.Context, from, to Addr, method string) (transport.Stream, error) {
 	n.streams.Add(1)
 	n.countMethod(method)
-	n.mu.RLock()
-	closed := n.closed
-	n.mu.RUnlock()
-	if closed {
-		return nil, transport.ErrClosed
-	}
-	if err := n.senderDead(from); err != nil {
+	if err := n.admit(from); err != nil {
 		return nil, err
 	}
 	if err := n.refuse(context.Background(), from, to, method, false); err != nil {
@@ -527,21 +496,18 @@ func (n *Network) OpenStream(_ context.Context, from, to Addr, method string) (t
 
 // simStream is one in-flight chunked transfer on the simulated network.
 type simStream struct {
-	n      *Network
-	from   Addr
-	to     Addr
-	method string
-	chunks [][]byte
-	failed error
-	lost   bool // failure was a DisconnectFault connection loss: resumable
-	done   bool
+	n        *Network
+	from, to Addr
+	method   string
+	chunks   [][]byte
+	failed   error
+	done     bool
 }
 
 func (s *simStream) MaxChunk() int { return s.n.cfg.ChunkBytes }
 
-// Chunk stages one sequence-numbered chunk, consulting the fault hook: a
-// dropped chunk kills the whole transfer, exactly as a connection loss does
-// on a real stream transport.
+// Chunk stages one sequence-numbered chunk, asking Config.Fault for its fate:
+// a severed or lost chunk kills the whole transfer.
 func (s *simStream) Chunk(ctx context.Context, data []byte) error {
 	if s.done {
 		return transport.ErrStreamAborted
@@ -557,49 +523,22 @@ func (s *simStream) Chunk(ctx context.Context, data []byte) error {
 	}
 	seq := len(s.chunks)
 	s.n.chunks.Add(1)
-	if f := s.n.cfg.DisconnectFault; f != nil && f(s.to, s.method, seq) {
-		// Connection loss, not transfer failure: the chunks staged so far
-		// survive and the transfer can Resume from its high-water mark.
-		s.n.disconnectDrops.Add(1)
-		s.n.failures.Add(1)
-		s.lost = true
-		s.failed = fmt.Errorf("%w: %s (connection lost at chunk %d of a %s stream)", ErrUnreachable, s.to, seq, s.method)
-		return s.failed
-	}
-	if f := s.n.cfg.ChunkFault; f != nil && f(s.to, s.method, seq) {
-		s.n.chunkDrops.Add(1)
-		s.n.failures.Add(1)
-		s.chunks = nil
+	switch s.n.verdict(Msg{From: s.from, To: s.to, Method: s.method, Seq: seq}) {
+	case Deliver:
+		// Stage a copy: the transfer must not alias caller memory, just as
+		// real chunk frames do not.
+		s.chunks = append(s.chunks, bytes.Clone(data))
+		return nil
+	case Sever:
+		s.n.severed.Add(1)
+		s.failed = fmt.Errorf("%w: %s (partitioned)", ErrUnreachable, s.to)
+	default:
+		s.n.lost.Add(1)
 		s.failed = fmt.Errorf("%w: %s (chunk %d of a %s stream dropped)", ErrUnreachable, s.to, seq, s.method)
-		return s.failed
 	}
-	// Stage a copy: the transfer must not alias caller memory, just as real
-	// chunk frames do not.
-	c := make([]byte, len(data))
-	copy(c, data)
-	s.chunks = append(s.chunks, c)
-	return nil
-}
-
-// Resume implements transport.Resumer: after a DisconnectFault connection
-// loss the sender reconnects and asks for the receiver's high-water chunk
-// mark. Because simnet stages chunks sender-side, the mark is simply the
-// count staged so far — the dropped chunk is the only one retransmitted.
-func (s *simStream) Resume(ctx context.Context) (int, error) {
-	if s.done || !s.lost {
-		// Only a connection loss is resumable; a transfer torn down by
-		// ChunkFault (the receiver discarded its staging) is not.
-		return 0, transport.ErrStreamAborted
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if _, ok := s.n.lookup(s.to); !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnreachable, s.to)
-	}
-	s.failed, s.lost = nil, false
-	s.n.streamResumes.Add(1)
-	return len(s.chunks), nil
+	s.n.failures.Add(1)
+	s.chunks = nil
+	return s.failed
 }
 
 // Commit delivers the reassembled transfer to the destination handler and
@@ -631,22 +570,21 @@ func (s *simStream) Abort(string) {
 
 // Send delivers a one-way message asynchronously: it returns immediately and
 // the handler runs after the sampled propagation delay. Delivery failures are
-// silent, as on a real network; strict-mode codec rejections are silent too
-// but recorded in Stats.StrictFailures and StrictErr.
+// silent, as on a real network; codec rejections are silent too but recorded
+// in Stats.CodecFailures and CodecErr.
 func (n *Network) Send(from, to Addr, method string, payload any) {
 	n.sends.Add(1)
 	n.countMethod(method)
-	if n.senderDead(from) != nil {
+	if n.admit(from) != nil {
 		return
 	}
-	payload, perr := n.codecRoundTrip(payload, true)
-	if perr != nil {
-		n.failures.Add(1)
+	payload, err := n.codecRoundTrip(payload, true)
+	if err != nil {
 		return
 	}
 	go func() {
 		// Nobody waits on a Send, so a refusal — and the dead-call delay a
-		// suspected destination costs this goroutine — goes unobserved.
+		// lost message costs this goroutine — goes unobserved.
 		if n.refuse(context.Background(), from, to, method, true) != nil {
 			return
 		}

@@ -24,14 +24,14 @@ func streamPattern(n int) []byte {
 	return b
 }
 
-// Under strict serialization a bulk call larger than MaxFrameSize streams
-// through the codec in chunks and arrives intact: the frame limit bounds
-// individual frames, no longer whole state transfers.
+// A bulk call larger than MaxFrameSize streams through the codec in chunks
+// and arrives intact: the frame limit bounds individual frames, not whole
+// state transfers.
 func TestBulkCallStreamsOversizedPayloadStrict(t *testing.T) {
 	if testing.Short() {
-		t.Skip("moves >32 MiB through the codec in strict mode; exercised in the full suite")
+		t.Skip("moves >32 MiB through the codec; exercised in the full suite")
 	}
-	n := New(Config{DeadCallDelay: time.Millisecond, Seed: 1, StrictSerialization: true})
+	n := New(Config{DeadCallDelay: time.Millisecond, Seed: 1})
 	var got atomic.Value
 	if err := n.Register("rcv", func(_ Addr, _ string, p any) (any, error) {
 		got.Store(p)
@@ -58,25 +58,25 @@ func TestBulkCallStreamsOversizedPayloadStrict(t *testing.T) {
 	if !bytes.Equal(cp.Data, want) {
 		t.Fatal("bulk payload corrupted in flight")
 	}
-	if serr := n.StrictErr(); serr != nil {
-		t.Fatalf("StrictErr = %v", serr)
+	if cerr := n.CodecErr(); cerr != nil {
+		t.Fatalf("CodecErr = %v", cerr)
 	}
 	if st := n.Stats(); st.Streams != 1 || st.Chunks < 2 {
 		t.Fatalf("stats = %+v, want 1 stream and >1 chunks", st)
 	}
 }
 
-// Dropping the Nth chunk mid-transfer kills the whole transfer: the sender
+// Losing the Nth chunk mid-transfer kills the whole transfer: the sender
 // fails with the fail-stop signature and the receiver's handler never runs,
 // so its state is untouched (the atomic-commit property).
-func TestChunkFaultDropsTransferAtomically(t *testing.T) {
+func TestLostChunkDropsTransferAtomically(t *testing.T) {
 	var arm atomic.Bool
 	cfg := Config{
 		DeadCallDelay: time.Millisecond,
 		Seed:          1,
 		ChunkBytes:    1024,
-		ChunkFault: func(_ Addr, method string, seq int) bool {
-			return arm.Load() && method == "rep.push" && seq == 2
+		Fault: func(m Msg) Verdict {
+			return verdictIf(arm.Load() && m.Method == "rep.push" && m.Seq == 2, Lose)
 		},
 	}
 	n := New(cfg)
@@ -100,8 +100,8 @@ func TestChunkFaultDropsTransferAtomically(t *testing.T) {
 	if handled.Load() != 0 {
 		t.Fatal("handler ran despite the dropped chunk: transfer was not atomic")
 	}
-	if st := n.Stats(); st.ChunkDrops != 1 {
-		t.Fatalf("ChunkDrops = %d, want 1", st.ChunkDrops)
+	if st := n.Stats(); st.Lost != 1 {
+		t.Fatalf("Lost = %d, want 1", st.Lost)
 	}
 
 	// With the fault disarmed the identical transfer commits.

@@ -45,9 +45,9 @@ import (
 //
 // Encoding is also how by-reference sharing is flushed out: a payload that
 // round-trips through Encode/Decode is a deep copy, exactly what crossing a
-// process boundary produces. simnet's StrictSerialization mode forces every
-// message through this round trip so in-process tests catch unregistered
-// payloads before they break the TCP transport.
+// process boundary produces. simnet forces every message through this round
+// trip so in-process tests catch unregistered payloads before they break the
+// TCP transport.
 
 // typeCodec is the compiled encoding of one type.
 type typeCodec struct {
@@ -198,8 +198,8 @@ const maxPooledBuf = 256 << 10
 
 // Encode serializes a payload (which may be nil) into a self-describing byte
 // stream. It fails if the payload's concrete type, or that of a value in one
-// of its interface fields, is not registered — the errors StrictSerialization
-// exists to surface.
+// of its interface fields, is not registered — the errors simnet's codec
+// round trip exists to surface.
 func Encode(v any) ([]byte, error) {
 	bp := encodeBufs.Get().(*[]byte)
 	b, err := AppendEncode((*bp)[:0], v)

@@ -28,7 +28,7 @@ import (
 
 // Every registered message type must survive an encode/decode round trip
 // with its concrete type and value intact — the contract the TCP transport
-// and simnet's StrictSerialization mode rely on.
+// and simnet's codec round trip rely on.
 func TestRegistryRoundTripsEveryMessageType(t *testing.T) {
 	msgs := transport.RegisteredMessages()
 	if len(msgs) < 25 {

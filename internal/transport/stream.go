@@ -26,8 +26,8 @@ import (
 // Transports implement the contract natively: on TCP the chunk frames
 // interleave with ordinary multiplexed RPC frames on the pooled connection
 // (ring stabilization keeps flowing beside a multi-second state transfer),
-// and on simnet the reassembled payload round-trips the wire codec with
-// per-chunk fault injection hooks. Protocol layers do not use Stream
+// and on simnet the reassembled payload round-trips the wire codec with a
+// fault verdict for every chunk. Protocol layers do not use Stream
 // directly; they call CallBulk/CallBulkAsync, which have exactly Call's
 // semantics with the frame-size bound removed.
 
