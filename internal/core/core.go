@@ -175,13 +175,12 @@ func assemblePeer(tr transport.Transport, addr transport.Addr, cfg Config, log *
 		PrepareJoinData: func(j ring.Node) any { return p.Store.PrepareJoinData(j) },
 		OnJoined: func(self, pred ring.Node, data any) {
 			p.Store.OnJoined(self, pred, data)
-			p.Rep.Start()
-			p.Router.Start()
 			if p.Gossip != nil {
 				// Joining consumes this peer's free-peer entry; the taken
 				// mark out-gossips any stale free observation.
 				p.Gossip.MarkTaken(p.Addr)
 			}
+			p.start()
 		},
 		OnPredChanged: func(newPred, prev ring.Node, predFailed bool) {
 			p.Store.OnPredChanged(newPred, prev, predFailed)
@@ -268,6 +267,16 @@ func (p *Peer) Activate() error {
 		p.Gossip.Start()
 	}
 	return nil
+}
+
+// start launches the periodic loops of the four ring-bound components at
+// join, the one place they start: no component starts itself. A test that
+// steps a component by hand stops it before the peer joins.
+func (p *Peer) start() {
+	p.Store.Start()
+	p.Rep.Start()
+	p.Router.Start()
+	p.Ring.Start()
 }
 
 // Stop halts the peer stack's background work and closes the storage
@@ -375,10 +384,6 @@ func (c *Cluster) AddFirstPeer() (*Peer, error) {
 	if err := p.Ring.InitRing(); err != nil {
 		return nil, err
 	}
-	p.Store.InitFirstPeer()
-	p.Store.Start()
-	p.Rep.Start()
-	p.Router.Start()
 	return p, nil
 }
 

@@ -49,12 +49,10 @@ func (p *recyclePool) Retire(transport.Addr)          { p.retired.Add(1) }
 // the higher epoch. The merging peer's next replication refresh lands on that
 // claim, is answered Deposed, and the merging peer steps down: one owner is
 // left, the claim and Definition 4 audits are clean, and no acknowledged item
-// is lost. Every loop is off; the test drives each step.
+// is lost. The ring, store and replication loops never run; the test drives
+// each step.
 func TestMergeWhoseAckIsLostEndsWithOneOwner(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Ring.DisableAutoStabilize = true
-	cfg.Store.DisableMaintenance = true
-	cfg.Replication.DisableAutoRefresh = true
 	cfg.Net.Seed = 31
 	c := NewCluster(cfg)
 	t.Cleanup(c.Shutdown)
@@ -75,6 +73,10 @@ func TestMergeWhoseAckIsLostEndsWithOneOwner(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(p.Stop)
+		// Stopped before the join, these never start; the router's loop runs.
+		p.Ring.Stop()
+		p.Store.Stop()
+		p.Rep.Stop()
 		return p
 	}
 	merger := assemble(lossy, "merger")
@@ -89,7 +91,6 @@ func TestMergeWhoseAckIsLostEndsWithOneOwner(t *testing.T) {
 	if err := merger.Ring.InitRing(); err != nil {
 		t.Fatal(err)
 	}
-	merger.Store.InitFirstPeer()
 	want := make(map[keyspace.Key]bool)
 	for k := uint64(1000); k <= 8000; k += 1000 {
 		if _, err := datastore.ClientInsert(ctx, c.Net(), merger.Addr, merger.Addr, mkItem(k), 0); err != nil {

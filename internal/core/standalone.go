@@ -430,14 +430,7 @@ func (s *Standalone) Bootstrap() error {
 	if err := p.Backend.Append(storage.Record{Kind: storage.RecIdentity, Payload: string(p.Addr)}); err != nil {
 		return fmt.Errorf("core: persisting identity of %s: %w", p.Addr, err)
 	}
-	if err := p.Ring.InitRing(); err != nil {
-		return err
-	}
-	p.Store.InitFirstPeer()
-	p.Store.Start()
-	p.Rep.Start()
-	p.Router.Start()
-	return nil
+	return p.Ring.InitRing()
 }
 
 // Resume restarts this process into the ownership incarnation its storage

@@ -278,12 +278,13 @@ func TestStandaloneRejoinAfterMerge(t *testing.T) {
 // failure revival re-homes a range away from the bootstrap).
 func TestAcquireBorrowsFreePeerFromBootstrap(t *testing.T) {
 	cfg := tcpConfig()
-	cfg.Store.DisableMaintenance = true
 	boot := startStandalone(t, cfg)
+	boot.CurrentPeer().Store.Stop() // no balance loop: nothing splits
 	if err := boot.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
 	member := startStandalone(t, cfg)
+	member.CurrentPeer().Store.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := member.JoinAsFree(ctx, boot.CurrentPeer().Addr); err != nil {
@@ -318,13 +319,13 @@ func TestAcquireSkipsPooledPeerThatJoinedElsewhere(t *testing.T) {
 	net := simnet.New(simnet.DefaultConfig())
 	defer net.Close()
 	cfg := tcpConfig()
-	cfg.Store.DisableMaintenance = true
 	start := func(addr transport.Addr) *Standalone {
 		s, err := NewStandalone(net, addr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(s.Close)
+		s.CurrentPeer().Store.Stop() // the test runs CheckBalance by hand
 		return s
 	}
 	s := start("node-0")

@@ -155,9 +155,10 @@ func (s *Store) PrepareJoinData(joining ring.Node) any {
 }
 
 // OnJoined is the ring INSERTED event at the joining peer: install the
-// received range and items and begin serving. A nil payload means this peer
-// was adopted as an orphan after its inserter failed; it reconstructs its
-// state from the predecessor value and pulls replicas from its successors.
+// received range and items (the owner then starts the maintenance loop). A
+// nil payload means this peer was adopted as an orphan after its inserter
+// failed; it reconstructs its state from the predecessor value and pulls
+// replicas from its successors.
 func (s *Store) OnJoined(self ring.Node, pred ring.Node, data any) {
 	if jd, ok := data.(joinData); ok && jd.Ok {
 		// Claim first, then the items under the claimed epoch (the order
@@ -168,18 +169,15 @@ func (s *Store) OnJoined(self ring.Node, pred ring.Node, data any) {
 		_ = s.applyLocked(itemChange{items: jd.Items, wal: walDegrade})
 		s.mu.Unlock()
 		s.replicate()
-		s.Start()
 		return
 	}
 	if data == nil && pred.Addr != "" && pred.Addr != self.Addr {
 		// Orphan adoption: we own (pred.val, self.val] but hold nothing.
 		s.adoptOrphanRange(keyspace.NewRange(pred.Val, self.Val))
-		s.Start()
 		return
 	}
 	// First peer of the ring.
 	if pred.Addr == self.Addr {
 		s.InitFirstPeer()
-		s.Start()
 	}
 }

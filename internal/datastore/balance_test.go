@@ -103,7 +103,8 @@ func dumpBalance(t *testing.T, h *harness) {
 // and no item can vanish from under the scan (the split-side counterpart of
 // TestScanRangeBlocksRedistribute).
 func TestScanRangeBlocksSplitCarve(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(2)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -166,7 +167,8 @@ func TestScanRangeBlocksSplitCarve(t *testing.T) {
 
 // Concurrent scans in shared mode do not block each other.
 func TestConcurrentScansShareLock(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -208,9 +208,10 @@ func (s *Store) SetEpochForTesting(epoch uint64) {
 
 // InitFirstPeer assigns this peer the full key space at epoch 1; it must be
 // the ring's first member (initFirstPeer in the appendix Data Store API).
-// Idempotent: the ring's joined callback and the explicit bootstrap path
-// both call it, and only the first claims (a duplicate claim at the same
-// epoch would read as a fencing failure in the journal's epoch audit).
+// The ring's joined callback calls it; it claims only if the peer holds no
+// range yet, so a recovered claim installed before the peer re-enters the
+// ring stands (a duplicate claim at the same epoch would read as a fencing
+// failure in the journal's epoch audit).
 func (s *Store) InitFirstPeer() {
 	self := s.ring.Self()
 	s.mu.Lock()

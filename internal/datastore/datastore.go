@@ -107,8 +107,6 @@ type Config struct {
 	CallTimeout time.Duration
 	// MaintenanceTimeout bounds one split/merge/redistribute execution.
 	MaintenanceTimeout time.Duration
-	// DisableMaintenance turns off automatic balancing (tests drive it).
-	DisableMaintenance bool
 	// LeaseDuration enables time-bound leases on range claims when positive.
 	// A claim whose lease is not renewed within this duration (renewals ride
 	// the owner's replication refresh — see replication.Manager.RefreshOnce)
@@ -275,14 +273,10 @@ func (s *Store) SetBackend(b storage.Backend) {
 	}
 }
 
-// Start launches the balance maintenance loop (idempotent; a no-op after
-// Stop, so late joins cannot race a cluster shutdown).
-func (s *Store) Start() {
-	if s.cfg.DisableMaintenance {
-		return
-	}
-	s.loops.Start(s.maint)
-}
+// Start launches the balance maintenance loop; the owner calls it when the
+// peer joins (idempotent; a no-op after Stop, so late joins cannot race a
+// cluster shutdown).
+func (s *Store) Start() { s.loops.Start(s.maint) }
 
 // maintain is one wakeup of the maintenance loop: watch the predecessor's
 // lease, then storage balance (overflow > 2·sf, underflow < sf), running

@@ -26,6 +26,9 @@ type harness struct {
 	nextID int
 	dsCfg  Config
 	rCfg   ring.Config
+	// manual leaves every store's maintenance loop unstarted: its tests run
+	// CheckBalance by hand. Rings always stabilize on their own.
+	manual bool
 }
 
 // fakeRep is a no-op Replicator for tests that do not exercise replication.
@@ -86,7 +89,6 @@ func newHarness(t *testing.T, dsCfg Config, rCfg ring.Config) *harness {
 			CheckPeriod:        10 * time.Millisecond,
 			CallTimeout:        40 * time.Millisecond,
 			MaintenanceTimeout: 3 * time.Second,
-			DisableMaintenance: dsCfg.DisableMaintenance,
 		}
 	}
 	net := simnet.New(simnet.Config{DeadCallDelay: time.Millisecond, Seed: 3})
@@ -145,17 +147,24 @@ func (h *harness) addPeer() (*Store, *ring.Peer) {
 	addr := simnet.Addr(fmt.Sprintf("d%d", h.nextID))
 	h.mu.Unlock()
 	mux := simnet.NewMux()
-	var st *Store
+	var (
+		st *Store
+		rp *ring.Peer
+	)
 	cb := ring.Callbacks{
 		PrepareJoinData: func(j ring.Node) any { return st.PrepareJoinData(j) },
 		OnJoined: func(self, pred ring.Node, data any) {
 			st.OnJoined(self, pred, data)
+			if !h.manual {
+				st.Start()
+			}
+			rp.Start()
 		},
 		OnPredChanged: func(newPred, prev ring.Node, failed bool) {
 			st.OnPredChanged(newPred, prev, failed)
 		},
 	}
-	rp := ring.NewPeer(h.net, mux, h.rCfg, ring.Node{Addr: addr}, cb)
+	rp = ring.NewPeer(h.net, mux, h.rCfg, ring.Node{Addr: addr}, cb)
 	st = New(h.net, mux, rp, h.log, h.dsCfg)
 	st.SetDeps(&fakeRep{}, (*pool)(h))
 	if err := h.net.Register(addr, mux.Dispatch); err != nil {
@@ -176,8 +185,6 @@ func (h *harness) boot(n int) *Store {
 	if err := rp.InitRing(); err != nil {
 		h.t.Fatal(err)
 	}
-	first.InitFirstPeer()
-	first.Start()
 	for i := 1; i < n; i++ {
 		st, _ := h.addPeer()
 		h.mu.Lock()
@@ -223,7 +230,8 @@ func (h *harness) serving() []*Store {
 }
 
 func TestInsertDeleteLocal(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -245,7 +253,8 @@ func TestInsertDeleteLocal(t *testing.T) {
 }
 
 func TestInsertRejectedByNonOwner(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(2)
 	// Manually give the first peer a bounded range so a key outside it is
 	// rejected.
@@ -429,7 +438,8 @@ func deleteRetry(ctx context.Context, h *harness, key keyspace.Key) error {
 }
 
 func TestScanRangeSinglePeer(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -466,7 +476,8 @@ func TestScanRangeSinglePeer(t *testing.T) {
 // The scan must abort (not silently return wrong data) when started at a
 // peer that does not own the lower bound.
 func TestScanRejectsWrongFirstPeer(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(1)
 	first.mu.Lock()
 	first.rng = keyspace.NewRange(100, 200)
@@ -486,7 +497,8 @@ func TestScanRejectsWrongFirstPeer(t *testing.T) {
 // steps moves an item from the not-yet-visited peer to the already-visited
 // peer, so the naive scan misses it even though it was live throughout.
 func TestNaiveScanMissesDuringRedistribute(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(3)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -596,7 +608,8 @@ func TestNaiveScanMissesDuringRedistribute(t *testing.T) {
 // scan holds the range read lock until the hand-off — the redistribution
 // blocks until the scan has moved past, and the result is complete.
 func TestScanRangeBlocksRedistribute(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(3)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -680,7 +693,8 @@ func TestScanRangeBlocksRedistribute(t *testing.T) {
 }
 
 func TestScanAbortNotifiesOrigin(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -100,7 +100,8 @@ func itemsOf(keys ...keyspace.Key) []Item {
 // "d1". lease > 0 turns leases on.
 func loneStore(t *testing.T, backend storage.Backend, lease time.Duration) (*harness, *Store) {
 	t.Helper()
-	h := newHarness(t, Config{StorageFactor: 5, DisableMaintenance: true, LeaseDuration: lease}, ring.Config{})
+	h := newHarness(t, Config{StorageFactor: 5, LeaseDuration: lease}, ring.Config{})
+	h.manual = true
 	st, _ := h.addPeer()
 	st.SetBackend(backend)
 	return h, st
@@ -356,7 +357,8 @@ func TestRevivalKeepsScansOutUntilItsItemsLand(t *testing.T) {
 func TestCarveJournalsMovesThenClaim(t *testing.T) {
 	boot := func(t *testing.T) (*harness, *Store, *recBackend, int) {
 		rec := newRecBackend()
-		h := newHarness(t, Config{StorageFactor: 5, DisableMaintenance: true}, ring.Config{})
+		h := newHarness(t, Config{StorageFactor: 5}, ring.Config{})
+		h.manual = true
 		first := h.boot(1) // serves the full ring (0,0] at epoch 1
 		first.SetBackend(rec)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -414,7 +416,8 @@ func TestCarveJournalsMovesThenClaim(t *testing.T) {
 // leaves the item set, the history log and the replication kick untouched.
 func TestClientMutationWritesOneRecord(t *testing.T) {
 	rec := newRecBackend()
-	h := newHarness(t, Config{StorageFactor: 5, DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{StorageFactor: 5}, ring.Config{})
+	h.manual = true
 	first := h.boot(1)
 	first.SetBackend(rec)
 	rep := first.rep.(*fakeRep)

@@ -10,7 +10,8 @@ import (
 )
 
 func TestScanSegmentServesValidatedPiece(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -50,7 +51,8 @@ func TestScanSegmentServesValidatedPiece(t *testing.T) {
 // the stale-route-hint case — not served with wrong data. The rejection is
 // validated at the target exactly like Algorithm 5's continuation check.
 func TestScanSegmentRejectsForeignCursor(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(1)
 	first.mu.Lock()
 	first.rng = keyspace.NewRange(100, 200)
@@ -73,7 +75,8 @@ func TestScanSegmentRejectsForeignCursor(t *testing.T) {
 // A piece must stop at the serving peer's range boundary and report the
 // successor chain so the origin can pipeline the rest.
 func TestScanSegmentClipsToRangeAndReportsChain(t *testing.T) {
-	h := newHarness(t, Config{DisableMaintenance: true}, ring.Config{})
+	h := newHarness(t, Config{}, ring.Config{})
+	h.manual = true
 	first := h.boot(1)
 	first.mu.Lock()
 	first.rng = keyspace.NewRange(900, 50) // wrapped: owns (900, max] and [0, 50]

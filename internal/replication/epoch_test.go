@@ -16,7 +16,7 @@ import (
 // receiver remembers the latest advert per origin: the revival epoch source.
 func TestPushRecordsAdvertisedEpochs(t *testing.T) {
 	h := newRepHarness(t)
-	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1, DisableAutoRefresh: true})
+	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -66,7 +66,7 @@ func eachPushShape(t *testing.T, scenario func(t *testing.T, warm func(m *Manage
 
 func testDeposedPushTriggersStepDown(t *testing.T, warm func(m *Manager) *atomic.Uint64) {
 	h := newRepHarness(t)
-	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1, DisableAutoRefresh: true})
+	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -105,7 +105,7 @@ func testDeposedPushTriggersStepDown(t *testing.T, warm func(m *Manager) *atomic
 // of resurrecting the superseded incarnation's view.
 func TestReplicaReadRefusesDeposedChain(t *testing.T) {
 	h := newRepHarness(t)
-	mgrs, stores, rings := h.bootRing(3, Config{Factor: 2, DisableAutoRefresh: true})
+	mgrs, stores, rings := h.bootRing(3, Config{Factor: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -166,7 +166,7 @@ func TestTiedEpochPushResolvesByReclaim(t *testing.T) {
 
 func testTiedEpochPushResolvesByReclaim(t *testing.T, warm func(m *Manager) *atomic.Uint64) {
 	h := newRepHarness(t)
-	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1, DisableAutoRefresh: true})
+	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -206,7 +206,7 @@ func testTiedEpochPushResolvesByReclaim(t *testing.T, warm func(m *Manager) *ato
 // replicas and resurrect superseded state.
 func TestThirdPartyHolderRefusesDeposedPush(t *testing.T) {
 	h := newRepHarness(t)
-	mgrs, stores, rings := h.bootRing(3, Config{Factor: 2, DisableAutoRefresh: true})
+	mgrs, stores, rings := h.bootRing(3, Config{Factor: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -260,7 +260,7 @@ func TestThirdPartyHolderRefusesDeposedPush(t *testing.T) {
 // and the lower incarnation is the one that must go.
 func TestLowerClaimReceiverYieldsToHigherPush(t *testing.T) {
 	h := newRepHarness(t)
-	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1, DisableAutoRefresh: true})
+	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 

@@ -51,7 +51,7 @@ func wireAuth(t *testing.T, h *repHarness) map[simnet.Addr]*auth.Identity {
 // and the claim and lease audits stay clean.
 func TestForgedPushAdvertCannotDepose(t *testing.T) {
 	h := newRepHarness(t)
-	mgrs, stores, rings := h.bootRing(3, Config{Factor: 2, DisableAutoRefresh: true})
+	mgrs, stores, rings := h.bootRing(3, Config{Factor: 2})
 	wireAuth(t, h)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -150,7 +150,7 @@ func TestForgedPushAdvertCannotDepose(t *testing.T) {
 // untouched — exactly like a forged full push.
 func TestForgedDeltaAndHeartbeatAreRefused(t *testing.T) {
 	h := newRepHarness(t)
-	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1, DisableAutoRefresh: true})
+	mgrs, stores, rings := h.bootRing(2, Config{Factor: 1})
 	wireAuth(t, h)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -145,7 +145,7 @@ func TestOriginApplyMatchesAdvance(t *testing.T) {
 // cached summary equal to the walk over its range after every push.
 func TestHolderSummaryMatchesWalk(t *testing.T) {
 	h := newRepHarness(t)
-	holder, _, _ := h.addPeer(Config{Factor: 2, DisableAutoRefresh: true})
+	holder, _, _ := h.addPeer(Config{Factor: 2})
 	for seed := int64(1); seed <= 8; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		type origin struct {

@@ -17,9 +17,9 @@ import (
 // The versioned push protocol, tested against its invariant rather than
 // soaked: if holder h records version v for origin o at (range, epoch), then
 // h's replicas inside range equal o's item set at v. Every test drives peer 0
-// as the origin with DisableAutoRefresh, counts what each holder journals
-// (its manager owns a record-counting storage.Memory), and re-checks the
-// invariant after every refresh.
+// as the origin by hand (no manager's loop is started), counts what each
+// holder journals (its manager owns a record-counting storage.Memory), and
+// re-checks the invariant after every refresh.
 
 // protoRig is a booted ring whose peer 0 is the origin under test.
 type protoRig struct {
@@ -36,7 +36,7 @@ type protoRig struct {
 
 func bootProto(t testing.TB, h *repHarness, peers, k int) *protoRig {
 	t.Helper()
-	cfg := Config{Factor: k, DisableAutoRefresh: true, CallTimeout: 2 * time.Second}
+	cfg := Config{Factor: k, CallTimeout: 2 * time.Second}
 	mgrs, stores, rings := h.bootRing(peers, cfg)
 	waitRep(t, 5*time.Second, "successors", func() bool { return len(rings[0].Successors()) >= peers-1 })
 	r := &protoRig{t: t, h: h, origin: mgrs[0], store: stores[0], sets: make(map[uint64]map[keyspace.Key]string)}

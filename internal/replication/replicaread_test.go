@@ -13,7 +13,7 @@ import (
 // its own items — the availability fallback of the pipelined read path.
 func TestReplicaItemsServesHeldReplicasAndOwnItems(t *testing.T) {
 	h := newRepHarness(t)
-	cfg := Config{Factor: 2, RefreshPeriod: 5 * time.Millisecond, CallTimeout: 40 * time.Millisecond, DisableAutoRefresh: true}
+	cfg := Config{Factor: 2, RefreshPeriod: 5 * time.Millisecond, CallTimeout: 40 * time.Millisecond}
 	mgrs, stores, rings := h.bootRing(4, cfg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

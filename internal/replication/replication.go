@@ -82,8 +82,6 @@ type Config struct {
 	// Naive disables replicate-to-additional-hop on departure (the baseline
 	// of Section 6.2 that loses items in the Figure 17 scenario).
 	Naive bool
-	// DisableAutoRefresh turns the periodic loop off for deterministic tests.
-	DisableAutoRefresh bool
 }
 
 func (c Config) withDefaults() Config {
@@ -313,12 +311,7 @@ func (m *Manager) RestoreReplicas(items []datastore.Item) {
 }
 
 // Start launches the periodic refresh loop (idempotent; no-op after Stop).
-func (m *Manager) Start() {
-	if m.cfg.DisableAutoRefresh {
-		return
-	}
-	m.loops.Start(m.refresher)
-}
+func (m *Manager) Start() { m.loops.Start(m.refresher) }
 
 // Stop halts background work.
 func (m *Manager) Stop() { m.loops.Stop() }

@@ -75,11 +75,18 @@ func (h *repHarness) addPeer(repCfg Config) (*Manager, *datastore.Store, *ring.P
 	addr := simnet.Addr(fmt.Sprintf("r%d", h.nextID))
 	h.mu.Unlock()
 	mux := simnet.NewMux()
-	var st *datastore.Store
+	// Only the ring runs loops; tests step stores and managers by hand.
+	var (
+		st *datastore.Store
+		rp *ring.Peer
+	)
 	cb := ring.Callbacks{
 		PrepareJoinData: func(j ring.Node) any { return st.PrepareJoinData(j) },
-		OnJoined:        func(self, pred ring.Node, data any) { st.OnJoined(self, pred, data) },
-		OnPredChanged:   func(n, p ring.Node, f bool) { st.OnPredChanged(n, p, f) },
+		OnJoined: func(self, pred ring.Node, data any) {
+			st.OnJoined(self, pred, data)
+			rp.Start()
+		},
+		OnPredChanged: func(n, p ring.Node, f bool) { st.OnPredChanged(n, p, f) },
 	}
 	rCfg := ring.Config{
 		SuccListLen: 4,
@@ -88,13 +95,12 @@ func (h *repHarness) addPeer(repCfg Config) (*Manager, *datastore.Store, *ring.P
 		CallTimeout: 40 * time.Millisecond,
 		AckTimeout:  3 * time.Second,
 	}
-	rp := ring.NewPeer(h.net, mux, rCfg, ring.Node{Addr: addr}, cb)
+	rp = ring.NewPeer(h.net, mux, rCfg, ring.Node{Addr: addr}, cb)
 	st = datastore.New(h.net, mux, rp, h.log, datastore.Config{
 		StorageFactor:      100, // no automatic splits in these tests
 		CheckPeriod:        20 * time.Millisecond,
 		CallTimeout:        40 * time.Millisecond,
 		MaintenanceTimeout: 3 * time.Second,
-		DisableMaintenance: true,
 		LeaseDuration:      h.lease,
 	})
 	m := New(h.net, mux, rp, st, repCfg)
@@ -132,7 +138,6 @@ func (h *repHarness) bootRing(n int, repCfg Config) ([]*Manager, []*datastore.St
 	if err := rings[0].InitRing(); err != nil {
 		h.t.Fatal(err)
 	}
-	stores[0].InitFirstPeer()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	// Join each next peer by splitting the previous one's range: insert items
@@ -187,7 +192,7 @@ func waitRep(t testing.TB, timeout time.Duration, what string, cond func() bool)
 
 func TestRefreshPlacesKReplicas(t *testing.T) {
 	h := newRepHarness(t)
-	cfg := Config{Factor: 2, RefreshPeriod: 5 * time.Millisecond, CallTimeout: 40 * time.Millisecond, DisableAutoRefresh: true}
+	cfg := Config{Factor: 2, RefreshPeriod: 5 * time.Millisecond, CallTimeout: 40 * time.Millisecond}
 	mgrs, stores, rings := h.bootRing(5, cfg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -224,7 +229,7 @@ func TestRefreshPlacesKReplicas(t *testing.T) {
 
 func TestRefreshReconcilesDeletions(t *testing.T) {
 	h := newRepHarness(t)
-	cfg := Config{Factor: 2, DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond}
+	cfg := Config{Factor: 2, CallTimeout: 40 * time.Millisecond}
 	mgrs, stores, rings := h.bootRing(3, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -252,7 +257,7 @@ func TestRefreshReconcilesDeletions(t *testing.T) {
 
 func TestReviveReturnsRangeSubset(t *testing.T) {
 	h := newRepHarness(t)
-	m, _, _ := h.addPeer(Config{Factor: 2, DisableAutoRefresh: true})
+	m, _, _ := h.addPeer(Config{Factor: 2})
 	m.mu.Lock()
 	m.replicas[10] = newReplica(datastore.Item{Key: 10})
 	m.replicas[20] = newReplica(datastore.Item{Key: 20})
@@ -270,7 +275,7 @@ func TestReviveReturnsRangeSubset(t *testing.T) {
 func TestExtraHopPreservesItemAvailability(t *testing.T) {
 	run := func(naive bool) int {
 		h := newRepHarness(t)
-		cfg := Config{Factor: 1, Naive: naive, DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond}
+		cfg := Config{Factor: 1, Naive: naive, CallTimeout: 40 * time.Millisecond}
 		mgrs, stores, rings := h.bootRing(4, cfg)
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
@@ -345,7 +350,7 @@ func TestExtraHopPreservesItemAvailability(t *testing.T) {
 
 func TestPullRangeCollectsFromSuccessors(t *testing.T) {
 	h := newRepHarness(t)
-	cfg := Config{Factor: 2, DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond}
+	cfg := Config{Factor: 2, CallTimeout: 40 * time.Millisecond}
 	mgrs, stores, rings := h.bootRing(4, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -29,7 +29,7 @@ func TestPushStreamsOversizedRangeStrict(t *testing.T) {
 		t.Skip("replicates >17 MiB per push; exercised in the full suite")
 	}
 	h := newRepHarnessNet(t, simnet.Config{DeadCallDelay: time.Millisecond, Seed: 5})
-	cfg := Config{Factor: 1, DisableAutoRefresh: true, CallTimeout: 30 * time.Second}
+	cfg := Config{Factor: 1, CallTimeout: 30 * time.Second}
 	mgrs, stores, rings := h.bootRing(2, cfg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -100,7 +100,7 @@ func TestChunkDropLeavesReplicaRangeUnchanged(t *testing.T) {
 		},
 	}
 	h := newRepHarnessNet(t, netCfg)
-	cfg := Config{Factor: 1, DisableAutoRefresh: true, CallTimeout: 10 * time.Second}
+	cfg := Config{Factor: 1, CallTimeout: 10 * time.Second}
 	mgrs, stores, rings := h.bootRing(2, cfg)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -175,8 +175,8 @@ func TestPushOversizedRangeOverTCP(t *testing.T) {
 	mux := transport.NewMux()
 	rCfg := ring.Config{SuccListLen: 4, StabPeriod: time.Hour, PingPeriod: time.Hour, CallTimeout: 2 * time.Second, AckTimeout: 10 * time.Second}
 	rp := ring.NewPeer(tr, mux, rCfg, ring.Node{Addr: "rcv"}, ring.Callbacks{})
-	st := datastore.New(tr, mux, rp, log, datastore.Config{DisableMaintenance: true})
-	rcv := New(tr, mux, rp, st, Config{DisableAutoRefresh: true})
+	st := datastore.New(tr, mux, rp, log, datastore.Config{})
+	rcv := New(tr, mux, rp, st, Config{})
 	t.Cleanup(func() { rp.Stop(); st.Stop(); rcv.Stop() })
 	rcvAddr, err := tr.Listen("127.0.0.1:0", mux.Dispatch)
 	if err != nil {

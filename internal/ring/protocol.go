@@ -683,10 +683,8 @@ func (p *Peer) deliverJoined(ctx context.Context, newNode, self Node, list []Ent
 		p.mu.Unlock()
 		return fmt.Errorf("ring: joined delivery to %s failed: %w", newNode, err)
 	}
-	// Stabilize immediately so the new successor becomes usable (STAB) fast.
-	if !p.cfg.DisableAutoStabilize {
-		go p.StabilizeOnce()
-	}
+	// Stabilize soon so the new successor becomes usable (STAB) fast.
+	p.stab.Kick()
 	return nil
 }
 
@@ -779,10 +777,7 @@ func (p *Peer) handleJoined(_ transport.Addr, msg joinedMsg) (bool, error) {
 	if p.cb.OnJoined != nil {
 		p.cb.OnJoined(self, msg.Pred, msg.Data)
 	}
-	p.start()
-	if !p.cfg.DisableAutoStabilize {
-		go p.StabilizeOnce()
-	}
+	p.stab.Kick()
 	return true, nil
 }
 

@@ -173,7 +173,8 @@ type Callbacks struct {
 	// to the new peer — for a split, the carved-off range and items.
 	PrepareJoinData func(joining Node) any
 	// OnJoined is the INSERTED event, raised on the joining peer once it is
-	// JOINED, with the inserter's payload (Algorithm 11).
+	// JOINED, with the inserter's payload (Algorithm 11). The ring does not
+	// start its own loops: the owner calls Start here.
 	OnJoined func(self Node, pred Node, data any)
 	// OnPredChanged is raised when stabilization accepts a new predecessor
 	// (the INFOFROMPRED path). prev is the previously accepted predecessor;
@@ -212,9 +213,6 @@ type Config struct {
 	// stabilization alone. Used for the ablation benchmarks and for
 	// deterministic protocol tests.
 	NoProactive bool
-	// DisableAutoStabilize turns off the periodic loops so tests can drive
-	// stabilization step by step.
-	DisableAutoStabilize bool
 }
 
 func (c Config) withDefaults() Config {
@@ -258,7 +256,9 @@ type Peer struct {
 	reserver      transport.Addr
 	reservedUntil time.Time
 
-	loops transport.Runner // stabilization and failure detection
+	loops  transport.Runner // stabilization and failure detection
+	stab   *transport.Task  // the stabilization loop; kicked after a join
+	pinger *transport.Task  // the successor failure-detection loop
 
 	// stabMu serializes stabilization rounds (periodic and proactive).
 	stabMu sync.Mutex
@@ -276,6 +276,8 @@ func NewPeer(net transport.Transport, mux *transport.Mux, cfg Config, self Node,
 		self:  self,
 		state: StateFree,
 	}
+	p.stab = transport.NewTask(p.cfg.StabPeriod, p.StabilizeOnce)
+	p.pinger = transport.NewTask(p.cfg.PingPeriod, p.PingOnce)
 	methodStabilize.Handle(mux, p.handleStabilize)
 	methodPing.Handle(mux, p.handlePing)
 	methodReserve.Handle(mux, p.handleReserve)
@@ -379,7 +381,6 @@ func (p *Peer) InitRing() error {
 	if p.cb.OnJoined != nil {
 		p.cb.OnJoined(self, self, nil)
 	}
-	p.start()
 	return nil
 }
 
@@ -406,22 +407,14 @@ func (p *Peer) AdoptSuccessor(succ Node) error {
 	if p.cb.OnJoined != nil {
 		p.cb.OnJoined(self, self, nil)
 	}
-	p.start()
 	return nil
 }
 
-// start launches the periodic loops once the peer is part of a ring
-// (idempotent; a no-op after Stop, so a join completing during teardown
-// cannot race the shutdown).
-func (p *Peer) start() {
-	if p.cfg.DisableAutoStabilize {
-		return
-	}
-	p.loops.Start(
-		transport.NewTask(p.cfg.StabPeriod, p.StabilizeOnce),
-		transport.NewTask(p.cfg.PingPeriod, p.PingOnce),
-	)
-}
+// Start launches the stabilization and failure-detection loops; the owner
+// calls it once the peer is part of a ring, from OnJoined (idempotent; a
+// no-op after Stop, so a join completing during teardown cannot race the
+// shutdown). A peer that is never started only stabilizes when told to.
+func (p *Peer) Start() { p.loops.Start(p.stab, p.pinger) }
 
 // Stop terminates the peer's background loops without any protocol; used for
 // teardown. It does not mark the peer failed on the network.

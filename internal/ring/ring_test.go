@@ -18,11 +18,13 @@ import (
 
 // testCluster wires peers to one simnet for ring-layer tests.
 type testCluster struct {
-	t     *testing.T
-	net   *simnet.Network
-	cfg   Config
-	mu    sync.Mutex
-	peers map[simnet.Addr]*Peer
+	t   *testing.T
+	net *simnet.Network
+	cfg Config
+	// manual leaves every peer's loops unstarted (see addPeer).
+	manual bool
+	mu     sync.Mutex
+	peers  map[simnet.Addr]*Peer
 }
 
 func fastRingConfig() Config {
@@ -53,24 +55,24 @@ func newTestCluster(t *testing.T, cfg Config) *testCluster {
 	}
 }
 
-func (tc *testCluster) addPeer(addr string, val uint64) *Peer {
+// addPeer registers a FREE peer with the given callbacks. Unless the cluster
+// is manual, the peer's loops start when it joins, as its owner starts them
+// in production; a manual cluster never starts them and its tests drive
+// StabilizeOnce and PingOnce by hand.
+func (tc *testCluster) addPeer(addr string, val uint64, cb Callbacks) *Peer {
 	tc.t.Helper()
 	mux := simnet.NewMux()
-	p := NewPeer(tc.net, mux, tc.cfg, Node{Addr: simnet.Addr(addr), Val: keyspace.Key(val)}, Callbacks{})
-	if err := tc.net.Register(simnet.Addr(addr), mux.Dispatch); err != nil {
-		tc.t.Fatal(err)
+	var p *Peer
+	if !tc.manual {
+		onJoined := cb.OnJoined
+		cb.OnJoined = func(self, pred Node, data any) {
+			if onJoined != nil {
+				onJoined(self, pred, data)
+			}
+			p.Start()
+		}
 	}
-	tc.mu.Lock()
-	tc.peers[simnet.Addr(addr)] = p
-	tc.mu.Unlock()
-	tc.t.Cleanup(p.Stop)
-	return p
-}
-
-func (tc *testCluster) addPeerCB(addr string, val uint64, cb Callbacks) *Peer {
-	tc.t.Helper()
-	mux := simnet.NewMux()
-	p := NewPeer(tc.net, mux, tc.cfg, Node{Addr: simnet.Addr(addr), Val: keyspace.Key(val)}, cb)
+	p = NewPeer(tc.net, mux, tc.cfg, Node{Addr: simnet.Addr(addr), Val: keyspace.Key(val)}, cb)
 	if err := tc.net.Register(simnet.Addr(addr), mux.Dispatch); err != nil {
 		tc.t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func (tc *testCluster) buildRing(n int) []*Peer {
 	tc.t.Helper()
 	peers := make([]*Peer, n)
 	for i := 0; i < n; i++ {
-		peers[i] = tc.addPeer(fmt.Sprintf("p%d", i), uint64(i+1)*100)
+		peers[i] = tc.addPeer(fmt.Sprintf("p%d", i), uint64(i+1)*100, Callbacks{})
 	}
 	if err := peers[0].InitRing(); err != nil {
 		tc.t.Fatal(err)
@@ -165,7 +167,7 @@ func waitConsistent(t *testing.T, peers []*Peer) {
 
 func TestInitRingSolo(t *testing.T) {
 	tc := newTestCluster(t, fastRingConfig())
-	p := tc.addPeer("a", 100)
+	p := tc.addPeer("a", 100, Callbacks{})
 	if err := p.InitRing(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +187,8 @@ func TestInitRingSolo(t *testing.T) {
 
 func TestInsertIntoSoloRing(t *testing.T) {
 	tc := newTestCluster(t, fastRingConfig())
-	a := tc.addPeer("a", 100)
-	b := tc.addPeer("b", 200)
+	a := tc.addPeer("a", 100, Callbacks{})
+	b := tc.addPeer("b", 200, Callbacks{})
 	if err := a.InitRing(); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +315,7 @@ func TestConsistencyDuringConcurrentInserts(t *testing.T) {
 		go func(w, pos int) {
 			defer wg.Done()
 			inserter := peers[pos]
-			p := tc.addPeer(fmt.Sprintf("n%d", w), uint64(pos+1)*100+50)
+			p := tc.addPeer(fmt.Sprintf("n%d", w), uint64(pos+1)*100+50, Callbacks{})
 			if err := inserter.InsertSucc(ctx, p.Self()); err != nil {
 				t.Errorf("insert n%d: %v", w, err)
 			}
@@ -357,7 +359,7 @@ func TestEventualConsistencyUnderHeavyChurn(t *testing.T) {
 			// produce, where a new value always comes from inside the
 			// splitting peer's own range.
 			val := uint64(w+1)*100 + 10
-			p := tc.addPeer(fmt.Sprintf("n%d", w), val)
+			p := tc.addPeer(fmt.Sprintf("n%d", w), val, Callbacks{})
 			// Insert at the value-correct predecessor; re-resolve on every
 			// retry since a concurrent join may have changed it.
 			for {
@@ -407,12 +409,12 @@ func TestNaiveInsertBreaksConsistency(t *testing.T) {
 	cfg := fastRingConfig()
 	cfg.Naive = true
 	cfg.SuccListLen = 2
-	cfg.DisableAutoStabilize = true
 	tc := newTestCluster(t, cfg)
+	tc.manual = true
 
-	a := tc.addPeer("a", 100)
-	b := tc.addPeer("b", 200)
-	c := tc.addPeer("c", 300)
+	a := tc.addPeer("a", 100, Callbacks{})
+	b := tc.addPeer("b", 200, Callbacks{})
+	c := tc.addPeer("c", 300, Callbacks{})
 	if err := a.InitRing(); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +438,7 @@ func TestNaiveInsertBreaksConsistency(t *testing.T) {
 
 	// Insert x between a and b. Naive: x is JOINED instantly, but c still
 	// has [a, b] and skips x.
-	x := tc.addPeer("x", 150)
+	x := tc.addPeer("x", 150, Callbacks{})
 	if err := a.InsertSucc(ctx, x.Self()); err != nil {
 		t.Fatal(err)
 	}
@@ -461,13 +463,13 @@ func TestNaiveInsertBreaksConsistency(t *testing.T) {
 func TestPepperAckRequiresPropagation(t *testing.T) {
 	cfg := fastRingConfig()
 	cfg.SuccListLen = 3
-	cfg.DisableAutoStabilize = true
 	cfg.NoProactive = true
 	tc := newTestCluster(t, cfg)
+	tc.manual = true
 
 	peers := make([]*Peer, 5)
 	for i := range peers {
-		peers[i] = tc.addPeer(fmt.Sprintf("p%d", i), uint64(i+1)*100)
+		peers[i] = tc.addPeer(fmt.Sprintf("p%d", i), uint64(i+1)*100, Callbacks{})
 	}
 	if err := peers[0].InitRing(); err != nil {
 		t.Fatal(err)
@@ -505,7 +507,7 @@ func TestPepperAckRequiresPropagation(t *testing.T) {
 
 	// Insert x as successor of p2 (value 350). The ack must not arrive until
 	// the farthest predecessor (p0, distance d-1=2 back from p2) has seen x.
-	x := tc.addPeer("x", 350)
+	x := tc.addPeer("x", 350, Callbacks{})
 	done := make(chan error, 1)
 	go func() { done <- peers[2].InsertSucc(ctx, x.Self()) }()
 	time.Sleep(20 * time.Millisecond)
@@ -544,12 +546,12 @@ func TestPepperAckRequiresPropagation(t *testing.T) {
 
 func TestInsertBusyOnConcurrentInsertAtSamePeer(t *testing.T) {
 	cfg := fastRingConfig()
-	cfg.DisableAutoStabilize = true
 	cfg.NoProactive = true
 	tc := newTestCluster(t, cfg)
-	a := tc.addPeer("a", 100)
-	b := tc.addPeer("b", 200)
-	c := tc.addPeer("c", 300)
+	tc.manual = true
+	a := tc.addPeer("a", 100, Callbacks{})
+	b := tc.addPeer("b", 200, Callbacks{})
+	c := tc.addPeer("c", 300, Callbacks{})
 	if err := a.InitRing(); err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +567,7 @@ func TestInsertBusyOnConcurrentInsertAtSamePeer(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- a.InsertSucc(ctx, b.Self()) }()
 	waitUntil(t, time.Second, "insert to start", func() bool { return a.State() == StateInserting })
-	d := tc.addPeer("d", 400)
+	d := tc.addPeer("d", 400, Callbacks{})
 	if err := a.InsertSucc(ctx, d.Self()); !errors.Is(err, ErrBusy) {
 		t.Errorf("concurrent insert = %v, want ErrBusy", err)
 	}
@@ -577,7 +579,7 @@ func TestInsertBusyOnConcurrentInsertAtSamePeer(t *testing.T) {
 
 func TestInsertUnreachableNewPeer(t *testing.T) {
 	tc := newTestCluster(t, fastRingConfig())
-	a := tc.addPeer("a", 100)
+	a := tc.addPeer("a", 100, Callbacks{})
 	if err := a.InitRing(); err != nil {
 		t.Fatal(err)
 	}
@@ -602,17 +604,17 @@ func TestInsertUnreachableNewPeer(t *testing.T) {
 // elsewhere during that wait, and the winner's insert completes).
 func TestInsertOfAnAlreadyJoinedPeerCarvesNothing(t *testing.T) {
 	cfg := fastRingConfig()
-	cfg.DisableAutoStabilize = true
 	cfg.NoProactive = true
 	for _, during := range []bool{false, true} {
 		t.Run(fmt.Sprintf("joined during the ack wait=%v", during), func(t *testing.T) {
 			tc := newTestCluster(t, cfg)
+			tc.manual = true
 			var carvedBy []Node
 			carve := Callbacks{PrepareJoinData: func(n Node) any { carvedBy = append(carvedBy, n); return nil }}
-			a := tc.addPeerCB("a", 100, carve)
-			b := tc.addPeer("b", 200)
-			c := tc.addPeerCB("c", 300, carve)
-			d := tc.addPeer("d", 400)
+			a := tc.addPeer("a", 100, carve)
+			b := tc.addPeer("b", 200, Callbacks{})
+			c := tc.addPeer("c", 300, carve)
+			d := tc.addPeer("d", 400, Callbacks{})
 			for _, p := range []*Peer{a, c} {
 				if err := p.InitRing(); err != nil {
 					t.Fatal(err)
@@ -664,17 +666,17 @@ func TestInsertOfAnAlreadyJoinedPeerCarvesNothing(t *testing.T) {
 func TestConcurrentInsertersOfOneFreePeer(t *testing.T) {
 	cfg := fastRingConfig()
 	cfg.SuccListLen = 3
-	cfg.DisableAutoStabilize = true
 	cfg.NoProactive = true
 	cfg.AckTimeout = 10 * time.Second
 	tc := newTestCluster(t, cfg)
+	tc.manual = true
 
 	var mu sync.Mutex
 	carved := map[transport.Addr]bool{}
 	peers := make([]*Peer, 3)
 	for i := range peers {
 		addr := fmt.Sprintf("p%d", i)
-		peers[i] = tc.addPeerCB(addr, uint64(i+1)*100, Callbacks{PrepareJoinData: func(Node) any {
+		peers[i] = tc.addPeer(addr, uint64(i+1)*100, Callbacks{PrepareJoinData: func(Node) any {
 			mu.Lock()
 			carved[transport.Addr(addr)] = true
 			mu.Unlock()
@@ -714,7 +716,7 @@ func TestConcurrentInsertersOfOneFreePeer(t *testing.T) {
 	clear(carved)
 	mu.Unlock()
 
-	x := tc.addPeer("x", 0)
+	x := tc.addPeer("x", 0, Callbacks{})
 	inserters := peers[:2]
 	before := [][]Entry{inserters[0].SuccessorList(), inserters[1].SuccessorList()}
 	var sawInserting [2]atomic.Bool
@@ -798,9 +800,9 @@ func TestConcurrentInsertersOfOneFreePeer(t *testing.T) {
 // after which the first inserter's late joined message is refused.
 func TestReserveGrantsOnce(t *testing.T) {
 	tc := newTestCluster(t, fastRingConfig())
-	a := tc.addPeer("a", 100)
-	b := tc.addPeer("b", 200)
-	x := tc.addPeer("x", 300)
+	a := tc.addPeer("a", 100, Callbacks{})
+	b := tc.addPeer("b", 200, Callbacks{})
+	x := tc.addPeer("x", 300, Callbacks{})
 	if err := a.InitRing(); err != nil {
 		t.Fatal(err)
 	}
@@ -883,7 +885,7 @@ func TestPredFailureRaisesCallback(t *testing.T) {
 				}
 			},
 		}
-		peers[i] = tc.addPeerCB(fmt.Sprintf("p%d", i), uint64(i+1)*100, cb)
+		peers[i] = tc.addPeer(fmt.Sprintf("p%d", i), uint64(i+1)*100, cb)
 	}
 	if err := peers[0].InitRing(); err != nil {
 		t.Fatal(err)
@@ -1085,7 +1087,7 @@ func TestLeaveLengthensPredecessorList(t *testing.T) {
 
 func TestLeaveSolo(t *testing.T) {
 	tc := newTestCluster(t, fastRingConfig())
-	a := tc.addPeer("a", 100)
+	a := tc.addPeer("a", 100, Callbacks{})
 	if err := a.InitRing(); err != nil {
 		t.Fatal(err)
 	}
@@ -1102,11 +1104,11 @@ func TestLeaveSolo(t *testing.T) {
 
 func TestLeaveWhileBusy(t *testing.T) {
 	cfg := fastRingConfig()
-	cfg.DisableAutoStabilize = true
 	cfg.NoProactive = true
 	tc := newTestCluster(t, cfg)
-	a := tc.addPeer("a", 100)
-	b := tc.addPeer("b", 200)
+	tc.manual = true
+	a := tc.addPeer("a", 100, Callbacks{})
+	b := tc.addPeer("b", 200, Callbacks{})
 	if err := a.InitRing(); err != nil {
 		t.Fatal(err)
 	}
@@ -1118,7 +1120,7 @@ func TestLeaveWhileBusy(t *testing.T) {
 	// Let the one-shot post-join stabilizations settle so no stray round can
 	// ack the next insert early.
 	time.Sleep(50 * time.Millisecond)
-	c := tc.addPeer("c", 300)
+	c := tc.addPeer("c", 300, Callbacks{})
 	done := make(chan error, 1)
 	go func() { done <- a.InsertSucc(ctx, c.Self()) }()
 	waitUntil(t, time.Second, "inserting", func() bool { return a.State() == StateInserting })
@@ -1140,14 +1142,14 @@ func TestLeaveWhileBusy(t *testing.T) {
 func TestOrphanAbortedOnInserterDeath(t *testing.T) {
 	cfg := fastRingConfig()
 	cfg.SuccListLen = 3
-	cfg.DisableAutoStabilize = true
 	cfg.NoProactive = true
 	cfg.AckTimeout = 10 * time.Second
 	tc := newTestCluster(t, cfg)
+	tc.manual = true
 
 	peers := make([]*Peer, 5)
 	for i := range peers {
-		peers[i] = tc.addPeer(fmt.Sprintf("p%d", i), uint64(i+1)*100)
+		peers[i] = tc.addPeer(fmt.Sprintf("p%d", i), uint64(i+1)*100, Callbacks{})
 	}
 	if err := peers[0].InitRing(); err != nil {
 		t.Fatal(err)
@@ -1179,7 +1181,7 @@ func TestOrphanAbortedOnInserterDeath(t *testing.T) {
 	}
 
 	// p2 starts inserting x, then dies before the ack can fire.
-	x := tc.addPeer("x", 350)
+	x := tc.addPeer("x", 350, Callbacks{})
 	insertErr := make(chan error, 1)
 	go func() { insertErr <- peers[2].InsertSucc(ctx, x.Self()) }()
 	// One stabilization at p1 propagates the JOINING entry into p1's list.
@@ -1238,11 +1240,11 @@ func TestSetValAndRingOrder(t *testing.T) {
 
 func TestFirstStabilizedSuccessorGating(t *testing.T) {
 	cfg := fastRingConfig()
-	cfg.DisableAutoStabilize = true
 	cfg.NoProactive = true
 	tc := newTestCluster(t, cfg)
-	a := tc.addPeer("a", 100)
-	b := tc.addPeer("b", 200)
+	tc.manual = true
+	a := tc.addPeer("a", 100, Callbacks{})
+	b := tc.addPeer("b", 200, Callbacks{})
 	if err := a.InitRing(); err != nil {
 		t.Fatal(err)
 	}

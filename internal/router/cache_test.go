@@ -25,7 +25,7 @@ func (h *rtHarness) waitStabilized(t *testing.T) {
 }
 
 func TestFindOwnerCachedEntryResolvesInOneHop(t *testing.T) {
-	h := newRTHarness(t, 12, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 64})
+	h := newRTHarness(t, 12, Config{CallTimeout: 40 * time.Millisecond, MaxHops: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	h.waitStabilized(t)
@@ -74,7 +74,7 @@ func TestFindOwnerCachedEntryResolvesInOneHop(t *testing.T) {
 // cache is cold (returning the entry the lookup learned), the unprobed hint
 // when it is warm, and a bare address for a key this peer owns itself.
 func TestResolveHintOrFullLookup(t *testing.T) {
-	h := newRTHarness(t, 8, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 64})
+	h := newRTHarness(t, 8, Config{CallTimeout: 40 * time.Millisecond, MaxHops: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	h.waitStabilized(t)
@@ -103,7 +103,7 @@ func TestResolveHintOrFullLookup(t *testing.T) {
 }
 
 func TestStaleCacheEntryIsEvictedNotTrusted(t *testing.T) {
-	h := newRTHarness(t, 8, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 64})
+	h := newRTHarness(t, 8, Config{CallTimeout: 40 * time.Millisecond, MaxHops: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	h.waitStabilized(t)
@@ -161,7 +161,7 @@ func (s *slowLevelNet) Call(ctx context.Context, from, to transport.Addr, method
 // reader/writer interleavings.
 func TestRefreshDoesNotBlockLookups(t *testing.T) {
 	const refreshDelay = 500 * time.Millisecond
-	h := newRTHarnessNet(t, 8, Config{DisableAutoRefresh: true, CallTimeout: 2 * time.Second, MaxHops: 64},
+	h := newRTHarnessNet(t, 8, Config{CallTimeout: 2 * time.Second, MaxHops: 64},
 		func(tr transport.Transport) transport.Transport {
 			return &slowLevelNet{Transport: tr, delay: refreshDelay}
 		})

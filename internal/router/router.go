@@ -54,8 +54,6 @@ type Config struct {
 	CallTimeout time.Duration
 	// MaxHops bounds one lookup before it reports failure.
 	MaxHops int
-	// DisableAutoRefresh turns the maintenance loop off for tests.
-	DisableAutoRefresh bool
 }
 
 // maxLevels bounds the pointer hierarchy (2^maxLevels positions).
@@ -126,12 +124,7 @@ func (r *Router) handleSucc(transport.Addr, transport.None) (ring.Node, error) {
 }
 
 // Start launches the pointer maintenance loop (idempotent; no-op after Stop).
-func (r *Router) Start() {
-	if r.cfg.DisableAutoRefresh {
-		return
-	}
-	r.loops.Start(transport.NewTask(r.cfg.RefreshPeriod, r.RefreshOnce))
-}
+func (r *Router) Start() { r.loops.Start(transport.NewTask(r.cfg.RefreshPeriod, r.RefreshOnce)) }
 
 // Stop halts background work.
 func (r *Router) Stop() { r.loops.Stop() }

@@ -56,16 +56,22 @@ func newRTHarnessNet(t *testing.T, n int, cfg Config, wrap func(transport.Transp
 	for i := 0; i < n; i++ {
 		addr := simnet.Addr(fmt.Sprintf("rt%d", i))
 		mux := simnet.NewMux()
-		var st *datastore.Store
+		// Only the rings run loops; tests step stores and routers by hand.
+		var (
+			st *datastore.Store
+			rp *ring.Peer
+		)
 		cb := ring.Callbacks{
 			PrepareJoinData: func(j ring.Node) any { return st.PrepareJoinData(j) },
-			OnJoined:        func(self, pred ring.Node, data any) { st.OnJoined(self, pred, data) },
+			OnJoined: func(self, pred ring.Node, data any) {
+				st.OnJoined(self, pred, data)
+				rp.Start()
+			},
 		}
-		rp := ring.NewPeer(h.net, mux, rCfg, ring.Node{Addr: addr}, cb)
+		rp = ring.NewPeer(h.net, mux, rCfg, ring.Node{Addr: addr}, cb)
 		st = datastore.New(h.net, mux, rp, log, datastore.Config{
-			StorageFactor:      1000,
-			DisableMaintenance: true,
-			CallTimeout:        40 * time.Millisecond,
+			StorageFactor: 1000,
+			CallTimeout:   40 * time.Millisecond,
 		})
 		var rtNet transport.Transport = h.net
 		if wrap != nil {
@@ -87,7 +93,6 @@ func newRTHarnessNet(t *testing.T, n int, cfg Config, wrap func(transport.Transp
 	if err := h.rings[0].InitRing(); err != nil {
 		t.Fatal(err)
 	}
-	h.stores[0].InitFirstPeer()
 	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
 	defer cancel()
 	for i := 1; i < n; i++ {
@@ -148,7 +153,7 @@ func (h *rtHarness) refreshAll(rounds int) {
 
 func TestFindOwnerLinearFallbackOnly(t *testing.T) {
 	// Without any refresh, lookups still succeed via successor stepping.
-	h := newRTHarness(t, 6, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 32})
+	h := newRTHarness(t, 6, Config{CallTimeout: 40 * time.Millisecond, MaxHops: 32})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	rtWait(t, 5*time.Second, "stabilized successors", func() bool {
@@ -171,7 +176,7 @@ func TestFindOwnerLinearFallbackOnly(t *testing.T) {
 }
 
 func TestFindOwnerWithHierarchy(t *testing.T) {
-	h := newRTHarness(t, 16, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 64})
+	h := newRTHarness(t, 16, Config{CallTimeout: 40 * time.Millisecond, MaxHops: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	rtWait(t, 5*time.Second, "stabilized successors", func() bool {
@@ -208,7 +213,7 @@ func TestFindOwnerWithHierarchy(t *testing.T) {
 }
 
 func TestFindOwnerSelf(t *testing.T) {
-	h := newRTHarness(t, 3, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond})
+	h := newRTHarness(t, 3, Config{CallTimeout: 40 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	rng, _ := h.stores[0].Range()
@@ -222,7 +227,7 @@ func TestFindOwnerSelf(t *testing.T) {
 }
 
 func TestLinearFindOwner(t *testing.T) {
-	h := newRTHarness(t, 8, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 32})
+	h := newRTHarness(t, 8, Config{CallTimeout: 40 * time.Millisecond, MaxHops: 32})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	rtWait(t, 5*time.Second, "stabilized successors", func() bool {
@@ -246,7 +251,7 @@ func TestLinearFindOwner(t *testing.T) {
 }
 
 func TestFindOwnerSurvivesFailure(t *testing.T) {
-	h := newRTHarness(t, 8, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 64})
+	h := newRTHarness(t, 8, Config{CallTimeout: 40 * time.Millisecond, MaxHops: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	rtWait(t, 5*time.Second, "stabilized successors", func() bool {
@@ -277,7 +282,7 @@ func TestFindOwnerSurvivesFailure(t *testing.T) {
 }
 
 func TestFindOwnerStaleValuesCostHopsNotCorrectness(t *testing.T) {
-	h := newRTHarness(t, 8, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 64})
+	h := newRTHarness(t, 8, Config{CallTimeout: 40 * time.Millisecond, MaxHops: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	rtWait(t, 5*time.Second, "stabilized successors", func() bool {
@@ -310,7 +315,7 @@ func TestFindOwnerStaleValuesCostHopsNotCorrectness(t *testing.T) {
 }
 
 func TestConcurrentLookups(t *testing.T) {
-	h := newRTHarness(t, 12, Config{DisableAutoRefresh: true, CallTimeout: 40 * time.Millisecond, MaxHops: 64})
+	h := newRTHarness(t, 12, Config{CallTimeout: 40 * time.Millisecond, MaxHops: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	rtWait(t, 5*time.Second, "stabilized successors", func() bool {
