@@ -172,7 +172,7 @@ func assemblePeer(tr transport.Transport, addr transport.Addr, cfg Config, log *
 	// The ring callbacks close over the peer struct; the components are
 	// created right after and the callbacks only fire once the peer joins.
 	cb := ring.Callbacks{
-		PrepareJoinData: func(j ring.Node) any { return p.Store.PrepareJoinData(j) },
+		PrepareJoinData: func(j ring.Node) (any, error) { return p.Store.PrepareJoinData(j) },
 		OnJoined: func(self, pred ring.Node, data any) {
 			p.Store.OnJoined(self, pred, data)
 			if p.Gossip != nil {

@@ -172,15 +172,14 @@ func TestMergeWhoseAckIsLostEndsWithOneOwner(t *testing.T) {
 // the merge is fenced against losing that reply (above); ring joined and
 // rebalance are not (ROADMAP item 1). So no hand-off is declared Idempotent:
 // each stays a resumable stream at every size, and the receiver's memo
-// answers a commit re-sent after the connection dropped. The replica push and
-// pull survive a lost reply on their own, and are declared Idempotent.
+// answers a commit re-sent after the connection dropped. The replica push
+// survives a lost reply on its own, and is declared Idempotent.
 func TestHandOffsStayResumableStreams(t *testing.T) {
 	for name, want := range map[string]bool{
 		"ring.joined":  false,
 		"ds.rebalance": false,
 		"ds.mergeIn":   false,
 		"rep.push":     true,
-		"rep.pull":     true,
 	} {
 		if got := transport.IsIdempotent(name); got != want {
 			t.Errorf("%s declared Idempotent: %v, want %v", name, got, want)

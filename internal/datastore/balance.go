@@ -13,11 +13,8 @@ import (
 // joinData is the payload carried by the ring's INSERT/INSERTED events
 // during a split: the carved-off range and items for the new peer, plus the
 // ownership epoch the new peer claims it at (strictly above the splitter's
-// pre-split epoch, so the hand-off fences the old incarnation). Ok
-// distinguishes a real hand-off from a failed carve (a zero Range would
-// otherwise read as the full ring).
+// pre-split epoch, so the hand-off fences the old incarnation).
 type joinData struct {
-	Ok    bool
 	Range keyspace.Range
 	Epoch uint64
 	Items []Item
@@ -112,15 +109,13 @@ func (s *Store) split() error {
 
 // PrepareJoinData is the ring INSERT event (Algorithm 10): carve the upper
 // half of the range and items for the joining peer, under the range write
-// lock so no scan is in flight across the moving boundary.
-func (s *Store) PrepareJoinData(joining ring.Node) any {
+// lock so no scan is in flight across the moving boundary. A carve that
+// cannot happen changes nothing and returns an error, which fails the insert.
+func (s *Store) PrepareJoinData(joining ring.Node) (any, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaintenanceTimeout)
 	defer cancel()
 	if err := s.rangeLock.Lock(ctx); err != nil {
-		// Hand over an empty payload; the joining peer will abort scans and
-		// the balance loop will rebalance later. This should effectively not
-		// happen: scans release locks quickly.
-		return joinData{}
+		return nil, ErrLockBusy
 	}
 	defer s.rangeLock.Unlock()
 
@@ -128,12 +123,13 @@ func (s *Store) PrepareJoinData(joining ring.Node) any {
 	s.mu.Lock()
 	if !s.hasRange {
 		s.mu.Unlock()
-		return joinData{}
+		return nil, ErrNoRange
 	}
 	low, high, ok := s.rng.SplitAt(self.Val)
 	if !ok {
+		err := fmt.Errorf("%w: split point %d is outside %v", ErrNoRange, self.Val, s.rng)
 		s.mu.Unlock()
-		return joinData{}
+		return nil, err
 	}
 	// Both halves are new ownership incarnations at epoch+1: each strictly
 	// supersedes the pre-split claim over the keys it keeps, so requests
@@ -151,16 +147,14 @@ func (s *Store) PrepareJoinData(joining ring.Node) any {
 	s.mu.Unlock()
 
 	s.replicate()
-	return joinData{Ok: true, Range: high, Epoch: newEpoch, Items: moved}
+	return joinData{Range: high, Epoch: newEpoch, Items: moved}, nil
 }
 
 // OnJoined is the ring INSERTED event at the joining peer: install the
-// received range and items (the owner then starts the maintenance loop). A
-// nil payload means this peer was adopted as an orphan after its inserter
-// failed; it reconstructs its state from the predecessor value and pulls
-// replicas from its successors.
+// received range and items (the owner then starts the maintenance loop), or
+// claim the full ring when this peer is the ring's first.
 func (s *Store) OnJoined(self ring.Node, pred ring.Node, data any) {
-	if jd, ok := data.(joinData); ok && jd.Ok {
+	if jd, ok := data.(joinData); ok {
 		// Claim first, then the items under the claimed epoch (the order
 		// replay needs), so a crash right after the join recovers them. The
 		// splitter journaled the moves as it carved.
@@ -171,12 +165,6 @@ func (s *Store) OnJoined(self ring.Node, pred ring.Node, data any) {
 		s.replicate()
 		return
 	}
-	if data == nil && pred.Addr != "" && pred.Addr != self.Addr {
-		// Orphan adoption: we own (pred.val, self.val] but hold nothing.
-		s.adoptOrphanRange(keyspace.NewRange(pred.Val, self.Val))
-		return
-	}
-	// First peer of the ring.
 	if pred.Addr == self.Addr {
 		s.InitFirstPeer()
 	}

@@ -58,11 +58,6 @@ type Replicator interface {
 	// Revive returns locally held replicas whose keys fall in r, used when
 	// this peer absorbs a failed predecessor's range.
 	Revive(r keyspace.Range) []Item
-	// PullRange fetches replicas in r from ring successors, used when this
-	// peer was adopted as an orphan and holds nothing locally. The second
-	// result is the highest ownership epoch any contacted holder had seen
-	// advertised for r, so the adopter can claim the range above it.
-	PullRange(ctx context.Context, r keyspace.Range) ([]Item, uint64)
 	// MaxAdvertisedEpoch reports the highest ownership epoch this peer has
 	// seen advertised (via replication pushes) for any range overlapping r;
 	// 0 when none. Failure revival claims the revived range above it, so the

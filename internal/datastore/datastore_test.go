@@ -66,8 +66,7 @@ func (f *fakeRep) Revive(r keyspace.Range) []Item {
 	}
 	return out
 }
-func (f *fakeRep) PullRange(context.Context, keyspace.Range) ([]Item, uint64) { return nil, 0 }
-func (f *fakeRep) MaxAdvertisedEpoch(keyspace.Range) uint64                   { return 0 }
+func (f *fakeRep) MaxAdvertisedEpoch(keyspace.Range) uint64 { return 0 }
 func (f *fakeRep) AdvertInfo(simnet.Addr) (keyspace.Range, uint64, time.Time, bool) {
 	return keyspace.Range{}, 0, time.Time{}, false
 }
@@ -152,7 +151,7 @@ func (h *harness) addPeer() (*Store, *ring.Peer) {
 		rp *ring.Peer
 	)
 	cb := ring.Callbacks{
-		PrepareJoinData: func(j ring.Node) any { return st.PrepareJoinData(j) },
+		PrepareJoinData: func(j ring.Node) (any, error) { return st.PrepareJoinData(j) },
 		OnJoined: func(self, pred ring.Node, data any) {
 			st.OnJoined(self, pred, data)
 			if !h.manual {

@@ -105,7 +105,7 @@ func checkFeedAgainstSnapshot(t *testing.T, rnd *rand.Rand, steps int) {
 			}
 			self.SetVal(hi)
 			st.OnJoined(ring.Node{Addr: st.Addr(), Val: hi}, ring.Node{Addr: "pred", Val: lo},
-				joinData{Ok: true, Range: keyspace.NewRange(lo, hi), Epoch: epoch + uint64(step) + 1, Items: items})
+				joinData{Range: keyspace.NewRange(lo, hi), Epoch: epoch + uint64(step) + 1, Items: items})
 		case n < 8:
 			op = "insert"
 			_, _ = st.handleInsert("c", insertReq{Item: Item{Key: key(), Payload: payload()}})

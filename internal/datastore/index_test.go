@@ -94,7 +94,7 @@ func checkIndexAgainstMap(t *testing.T, rnd *rand.Rand, steps int) {
 				hi := lo + keyspace.Key(1+rnd.Intn(100))
 				self.SetVal(hi)
 				st.OnJoined(ring.Node{Addr: st.Addr(), Val: hi}, ring.Node{Addr: "pred", Val: lo},
-					joinData{Ok: true, Range: keyspace.NewRange(lo, hi), Epoch: epoch + uint64(step) + 1, Items: batch()})
+					joinData{Range: keyspace.NewRange(lo, hi), Epoch: epoch + uint64(step) + 1, Items: batch()})
 			}
 		}
 

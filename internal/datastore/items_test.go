@@ -124,7 +124,7 @@ type handOff struct {
 
 var joinAs100to200 = func(_ *testing.T, st *Store) {
 	st.OnJoined(ring.Node{Addr: st.Addr(), Val: 200}, ring.Node{Addr: "pred", Val: 100},
-		joinData{Ok: true, Range: keyspace.NewRange(100, 200), Epoch: 3, Items: itemsOf(150)})
+		joinData{Range: keyspace.NewRange(100, 200), Epoch: 3, Items: itemsOf(150)})
 }
 
 var handOffs = []handOff{
@@ -132,7 +132,7 @@ var handOffs = []handOff{
 		name: "join install", fresh: true,
 		run: func(_ *testing.T, st *Store) {
 			st.OnJoined(ring.Node{Addr: st.Addr(), Val: 200}, ring.Node{Addr: "pred", Val: 100},
-				joinData{Ok: true, Range: keyspace.NewRange(100, 200), Epoch: 3, Items: itemsOf(120, 150, 180)})
+				joinData{Range: keyspace.NewRange(100, 200), Epoch: 3, Items: itemsOf(120, 150, 180)})
 		},
 		// The splitter journaled the moves as it carved them.
 		wal:    []string{"claim (100,200]@3", "put 120@3 put 150@3 put 180@3"},
@@ -351,6 +351,36 @@ func TestRevivalKeepsScansOutUntilItsItemsLand(t *testing.T) {
 	wantSame(t, "items", keysOf(st.LocalItems()), []keyspace.Key{90, 150})
 }
 
+// A carve that cannot take the range write lock before MaintenanceTimeout
+// refuses with ErrLockBusy and changes nothing: the range, epoch, items, WAL
+// and journal stay as they were, so the ring can fail the insert.
+func TestCarveThatCannotLockRefuses(t *testing.T) {
+	rec := newRecBackend()
+	h := newHarness(t, Config{StorageFactor: 5, MaintenanceTimeout: 20 * time.Millisecond}, ring.Config{})
+	h.manual = true
+	st, rp := h.addPeer()
+	st.SetBackend(rec)
+	joinAs100to200(t, st)
+	rp.SetVal(120) // split() lowers the value before the ring insert
+	rec.wal()
+	skip := len(h.log.Events())
+
+	if err := st.rangeLock.RLock(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := st.PrepareJoinData(ring.Node{Addr: "new", Val: 200})
+	st.rangeLock.RUnlock()
+	if !errors.Is(err, ErrLockBusy) || data != nil {
+		t.Fatalf("carve under a held read lock = (%v, %v), want (nil, ErrLockBusy)", data, err)
+	}
+	rng, epoch, _ := st.RangeEpoch()
+	wantSame(t, "range", rng, keyspace.NewRange(100, 200))
+	wantSame(t, "epoch", epoch, uint64(3))
+	wantSame(t, "items", keysOf(st.LocalItems()), []keyspace.Key{150})
+	wantSame(t, "WAL batches", rec.wal(), []string(nil))
+	wantSame(t, "history events", journal(h.log, skip), []string(nil))
+}
+
 // The giving side of a split and of a redistribute journals the moves, then
 // the shrunken claim; the claim's record is all it writes — its replay prunes
 // the carved items.
@@ -375,7 +405,11 @@ func TestCarveJournalsMovesThenClaim(t *testing.T) {
 	t.Run("split", func(t *testing.T) {
 		h, first, rec, skip := boot(t)
 		h.rings[first.Addr()].SetVal(60) // split() lowers the value before the ring insert
-		jd, _ := first.PrepareJoinData(ring.Node{Addr: "new", Val: 0}).(joinData)
+		data, err := first.PrepareJoinData(ring.Node{Addr: "new", Val: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jd := data.(joinData)
 		wantSame(t, "handed range", jd.Range, keyspace.NewRange(60, 0))
 		wantSame(t, "handed epoch", jd.Epoch, uint64(2))
 		wantSame(t, "handed items", keysOf(jd.Items), []keyspace.Key{70, 80})

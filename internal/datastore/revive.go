@@ -155,37 +155,11 @@ func (s *Store) OnPredChanged(newPred, prev ring.Node, predFailed bool) {
 	}
 }
 
-// adoptOrphanRange is the joining side of an orphan adoption: the peer that
-// was inserting us failed, so we own r but hold nothing. Serve it unfenced
-// (epoch 0) at once and revive it from our successors' replica stores; only
-// when the pull reports the highest epoch any replica holder saw advertised
-// for r can we claim an incarnation that provably supersedes the lost one.
-func (s *Store) adoptOrphanRange(r keyspace.Range) {
-	s.mu.Lock()
-	s.hasRange = true
-	s.rng = r
-	s.mu.Unlock()
-	if s.rep == nil {
-		return
-	}
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaintenanceTimeout)
-		defer cancel()
-		items, maxAdv := s.rep.PullRange(ctx, r)
-		s.mu.Lock()
-		if s.hasRange && s.rng == r && s.epoch == 0 {
-			s.claimLocked(r, maxAdv+1)
-		}
-		s.mu.Unlock()
-		s.adoptRevived(r, items)
-	}()
-}
-
-// adoptRevived installs the revived items (at most one per key: Revive and
-// PullRange read keyed stores) that fall into r, are still owned by this peer
-// and are not already held — a replica lags its origin, so a held item is
-// never overwritten by a revived one — as one change journaled as additions.
-// The claim that covers them was made by the caller.
+// adoptRevived installs the revived items (at most one per key: Revive reads
+// a keyed store) that fall into r, are still owned by this peer and are not
+// already held — a replica lags its origin, so a held item is never
+// overwritten by a revived one — as one change journaled as additions. The
+// claim that covers them was made by the caller.
 func (s *Store) adoptRevived(r keyspace.Range, items []Item) {
 	s.mu.Lock()
 	var fresh []Item

@@ -134,10 +134,9 @@ func CheckClaims(events []Event) []ClaimViolation {
 // adder's current claim. An add that fails this landed on a deposed owner —
 // the dual-claim phantom. A fail-stopped peer's claim is void from its
 // PeerFailed event onward (mirroring BuildLiveness): the successor reviving
-// its range — or an orphan adopter serving before its own claim lands —
-// must not be flagged against a dead competitor. Journals that never record
-// claims (hand-built test layouts) trivially pass: with no competing claim
-// there is nothing to fence.
+// its range must not be flagged against a dead competitor. Journals that
+// never record claims (hand-built test layouts) trivially pass: with no
+// competing claim there is nothing to fence.
 func CheckAddAttribution(events []Event) []ClaimViolation {
 	latest := make(map[string]Claim)
 	var out []ClaimViolation

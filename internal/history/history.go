@@ -42,7 +42,7 @@ type EventKind uint8
 // peers (split/merge/redistribute/revival), so liveness never shows a false
 // gap or false overlap mid-transfer. RangeClaimed is an ownership-epoch
 // transition: the peer claims (Lo, Hi] at Epoch — journaled at every epoch
-// bump site (bootstrap, split, merge, redistribute, failure revival, orphan
+// bump site (bootstrap, split, merge, redistribute, failure revival, lease
 // adoption) so the audit can attribute each mutation to exactly one
 // ownership incarnation.
 const (

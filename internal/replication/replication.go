@@ -62,11 +62,11 @@ import (
 )
 
 // The Replication Manager's RPCs. A push whose reply is lost is followed by a
-// full one (refresh), and a pull is a read, so both are Idempotent: one that
-// fits a chunk crosses TCP as one call frame, with no stream or memo.
+// full one (refresh), so it is Idempotent: one that fits a chunk crosses TCP
+// as one call frame, with no stream or memo. A replica scan is a plain call
+// whose oversized answer chunks back.
 var (
 	methodPush = transport.NewMethod[pushMsg, pushResp]("rep.push").Idempotent()
-	methodPull = transport.NewMethod[pullReq, pullResp]("rep.pull").Idempotent()
 	methodScan = transport.NewMethod[replicaScanReq, []datastore.Item]("rep.scan")
 )
 
@@ -281,7 +281,6 @@ func New(net transport.Transport, mux *transport.Mux, rp *ring.Peer, ds *datasto
 	}
 	m.refresher = transport.NewTask(m.cfg.RefreshPeriod, m.RefreshOnce)
 	methodPush.Handle(mux, m.handlePush)
-	methodPull.Handle(mux, m.handlePull)
 	methodScan.Handle(mux, m.handleReplicaScan)
 	return m
 }
@@ -617,38 +616,6 @@ func (m *Manager) MaxAdvertisedEpoch(r keyspace.Range) uint64 {
 	return max
 }
 
-// pullReq asks a peer for every replica (and own item) it holds in a range;
-// used by orphaned peers reconstructing a range they now own.
-type pullReq struct{ Range keyspace.Range }
-
-// pullResp carries the pulled items plus the highest ownership epoch the
-// answering peer has seen asserted for the range (adverts it holds and its
-// own primary claim), so the puller can claim its new incarnation above it.
-type pullResp struct {
-	Items    []datastore.Item
-	MaxEpoch uint64
-}
-
-func (m *Manager) handlePull(_ transport.Addr, req pullReq) (pullResp, error) {
-	resp := pullResp{MaxEpoch: m.MaxAdvertisedEpoch(req.Range)}
-	m.mu.Lock()
-	for k, r := range m.replicas {
-		if req.Range.Contains(k) {
-			resp.Items = append(resp.Items, r.Item)
-		}
-	}
-	m.mu.Unlock()
-	for _, it := range m.ds.LocalItems() {
-		if req.Range.Contains(it.Key) {
-			resp.Items = append(resp.Items, it)
-		}
-	}
-	if rng, epoch, ok := m.ds.RangeEpoch(); ok && rng.Overlaps(req.Range) && epoch > resp.MaxEpoch {
-		resp.MaxEpoch = epoch
-	}
-	return resp, nil
-}
-
 // replicaScanReq asks a peer for every item it can see inside the interval —
 // held replicas plus its own Data Store items. It is the read path's
 // availability fallback: when a segment's primary owner is unreachable, the
@@ -907,38 +874,4 @@ func (m *Manager) Revive(r keyspace.Range) []datastore.Item {
 	}
 	m.mu.Unlock()
 	return out
-}
-
-// PullRange implements datastore.Replicator: fetch replicas in r from our
-// successors (used by orphaned peers that hold nothing locally). The pulls
-// fan out concurrently as bulk calls — the answers are whole ranges, so they
-// stream back chunked when they outgrow a frame — and the union of whatever
-// arrives is the result, together with the highest ownership epoch any
-// holder had seen asserted for r (so the puller claims above it).
-func (m *Manager) PullRange(ctx context.Context, r keyspace.Range) ([]datastore.Item, uint64) {
-	seen := make(map[keyspace.Key]datastore.Item)
-	self := m.ring.Self()
-	succs := m.ring.Successors()
-	pends := make([]*transport.PendingOf[pullResp], 0, len(succs))
-	for _, succ := range succs {
-		pends = append(pends, methodPull.CallBulkAsync(ctx, m.net, self.Addr, succ.Addr, pullReq{Range: r}))
-	}
-	var maxEpoch uint64
-	for _, p := range pends {
-		pr, err := p.Result()
-		if err != nil {
-			continue
-		}
-		if pr.MaxEpoch > maxEpoch {
-			maxEpoch = pr.MaxEpoch
-		}
-		for _, it := range pr.Items {
-			seen[it.Key] = it
-		}
-	}
-	out := make([]datastore.Item, 0, len(seen))
-	for _, it := range seen {
-		out = append(out, it)
-	}
-	return out, maxEpoch
 }

@@ -63,21 +63,17 @@ func TestPushStreamsOversizedRangeStrict(t *testing.T) {
 		t.Fatalf("Chunks = %d, want a chunked transfer (>= %d)", st.Chunks, items)
 	}
 
-	// The pull direction: a tiny pull request answered with the same
+	// The read direction: a tiny replica scan answered with the same
 	// oversized range must cross simnet too (the response is not
 	// frame-bounded — real transports chunk it back).
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel2()
-	resp, err := transport.CallBulk(h.net, ctx2, stores[0].Addr(), succ.Addr, methodPull.Name(), pullReq{Range: keyspace.NewRange(0, 100)})
+	read, err := ClientReplicaItems(ctx2, h.net, stores[0].Addr(), succ.Addr, keyspace.ClosedInterval(0, 100), 0)
 	if err != nil {
-		t.Fatalf("oversized pull: %v", err)
+		t.Fatalf("oversized replica scan: %v", err)
 	}
-	pulled, ok := resp.(pullResp)
-	if !ok {
-		t.Fatalf("pull response type %T", resp)
-	}
-	if len(pulled.Items) != items {
-		t.Fatalf("pulled %d items, want %d", len(pulled.Items), items)
+	if len(read) != items {
+		t.Fatalf("replica scan read %d items, want %d", len(read), items)
 	}
 }
 
@@ -212,23 +208,19 @@ func TestPushOversizedRangeOverTCP(t *testing.T) {
 		}
 	}
 
-	// Pull the same >16 MiB range back with a tiny request: the response
-	// chunks over the wire (kindRespChunk) — the revival path an orphaned
-	// peer depends on.
-	resp, err = transport.CallBulk(tr, ctx, sndAddr, rcvAddr, methodPull.Name(), pullReq{Range: keyspace.NewRange(100, 300)})
+	// Read the same >16 MiB range back with a tiny replica scan: the
+	// response chunks over the wire (kindRespChunk) — the replica fallback a
+	// client's read of a dead primary depends on.
+	read, err := ClientReplicaItems(ctx, tr, sndAddr, rcvAddr, keyspace.ClosedInterval(100, 300), 0)
 	if err != nil {
-		t.Fatalf("oversized pull over TCP: %v", err)
+		t.Fatalf("oversized replica scan over TCP: %v", err)
 	}
-	pulled, ok := resp.(pullResp)
-	if !ok {
-		t.Fatalf("pull response type %T", resp)
+	if len(read) != items {
+		t.Fatalf("replica scan read %d items, want %d", len(read), items)
 	}
-	if len(pulled.Items) != items {
-		t.Fatalf("pulled %d items, want %d", len(pulled.Items), items)
-	}
-	for _, it := range pulled.Items {
+	for _, it := range read {
 		if len(it.Payload) != len(payload) {
-			t.Fatalf("pulled item %d truncated to %d bytes", it.Key, len(it.Payload))
+			t.Fatalf("scanned item %d truncated to %d bytes", it.Key, len(it.Payload))
 		}
 	}
 }

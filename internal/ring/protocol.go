@@ -668,20 +668,28 @@ func (p *Peer) completeJoin(ctx context.Context, newNode Node) error {
 // deliverJoined raises the INSERT event, which carves our range for good
 // (newNode is reserved for us until ctx ends), and sends newNode the joined
 // message: a bulk call, since it carries the Data Store hand-off, which the
-// joining peer installs at commit. A dead newNode is dropped from our list.
+// joining peer installs at commit. A refused carve sends nothing; it and a
+// dead newNode both drop newNode from our list.
 func (p *Peer) deliverJoined(ctx context.Context, newNode, self Node, list []Entry) error {
 	var data any
+	var err error
 	if p.cb.PrepareJoinData != nil {
-		data = p.cb.PrepareJoinData(newNode)
+		if data, err = p.cb.PrepareJoinData(newNode); err != nil {
+			err = fmt.Errorf("ring: carve for %s refused: %w", newNode, err)
+		}
 	}
-	_, err := methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, joinedMsg{Self: newNode, Pred: self, List: list, Data: data})
+	if err == nil {
+		if _, err = methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, joinedMsg{Self: newNode, Pred: self, List: list, Data: data}); err != nil {
+			err = fmt.Errorf("ring: joined delivery to %s failed: %w", newNode, err)
+		}
+	}
 	if err != nil {
 		p.mu.Lock()
 		if len(p.succ) > 0 && p.succ[0].Node.Addr == newNode.Addr {
 			p.succ = p.succ[1:]
 		}
 		p.mu.Unlock()
-		return fmt.Errorf("ring: joined delivery to %s failed: %w", newNode, err)
+		return err
 	}
 	// Stabilize soon so the new successor becomes usable (STAB) fast.
 	p.stab.Kick()

@@ -170,8 +170,10 @@ type Callbacks struct {
 	// PrepareJoinData is the framework's INSERT event, raised on the
 	// inserting peer when the joining peer is about to transition to JOINED
 	// (Algorithm 10 lines 20–23). The Data Store returns the payload to hand
-	// to the new peer — for a split, the carved-off range and items.
-	PrepareJoinData func(joining Node) any
+	// to the new peer — for a split, the carved-off range and items. An
+	// error means nothing was carved: the ring sends no joined message, drops
+	// the joining peer from its list and fails the insert with that error.
+	PrepareJoinData func(joining Node) (any, error)
 	// OnJoined is the INSERTED event, raised on the joining peer once it is
 	// JOINED, with the inserter's payload (Algorithm 11). The ring does not
 	// start its own loops: the owner calls Start here.

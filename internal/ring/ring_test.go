@@ -61,6 +61,13 @@ func newTestCluster(t *testing.T, cfg Config) *testCluster {
 // StabilizeOnce and PingOnce by hand.
 func (tc *testCluster) addPeer(addr string, val uint64, cb Callbacks) *Peer {
 	tc.t.Helper()
+	return tc.addPeerOn(tc.net, addr, val, cb)
+}
+
+// addPeerOn is addPeer for a peer that sends through net, a view of the
+// cluster's network.
+func (tc *testCluster) addPeerOn(net transport.Transport, addr string, val uint64, cb Callbacks) *Peer {
+	tc.t.Helper()
 	mux := simnet.NewMux()
 	var p *Peer
 	if !tc.manual {
@@ -72,7 +79,7 @@ func (tc *testCluster) addPeer(addr string, val uint64, cb Callbacks) *Peer {
 			p.Start()
 		}
 	}
-	p = NewPeer(tc.net, mux, tc.cfg, Node{Addr: simnet.Addr(addr), Val: keyspace.Key(val)}, cb)
+	p = NewPeer(net, mux, tc.cfg, Node{Addr: simnet.Addr(addr), Val: keyspace.Key(val)}, cb)
 	if err := tc.net.Register(simnet.Addr(addr), mux.Dispatch); err != nil {
 		tc.t.Fatal(err)
 	}
@@ -597,6 +604,69 @@ func TestInsertUnreachableNewPeer(t *testing.T) {
 	}
 }
 
+// joinedCounter is one peer's view of the network that counts the joined
+// messages it sends. It hides the bulk interface, so a bulk call is a Call.
+type joinedCounter struct {
+	transport.Transport
+	joined atomic.Int64
+}
+
+func (n *joinedCounter) Call(ctx context.Context, from, to transport.Addr, method string, payload any) (any, error) {
+	if method == methodJoined.Name() {
+		n.joined.Add(1)
+	}
+	return n.Transport.Call(ctx, from, to, method, payload)
+}
+
+// A carve the layer above refuses sends no joined message and fails the
+// insert with the refusal: the joining peer never joins, the inserter drops
+// it from its list, and the ring converges without it.
+func TestRefusedCarveAbortsInsert(t *testing.T) {
+	tc := newTestCluster(t, fastRingConfig())
+	refusal := errors.New("carve refused")
+	var refuse atomic.Bool
+	net := &joinedCounter{Transport: tc.net}
+	a := tc.addPeerOn(net, "a", 100, Callbacks{PrepareJoinData: func(Node) (any, error) {
+		if refuse.Load() {
+			return nil, refusal
+		}
+		return nil, nil
+	}})
+	b := tc.addPeer("b", 200, Callbacks{})
+	c := tc.addPeer("c", 300, Callbacks{})
+	if err := a.InitRing(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := a.InsertSucc(ctx, c.Self()); err != nil {
+		t.Fatal(err)
+	}
+	waitConsistent(t, []*Peer{a, c})
+	sent := net.joined.Load()
+	if sent != 1 {
+		t.Fatalf("counted %d joined messages for a's first insert, want 1", sent)
+	}
+
+	refuse.Store(true)
+	err := a.InsertSucc(ctx, b.Self())
+	if !errors.Is(err, refusal) {
+		t.Fatalf("insert with a refused carve = %v, want an error wrapping %v", err, refusal)
+	}
+	if got := net.joined.Load(); got != sent {
+		t.Errorf("a sent %d joined messages for the refused insert, want none", got-sent)
+	}
+	for _, n := range a.SuccessorList() {
+		if n.Node.Addr == b.Self().Addr {
+			t.Errorf("b left in a's successor list: %v", a.SuccessorList())
+		}
+	}
+	waitConsistent(t, []*Peer{a, c})
+	if b.State() == StateJoined {
+		t.Error("b joined on a refused carve")
+	}
+}
+
 // One free peer handed to two inserters: the loser fails with ErrNotFree
 // without carving anything or touching its successor list — whether the peer
 // had already joined when its insert began, or the winner was still waiting
@@ -610,7 +680,7 @@ func TestInsertOfAnAlreadyJoinedPeerCarvesNothing(t *testing.T) {
 			tc := newTestCluster(t, cfg)
 			tc.manual = true
 			var carvedBy []Node
-			carve := Callbacks{PrepareJoinData: func(n Node) any { carvedBy = append(carvedBy, n); return nil }}
+			carve := Callbacks{PrepareJoinData: func(n Node) (any, error) { carvedBy = append(carvedBy, n); return nil, nil }}
 			a := tc.addPeer("a", 100, carve)
 			b := tc.addPeer("b", 200, Callbacks{})
 			c := tc.addPeer("c", 300, carve)
@@ -676,11 +746,11 @@ func TestConcurrentInsertersOfOneFreePeer(t *testing.T) {
 	peers := make([]*Peer, 3)
 	for i := range peers {
 		addr := fmt.Sprintf("p%d", i)
-		peers[i] = tc.addPeer(addr, uint64(i+1)*100, Callbacks{PrepareJoinData: func(Node) any {
+		peers[i] = tc.addPeer(addr, uint64(i+1)*100, Callbacks{PrepareJoinData: func(Node) (any, error) {
 			mu.Lock()
 			carved[transport.Addr(addr)] = true
 			mu.Unlock()
-			return nil
+			return nil, nil
 		}})
 	}
 	if err := peers[0].InitRing(); err != nil {

@@ -62,7 +62,7 @@ func newRTHarnessNet(t *testing.T, n int, cfg Config, wrap func(transport.Transp
 			rp *ring.Peer
 		)
 		cb := ring.Callbacks{
-			PrepareJoinData: func(j ring.Node) any { return st.PrepareJoinData(j) },
+			PrepareJoinData: func(j ring.Node) (any, error) { return st.PrepareJoinData(j) },
 			OnJoined: func(self, pred ring.Node, data any) {
 				st.OnJoined(self, pred, data)
 				rp.Start()

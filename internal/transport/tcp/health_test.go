@@ -165,8 +165,8 @@ func TestOversizedCallFailsTyped(t *testing.T) {
 }
 
 // An oversized handler *response* to a plain small call chunks back as
-// kindRespChunk frames and arrives whole: the answer to a tiny pull request
-// is a whole range, so the response direction must be as unbounded as the
+// kindRespChunk frames and arrives whole: the answer to a tiny replica scan
+// is a whole segment, so the response direction must be as unbounded as the
 // streamed request direction.
 func TestOversizedResponseChunksBack(t *testing.T) {
 	if testing.Short() {
@@ -177,7 +177,7 @@ func TestOversizedResponseChunksBack(t *testing.T) {
 		return bigMsg{Data: make([]byte, size)}, nil
 	}
 	tr, a, b := newPairTimeout(t, 60*time.Second, huge, huge)
-	resp, err := tr.Call(context.Background(), a, b, "rep.pull", echoMsg{})
+	resp, err := tr.Call(context.Background(), a, b, "rep.scan", echoMsg{})
 	if err != nil {
 		t.Fatalf("oversized response: %v", err)
 	}
