@@ -102,12 +102,12 @@ func (s *Store) ReclaimAbove(conflict uint64) uint64 {
 
 // --- Leases -----------------------------------------------------------------
 
-// RenewLease advances the current claim's lease clock to now, journaling the
-// renewal durably (WAL) and to the history log. The replication manager
-// calls it from RefreshOnce after at least one successor acknowledged the
-// refresh without deposing this peer — the renewal is evidence the owner is
-// still observably serving, not a self-certification. No-op when leases are
-// disabled or no range is held.
+// RenewLease advances the current claim's lease clock to now and records the
+// renewal durably (a RecLease WAL record), but not in the history log. The
+// replication manager calls it from RefreshOnce after at least one successor
+// acknowledged the refresh without deposing this peer — the renewal is
+// evidence the owner is still observably serving, not a self-certification.
+// No-op when leases are disabled or no range is held.
 func (s *Store) RenewLease() {
 	if s.cfg.LeaseDuration <= 0 {
 		return
@@ -120,7 +120,6 @@ func (s *Store) RenewLease() {
 	now := time.Now().UnixNano()
 	s.leaseRenewedAt = now
 	_ = s.backend.Append(storage.Record{Kind: storage.RecLease, Epoch: s.epoch, Key: keyspace.Key(now)})
-	s.log.LeaseRenewed(string(s.ring.Self().Addr), s.rng, s.epoch)
 }
 
 // RestoreLeaseClock installs the lease-renewal time a durable backend

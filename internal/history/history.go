@@ -53,12 +53,14 @@ const (
 	RangeClaimed
 	// Lease lifecycle events (see lease.go for the audit over them). A lease
 	// is the time bound on a RangeClaimed incarnation: granted with the claim,
-	// renewed by the owner's replication refresh, expired when a neighbor
-	// observes the renewal lapse and adopts the range, released when the owner
-	// gives the range up voluntarily, handed off when a membership operation
-	// transfers part of it to another peer with both sides still live.
+	// expired when a neighbor observes the owner's renewals lapse and adopts
+	// the range, released when the owner gives the range up voluntarily,
+	// handed off when a membership operation transfers part of it to another
+	// peer with both sides still live. A renewal by the owner's replication
+	// refresh is not journaled: it changes nothing the audit replays, and it
+	// lands on every refresh. Kinds are never serialized, so their numbering
+	// may change.
 	LeaseGranted
-	LeaseRenewed
 	LeaseExpired
 	LeaseReleased
 	LeaseHandoff
@@ -84,8 +86,6 @@ func (k EventKind) String() string {
 		return "claim"
 	case LeaseGranted:
 		return "lease-grant"
-	case LeaseRenewed:
-		return "lease-renew"
 	case LeaseExpired:
 		return "lease-expire"
 	case LeaseReleased:
@@ -208,15 +208,6 @@ func (l *Log) LeaseGranted(peer string, r keyspace.Range, epoch uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.events = append(l.events, Event{Seq: l.next(), Kind: LeaseGranted, Peer: peer, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
-}
-
-// LeaseRenewed journals a renewal of peer's lease on r at epoch: the owner
-// proved it is still serving (its replication refresh landed) within the
-// lease duration.
-func (l *Log) LeaseRenewed(peer string, r keyspace.Range, epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: LeaseRenewed, Peer: peer, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
 }
 
 // LeaseExpired journals that adopter observed holder's lease on r at epoch

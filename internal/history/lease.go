@@ -53,9 +53,8 @@ type handoff struct {
 // sequence order, no LeaseGranted may overlap another peer's live lease
 // unless the journal justified the overlap first (the holder's lease was
 // voided, or a pending handoff from the holder to the grantee covers the
-// granted range). Renewals of a voided lease are void themselves — ignored
-// rather than flagged, since a lapsed owner's refresh racing its adoption is
-// the expected execution, not a protocol failure — and a same-peer re-grant
+// granted range). Renewals are not journaled: they only keep a live lease
+// live, which the replay assumes until a voiding event. A same-peer re-grant
 // supersedes that peer's previous lease (shrinks at splits/redistributes,
 // extensions at merges/revivals). Journals with no lease events trivially
 // pass, so unleased configurations stay auditable by the epoch checks alone.
@@ -118,11 +117,6 @@ func CheckLeases(events []Event) []LeaseViolation {
 			}
 			dropHandoffsFrom(ev.Peer)
 			latest[ev.Peer] = lease{Range: r, Epoch: ev.Epoch, Live: true}
-		case LeaseRenewed:
-			// Renewals carry no state this replay needs: a live lease stays
-			// live, and a renewal from a voided or superseded incarnation is
-			// void rather than a violation — a lapsed owner's refresh racing
-			// its own adoption is the expected execution, not a failure.
 		case LeaseExpired:
 			// ev.Peer is the lapsed holder; ev.From the adopter; ev.Epoch the
 			// highest epoch the adopter observed the holder advertise (0 =
