@@ -50,7 +50,7 @@ func main() {
 	lease := flag.Duration("lease", 0, "range-claim lease duration (multi-process mode; 0 disables): a claim not renewed by the owner's replica refresh within this duration may be adopted by its ring successor at a higher epoch; set to several multiples of the refresh period")
 	gossipInterval := flag.Duration("gossip-interval", 0, "anti-entropy round interval of the gossiped membership directory (multi-process mode; 0 disables): free peers, range adverts and liveness suspicions spread peer-to-peer so splits keep working after the bootstrap process dies")
 	clusterKey := flag.String("cluster-key", "", "path to the shared cluster secret (multi-process mode and -probe): every connection performs a mutual challenge-response handshake proving both ends hold this secret, the peer signs its ownership adverts with an ed25519 identity (persisted in -data-dir, ephemeral otherwise), and received adverts are verified before they can depose anyone; empty disables authentication")
-	chaosDropChunk := flag.Int("chaos-drop-chunk", 0, "fault injection (multi-process mode): kill the connection under the first bulk transfer that reaches this chunk sequence number, once per process, to force a stream resume on the real wire; 0 disables")
+	chaosDropChunk := flag.Int("chaos-drop-chunk", 0, "fault injection (multi-process mode): kill the connection under the first bulk transfer that reaches this chunk sequence number, once per process, so the transfer fails and its protocol must ask again; 0 disables")
 	probe := flag.String("probe", "", "probe the pepperd process at this address and exit (CI smoke / operators)")
 	expect := flag.Int("expect", -1, "with -probe: require a range query to return exactly this many items")
 	serving := flag.Bool("serving", false, "with -probe: require the peer to be JOINED and serving a range")
@@ -62,7 +62,7 @@ func main() {
 	leaseAudit := flag.Bool("lease-audit", false, "with -probe: require a clean lease-exclusivity audit (no two unexpired leases ever overlapped a key in the process's journal)")
 	minGossipFree := flag.Int("min-gossip-free", -1, "with -probe: require the process's gossiped directory to know at least this many free peers")
 	minGossipMem := flag.Int("min-gossip-members", -1, "with -probe: require the process's gossiped directory to know at least this many members (membership only grows, so this gate is race-free)")
-	minStreamResumes := flag.Int("min-stream-resumes", -1, "with -probe: require the process's transport to have resumed at least this many bulk transfers from the receiver's high-water chunk mark")
+	minChaosDrops := flag.Int("min-chaos-drops", -1, "with -probe: require the process's -chaos-drop-chunk fault to have killed at least this many connections under a bulk transfer")
 	minHandshakeRejects := flag.Int("min-handshake-rejects", -1, "with -probe: require the process's transport to have refused at least this many connections at the authentication handshake")
 	probeLoad := flag.Int("probe-load", 0, "with -probe: once the other criteria hold, have the process insert this many fresh items into an item-free key gap of its own range; the JSON status reports the exact loaded interval (loaded_lo/loaded_hi)")
 	wait := flag.Duration("wait", 0, "with -probe: keep retrying until satisfied or this timeout elapses")
@@ -81,7 +81,7 @@ func main() {
 			minRecovered:        *minRecovered,
 			minGossipFree:       *minGossipFree,
 			minGossipMem:        *minGossipMem,
-			minStreamResumes:    *minStreamResumes,
+			minChaosDrops:       *minChaosDrops,
 			minHandshakeRejects: *minHandshakeRejects,
 			audit:               *audit,
 			leaseAudit:          *leaseAudit,

@@ -197,7 +197,7 @@ type probeOpts struct {
 	minRecovered        int           // required recovered-item count; <0 = don't care
 	minGossipFree       int           // required gossiped free-directory entries; <0 = don't care
 	minGossipMem        int           // required gossiped member count; <0 = don't care
-	minStreamResumes    int           // required resumed bulk transfers; <0 = don't care
+	minChaosDrops       int           // required chaos-fault firings; <0 = don't care
 	minHandshakeRejects int           // required handshake refusals; <0 = don't care
 	audit               bool          // final journaled query + Definition 4 audit
 	leaseAudit          bool          // final lease-exclusivity audit (CheckLeases)
@@ -323,7 +323,7 @@ func probeSatisfied(st ops.ProbeStatus, o probeOpts) bool {
 	if o.minGossipMem >= 0 && st.GossipMembers < o.minGossipMem {
 		return false
 	}
-	if o.minStreamResumes >= 0 && st.StreamResumes < uint64(o.minStreamResumes) {
+	if o.minChaosDrops >= 0 && st.ChaosDrops < uint64(o.minChaosDrops) {
 		return false
 	}
 	if o.minHandshakeRejects >= 0 && st.HandshakeRejects < uint64(o.minHandshakeRejects) {
@@ -356,8 +356,8 @@ func renderStatus(st ops.ProbeStatus) string {
 	if st.AuthEnabled {
 		out += fmt.Sprintf(" auth=on handshake-rejects=%d sig-rejects=%d", st.HandshakeRejects, st.SigRejects)
 	}
-	if st.StreamResumes > 0 {
-		out += fmt.Sprintf(" stream-resumes=%d", st.StreamResumes)
+	if st.ChaosDrops > 0 {
+		out += fmt.Sprintf(" chaos-drops=%d", st.ChaosDrops)
 	}
 	if st.RejoinErr != "" {
 		out += fmt.Sprintf(" rejoin-err=%q", st.RejoinErr)

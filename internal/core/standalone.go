@@ -107,7 +107,7 @@ func (s *Standalone) handleProbe(_ transport.Addr, req ops.ProbeRequest) (ops.Pr
 		ws := wsp.WireStats()
 		resp.AuthEnabled = ws.AuthEnabled
 		resp.HandshakeRejects = ws.HandshakeRejects
-		resp.StreamResumes = ws.StreamResumes
+		resp.ChaosDrops = ws.ChaosDrops
 	}
 	if req.LoadItems > 0 {
 		lo, hi, err := s.probeLoad(p, req.LoadItems)

@@ -179,9 +179,10 @@ func (s *Store) LeaseInfo() (enabled bool, age time.Duration, expired bool) {
 func (s *Store) ObserveRemoteClaim(rng keyspace.Range, epoch uint64) {
 	s.mu.Lock()
 	conflict := s.hasRange && s.rng.Overlaps(rng) && epoch > s.epoch
+	mine, myEpoch := s.rng, s.epoch
 	s.mu.Unlock()
 	if conflict {
-		go s.StepDown(epoch)
+		go s.StepDown(mine, myEpoch)
 	}
 }
 
@@ -255,19 +256,25 @@ func (s *Store) Recover(rng keyspace.Range, epoch uint64, items []Item) {
 
 // --- Deposition --------------------------------------------------------------
 
-// StepDown resigns this peer's range ownership: a peer holding a claim over
-// our range with the strictly higher epoch winnerEpoch has been observed (a
-// replication push answered "deposed"), which proves the ring's failure
-// detector declared us dead and a successor revived our range while we were
-// still serving — the dual-claim window. The epoch orders the two
-// incarnations, and the lower one must yield: we drain in-flight scans under
-// the range write lock, drop the range and items (journaled as removals —
-// exactly the effect a real fail-stop would have had; anything we held is
-// already replicated up to the usual replication lag, and our unreplicated
-// window mutations die with us, as they would in a genuine crash), and
-// depart to the free pool under a spent identity, the same recycling path a
-// merged-away peer takes. The process re-enters as a fresh free peer.
-func (s *Store) StepDown(winnerEpoch uint64) {
+// StepDown resigns the incarnation (rng, epoch) of this peer's range
+// ownership: a peer holding a claim over it at a strictly higher epoch has
+// been observed (a replication push answered "deposed", a push or a gossiped
+// advert from the higher claim), which proves the ring's failure detector
+// declared us dead and a successor revived our range while we were still
+// serving — the dual-claim window. The epoch orders the two incarnations,
+// and the lower one must yield: we drain in-flight scans under the range
+// write lock, drop the range and items (journaled as removals — exactly the
+// effect a real fail-stop would have had; anything we held is already
+// replicated up to the usual replication lag, and our unreplicated window
+// mutations die with us, as they would in a genuine crash), and depart to the
+// free pool under a spent identity, the same recycling path a merged-away
+// peer takes. The process re-enters as a fresh free peer.
+//
+// Every caller judges a snapshot of the claim and steps down later, so the
+// verdict names the incarnation it judged: one that has moved on since — a
+// redistribution or a split gave it a new range and epoch — was never
+// contested, and stays.
+func (s *Store) StepDown(rng keyspace.Range, epoch uint64) {
 	if !s.maintMu.TryLock() {
 		return // mid-split/merge; the next deposed push reply retries
 	}
@@ -278,9 +285,8 @@ func (s *Store) StepDown(winnerEpoch uint64) {
 		return
 	}
 	s.mu.Lock()
-	if !s.hasRange || winnerEpoch <= s.epoch {
-		// Raced a legitimate hand-off, or the verdict is stale: only a
-		// strictly higher incarnation can depose us.
+	if !s.hasRange || s.rng != rng || s.epoch != epoch {
+		// Raced a legitimate hand-off: the deposed incarnation is gone.
 		s.mu.Unlock()
 		s.rangeLock.Unlock()
 		return

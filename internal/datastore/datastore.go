@@ -199,6 +199,9 @@ type Store struct {
 	fed      bool
 	fedRng   keyspace.Range
 	fedEpoch uint64
+	// pendingCarve is this peer's last redistribution carve, kept until its
+	// requester has moved on (handleRebalance); nil when there is none.
+	pendingCarve *carve
 
 	handlersMu sync.Mutex
 	handlers   map[string]Handler

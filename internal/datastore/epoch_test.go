@@ -134,8 +134,8 @@ func TestSplitBumpsEpochs(t *testing.T) {
 }
 
 // StepDown resigns a deposed incarnation: the range and items drop (journaled
-// as removals), the peer departs, and only a strictly higher epoch can force
-// it.
+// as removals) and the peer departs. The verdict names the incarnation it
+// judged, and one that has moved on — another range, another epoch — stays.
 func TestStepDownResignsRange(t *testing.T) {
 	h := newHarness(t, Config{}, ring.Config{})
 	first := h.boot(1)
@@ -145,16 +145,17 @@ func TestStepDownResignsRange(t *testing.T) {
 	if err := insertAt(ctx, first, first.Addr(), Item{Key: 50}); err != nil {
 		t.Fatal(err)
 	}
-	epoch := first.Epoch()
+	rng, epoch, _ := first.RangeEpoch()
 
-	first.StepDown(epoch) // not strictly higher: must refuse
+	first.StepDown(rng, epoch-1) // an earlier incarnation
+	first.StepDown(keyspace.NewRange(rng.Lo, rng.Lo+10), epoch)
 	if _, ok := first.Range(); !ok {
-		t.Fatal("StepDown at own epoch resigned the range")
+		t.Fatal("StepDown against another incarnation resigned the range")
 	}
 
-	first.StepDown(epoch + 1)
+	first.StepDown(rng, epoch)
 	if _, ok := first.Range(); ok {
-		t.Fatal("StepDown with a higher epoch left the range in place")
+		t.Fatal("StepDown against the current incarnation left the range in place")
 	}
 	if first.ItemCount() != 0 {
 		t.Fatalf("deposed peer still holds %d items", first.ItemCount())

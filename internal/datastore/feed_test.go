@@ -142,7 +142,7 @@ func checkFeedAgainstSnapshot(t *testing.T, rnd *rand.Rand, steps int) {
 				ring.Node{Addr: "pred", Val: rng.Lo}, true)
 		case n == 15:
 			op = "step-down"
-			st.StepDown(epoch + 1)
+			st.StepDown(rng, epoch)
 		case n == 16:
 			// A bare range change leaves items outside the range: the feed
 			// must clip them away, and report them gone when they change.

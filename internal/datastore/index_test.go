@@ -84,8 +84,8 @@ func checkIndexAgainstMap(t *testing.T, rnd *rand.Rand, steps int) {
 			}
 		case n == 10:
 			op = "step-down"
-			if _, epoch, has := st.RangeEpoch(); has {
-				st.StepDown(epoch + 1)
+			if rng, epoch, has := st.RangeEpoch(); has {
+				st.StepDown(rng, epoch)
 			}
 		default:
 			op = "rejoin"

@@ -436,7 +436,8 @@ func TestCarveJournalsMovesThenClaim(t *testing.T) {
 
 	t.Run("step-down", func(t *testing.T) {
 		h, first, rec, skip := boot(t)
-		first.StepDown(2)
+		rng, epoch, _ := first.RangeEpoch()
+		first.StepDown(rng, epoch)
 		wantSame(t, "WAL batches", rec.wal(), []string{"release"})
 		events := journal(h.log, skip)
 		sort.Strings(events)

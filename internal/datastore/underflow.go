@@ -15,6 +15,7 @@ import (
 type rebalanceReq struct {
 	From      ring.Node // the underflowing peer (our predecessor)
 	FromCount int
+	Epoch     uint64 // the underflowing peer's ownership epoch
 }
 
 type rebalanceResp struct {
@@ -23,6 +24,15 @@ type rebalanceResp struct {
 	NewBoundary  keyspace.Key // the underflowing peer's new upper bound / value
 	Epoch        uint64       // for redistribute: the successor's post-shrink epoch
 	Merge        bool         // the underflowing peer should merge into us
+}
+
+// carve is a redistribution the successor made: the requester as its request
+// named it — address, value and epoch — and the answer it was given.
+type carve struct {
+	from  transport.Addr
+	val   keyspace.Key
+	epoch uint64
+	resp  rebalanceResp
 }
 
 type mergeInReq struct {
@@ -47,14 +57,18 @@ func (s *Store) underflow() error {
 	}
 	self := s.ring.Self()
 	s.mu.Lock()
-	count := len(s.items)
+	req := rebalanceReq{From: self, FromCount: len(s.items), Epoch: s.epoch}
 	s.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaintenanceTimeout)
 	defer cancel()
 	// Bulk call: a redistribution answer carries half the successor's items,
-	// which may not fit one transport frame.
-	rb, err := methodRebalance.CallBulk(ctx, s.net, self.Addr, succ.Addr, rebalanceReq{From: self, FromCount: count})
+	// which may not fit one transport frame. The successor answers a repeat
+	// of the request with the carve it made for it, so a reply lost with its
+	// connection is asked for again.
+	rb, err := transport.Reask(ctx, func() (rebalanceResp, error) {
+		return methodRebalance.CallBulk(ctx, s.net, self.Addr, succ.Addr, req)
+	})
 	if err != nil {
 		return err
 	}
@@ -72,8 +86,14 @@ func (s *Store) underflow() error {
 // between redistribution (we can spare items) and merge (combined load fits
 // in one peer). For a redistribution it carves its lowest items under the
 // range write lock and shrinks its range upward before replying, so there is
-// never a moment where both peers claim the boundary region.
+// never a moment where both peers claim the boundary region. The carve is
+// kept until the requester moves on, and a repeat of its request — the same
+// address, value and epoch, whose reply was lost — gets the same answer
+// instead of a second carve.
 func (s *Store) handleRebalance(from transport.Addr, req rebalanceReq) (rebalanceResp, error) {
+	if rb, ok := s.repeatedCarve(req); ok {
+		return rb, nil
+	}
 	if !s.maintMu.TryLock() {
 		return rebalanceResp{}, nil // busy: caller retries later
 	}
@@ -135,11 +155,31 @@ func (s *Store) handleRebalance(from transport.Addr, req rebalanceReq) (rebalanc
 	newEpoch := s.epoch + 1
 	_ = s.applyLocked(itemChange{items: moved, del: true, wal: walSkip, journal: movedTo(from)})
 	s.claimLocked(keyspace.NewRange(boundary, s.rng.Hi), newEpoch)
+	rb := rebalanceResp{Redistribute: true, Items: moved, NewBoundary: boundary, Epoch: newEpoch}
+	s.pendingCarve = &carve{from: req.From.Addr, val: req.From.Val, epoch: req.Epoch, resp: rb}
 	s.mu.Unlock()
 
 	s.replicate()
 	s.Redistributes.Add(1)
-	return rebalanceResp{Redistribute: true, Items: moved, NewBoundary: boundary, Epoch: newEpoch}, nil
+	return rb, nil
+}
+
+// repeatedCarve returns the pending carve when req repeats the request it
+// answered. A request from the peer whose value is our lower bound shows the
+// carve was applied — its requester took the new boundary as its value — and
+// clears it.
+func (s *Store) repeatedCarve(req rebalanceReq) (rebalanceResp, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pc := s.pendingCarve
+	switch {
+	case pc == nil:
+	case pc.from == req.From.Addr && pc.val == req.From.Val && pc.epoch == req.Epoch:
+		return pc.resp, true
+	case req.From.Val == s.rng.Lo:
+		s.pendingCarve = nil
+	}
+	return rebalanceResp{}, false
 }
 
 // applyRedistribute extends this peer's range and value up to the new

@@ -22,7 +22,10 @@ import "repro/internal/keyspace"
 //	1 — initial versioned schema (adds schema_version itself, the durable
 //	    storage fields backend/wal_records/wal_bytes/snapshots, and the
 //	    recovery fields recovered/recovered_items to the PR-6 layout).
-const SchemaVersion = 1
+//	2 — stream_resumes is replaced by chaos_drops: no transport resumes a
+//	    bulk transfer any more, and the chaos fault's firing is what a
+//	    smoke run checks instead.
+const SchemaVersion = 2
 
 // ProbeRequest asks a standalone process to report its state. With Query set
 // the process also evaluates a range query over [Lo, Hi] from its own peer;
@@ -111,12 +114,12 @@ type ProbeStatus struct {
 	// handshake on every connection, how many connections its transport
 	// failed at the handshake (either side), how many received ownership adverts
 	// it rejected for a bad signature (replication pushes plus gossiped range
-	// adverts), and how many bulk transfers its transport resumed from the
-	// receiver's high-water chunk mark after a connection loss.
+	// adverts), and how many connections its transport's chaos fault killed
+	// under a bulk transfer (pepperd -chaos-drop-chunk; at most one).
 	AuthEnabled      bool   `json:"auth_enabled"`
 	HandshakeRejects uint64 `json:"handshake_rejects"`
 	SigRejects       uint64 `json:"sig_rejects"`
-	StreamResumes    uint64 `json:"stream_resumes"`
+	ChaosDrops       uint64 `json:"chaos_drops"`
 
 	// Replication push protocol: pushes this peer sent as an origin, by shape
 	// (delta, advert-only heartbeat, full set), the replies that asked it for

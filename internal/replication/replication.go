@@ -61,12 +61,11 @@ import (
 	"repro/internal/transport"
 )
 
-// The Replication Manager's RPCs. A push whose reply is lost is followed by a
-// full one (refresh), so it is Idempotent: one that fits a chunk crosses TCP
-// as one call frame, with no stream or memo. A replica scan is a plain call
-// whose oversized answer chunks back.
+// The Replication Manager's RPCs. A push is a bulk call; one whose reply is
+// lost is followed by a full one (refresh), so a dropped push is never asked
+// again. A replica scan is a plain call whose oversized answer chunks back.
 var (
-	methodPush = transport.NewMethod[pushMsg, pushResp]("rep.push").Idempotent()
+	methodPush = transport.NewMethod[pushMsg, pushResp]("rep.push")
 	methodScan = transport.NewMethod[replicaScanReq, []datastore.Item]("rep.scan")
 )
 
@@ -431,7 +430,7 @@ func (m *Manager) handlePush(_ transport.Addr, msg pushMsg) (pushResp, error) {
 				return pushResp{Deposed: true, Epoch: reclaimed}, nil
 			}
 		default:
-			go m.ds.StepDown(msg.Epoch)
+			go m.ds.StepDown(rng, epoch)
 		}
 	}
 	m.mu.Lock()
@@ -700,14 +699,15 @@ func (m *Manager) handleReplicaScan(_ transport.Addr, req replicaScanReq) ([]dat
 // the verdict: a successor whose own claim covers our range at a strictly
 // higher epoch answers Deposed — proof that the failure detector wrongly
 // declared us dead and our range was revived while we kept serving. The
-// losing incarnation (us) must then step down; this reply path is what
-// bounds the dual-claim window to one replication refresh.
+// losing incarnation — the (range, epoch) the pushes advertised, unless it
+// has moved on since — must then step down; this reply path is what bounds
+// the dual-claim window to one replication refresh.
 func (m *Manager) RefreshOnce() {
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CallTimeout)
 	defer cancel()
 	res := m.refresh(ctx, m.cfg.Factor)
 	if res.deposedBy > 0 {
-		m.ds.StepDown(res.deposedBy)
+		m.ds.StepDown(res.rng, res.epoch)
 		return
 	}
 	// Lease renewal is evidence-based: the lease renews only when at least
@@ -725,10 +725,12 @@ func (m *Manager) RefreshOnce() {
 
 // refreshResult is what one round of pushes established.
 type refreshResult struct {
-	targets   int    // successors pushed to (none when this peer serves no range)
-	landed    bool   // some successor recorded our advert without deposing us
-	deposedBy uint64 // highest epoch a successor deposed us with; 0 = none
-	err       error  // first transport or handler error
+	targets   int            // successors pushed to (none when this peer serves no range)
+	rng       keyspace.Range // the claim the pushes advertised
+	epoch     uint64         // and its epoch
+	landed    bool           // some successor recorded our advert without deposing us
+	deposedBy uint64         // highest epoch a successor deposed us with; 0 = none
+	err       error          // first transport or handler error
 }
 
 // refresh applies what changed in the Data Store since the last refresh
@@ -752,7 +754,7 @@ func (m *Manager) refresh(ctx context.Context, fanout int) (res refreshResult) {
 	if len(succs) > fanout {
 		succs = succs[:fanout]
 	}
-	res.targets = len(succs)
+	res.targets, res.rng, res.epoch = len(succs), ch.Range, ch.Epoch
 
 	o := &m.origin
 	if ch.Full {

@@ -668,8 +668,11 @@ func (p *Peer) completeJoin(ctx context.Context, newNode Node) error {
 // deliverJoined raises the INSERT event, which carves our range for good
 // (newNode is reserved for us until ctx ends), and sends newNode the joined
 // message: a bulk call, since it carries the Data Store hand-off, which the
-// joining peer installs at commit. A refused carve sends nothing; it and a
-// dead newNode both drop newNode from our list.
+// joining peer installs at commit. newNode answers a repeat of the message
+// without installing it twice, so a reply lost with its connection is asked
+// for again until ctx ends (transport.Reask). A refused carve sends nothing;
+// it, a refusal and a newNode that never answers all drop newNode from our
+// list.
 func (p *Peer) deliverJoined(ctx context.Context, newNode, self Node, list []Entry) error {
 	var data any
 	var err error
@@ -679,7 +682,10 @@ func (p *Peer) deliverJoined(ctx context.Context, newNode, self Node, list []Ent
 		}
 	}
 	if err == nil {
-		if _, err = methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, joinedMsg{Self: newNode, Pred: self, List: list, Data: data}); err != nil {
+		msg := joinedMsg{Self: newNode, Pred: self, List: list, Data: data}
+		if _, err = transport.Reask(ctx, func() (bool, error) {
+			return methodJoined.CallBulk(ctx, p.net, self.Addr, newNode.Addr, msg)
+		}); err != nil {
 			err = fmt.Errorf("ring: joined delivery to %s failed: %w", newNode, err)
 		}
 	}
@@ -764,9 +770,15 @@ func (p *Peer) handleJoinAck(_ transport.Addr, msg joinAckMsg) (transport.None, 
 }
 
 // handleJoined installs ring state on the joining peer (Algorithm 11) and
-// raises the INSERTED event to higher layers.
+// raises the INSERTED event to higher layers. A repeat of the message that
+// installed us, from our inserter, is answered true and installs nothing:
+// its first reply was lost, and the inserter asks again.
 func (p *Peer) handleJoined(_ transport.Addr, msg joinedMsg) (bool, error) {
 	p.mu.Lock()
+	if p.state == StateJoined && p.reserver == msg.Pred.Addr && p.self == msg.Self && p.pred == msg.Pred {
+		p.mu.Unlock()
+		return true, nil
+	}
 	// Only a live reservation's inserter may promote us (Depart sets FREE).
 	if p.state != StateJoining || p.reserver != msg.Pred.Addr || time.Now().After(p.reservedUntil) {
 		p.mu.Unlock()

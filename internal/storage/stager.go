@@ -11,10 +11,9 @@ import (
 // diskStager stages one chunked transfer's frames in a spill file instead of
 // RAM, which lifts the transport's MaxStreamBytes cap: on a durable backend
 // every chunked transfer flows through here — in either direction, a
-// streamed request or a chunked response. A bulk call of an
-// Idempotent method (a replica push or pull) that fits one chunk is sent as a
-// plain call frame and staged nowhere, so replica pushes touch no spill file;
-// a hand-off streams, and is staged here, at every size. Chunk boundaries are
+// streamed request or a chunked response. A bulk call that fits one chunk is
+// sent as a plain call frame and staged nowhere, so small replica pushes and
+// hand-offs touch no spill file. Chunk boundaries are
 // retained (as lengths) so Join can validate the committed chunk count
 // exactly like the in-memory stager does. The reassembled payload is read
 // back once at commit time for decoding; only the decode, not the staging,

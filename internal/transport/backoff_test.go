@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -36,5 +39,34 @@ func TestBackoffDelay(t *testing.T) {
 	}
 	if d := BackoffDelay(time.Second, time.Millisecond, 1); d < time.Millisecond/2 || d >= time.Millisecond {
 		t.Errorf("base above max delays %v, want it under max", d)
+	}
+}
+
+// Reask asks again only while the failure is ErrUnreachable and ctx lasts.
+func TestReask(t *testing.T) {
+	lost := fmt.Errorf("%w: reply lost", ErrUnreachable)
+	ctx := context.Background()
+	asked := 0
+	v, err := Reask(ctx, func() (int, error) {
+		if asked++; asked < 3 {
+			return 0, lost
+		}
+		return 7, nil
+	})
+	if v != 7 || err != nil || asked != 3 {
+		t.Fatalf("after two lost replies: %d, %v in %d asks; want 7, nil in 3", v, err, asked)
+	}
+
+	refused := errors.New("handler refused")
+	asked = 0
+	if _, err := Reask(ctx, func() (int, error) { asked++; return 0, refused }); err != refused || asked != 1 {
+		t.Fatalf("a refusal: %v in %d asks; want it at once", err, asked)
+	}
+
+	ctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	asked = 0
+	if _, err := Reask(ctx, func() (int, error) { asked++; return 0, lost }); !errors.Is(err, ErrUnreachable) || ctx.Err() == nil {
+		t.Fatalf("a dead peer: %v after %d asks with ctx %v; want the last failure once ctx ended", err, asked, ctx.Err())
 	}
 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"sync"
 )
 
 // Method is one RPC of a protocol component, typed at both ends: the name it
@@ -46,28 +45,6 @@ func isNone[T any]() bool {
 
 // Name is the method's name on the wire.
 func (m Method[Req, Resp]) Name() string { return m.name }
-
-// idempotent holds the names of the methods declared Idempotent.
-var idempotent sync.Map // method name → struct{}
-
-// Idempotent declares that the method's handler may run and its reply be lost
-// at no cost the caller's next call does not repair: a read, or a write the
-// protocol reconciles on its own. A transport may then send a bulk call of
-// the method that fits one chunk as one plain call frame, with Call's
-// semantics, instead of as a stream whose receiver memoizes the reply for a
-// resumed commit. Every other bulk call stays a stream at every size. Call it
-// on the declaration: var m = NewMethod[Req, Resp](name).Idempotent().
-func (m Method[Req, Resp]) Idempotent() Method[Req, Resp] {
-	idempotent.Store(m.name, struct{}{})
-	return m
-}
-
-// IsIdempotent reports whether the method called name was declared
-// Idempotent.
-func IsIdempotent(name string) bool {
-	_, ok := idempotent.Load(name)
-	return ok
-}
 
 // MessageTypeError reports a request payload or a reply whose concrete type
 // is not the one its method declares.

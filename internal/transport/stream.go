@@ -52,9 +52,9 @@ type Stream interface {
 	// Chunk sends the next sequence-numbered chunk. The context bounds this
 	// chunk's hand-off to the transport (the per-chunk deadline); a chunk
 	// that cannot be queued fails the whole transfer. data is lent to the
-	// stream until the next Chunk or Commit returns: a transport may hold the
-	// first chunk of an Idempotent method's transfer back and send it with
-	// that call, so the caller must not change it before then.
+	// stream until the next Chunk or Commit returns: a transport may hold a
+	// transfer's first chunk back and send it with that call, so the caller
+	// must not change it before then.
 	Chunk(ctx context.Context, data []byte) error
 	// Commit sends the terminal frame and blocks for the receiver's typed
 	// acknowledgment: the handler's response value, or its error. The
@@ -74,42 +74,27 @@ type StreamOpener interface {
 	OpenStream(ctx context.Context, from, to Addr, method string) (Stream, error)
 }
 
-// Resumer is implemented by sender-side streams that can survive a
-// connection loss. Resume re-establishes the transfer (re-dialing with
-// bounded, jittered backoff) and asks the receiver for its high-water chunk
-// mark — the count of chunks it has durably staged. It returns that mark:
-// the sequence number the sender should continue from, so chunks the
-// receiver already holds are never retransmitted. If the receiver has
-// already committed the transfer (the terminal frame applied but its
-// acknowledgment was lost), the mark equals the total staged count and the
-// retried Commit returns the memoized response without re-running the
-// handler.
+// Resumer is a declaration no stream implements: a transfer whose connection
+// dies fails as ErrUnreachable, and a hand-off whose reply is lost is asked
+// again by its protocol (Reask). It stays only because the benchmark's stream
+// decorator still names it; the next change to the benchmark deletes both.
 type Resumer interface {
 	Resume(ctx context.Context) (int, error)
 }
-
-// maxStreamResumes bounds how many connection losses one CallBulk rides out
-// before reporting the failure. Each resume performs its own bounded
-// redial-with-backoff, so this is a second-order bound on total retry work.
-const maxStreamResumes = 5
 
 // CallBulk performs a request/response whose payload and response may exceed
 // MaxFrameSize. On a streaming transport the encoded payload travels as
 // chunk frames and commits atomically at the receiver; on any other
 // transport it degrades to a plain Call (bounded by the transport's frame
 // limit, if it has one). Deadlines, fail-stop error identities and handler
-// error propagation match Call.
+// error propagation match Call: a connection lost under the transfer reads
+// as ErrUnreachable, though the handler may have run, and a chunk that
+// cannot be sent aborts the transfer.
 //
 // The payload is encoded once, here, and the chunks are slices of that one
-// body. For a method declared Idempotent, a body that fits one chunk costs no
-// more than a Call: a transport may send the transfer as a plain call frame
-// (TCP does), which is safe because a response is unbounded for every call —
-// the answer to a tiny pull request can still be a whole range. Such a
-// transfer has no stream state to resume; a connection lost under it reads as
-// ErrUnreachable, as for Call, though the handler may have run. Every other
-// transfer is a resumable stream at every size, so a hand-off whose handler
-// moves state before it replies gets its reply back from the receiver's memo
-// when the connection drops under the acknowledgment.
+// body. A body that fits one chunk costs no more than a Call: a transport may
+// send it as a plain call frame (TCP does), which is safe because a response
+// is unbounded for every call.
 func CallBulk(t Transport, ctx context.Context, from, to Addr, method string, payload any) (any, error) {
 	so, ok := t.(StreamOpener)
 	if !ok {
@@ -127,42 +112,13 @@ func CallBulk(t Transport, ctx context.Context, from, to Addr, method string, pa
 	if size <= 0 {
 		size = DefaultChunkBytes
 	}
-	nchunks := (len(body) + size - 1) / size
-	next, resumes := 0, 0
-	for {
-		var chunkErr error
-		for ; next < nchunks; next++ {
-			off := next * size
-			end := off + size
-			if end > len(body) {
-				end = len(body)
-			}
-			if chunkErr = st.Chunk(ctx, body[off:end]); chunkErr != nil {
-				break
-			}
-		}
-		err := chunkErr
-		if err == nil {
-			var resp any
-			if resp, err = st.Commit(ctx); err == nil {
-				return resp, nil
-			}
-		}
-		// A connection-level loss on a resumable stream is survivable: ask
-		// the receiver how far it got and continue from there. Handler
-		// errors, aborts, context expiry and exhausted retries are not.
-		if r, ok := st.(Resumer); ok && resumes < maxStreamResumes && ctx.Err() == nil && errors.Is(err, ErrUnreachable) {
-			if mark, rerr := r.Resume(ctx); rerr == nil {
-				resumes++
-				next = mark
-				continue
-			}
-		}
-		if chunkErr != nil {
+	for off := 0; off < len(body); off += size {
+		if err := st.Chunk(ctx, body[off:min(off+size, len(body))]); err != nil {
 			st.Abort(err.Error())
+			return nil, err
 		}
-		return nil, err
 	}
+	return st.Commit(ctx)
 }
 
 // CallBulkAsync is CallBulk issued asynchronously, so bulk transfers can be

@@ -85,34 +85,3 @@ func benchPipelined(b *testing.B, depth int) float64 {
 	b.ReportMetric(rate, "calls/sec")
 	return rate
 }
-
-// BenchmarkResumeRegistryCreate measures what parking one new inbound stream
-// costs a receiver that already holds `parked` commit memos. Every bulk call
-// is a stream and leaves a memo behind for memoWindow, so a receiver taking
-// ~120 replica pushes a second holds ~1,200 of them; the registry used to
-// walk all of them, taking each entry's lock under its own, for every new
-// stream. It now sweeps at most once per sweepEvery.
-//
-// Run with:
-//
-//	go test -run '^$' -bench BenchmarkResumeRegistryCreate ./internal/transport/tcp/
-func BenchmarkResumeRegistryCreate(b *testing.B) {
-	for _, parked := range []int{0, 1200} {
-		b.Run(fmt.Sprintf("parked=%d", parked), func(b *testing.B) {
-			r := newResumeRegistry(func() transport.ChunkStager { return transport.NewMemStager(0) }, time.Now)
-			for i := 0; i < parked; i++ {
-				sid := fmt.Sprintf("memo-%d", i)
-				e, _, _, err := r.commit("peer", "rep.push", sid, 0, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r.settle(e, sid, true, nil)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.create("peer", "rep.push", "new")
-				r.drop("peer", "new")
-			}
-		})
-	}
-}

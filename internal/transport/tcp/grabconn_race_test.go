@@ -10,8 +10,8 @@ import (
 	"repro/internal/transport"
 )
 
-// grabConn is reached concurrently from roundTrip (plain calls), OpenStream
-// (bulk pushes) and tcpStream.Resume. Against a destination that refuses
+// grabConn is reached concurrently from roundTrip (plain calls) and
+// OpenStream (bulk pushes). Against a destination that refuses
 // connections, some callers dial (and write the failure bookkeeping under the
 // per-peer lock) while others sit in the backoff window (and read it to build
 // their error): every read of that bookkeeping must happen under the lock.

@@ -2,6 +2,8 @@ package tcp
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"sync"
 
@@ -63,19 +65,19 @@ func (t *Transport) acceptLoop(l *listener) {
 
 // inbound is the serving side of one accepted, authenticated connection.
 type inbound struct {
-	t *Transport
-	h transport.Handler
-	w *batchWriter
+	t       *Transport
+	h       transport.Handler
+	w       *batchWriter
+	streams inboundStreams
 }
 
 // serveConn answers request frames on one inbound connection until the peer
 // hangs up or a protocol error occurs. Each request is dispatched in its own
 // goroutine and its response re-enters the connection through the shared
 // batched writer, so a slow handler never blocks the requests pipelined
-// behind it. Stream chunks are staged in the transport's resume registry,
-// keyed by (sender, stream ID), and dispatched as one reassembled request on
-// commit; a connection that dies mid-stream leaves its staged state parked
-// there for the resume window.
+// behind it. Stream chunks are staged per connection, under the request ID
+// their frames carry, and dispatched as one reassembled request on commit; a
+// connection that dies mid-stream takes its staging with it.
 func (t *Transport) serveConn(conn net.Conn, l *listener) {
 	defer conn.Close()
 	if !l.track(conn) {
@@ -99,7 +101,8 @@ func (t *Transport) serveConn(conn net.Conn, l *listener) {
 		return
 	}
 	defer w.stop()
-	c := &inbound{t: t, h: l.h, w: w}
+	c := &inbound{t: t, h: l.h, w: w, streams: inboundStreams{stager: t.newStager}}
+	defer c.streams.close()
 	if first != nil && !c.handle(*first) {
 		return
 	}
@@ -119,12 +122,6 @@ func (t *Transport) serveConn(conn net.Conn, l *listener) {
 func (c *inbound) handle(req wireMsg) bool {
 	defer req.release()
 	switch req.Kind {
-	case kindChunk, kindCommit, kindAbort, kindStreamResume:
-		if req.SID == "" {
-			return false // every sender stamps a stream ID
-		}
-	}
-	switch req.Kind {
 	case kindPing:
 		_ = c.send(wireMsg{Kind: kindPong, ID: req.ID})
 	case kindSend, kindCall:
@@ -137,33 +134,96 @@ func (c *inbound) handle(req wireMsg) bool {
 			}
 		})
 	case kindChunk:
-		if err := c.t.resume.stage(req.From, req.Method, req.SID, req.Seq, req.Payload); err != nil {
+		if err := c.streams.stage(req.ID, req.Seq, req.Payload); err != nil {
 			c.failStream(req.ID, err)
 		}
 	case kindCommit:
-		e, body, first, err := c.t.resume.commit(req.From, req.Method, req.SID, req.Seq, req.TTL)
+		body, err := c.streams.commit(req.ID, req.Seq)
 		if err != nil {
 			c.failStream(req.ID, err)
 			break
 		}
-		id, sid := req.ID, req.SID
+		from, method, id := req.From, req.Method, req.ID
 		c.t.track(func() {
-			if first {
-				payload, err := transport.Decode(body)
-				resp, herr := c.invoke(e.from, e.method, payload, err)
-				c.t.resume.settle(e, sid, resp, herr)
-			}
-			<-e.done
-			c.respond(id, e.resp, e.herr)
+			payload, err := transport.Decode(body)
+			resp, herr := c.invoke(from, method, payload, err)
+			c.respond(id, resp, herr)
 		})
 	case kindAbort:
-		c.t.resume.drop(req.From, req.SID)
-	case kindStreamResume:
-		_ = c.send(wireMsg{Kind: kindResumeMark, ID: req.ID, Seq: c.t.resume.mark(req.From, req.SID)})
+		c.streams.drop(req.ID)
 	default:
 		return false
 	}
 	return true
+}
+
+// inboundStreams stages the streamed requests in flight on one inbound
+// connection, keyed by the request ID their frames carry. Only the
+// connection's serve loop uses it, and it discards whatever is still staged
+// when the connection ends: a sender whose connection dies has lost its
+// transfer, and learns so as ErrUnreachable.
+type inboundStreams struct {
+	stager  func() transport.ChunkStager
+	staging map[uint64]transport.ChunkStager
+}
+
+var errNoStagedStream = errors.New("tcp: no staged stream for this frame")
+
+// stage files chunk seq of stream id. Only chunk 0 opens a stream, and every
+// later chunk must be the next in sequence. An error is a stream-protocol
+// failure: the stream's staging is discarded, and the error text is the
+// reason the sender is told.
+func (s *inboundStreams) stage(id uint64, seq int, data []byte) error {
+	st := s.staging[id]
+	if st == nil && seq == 0 {
+		if s.staging == nil {
+			s.staging = make(map[uint64]transport.ChunkStager)
+		}
+		st = s.stager()
+		s.staging[id] = st
+	}
+	var err error
+	switch {
+	case st == nil:
+		err = errNoStagedStream
+	case seq != st.Chunks():
+		err = fmt.Errorf("tcp: stream chunk %d out of sequence (want %d)", seq, st.Chunks())
+	default:
+		// A refused chunk — with the default stager the typed
+		// ErrStageOverflow past MaxStreamBytes — fails the transfer; the
+		// reason crosses the wire so the sender's error stays actionable.
+		err = st.Append(data)
+	}
+	if err != nil {
+		s.drop(id)
+	}
+	return err
+}
+
+// commit ends stream id, whose sender sent total chunks, and returns its
+// reassembled body. Errors are stream-protocol failures, as for stage.
+func (s *inboundStreams) commit(id uint64, total int) ([]byte, error) {
+	st := s.staging[id]
+	if st == nil {
+		return nil, errNoStagedStream
+	}
+	delete(s.staging, id)
+	return st.Join(total)
+}
+
+// drop discards stream id's staging, if any (an abort, a failure).
+func (s *inboundStreams) drop(id uint64) {
+	if st := s.staging[id]; st != nil {
+		delete(s.staging, id)
+		st.Discard()
+	}
+}
+
+// close discards every stream still staged: the connection is gone.
+func (s *inboundStreams) close() {
+	for id := range s.staging {
+		s.drop(id)
+	}
 }
 
 // send queues one frame on the connection's writer. Nothing bounds the wait
@@ -172,7 +232,7 @@ func (c *inbound) send(m wireMsg) error {
 	return c.w.enqueue(context.Background(), m)
 }
 
-// failStream tells the sender the registry refused (and dropped) its transfer,
+// failStream tells the sender its transfer was refused (and dropped),
 // so its Commit resolves with a typed stream failure, not a burnt deadline.
 func (c *inbound) failStream(id uint64, reason error) {
 	_ = c.send(wireMsg{Kind: kindResp, ID: id, Fail: true, Err: reason.Error()})

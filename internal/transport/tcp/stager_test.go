@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,5 +109,124 @@ func TestDiskStagerLiftsStreamCap(t *testing.T) {
 	}
 	if !bytes.Equal(got.Data, want) {
 		t.Fatal("disk-staged payload corrupted in flight")
+	}
+}
+
+// releaseCounter counts the calls that release a stager, Join and Discard,
+// to catch one released twice or never.
+type releaseCounter struct {
+	transport.ChunkStager
+	releases *int
+}
+
+func (s releaseCounter) Join(total int) ([]byte, error) {
+	*s.releases++
+	return s.ChunkStager.Join(total)
+}
+
+func (s releaseCounter) Discard() {
+	*s.releases++
+	s.ChunkStager.Discard()
+}
+
+// A connection's stream staging is driven here directly: no sockets. Every
+// case stages chunks c0 and c1 of stream 1 and then takes its step; a
+// stream-protocol failure drops the stream and releases its stager once,
+// and anything else leaves it to commit.
+func TestInboundStreamStaging(t *testing.T) {
+	cases := []struct {
+		name     string
+		run      func(s *inboundStreams) error // the step under test
+		want     string                        // substring of its error; "" = must succeed
+		wantBody string                        // stream 1 committed with 2 chunks then yields this; "" = it was dropped
+	}{
+		{
+			name:     "chunks in order",
+			run:      func(s *inboundStreams) error { return nil },
+			wantBody: "c0c1",
+		},
+		{
+			name: "duplicate chunk rejected",
+			run:  func(s *inboundStreams) error { return s.stage(1, 1, []byte("resent")) },
+			want: "chunk 1 out of sequence (want 2)",
+		},
+		{
+			name: "gap rejected",
+			run:  func(s *inboundStreams) error { return s.stage(1, 3, []byte("c3")) },
+			want: "chunk 3 out of sequence (want 2)",
+		},
+		{
+			name: "staging refusal rejected with its typed reason",
+			run:  func(s *inboundStreams) error { return s.stage(1, 2, make([]byte, 1<<20)) },
+			want: transport.ErrStageOverflow.Error(),
+		},
+		{
+			name: "commit count mismatch rejected",
+			run: func(s *inboundStreams) error {
+				_, err := s.commit(1, 3)
+				return err
+			},
+			want: "committed 3 chunks, staged 2",
+		},
+		{
+			name:     "chunk with no staged stream rejected",
+			run:      func(s *inboundStreams) error { return s.stage(9, 4, []byte("c4")) },
+			want:     errNoStagedStream.Error(),
+			wantBody: "c0c1",
+		},
+		{
+			name: "commit with no staged stream rejected",
+			run: func(s *inboundStreams) error {
+				_, err := s.commit(9, 4)
+				return err
+			},
+			want:     errNoStagedStream.Error(),
+			wantBody: "c0c1",
+		},
+		{
+			name: "chunk after an abort is refused",
+			run: func(s *inboundStreams) error {
+				s.drop(1)
+				return s.stage(1, 2, []byte("c2"))
+			},
+			want: errNoStagedStream.Error(),
+		},
+		{
+			name: "the connection's end discards its streams",
+			run: func(s *inboundStreams) error {
+				s.close()
+				return nil
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			releases := 0
+			s := &inboundStreams{stager: func() transport.ChunkStager {
+				return releaseCounter{ChunkStager: transport.NewMemStager(64 << 10), releases: &releases}
+			}}
+			for i, c := range []string{"c0", "c1"} {
+				if err := s.stage(1, i, []byte(c)); err != nil {
+					t.Fatalf("stage chunk %d: %v", i, err)
+				}
+			}
+			err := tc.run(s)
+			if (tc.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			if tc.wantBody == "" {
+				if _, err := s.commit(1, 2); !errors.Is(err, errNoStagedStream) {
+					t.Errorf("dropped stream still committed: %v", err)
+				}
+				if releases != 1 {
+					t.Errorf("dropped stream's stager released %d times, want 1", releases)
+				}
+				return
+			}
+			body, err := s.commit(1, 2)
+			if err != nil || string(body) != tc.wantBody || releases != 1 {
+				t.Errorf("commit = %q, %v, stager released %d times; want %q, released once", body, err, releases, tc.wantBody)
+			}
+		})
 	}
 }

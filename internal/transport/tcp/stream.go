@@ -4,18 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/transport"
 )
 
 // OpenStream implements transport.StreamOpener: start one chunked transfer
-// to the handler at to. The transfer's frames ride a pooled multiplexed
+// to the handler at to. The transfer's frames ride one pooled multiplexed
 // connection, interleaving with concurrent RPC frames; its terminal
 // acknowledgment is matched back by request ID exactly like a call response.
-// A transfer of an Idempotent method that is fed one chunk and committed
-// never becomes a stream on the wire: it is sent as one ordinary call frame
-// (see Commit).
+// A transfer that is fed one chunk and committed never becomes a stream on
+// the wire: it is sent as one ordinary call frame (see Commit).
 func (t *Transport) OpenStream(ctx context.Context, from, to transport.Addr, method string) (transport.Stream, error) {
 	ctx, cancel := t.withCallTimeout(ctx)
 	defer cancel()
@@ -27,14 +25,15 @@ func (t *Transport) OpenStream(ctx context.Context, from, to transport.Addr, met
 	if err != nil {
 		return nil, unreachable(to, err)
 	}
-	return &tcpStream{t: t, mc: mc, to: to, id: id, ch: ch, from: string(from), method: method,
-		inline: transport.IsIdempotent(method)}, nil
+	return &tcpStream{t: t, mc: mc, to: to, id: id, ch: ch, from: string(from), method: method}, nil
 }
 
 // tcpStream is the sender half of one chunked transfer on a multiplexed
-// connection. A transfer of an Idempotent method holds back its first chunk:
-// the next Chunk sends it as chunk frame 0, and a Commit that finds it still
-// held sends it as the call frame of a transfer that fits one chunk.
+// connection. It holds back its first chunk: the next Chunk sends it as chunk
+// frame 0, and a Commit that finds it still held sends it as the call frame
+// of a transfer that fits one chunk. The receiver stages the chunk frames
+// under the stream's request ID, on this connection only, so a transfer whose
+// connection dies is gone at both ends.
 type tcpStream struct {
 	t      *Transport
 	mc     *muxConn
@@ -43,25 +42,18 @@ type tcpStream struct {
 	ch     chan pendingResp
 	from   string
 	method string
-	sid    string // resumable stream ID, constant across connections; made by the first frame that needs it
-	seq    int
-	inline bool   // the method is Idempotent: a lone chunk may go as one call frame
-	held   []byte // such a method's first chunk, not yet sent
+	seq    int    // chunk frames sent
+	held   []byte // the first chunk, not yet sent
 	early  error  // the receiver's answer before commit: a rejection, or the connection's death
 	done   bool
 }
-
-// tcpStream survives connection loss: transport.CallBulk resumes it from the
-// receiver's high-water mark instead of restarting from chunk 0.
-var _ transport.Resumer = (*tcpStream)(nil)
 
 func (s *tcpStream) MaxChunk() int { return s.t.cfg.ChunkBytes }
 
 // Chunk queues the next sequence-numbered chunk frame, bounded by ctx (the
 // per-chunk deadline). A receiver-side rejection that already arrived fails
 // the transfer immediately instead of streaming the rest for nothing. The
-// first chunk of an Idempotent method's transfer is held back until the next
-// Chunk or Commit.
+// first chunk is held back until the next Chunk or Commit.
 func (s *tcpStream) Chunk(ctx context.Context, data []byte) error {
 	if s.done {
 		return transport.ErrStreamAborted
@@ -69,7 +61,7 @@ func (s *tcpStream) Chunk(ctx context.Context, data []byte) error {
 	if len(data) > s.t.cfg.ChunkBytes {
 		return fmt.Errorf("tcp: stream chunk of %d bytes exceeds chunk size %d", len(data), s.t.cfg.ChunkBytes)
 	}
-	if s.inline && s.sid == "" && s.held == nil && len(data) > 0 {
+	if s.seq == 0 && s.held == nil && len(data) > 0 {
 		s.held = data // the whole transfer, if Commit comes next
 		return nil
 	}
@@ -94,13 +86,13 @@ func (s *tcpStream) send(ctx context.Context, data []byte) error {
 	if s.early != nil {
 		return s.early
 	}
-	if n := s.t.cfg.ChaosChunkDrop; n > 0 && s.seq == n && s.t.chaosFired.CompareAndSwap(false, true) {
+	if n := s.t.cfg.ChaosChunkDrop; n > 0 && s.seq == n && s.t.chaosDrops.CompareAndSwap(0, 1) {
 		// Fault injection: kill the carrying connection right before this
-		// chunk, once per process. The enqueue below then fails and the
-		// transfer must survive via a real resume on a fresh connection.
+		// chunk, once per process. The enqueue below then fails, and the
+		// transfer with it.
 		s.mc.fail(errors.New("tcp: chaos-drop-chunk fault injected"))
 	}
-	msg := wireMsg{Kind: kindChunk, ID: s.id, Seq: s.seq, From: s.from, Method: s.method, Payload: data, SID: s.streamID()}
+	msg := wireMsg{Kind: kindChunk, ID: s.id, Seq: s.seq, From: s.from, Method: s.method, Payload: data}
 	if err := s.mc.w.enqueue(ctx, msg); err != nil {
 		// A dead writer means the connection (and with it the peer, as far
 		// as this transfer is concerned) is gone: keep the fail-stop error
@@ -111,66 +103,31 @@ func (s *tcpStream) send(ctx context.Context, data []byte) error {
 	return nil
 }
 
-// streamID names this transfer across connections: a random per-process base
-// plus a counter, so parked receiver state can never be claimed by another
-// process's stream. It is made when a frame first needs it, so a transfer
-// that goes out as one call frame never has one.
-func (s *tcpStream) streamID() string {
-	if s.sid == "" {
-		s.sid = fmt.Sprintf("%s-%d", s.t.sidBase, s.t.sidSeq.Add(1))
-	}
-	return s.sid
-}
-
 // Commit sends the terminal frame and waits for the receiver's typed
 // acknowledgment, applying the transport's default call timeout when ctx
-// carries no deadline. A connection-level failure leaves the stream open
-// (not done): the transfer is resumable, and a retried Commit after Resume
-// reaches the receiver's memoized response without re-running its handler.
-// The frame carries what is left of ctx's own deadline (before the default
-// timeout), past which the caller resumes no more: the receiver keeps the
-// memo that long.
+// carries no deadline. It settles the transfer whatever the outcome: a
+// connection lost under it reads as ErrUnreachable, as for Call.
 //
-// A transfer whose only chunk is still held (an Idempotent method's) goes out
-// instead as one kindCall frame, byte-identical to a Call of the same
-// payload: the receiver decodes it from its read buffer and dispatches it
-// with no stream state, so it stages nothing and memoizes nothing. It has
-// Call's semantics exactly: a connection lost after the frame left reads as
-// ErrUnreachable, and it is not resumed.
+// A transfer whose only chunk is still held goes out instead as one kindCall
+// frame, byte-identical to a Call of the same payload: the receiver decodes
+// it from its read buffer and dispatches it with no stream state, so it
+// stages nothing.
 func (s *tcpStream) Commit(ctx context.Context) (any, error) {
 	if s.done {
 		return nil, transport.ErrStreamAborted
 	}
-	if s.held != nil {
-		return s.call(ctx)
-	}
-	var ttl time.Duration
-	if deadline, ok := ctx.Deadline(); ok {
-		ttl = max(time.Until(deadline), 1) // an expired deadline must not read as none
-	}
+	s.done = true
 	ctx, cancel := s.t.withCallTimeout(ctx)
 	defer cancel()
-	if s.early != nil {
+	msg := wireMsg{Kind: kindCommit, ID: s.id, Seq: s.seq, From: s.from, Method: s.method}
+	switch {
+	case s.held != nil:
+		msg = wireMsg{Kind: kindCall, ID: s.id, From: s.from, Method: s.method, Payload: s.held}
+		s.held = nil
+	case s.early != nil:
 		s.mc.unregister(s.id)
 		return nil, s.early
 	}
-	msg := wireMsg{Kind: kindCommit, ID: s.id, Seq: s.seq, From: s.from, Method: s.method, SID: s.streamID(), TTL: ttl}
-	ack, err := s.mc.await(ctx, msg, s.ch)
-	resp, err := outcome(s.to, ack, err)
-	if err == nil || !errors.Is(err, transport.ErrUnreachable) {
-		s.done = true // settled: success, handler error, or stream failure
-	}
-	return resp, err
-}
-
-// call sends the held chunk, which is the whole payload, as one kindCall frame
-// on the stream's request ID and waits for the response, as Call does.
-func (s *tcpStream) call(ctx context.Context) (any, error) {
-	ctx, cancel := s.t.withCallTimeout(ctx)
-	defer cancel()
-	s.done = true
-	msg := wireMsg{Kind: kindCall, ID: s.id, From: s.from, Method: s.method, Payload: s.held}
-	s.held = nil
 	ack, err := s.mc.await(ctx, msg, s.ch)
 	return outcome(s.to, ack, err)
 }
@@ -183,79 +140,19 @@ func (s *tcpStream) Abort(reason string) {
 	s.done = true
 	s.held = nil
 	s.mc.unregister(s.id)
-	if s.sid == "" {
+	if s.seq == 0 {
 		return // no frame went out: the receiver holds nothing
 	}
-	_ = s.mc.w.enqueue(context.Background(), wireMsg{Kind: kindAbort, ID: s.id, From: s.from, Err: reason, SID: s.sid})
+	_ = s.mc.w.enqueue(context.Background(), wireMsg{Kind: kindAbort, ID: s.id, From: s.from, Err: reason})
 }
 
-// streamRedialAttempts bounds the re-dials one Resume call makes before
-// reporting the destination unreachable.
-const streamRedialAttempts = 4
-
-// Resume implements transport.Resumer: after a connection loss, re-dial the
-// destination (bounded attempts, jittered exponential backoff), ask it for
-// the transfer's high-water chunk mark, and re-attach the stream to the new
-// connection. Returns the mark — the chunk sequence to continue from.
-func (s *tcpStream) Resume(ctx context.Context) (int, error) {
-	if s.done {
-		return 0, transport.ErrStreamAborted
-	}
-	s.mc.unregister(s.id)
-	var lastErr error
-	for attempt := 0; attempt < streamRedialAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(transport.BackoffDelay(s.t.cfg.RedialBackoff, s.t.cfg.RedialBackoffMax, attempt)):
-			case <-ctx.Done():
-				return 0, unreachable(s.to, ctx.Err())
-			}
-		}
-		if lastErr = s.reattach(ctx); lastErr == nil {
-			s.t.streamResumes.Add(1)
-			return s.seq, nil
-		}
-	}
-	return 0, unreachable(s.to, lastErr)
-}
-
-// reattach makes one resume attempt: grab a connection, learn the receiver's
-// high-water mark over it, and move the stream onto it.
-func (s *tcpStream) reattach(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, s.t.cfg.CallTimeout)
-	defer cancel()
-	mc, err := s.t.grabConn(ctx, s.to)
-	if err != nil {
-		return err
-	}
-	mark, err := mc.exchange(ctx, wireMsg{Kind: kindStreamResume, From: s.from, Method: s.method, SID: s.streamID()})
-	if err != nil {
-		return err
-	}
-	if mark.Kind != kindResumeMark {
-		return fmt.Errorf("tcp: unexpected resume-mark reply kind %d", mark.Kind)
-	}
-	id, ch, err := mc.register()
-	if err != nil {
-		return err
-	}
-	s.mc, s.id, s.ch = mc, id, ch
-	s.seq = mark.Seq
-	s.early = nil
-	return nil
-}
-
-// earlyErr converts a pre-commit receiver rejection into the caller error,
-// once: outcome releases the response. A connection-level failure (the
-// rejection is the connection dying, not the receiver refusing) leaves the
-// stream resumable.
+// earlyErr converts a pre-commit answer — the receiver's rejection, or the
+// connection's death — into the caller error, once: outcome releases the
+// response.
 func (s *tcpStream) earlyErr(r pendingResp) error {
 	_, err := outcome(s.to, r.msg, r.err)
 	if err == nil {
 		err = transport.ErrStreamAborted // a success ack before commit is a protocol bug
-	}
-	if !errors.Is(err, transport.ErrUnreachable) {
-		s.done = true
 	}
 	return err
 }

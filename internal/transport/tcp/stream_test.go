@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/storage"
 	"repro/internal/transport"
 )
 
@@ -192,9 +195,9 @@ func TestStreamHandlerErrorPropagates(t *testing.T) {
 	}
 }
 
-// The single-frame twin of TestStreamHandlerErrorPropagates: a bulk call of
-// an Idempotent method that fits one chunk goes out as one call frame, and its
-// handler's error comes back as the same RemoteError.
+// The single-frame twin of TestStreamHandlerErrorPropagates: a bulk call
+// that fits one chunk goes out as one call frame, and its handler's error
+// comes back as the same RemoteError.
 func TestSingleFrameBulkHandlerErrorPropagates(t *testing.T) {
 	boom := func(_ transport.Addr, _ string, _ any) (any, error) {
 		return nil, errors.New("handler rejected the transfer")
@@ -210,7 +213,7 @@ func TestSingleFrameBulkHandlerErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = transport.CallBulk(tr, context.Background(), a, b, idemPush.Name(), streamMsg{Data: patterned(256)})
+	_, err = transport.CallBulk(tr, context.Background(), a, b, "rep.push", streamMsg{Data: patterned(256)})
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("single-frame handler error: err = %v (%T), want RemoteError", err, err)
@@ -220,27 +223,9 @@ func TestSingleFrameBulkHandlerErrorPropagates(t *testing.T) {
 	}
 }
 
-// The methods the single-frame tests call. Only the Idempotent ones may send
-// a transfer of one chunk as one call frame; "rep.push" is not declared in
-// this package, so it stands for a hand-off, which streams at every size.
-var (
-	idemPush = transport.NewMethod[streamMsg, int64]("test.idempotentPush").Idempotent()
-	idemPull = transport.NewMethod[streamMsg, streamMsg]("test.idempotentPull").Idempotent()
-)
-
-// registryLoad reports how many transfers r has parked and how many memos it
-// keeps.
-func registryLoad(r *resumeRegistry) (entries, memos int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries), len(r.memos)
-}
-
-// A bulk call of an Idempotent method whose body fits one chunk is one call
-// frame: the receiver makes no stager for it and keeps neither a parked entry
-// nor a memo. A small request is still answered with more than a chunk. A
-// transfer of two chunks is still a stream, with one stager and one memo, and
-// so is a transfer of one chunk of a method not declared Idempotent.
+// A bulk call whose body fits one chunk is one call frame: the receiver makes
+// no stager for it. A small request is still answered with more than a
+// chunk. A transfer of two chunks is a stream, with one stager.
 func TestSingleChunkBulkCallStagesNothing(t *testing.T) {
 	const chunkBytes = 4 << 10
 	var stagers atomic.Int64
@@ -275,7 +260,7 @@ func TestSingleChunkBulkCallStagesNothing(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 200; i++ {
-		resp, err := transport.CallBulk(snd, ctx, a, b, idemPush.Name(), streamMsg{Data: patterned(256)})
+		resp, err := transport.CallBulk(snd, ctx, a, b, "rep.push", streamMsg{Data: patterned(256)})
 		if err != nil {
 			t.Fatalf("small bulk call %d: %v", i, err)
 		}
@@ -286,11 +271,8 @@ func TestSingleChunkBulkCallStagesNothing(t *testing.T) {
 	if n := stagers.Load(); n != 0 {
 		t.Fatalf("200 single-chunk bulk calls made %d stagers at the receiver, want 0", n)
 	}
-	if entries, memos := registryLoad(rcv.resume); entries != 0 || memos != 0 {
-		t.Fatalf("receiver registry after single-chunk bulk calls: %d entries, %d memos; want none", entries, memos)
-	}
 
-	resp, err := transport.CallBulk(snd, ctx, a, b, idemPull.Name(), streamMsg{})
+	resp, err := transport.CallBulk(snd, ctx, a, b, "rep.pull", streamMsg{})
 	if err != nil {
 		t.Fatalf("small pull: %v", err)
 	}
@@ -305,24 +287,11 @@ func TestSingleChunkBulkCallStagesNothing(t *testing.T) {
 	if n := (len(body) + chunkBytes - 1) / chunkBytes; n != 2 {
 		t.Fatalf("two-chunk payload encodes to %d chunks", n)
 	}
-	if _, err := transport.CallBulk(snd, ctx, a, b, idemPush.Name(), streamMsg{Data: patterned(chunkBytes)}); err != nil {
+	if _, err := transport.CallBulk(snd, ctx, a, b, "rep.push", streamMsg{Data: patterned(chunkBytes)}); err != nil {
 		t.Fatalf("two-chunk bulk call: %v", err)
 	}
 	if n := stagers.Load(); n != 1 {
 		t.Fatalf("a two-chunk transfer made %d stagers at the receiver, want 1", n)
-	}
-	if entries, memos := registryLoad(rcv.resume); entries != 0 || memos != 1 {
-		t.Fatalf("receiver registry after a two-chunk transfer: %d entries, %d memos; want 0 and 1", entries, memos)
-	}
-
-	if _, err := transport.CallBulk(snd, ctx, a, b, "rep.push", streamMsg{Data: patterned(256)}); err != nil {
-		t.Fatalf("single-chunk hand-off: %v", err)
-	}
-	if n := stagers.Load(); n != 2 {
-		t.Fatalf("a single-chunk transfer of a method not declared Idempotent made %d stagers in all, want 2", n)
-	}
-	if entries, memos := registryLoad(rcv.resume); entries != 0 || memos != 2 {
-		t.Fatalf("receiver registry after a single-chunk hand-off: %d entries, %d memos; want 0 and 2", entries, memos)
 	}
 }
 
@@ -345,67 +314,33 @@ func cutAccepted(tr *Transport) {
 	}
 }
 
-// lostReplyPair is a receiver whose handler counts its runs and then cuts the
-// receiver's side of every connection, so the reply of the first call is
-// lost, and a sender that redials fast.
-func lostReplyPair(t *testing.T) (snd *Transport, a, b transport.Addr, handled *atomic.Int64) {
-	handled = new(atomic.Int64)
+// A bulk call that fits one chunk has Call's semantics: when the connection
+// dies after the handler ran but before it replied, the caller is told
+// ErrUnreachable. Asking again is the protocol's business (transport.Reask).
+func TestSingleChunkBulkCallHasCallSemantics(t *testing.T) {
+	var handled atomic.Int64
 	rcv := New(Config{DialTimeout: time.Second, CallTimeout: 5 * time.Second})
 	t.Cleanup(func() { rcv.Close() })
 	b, err := rcv.Listen("127.0.0.1:0", func(_ transport.Addr, _ string, p any) (any, error) {
-		if handled.Add(1) == 1 {
-			cutAccepted(rcv)
-		}
+		handled.Add(1)
+		cutAccepted(rcv) // the reply is lost
 		return int64(1), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snd = New(Config{DialTimeout: time.Second, CallTimeout: 5 * time.Second, RedialBackoff: 5 * time.Millisecond})
+	snd := New(Config{DialTimeout: time.Second, CallTimeout: 5 * time.Second})
 	t.Cleanup(func() { snd.Close() })
-	a, err = snd.Listen("127.0.0.1:0", func(_ transport.Addr, _ string, p any) (any, error) { return p, nil })
+	a, err := snd.Listen("127.0.0.1:0", func(_ transport.Addr, _ string, p any) (any, error) { return p, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snd, a, b, handled
-}
-
-// A bulk call of an Idempotent method that fits one chunk has Call's
-// semantics: when the connection dies after the handler ran but before it
-// replied, the caller is told ErrUnreachable, and nothing resumes the call to
-// fetch a memoized answer.
-func TestSingleChunkBulkCallHasCallSemantics(t *testing.T) {
-	snd, a, b, handled := lostReplyPair(t)
-	_, err := transport.CallBulk(snd, context.Background(), a, b, idemPush.Name(), streamMsg{Data: patterned(256)})
+	_, err = transport.CallBulk(snd, context.Background(), a, b, "rep.push", streamMsg{Data: patterned(256)})
 	if !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("bulk call whose reply was cut: err = %v, want ErrUnreachable", err)
 	}
 	if n := handled.Load(); n != 1 {
 		t.Fatalf("handler ran %d times, want exactly 1", n)
-	}
-	if n := snd.WireStats().StreamResumes; n != 0 {
-		t.Fatalf("StreamResumes = %d, want 0: a single-frame call is never resumed", n)
-	}
-}
-
-// A bulk call of one chunk of a method not declared Idempotent — a hand-off,
-// whose handler moves state before it replies — survives the same cut: it is
-// a stream, so the sender resumes it and the receiver's memo answers the
-// re-sent commit without running the handler again.
-func TestSingleChunkHandOffGetsItsLostReplyBack(t *testing.T) {
-	snd, a, b, handled := lostReplyPair(t)
-	resp, err := transport.CallBulk(snd, context.Background(), a, b, "rep.push", streamMsg{Data: patterned(256)})
-	if err != nil {
-		t.Fatalf("hand-off whose reply was cut: %v, want the memoized reply", err)
-	}
-	if got, ok := resp.(int64); !ok || got != 1 {
-		t.Fatalf("hand-off reply %v (%T), want the handler's 1", resp, resp)
-	}
-	if n := handled.Load(); n != 1 {
-		t.Fatalf("handler ran %d times, want exactly 1", n)
-	}
-	if n := snd.WireStats().StreamResumes; n != 1 {
-		t.Fatalf("StreamResumes = %d, want 1", n)
 	}
 }
 
@@ -449,10 +384,10 @@ func TestStreamToDeregisteredPeerFails(t *testing.T) {
 	}
 }
 
-// Every sender stamps its stream frames with a resumable stream ID; a stream
-// frame without one is a protocol error that drops the connection, like any
-// unknown frame kind, and never reaches the handler.
-func TestStreamFrameWithoutStreamIDDropsConnection(t *testing.T) {
+// A frame of a kind the serving side never receives — a response, a
+// handshake frame after the handshake, a kind that does not exist — is a
+// protocol error that drops the connection and never reaches the handler.
+func TestUnservedFrameKindDropsConnection(t *testing.T) {
 	var handled atomic.Int64
 	tr := New(Config{DialTimeout: time.Second, CallTimeout: 2 * time.Second})
 	t.Cleanup(func() { tr.Close() })
@@ -468,10 +403,10 @@ func TestStreamFrameWithoutStreamIDDropsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := map[string]wireMsg{
-		"chunk":         {Kind: kindChunk, ID: 2, From: "raw", Method: "rep.push", Payload: body},
-		"commit":        {Kind: kindCommit, ID: 2, From: "raw", Method: "rep.push"},
-		"abort":         {Kind: kindAbort, ID: 2, From: "raw"},
-		"stream-resume": {Kind: kindStreamResume, ID: 2, From: "raw", Method: "rep.push"},
+		"resp":       {Kind: kindResp, ID: 2, Payload: body},
+		"resp-chunk": {Kind: kindRespChunk, ID: 2, Payload: body},
+		"hs-hello":   {Kind: kindHsHello, From: "raw", Method: "rep.push", Payload: body},
+		"unknown":    {Kind: kindHsReject + 1, ID: 2, From: "raw", Method: "rep.push", Payload: body},
 	}
 	for name, frame := range frames {
 		conn, err := net.Dial("tcp", string(addr))
@@ -485,7 +420,7 @@ func TestStreamFrameWithoutStreamIDDropsConnection(t *testing.T) {
 			}
 			return readMsg(conn)
 		}
-		// The connection is healthy until the malformed frame arrives…
+		// The connection is healthy until the bad frame arrives…
 		if pong, err := exchange(wireMsg{Kind: kindPing, ID: 1}); err != nil || pong.Kind != kindPong {
 			t.Fatalf("%s: ping before the bad frame = %+v, %v", name, pong, err)
 		}
@@ -493,11 +428,153 @@ func TestStreamFrameWithoutStreamIDDropsConnection(t *testing.T) {
 		resp, err := exchange(frame)
 		var ne net.Error
 		if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
-			t.Errorf("%s without a stream ID: response %+v, err %v; want the connection dropped", name, resp, err)
+			t.Errorf("%s frame: response %+v, err %v; want the connection dropped", name, resp, err)
 		}
 		conn.Close()
 	}
 	if n := handled.Load(); n != 0 {
 		t.Errorf("handler ran %d times for frames that are protocol errors", n)
+	}
+}
+
+// spillStager is a receiver's disk stager that, on its second chunk, counts
+// the spill files and calls cut.
+type spillStager struct {
+	transport.ChunkStager
+	appends int
+	cut     func()
+}
+
+func (s *spillStager) Append(chunk []byte) error {
+	err := s.ChunkStager.Append(chunk)
+	if s.appends++; s.appends == 2 {
+		s.cut()
+	}
+	return err
+}
+
+func spillFiles(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	return len(ents)
+}
+
+// A connection killed under a multi-chunk transfer ends it at both ends: the
+// sender's bulk call fails as ErrUnreachable, the handler never runs, and the
+// receiver discards what it staged — its spill file included — with the
+// connection.
+func TestTransferCutMidStreamIsUnreachableAndLeavesNoSpill(t *testing.T) {
+	const chunkBytes = 4 << 10
+	dir := t.TempDir()
+	spill := filepath.Join(dir, "stage")
+	var handled atomic.Int64
+	var spilled atomic.Int64
+	var rcv *Transport
+	disk := storage.DiskFactory{Dir: dir}.NewStager
+	rcv = New(Config{
+		DialTimeout: time.Second, CallTimeout: 5 * time.Second, ChunkBytes: chunkBytes,
+		Stager: func(max int64) transport.ChunkStager {
+			return &spillStager{ChunkStager: disk(max), cut: func() {
+				spilled.Store(int64(spillFiles(t, spill)))
+				cutAccepted(rcv)
+			}}
+		},
+	})
+	t.Cleanup(func() { rcv.Close() })
+	b, err := rcv.Listen("127.0.0.1:0", func(_ transport.Addr, _ string, p any) (any, error) {
+		handled.Add(1)
+		return int64(1), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd := New(Config{DialTimeout: time.Second, CallTimeout: 5 * time.Second, ChunkBytes: chunkBytes})
+	t.Cleanup(func() { snd.Close() })
+	a, err := snd.Listen("127.0.0.1:0", func(_ transport.Addr, _ string, p any) (any, error) { return p, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = transport.CallBulk(snd, context.Background(), a, b, "rep.push", streamMsg{Data: patterned(6 * chunkBytes)})
+	if !errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("bulk call across a cut connection: err = %v, want ErrUnreachable", err)
+	}
+	if n := spilled.Load(); n != 1 {
+		t.Fatalf("%d spill files while the transfer was staged, want 1", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for spillFiles(t, spill) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the receiver kept %d spill files after the connection died", spillFiles(t, spill))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("handler ran %d times for a transfer that never committed", n)
+	}
+}
+
+// The chaos fault kills the connection under the first transfer to reach its
+// chunk, once per process: that transfer fails as ErrUnreachable without
+// reaching the handler, ChaosDrops reports it, and the next transfer goes
+// through.
+func TestChaosChunkDropFailsOneTransfer(t *testing.T) {
+	const chunkBytes = 4 << 10
+	var handled atomic.Int64
+	tr := New(Config{DialTimeout: time.Second, CallTimeout: 5 * time.Second, ChunkBytes: chunkBytes, ChaosChunkDrop: 2})
+	t.Cleanup(func() { tr.Close() })
+	h := func(_ transport.Addr, _ string, p any) (any, error) {
+		handled.Add(1)
+		return int64(1), nil
+	}
+	a, err := tr.Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tr.Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := streamMsg{Data: patterned(4 * chunkBytes)}
+	if _, err := transport.CallBulk(tr, context.Background(), a, b, "rep.push", payload); !errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("transfer under the chaos fault: err = %v, want ErrUnreachable", err)
+	}
+	if n := tr.WireStats().ChaosDrops; n != 1 {
+		t.Fatalf("ChaosDrops = %d after the fault, want 1", n)
+	}
+	if _, err := transport.CallBulk(tr, context.Background(), a, b, "rep.push", payload); err != nil {
+		t.Fatalf("transfer after the fault: %v", err)
+	}
+	if n := tr.WireStats().ChaosDrops; n != 1 {
+		t.Fatalf("ChaosDrops = %d after a second transfer, want 1: the fault fires once", n)
+	}
+	if n := handled.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want once, for the second transfer", n)
+	}
+}
+
+// Without a fault a multi-chunk bulk call reports no chaos drop and no
+// resume: WireStats.StreamResumes is always 0, since no transfer resumes.
+func TestCleanBulkCallReportsNoResumes(t *testing.T) {
+	const chunkBytes = 4 << 10
+	h := func(_ transport.Addr, _ string, p any) (any, error) { return int64(1), nil }
+	tr := New(Config{DialTimeout: time.Second, CallTimeout: 5 * time.Second, ChunkBytes: chunkBytes})
+	t.Cleanup(func() { tr.Close() })
+	a, err := tr.Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tr.Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transport.CallBulk(tr, context.Background(), a, b, "rep.push", streamMsg{Data: patterned(4 * chunkBytes)}); err != nil {
+		t.Fatal(err)
+	}
+	if ws := tr.WireStats(); ws.StreamResumes != 0 || ws.ChaosDrops != 0 {
+		t.Fatalf("after a clean transfer StreamResumes = %d and ChaosDrops = %d, want 0 and 0", ws.StreamResumes, ws.ChaosDrops)
 	}
 }

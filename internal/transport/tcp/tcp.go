@@ -30,8 +30,6 @@
 package tcp
 
 import (
-	crand "crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -96,9 +94,10 @@ type Config struct {
 	RedialBackoffMax time.Duration
 	// ChaosChunkDrop, when n > 0, injects exactly one connection loss per
 	// process: the first outbound stream to reach chunk sequence n has its
-	// carrying connection killed just before that chunk is queued, forcing
-	// a real resume over the real wire. Fault injection for tests and smoke
-	// scripts only.
+	// carrying connection killed just before that chunk is queued, so the
+	// transfer fails as ErrUnreachable and its protocol must ask again.
+	// WireStats.ChaosDrops reports that it fired. Fault injection for tests
+	// and smoke scripts only.
 	ChaosChunkDrop int
 }
 
@@ -131,10 +130,10 @@ func (c Config) withDefaults() Config {
 		c.Stager = transport.NewMemStager
 	}
 	if c.RedialBackoff <= 0 {
-		c.RedialBackoff = 100 * time.Millisecond
+		c.RedialBackoff = transport.DefaultRedialBackoff
 	}
 	if c.RedialBackoffMax <= 0 {
-		c.RedialBackoffMax = 2 * time.Second
+		c.RedialBackoffMax = transport.DefaultRedialBackoffMax
 	}
 	return c
 }
@@ -142,8 +141,7 @@ func (c Config) withDefaults() Config {
 // Transport is a TCP implementation of transport.Transport with stream
 // multiplexing: one pooled connection carries many concurrent calls.
 type Transport struct {
-	cfg    Config
-	resume *resumeRegistry
+	cfg Config
 
 	mu        sync.Mutex
 	listeners map[transport.Addr]*listener
@@ -152,10 +150,7 @@ type Transport struct {
 	wg        sync.WaitGroup
 
 	handshakeRejects atomic.Uint64
-	streamResumes    atomic.Uint64
-	chaosFired       atomic.Bool
-	sidSeq           atomic.Uint64
-	sidBase          string
+	chaosDrops       atomic.Uint64 // 1 once ChaosChunkDrop has fired
 }
 
 // Transport must satisfy the full substrate contract, including native
@@ -180,16 +175,11 @@ func New(cfg Config) *Transport {
 		}
 		cfg.Identity = id
 	}
-	var base [6]byte
-	_, _ = crand.Read(base[:])
-	t := &Transport{
+	return &Transport{
 		cfg:       cfg,
 		listeners: make(map[transport.Addr]*listener),
 		peers:     make(map[transport.Addr]*peerConns),
-		sidBase:   hex.EncodeToString(base[:]),
 	}
-	t.resume = newResumeRegistry(t.newStager, time.Now)
-	return t
 }
 
 // newStager creates the staging area for one chunked transfer, in either
@@ -219,7 +209,7 @@ func (t *Transport) WireStats() transport.WireStats {
 	return transport.WireStats{
 		AuthEnabled:      len(t.cfg.ClusterKey) > 0,
 		HandshakeRejects: t.handshakeRejects.Load(),
-		StreamResumes:    t.streamResumes.Load(),
+		ChaosDrops:       t.chaosDrops.Load(),
 	}
 }
 
@@ -330,7 +320,6 @@ func (t *Transport) Close() error {
 		}
 	}
 	t.wg.Wait()
-	t.resume.close()
 	return nil
 }
 

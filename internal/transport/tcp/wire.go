@@ -7,12 +7,12 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/transport"
 )
 
-// frame kinds.
+// frame kinds. The iota values are the wire contract: a new kind is
+// appended.
 const (
 	kindCall = iota
 	kindSend
@@ -30,13 +30,6 @@ const (
 	kindCommit
 	kindAbort
 	kindRespChunk
-	// Stream resume: kindStreamResume asks the receiver for the high-water
-	// chunk mark of a parked transfer (by stream ID); kindResumeMark is its
-	// dedicated reply, so the chunked-response join logic keyed on kindResp
-	// can never misread a mark. New kinds are appended here — the iota
-	// values are the wire contract.
-	kindStreamResume
-	kindResumeMark
 	// Authentication handshake frames, exchanged raw on a fresh connection
 	// before the mux loops start: hello (pubkey + nonce), proof (transcript
 	// MAC + signature), accept, reject.
@@ -53,17 +46,12 @@ const (
 type wireMsg struct {
 	Kind    int
 	ID      uint64
-	Seq     int // chunk sequence number; on kindCommit/terminal kindResp: total chunk count; on kindResumeMark: the high-water mark
+	Seq     int // chunk sequence number; on kindCommit/terminal kindResp: total chunk count
 	From    string
 	Method  string
 	Payload []byte
 	Err     string // kindResp only: non-empty when the handler or stream failed
 	Fail    bool   // kindResp only: Err is a stream-protocol failure, not a handler error
-	SID     string // stream frames (chunk, commit, abort, stream-resume): the transfer's resumable stream ID; required
-	// TTL is kindCommit only: how long the sender's context had left when it
-	// sent the commit, 0 when it has no deadline. No re-sent commit can come
-	// after that, so the receiver keeps the transfer's memo no longer.
-	TTL time.Duration
 
 	// buf is the pooled buffer Payload aliases, nil when it aliases none. It
 	// is not on the wire. On the send side it holds the body request or
@@ -165,7 +153,7 @@ func appendFrame(b []byte, m wireMsg) ([]byte, error) {
 	// Room for the prefix, the header's integers and every string, so the
 	// header is encoded with no regrowth.
 	start := len(b)
-	frame := slices.Grow(b, transport.FrameHeaderLen+64+len(m.From)+len(m.Method)+len(m.Payload)+len(m.Err)+len(m.SID))
+	frame := slices.Grow(b, transport.FrameHeaderLen+64+len(m.From)+len(m.Method)+len(m.Payload)+len(m.Err))
 	frame = append(frame, make([]byte, transport.FrameHeaderLen)...)
 	frame, err := frameCodec.Append(frame, m)
 	n := len(frame) - start - transport.FrameHeaderLen

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/transport"
 )
@@ -29,29 +28,34 @@ type goldenFrame struct {
 // goldenFrames is encoded in init. The binary codec writes no type
 // descriptors and no state carries over from one frame to the next, so each
 // frame's bytes depend on its fields alone. testdata/frames.golden was
-// regenerated when that codec replaced gob and again when commit frames
-// gained their TTL (the wire-version note in ARCHITECTURE.md "Wire API and
-// ops contract"): equal bytes prove a change left the wire alone. A codec or
+// regenerated when that codec replaced gob, when commit frames gained their
+// TTL, and when the stream-resume frames and the header's stream ID and TTL
+// went (the wire-version notes in ARCHITECTURE.md "Wire API and ops
+// contract"): equal bytes prove a change left the wire alone. A codec or
 // header change must replace the file on purpose.
 var goldenFrames = func() []goldenFrame {
-	const from, sid = "127.0.0.1:7101", "a1b2c3d4e5f6-9"
+	const from = "127.0.0.1:7101"
 	payload := []byte{0xde, 0xad, 0xbe, 0xef}
+	none, err := transport.Encode(nil) // the envelope of a method's None request or reply
+	if err != nil {
+		panic(err)
+	}
 	pub, nonce := []byte{1, 2, 3}, []byte{4, 5, 6}
 	return []goldenFrame{
 		{name: "call", msg: wireMsg{Kind: kindCall, ID: 7, From: from, Method: "ds.insert", Payload: payload}},
 		{name: "send", msg: wireMsg{Kind: kindSend, From: from, Method: "gossip.push", Payload: payload}},
+		{name: "send-none", msg: wireMsg{Kind: kindSend, From: from, Method: "ring.stabNow", Payload: none}},
 		{name: "resp", msg: wireMsg{Kind: kindResp, ID: 7, Payload: payload}},
+		{name: "resp-none", msg: wireMsg{Kind: kindResp, ID: 7, Payload: none}},
 		{name: "resp-err", msg: wireMsg{Kind: kindResp, ID: 7, Err: "datastore: stale epoch"}},
 		{name: "resp-chunked", msg: wireMsg{Kind: kindResp, ID: 7, Seq: 3}},
 		{name: "resp-fail", msg: wireMsg{Kind: kindResp, ID: 3, Err: "tcp: chunk after commit", Fail: true}},
 		{name: "ping", msg: wireMsg{Kind: kindPing, ID: 9}},
 		{name: "pong", msg: wireMsg{Kind: kindPong, ID: 9}},
-		{name: "chunk", msg: wireMsg{Kind: kindChunk, ID: 3, Seq: 2, From: from, Method: "rep.push", Payload: payload, SID: sid}},
-		{name: "commit", msg: wireMsg{Kind: kindCommit, ID: 3, Seq: 3, From: from, Method: "rep.push", SID: sid, TTL: 250 * time.Millisecond}},
-		{name: "abort", msg: wireMsg{Kind: kindAbort, ID: 3, From: from, Err: "context deadline exceeded", SID: sid}},
+		{name: "chunk", msg: wireMsg{Kind: kindChunk, ID: 3, Seq: 2, From: from, Method: "rep.push", Payload: payload}},
+		{name: "commit", msg: wireMsg{Kind: kindCommit, ID: 3, Seq: 3, From: from, Method: "rep.push"}},
+		{name: "abort", msg: wireMsg{Kind: kindAbort, ID: 3, From: from, Err: "context deadline exceeded"}},
 		{name: "resp-chunk", msg: wireMsg{Kind: kindRespChunk, ID: 7, Seq: 1, Payload: payload}},
-		{name: "stream-resume", msg: wireMsg{Kind: kindStreamResume, ID: 4, From: from, Method: "rep.push", SID: sid}},
-		{name: "resume-mark", msg: wireMsg{Kind: kindResumeMark, ID: 4, Seq: 2}},
 		{name: "hs-hello", msg: wireMsg{Kind: kindHsHello}, body: &hsPayload{PubKey: pub, Nonce: nonce}},
 		{name: "hs-proof", msg: wireMsg{Kind: kindHsProof}, body: &hsPayload{PubKey: pub, Nonce: nonce, MAC: []byte{7, 8}, Sig: []byte{9, 10}}},
 		{name: "hs-ok", msg: wireMsg{Kind: kindHsOK}},

@@ -164,8 +164,13 @@ type WireStats struct {
 	// side, or a dialer that abandoned the handshake after seeing this
 	// server's proof) and outbound dials it refused to complete.
 	HandshakeRejects uint64
-	// StreamResumes counts bulk transfers that survived a connection loss by
-	// resuming from the receiver's high-water chunk mark.
+	// ChaosDrops counts the connections the transport's chaos fault killed
+	// under a bulk transfer (at most one per process; see the TCP
+	// transport's ChaosChunkDrop).
+	ChaosDrops uint64
+	// StreamResumes is always 0: no transport resumes a transfer any more. It
+	// stays only because the benchmark still reads it; the next change to the
+	// benchmark deletes it.
 	StreamResumes uint64
 }
 

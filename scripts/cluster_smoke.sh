@@ -52,7 +52,7 @@ UB=$(( (ITEMS + 1) * 1000 ))
 # The ProbeStatus JSON schema this script was written against (see
 # internal/ops). A contract drift fails the version check loudly instead of
 # this script silently reading zero values out of renamed fields.
-SCHEMA=1
+SCHEMA=2
 
 WORK=$(mktemp -d)
 BIN="$WORK/pepperd"

@@ -29,9 +29,10 @@
 # signed ownership adverts keep verifying at its peers across the crash.
 # The restarted bootstrap also runs with -chaos-drop-chunk: its first bulk
 # send that reaches the chosen chunk has its connection torn down mid-
-# transfer, and the run gates on -min-stream-resumes — the hand-off must
-# have completed by resuming from the receiver's high-water chunk mark, not
-# by luck.
+# transfer. The run gates on -min-chaos-drops — the fault must have fired,
+# not been dodged — and on the probes after it: the joiner serves, every
+# item is still counted, and the final audit is clean, so the hand-off the
+# fault killed was asked again and completed with no item lost.
 #
 # Usage: scripts/recovery_smoke.sh [port-base]
 set -euo pipefail
@@ -50,7 +51,7 @@ UB=$(( (ITEMS + 1) * 1000 ))
 # The ProbeStatus JSON schema this script was written against (see
 # internal/ops). A contract drift fails the version check loudly instead of
 # this script silently reading zero values out of renamed fields.
-SCHEMA=1
+SCHEMA=2
 
 WORK=$(mktemp -d)
 BIN="$WORK/pepperd"
@@ -116,7 +117,8 @@ wait "$PID_BOOT" 2>/dev/null || true
 echo "== restart the bootstrap from $DATA_BOOT (same command line, plus chunk chaos)"
 # -chaos-drop-chunk arms one fault in the restarted process's transport: the
 # first bulk send to reach chunk 2 has its connection killed mid-transfer.
-# The split hand-off below is that send, so it must complete by resuming.
+# The split hand-off below is that send: it fails as unreachable, and the
+# splitter sends the joined message again, which the joiner installs.
 "$BIN" -listen "$P_BOOT" -data-dir "$DATA_BOOT" -items "$ITEMS" -payload "$PAYLOAD" -cluster-key "$KEY" -chaos-drop-chunk 2 >"$WORK/boot-restart.log" 2>&1 &
 PIDS+=($!)
 # -min-recovered gates on the durable restart itself: the process must report
@@ -142,12 +144,12 @@ echo "== joiner serving ${JOIN_ITEMS:?} items at epoch ${EPOCH_JOIN:?}"
 OUT=$(probe_json -probe "$P_BOOT" -cluster-key "$KEY" -expect "$ITEMS" -probe-ub "$UB" -min-epoch $((EPOCH_RECOVERED + 1)) -wait "$WAIT")
 EPOCH_SPLIT=$(json_uint "$OUT" epoch)
 
-echo "== the hand-off survived the injected connection loss by resuming"
+echo "== the hand-off survived the injected connection loss by asking again"
 # The chaos fault armed at restart tore down the connection under the
-# split's chunked state transfer; the transfer nonetheless completed (the
-# joiner serves, the bootstrap's count still audits), so the transport must
-# report at least one stream resumed from the receiver's high-water mark.
-probe_json -probe "$P_BOOT" -cluster-key "$KEY" -min-stream-resumes 1 -wait "$WAIT" >/dev/null
+# split's chunked state transfer, and the transport must report that it
+# fired. The hand-off nonetheless completed: the joiner serves at epoch 1 or
+# above, and the bootstrap's count and the final audit still hold every item.
+probe_json -probe "$P_BOOT" -cluster-key "$KEY" -min-chaos-drops 1 -wait "$WAIT" >/dev/null
 
 echo "== crash 2: kill -9 the joiner, restart it promptly from $DATA_JOIN"
 kill -9 "$PID_JOIN"
