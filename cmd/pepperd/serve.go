@@ -359,6 +359,9 @@ func renderStatus(st ops.ProbeStatus) string {
 	if st.ChaosDrops > 0 {
 		out += fmt.Sprintf(" chaos-drops=%d", st.ChaosDrops)
 	}
+	if st.OpenConns > 0 {
+		out += fmt.Sprintf(" open-conns=%d", st.OpenConns)
+	}
 	if st.RejoinErr != "" {
 		out += fmt.Sprintf(" rejoin-err=%q", st.RejoinErr)
 	}

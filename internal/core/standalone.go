@@ -108,6 +108,7 @@ func (s *Standalone) handleProbe(_ transport.Addr, req ops.ProbeRequest) (ops.Pr
 		resp.AuthEnabled = ws.AuthEnabled
 		resp.HandshakeRejects = ws.HandshakeRejects
 		resp.ChaosDrops = ws.ChaosDrops
+		resp.OpenConns = ws.OpenConns
 	}
 	if req.LoadItems > 0 {
 		lo, hi, err := s.probeLoad(p, req.LoadItems)

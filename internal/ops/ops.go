@@ -121,6 +121,10 @@ type ProbeStatus struct {
 	SigRejects       uint64 `json:"sig_rejects"`
 	ChaosDrops       uint64 `json:"chaos_drops"`
 
+	// OpenConns is the number of live connections of the process's
+	// transport, dialed plus accepted (the probe's own included).
+	OpenConns uint64 `json:"open_conns"`
+
 	// Replication push protocol: pushes this peer sent as an origin, by shape
 	// (delta, advert-only heartbeat, full set), the replies that asked it for
 	// the full set, and the replica records it journaled as a holder. A

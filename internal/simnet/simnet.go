@@ -468,9 +468,7 @@ func (n *Network) Call(ctx context.Context, from, to Addr, method string, payloa
 // once (including several to the same peer, which the handler then observes
 // concurrently, exactly as on the multiplexed TCP transport).
 func (n *Network) CallAsync(ctx context.Context, from, to Addr, method string, payload any) *transport.Pending {
-	p := transport.NewPending()
-	go func() { p.Resolve(n.Call(ctx, from, to, method, payload)) }()
-	return p
+	return transport.Go(func() (any, error) { return n.Call(ctx, from, to, method, payload) })
 }
 
 // OpenStream implements transport.StreamOpener: one chunked transfer whose

@@ -82,6 +82,13 @@ type Resumer interface {
 	Resume(ctx context.Context) (int, error)
 }
 
+// asyncCommitter is implemented by a stream that can send its terminal frame
+// now and leave the wait for the acknowledgment to the returned Pending, as
+// TCP's does.
+type asyncCommitter interface {
+	CommitAsync(ctx context.Context) *Pending
+}
+
 // CallBulk performs a request/response whose payload and response may exceed
 // MaxFrameSize. On a streaming transport the encoded payload travels as
 // chunk frames and commits atomically at the receiver; on any other
@@ -100,34 +107,71 @@ func CallBulk(t Transport, ctx context.Context, from, to Addr, method string, pa
 	if !ok {
 		return t.Call(ctx, from, to, method, payload)
 	}
-	body, err := Encode(payload)
+	st, body, err := openBulk(so, ctx, from, to, method, payload)
 	if err != nil {
 		return nil, err
 	}
-	st, err := so.OpenStream(ctx, from, to, method)
-	if err != nil {
-		return nil, err
-	}
-	size := st.MaxChunk()
-	if size <= 0 {
-		size = DefaultChunkBytes
-	}
-	for off := 0; off < len(body); off += size {
-		if err := st.Chunk(ctx, body[off:min(off+size, len(body))]); err != nil {
-			st.Abort(err.Error())
-			return nil, err
-		}
-	}
-	return st.Commit(ctx)
+	return transfer(ctx, st, body)
 }
 
 // CallBulkAsync is CallBulk issued asynchronously, so bulk transfers can be
 // pipelined exactly like CallAsync pipelines plain calls (replica refresh
-// fans one push out to k successors as one burst).
+// fans one push out to k successors as one burst). A body that fits one chunk
+// of a stream that commits asynchronously is sent before CallBulkAsync
+// returns, as CallAsync sends a call; any other transfer runs on a goroutine.
 func CallBulkAsync(t Transport, ctx context.Context, from, to Addr, method string, payload any) *Pending {
-	p := NewPending()
-	go func() { p.Resolve(CallBulk(t, ctx, from, to, method, payload)) }()
-	return p
+	so, ok := t.(StreamOpener)
+	if !ok {
+		return CallAsync(t, ctx, from, to, method, payload)
+	}
+	st, body, err := openBulk(so, ctx, from, to, method, payload)
+	if err != nil {
+		return Resolved(nil, err)
+	}
+	if ac, ok := st.(asyncCommitter); ok && len(body) <= chunkSize(st) {
+		if err := feed(ctx, st, body); err != nil {
+			return Resolved(nil, err)
+		}
+		return ac.CommitAsync(ctx)
+	}
+	return Go(func() (any, error) { return transfer(ctx, st, body) })
+}
+
+// openBulk encodes payload and opens the stream that carries it.
+func openBulk(so StreamOpener, ctx context.Context, from, to Addr, method string, payload any) (Stream, []byte, error) {
+	body, err := Encode(payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := so.OpenStream(ctx, from, to, method)
+	return st, body, err
+}
+
+// transfer sends body on st and commits it.
+func transfer(ctx context.Context, st Stream, body []byte) (any, error) {
+	if err := feed(ctx, st, body); err != nil {
+		return nil, err
+	}
+	return st.Commit(ctx)
+}
+
+// feed sends body as st's chunks, aborting the transfer on a chunk error.
+func feed(ctx context.Context, st Stream, body []byte) error {
+	size := chunkSize(st)
+	for off := 0; off < len(body); off += size {
+		if err := st.Chunk(ctx, body[off:min(off+size, len(body))]); err != nil {
+			st.Abort(err.Error())
+			return err
+		}
+	}
+	return nil
+}
+
+func chunkSize(st Stream) int {
+	if size := st.MaxChunk(); size > 0 {
+		return size
+	}
+	return DefaultChunkBytes
 }
 
 // JoinChunks validates a staged chunk sequence against the committed count

@@ -127,7 +127,7 @@ func (t *Transport) grabConn(ctx context.Context, addr transport.Addr) (*muxConn
 	}
 }
 
-// dialConn establishes one multiplexed connection and starts its loops. The
+// dialConn establishes one multiplexed connection and starts its read loop. The
 // dial is bounded by DialTimeout, or by ctx's deadline when that is sooner.
 func (t *Transport) dialConn(ctx context.Context, addr transport.Addr) (*muxConn, error) {
 	timeout := t.cfg.DialTimeout
@@ -149,15 +149,16 @@ func (t *Transport) dialConn(ctx context.Context, addr transport.Addr) (*muxConn
 		return nil, err
 	}
 	mc := &muxConn{
+		t:       t,
 		conn:    conn,
-		w:       newBatchWriter(conn, 2*t.cfg.CallTimeout),
+		w:       newBatchWriter(conn, 2*t.cfg.CallTimeout, t.track),
 		pending: make(map[uint64]chan pendingResp),
-		stager:  t.newStager,
 	}
 	mc.lastRead.Store(time.Now().UnixNano())
 	mc.w.onError = mc.fail
-	if !t.track(mc.w.loop) || !t.track(mc.readLoop) {
-		mc.fail(transport.ErrClosed) // also stops the writer, if it got to start
+	t.openConns.Add(1)
+	if !t.track(mc.readLoop) {
+		mc.fail(transport.ErrClosed)
 		return nil, transport.ErrClosed
 	}
 	return mc, nil
@@ -175,11 +176,14 @@ func (t *Transport) ensureHealthy(mc *muxConn) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), t.cfg.PingTimeout)
 	defer cancel()
-	if _, err := mc.exchange(ctx, wireMsg{Kind: kindPing}); err != nil {
-		mc.fail(fmt.Errorf("tcp: idle health check failed: %w", err))
-		return err
+	id, ch, err := mc.send(ctx, wireMsg{Kind: kindPing})
+	if err == nil {
+		_, err = mc.await(ctx, id, ch)
 	}
-	return nil
+	if err != nil {
+		mc.fail(fmt.Errorf("tcp: idle health check failed: %w", err))
+	}
+	return err
 }
 
 // pendingResp carries one response (or the connection's death) to a waiter.
@@ -192,6 +196,7 @@ type pendingResp struct {
 // requests are tagged with connection-scoped IDs and responses are matched
 // back by ID, in whatever order the peer finishes them.
 type muxConn struct {
+	t    *Transport
 	conn net.Conn
 	w    *batchWriter
 
@@ -202,8 +207,7 @@ type muxConn struct {
 	dead    bool
 	deadErr error
 
-	stager   func() transport.ChunkStager // same factory and cap as the receive path, so the two directions agree
-	lastRead atomic.Int64                 // UnixNano of the last inbound frame
+	lastRead atomic.Int64 // UnixNano of the last inbound frame
 }
 
 func (c *muxConn) isDead() bool {
@@ -212,32 +216,46 @@ func (c *muxConn) isDead() bool {
 	return c.dead
 }
 
-// exchange sends one request frame and waits for the matching response. A
-// context expiry abandons the request — the connection stays usable and a
-// late response is dropped — while a connection failure resolves every
-// outstanding exchange at once.
-func (c *muxConn) exchange(ctx context.Context, msg wireMsg) (wireMsg, error) {
+// send registers msg under a fresh request ID and sends it. Its response
+// arrives on the returned channel: the caller awaits it, or unregisters the
+// ID.
+func (c *muxConn) send(ctx context.Context, msg wireMsg) (uint64, chan pendingResp, error) {
 	id, ch, err := c.register()
 	if err != nil {
 		msg.release()
-		return wireMsg{}, err
+		return 0, nil, err
 	}
 	msg.ID = id
-	return c.await(ctx, msg, ch)
+	return id, ch, c.post(ctx, msg)
 }
 
-// await queues msg, whose ID is registered to ch, and waits for its response.
-// The response is the caller's to release.
-func (c *muxConn) await(ctx context.Context, msg wireMsg, ch chan pendingResp) (wireMsg, error) {
-	if err := c.w.enqueue(ctx, msg); err != nil {
+// post sends msg, whose ID is registered, unregistering the ID when the
+// frame cannot be sent.
+func (c *muxConn) post(ctx context.Context, msg wireMsg) error {
+	err := c.w.enqueue(ctx, msg)
+	if err != nil {
 		c.unregister(msg.ID)
-		return wireMsg{}, err
+	}
+	return err
+}
+
+// await waits for the response to request id, which arrives on ch. A context
+// expiry abandons the request — the connection stays usable and a late
+// response is dropped — while a connection failure resolves every
+// outstanding request at once. A response that has arrived wins over an
+// expired ctx: a Pending asked late still gets it. The response is the
+// caller's to release.
+func (c *muxConn) await(ctx context.Context, id uint64, ch chan pendingResp) (wireMsg, error) {
+	select {
+	case r := <-ch:
+		return r.msg, r.err
+	default:
 	}
 	select {
 	case r := <-ch:
 		return r.msg, r.err
 	case <-ctx.Done():
-		c.unregister(msg.ID)
+		c.unregister(id)
 		return wireMsg{}, ctx.Err()
 	}
 }
@@ -298,7 +316,7 @@ func (c *muxConn) readLoop() {
 				}
 				st := c.respBuf[m.ID]
 				if st == nil {
-					st = c.stager()
+					st = c.t.newStager()
 					c.respBuf[m.ID] = st
 				}
 				if stageErr = st.Append(m.Payload); stageErr != nil {
@@ -361,6 +379,7 @@ func (c *muxConn) fail(err error) {
 	c.pending = nil
 	c.respBuf = nil
 	c.mu.Unlock()
+	c.t.openConns.Add(-1)
 	c.conn.Close()
 	c.w.stop()
 	for _, st := range staged {

@@ -73,11 +73,11 @@ type inbound struct {
 
 // serveConn answers request frames on one inbound connection until the peer
 // hangs up or a protocol error occurs. Each request is dispatched in its own
-// goroutine and its response re-enters the connection through the shared
-// batched writer, so a slow handler never blocks the requests pipelined
-// behind it. Stream chunks are staged per connection, under the request ID
-// their frames carry, and dispatched as one reassembled request on commit; a
-// connection that dies mid-stream takes its staging with it.
+// goroutine, which writes the response itself through the connection's
+// shared batched writer, so a slow handler never blocks the requests
+// pipelined behind it; the loop itself only queues (batchWriter.queue). Stream chunks are staged per connection, under the
+// request ID their frames carry, and dispatched as one reassembled request on
+// commit; a connection that dies mid-stream takes its staging with it.
 func (t *Transport) serveConn(conn net.Conn, l *listener) {
 	defer conn.Close()
 	if !l.track(conn) {
@@ -92,14 +92,13 @@ func (t *Transport) serveConn(conn net.Conn, l *listener) {
 	if err != nil {
 		return
 	}
-	w := newBatchWriter(conn, 2*t.cfg.CallTimeout)
+	t.openConns.Add(1)
+	defer t.openConns.Add(-1)
+	w := newBatchWriter(conn, 2*t.cfg.CallTimeout, t.track)
 	// A dead writer must take the whole connection down: otherwise this loop
 	// would keep reading and dispatching pipelined requests whose responses
 	// are silently dropped, leaving callers to burn their full deadlines.
 	w.onError = func(error) { conn.Close() }
-	if !t.track(w.loop) {
-		return
-	}
 	defer w.stop()
 	c := &inbound{t: t, h: l.h, w: w, streams: inboundStreams{stager: t.newStager}}
 	defer c.streams.close()
@@ -123,7 +122,7 @@ func (c *inbound) handle(req wireMsg) bool {
 	defer req.release()
 	switch req.Kind {
 	case kindPing:
-		_ = c.send(wireMsg{Kind: kindPong, ID: req.ID})
+		_ = c.w.queue(wireMsg{Kind: kindPong, ID: req.ID})
 	case kindSend, kindCall:
 		payload, err := transport.Decode(req.Payload)
 		from, method, id, call := req.From, req.Method, req.ID, req.Kind == kindCall
@@ -226,8 +225,10 @@ func (s *inboundStreams) close() {
 	}
 }
 
-// send queues one frame on the connection's writer. Nothing bounds the wait
-// but the connection's own death, which stops the writer.
+// send sends one frame of a handler's response on the connection's writer,
+// writing it on the handler's goroutine when the connection is idle. Nothing
+// bounds the wait but writeWait and the connection's own death, which stops
+// the writer.
 func (c *inbound) send(m wireMsg) error {
 	return c.w.enqueue(context.Background(), m)
 }
@@ -235,7 +236,7 @@ func (c *inbound) send(m wireMsg) error {
 // failStream tells the sender its transfer was refused (and dropped),
 // so its Commit resolves with a typed stream failure, not a burnt deadline.
 func (c *inbound) failStream(id uint64, reason error) {
-	_ = c.send(wireMsg{Kind: kindResp, ID: id, Fail: true, Err: reason.Error()})
+	_ = c.w.queue(wireMsg{Kind: kindResp, ID: id, Fail: true, Err: reason.Error()})
 }
 
 // invoke runs the handler on a decoded request payload, or reports the error
@@ -250,8 +251,8 @@ func (c *inbound) invoke(from, method string, payload any, err error) (any, erro
 // respond queues the terminal response of one call or committed stream,
 // chunking the encoded payload as kindRespChunk frames when it exceeds the
 // chunk size — so a small request (a pull, a rebalance probe) can be answered
-// with an arbitrarily large range. The batched writer preserves enqueue order
-// per connection, so the chunk run lands before its terminal frame. The body
+// with an arbitrarily large range. The batched writer keeps each enqueuer's
+// frames in order, so the chunk run lands before its terminal frame. The body
 // is encoded into a pooled buffer, which goes back once its frames are built.
 func (c *inbound) respond(id uint64, resp any, herr error) {
 	out := wireMsg{Kind: kindResp, ID: id}

@@ -25,7 +25,7 @@ func (t *Transport) OpenStream(ctx context.Context, from, to transport.Addr, met
 	if err != nil {
 		return nil, unreachable(to, err)
 	}
-	return &tcpStream{t: t, mc: mc, to: to, id: id, ch: ch, from: string(from), method: method}, nil
+	return &tcpStream{outbound: outbound{mc: mc, to: to, id: id, ch: ch}, from: string(from), method: method}, nil
 }
 
 // tcpStream is the sender half of one chunked transfer on a multiplexed
@@ -35,11 +35,7 @@ func (t *Transport) OpenStream(ctx context.Context, from, to transport.Addr, met
 // under the stream's request ID, on this connection only, so a transfer whose
 // connection dies is gone at both ends.
 type tcpStream struct {
-	t      *Transport
-	mc     *muxConn
-	to     transport.Addr
-	id     uint64
-	ch     chan pendingResp
+	outbound
 	from   string
 	method string
 	seq    int    // chunk frames sent
@@ -48,7 +44,7 @@ type tcpStream struct {
 	done   bool
 }
 
-func (s *tcpStream) MaxChunk() int { return s.t.cfg.ChunkBytes }
+func (s *tcpStream) MaxChunk() int { return s.mc.t.cfg.ChunkBytes }
 
 // Chunk queues the next sequence-numbered chunk frame, bounded by ctx (the
 // per-chunk deadline). A receiver-side rejection that already arrived fails
@@ -58,8 +54,8 @@ func (s *tcpStream) Chunk(ctx context.Context, data []byte) error {
 	if s.done {
 		return transport.ErrStreamAborted
 	}
-	if len(data) > s.t.cfg.ChunkBytes {
-		return fmt.Errorf("tcp: stream chunk of %d bytes exceeds chunk size %d", len(data), s.t.cfg.ChunkBytes)
+	if len(data) > s.mc.t.cfg.ChunkBytes {
+		return fmt.Errorf("tcp: stream chunk of %d bytes exceeds chunk size %d", len(data), s.mc.t.cfg.ChunkBytes)
 	}
 	if s.seq == 0 && s.held == nil && len(data) > 0 {
 		s.held = data // the whole transfer, if Commit comes next
@@ -86,7 +82,7 @@ func (s *tcpStream) send(ctx context.Context, data []byte) error {
 	if s.early != nil {
 		return s.early
 	}
-	if n := s.t.cfg.ChaosChunkDrop; n > 0 && s.seq == n && s.t.chaosDrops.CompareAndSwap(0, 1) {
+	if n := s.mc.t.cfg.ChaosChunkDrop; n > 0 && s.seq == n && s.mc.t.chaosDrops.CompareAndSwap(0, 1) {
 		// Fault injection: kill the carrying connection right before this
 		// chunk, once per process. The enqueue below then fails, and the
 		// transfer with it.
@@ -107,18 +103,36 @@ func (s *tcpStream) send(ctx context.Context, data []byte) error {
 // acknowledgment, applying the transport's default call timeout when ctx
 // carries no deadline. It settles the transfer whatever the outcome: a
 // connection lost under it reads as ErrUnreachable, as for Call.
-//
-// A transfer whose only chunk is still held goes out instead as one kindCall
-// frame, byte-identical to a Call of the same payload: the receiver decodes
-// it from its read buffer and dispatches it with no stream state, so it
-// stages nothing.
 func (s *tcpStream) Commit(ctx context.Context) (any, error) {
+	ctx, cancel := s.mc.t.withCallTimeout(ctx)
+	defer cancel()
+	if err := s.commit(ctx); err != nil {
+		return nil, err
+	}
+	return s.wait(ctx)
+}
+
+// CommitAsync is Commit with the wait left to the returned Pending, exactly
+// as CallAsync leaves it: transport.CallBulkAsync sends a transfer that fits
+// one chunk this way, with no goroutine.
+func (s *tcpStream) CommitAsync(ctx context.Context) *transport.Pending {
+	ctx, cancel := s.mc.t.withCallTimeout(ctx)
+	if err := s.commit(ctx); err != nil {
+		cancel()
+		return transport.Resolved(nil, err)
+	}
+	return s.async(ctx, cancel)
+}
+
+// commit sends the terminal frame. A transfer whose only chunk is still held
+// goes out instead as one kindCall frame, byte-identical to a Call of the
+// same payload: the receiver decodes it from its read buffer and dispatches
+// it with no stream state, so it stages nothing.
+func (s *tcpStream) commit(ctx context.Context) error {
 	if s.done {
-		return nil, transport.ErrStreamAborted
+		return transport.ErrStreamAborted
 	}
 	s.done = true
-	ctx, cancel := s.t.withCallTimeout(ctx)
-	defer cancel()
 	msg := wireMsg{Kind: kindCommit, ID: s.id, Seq: s.seq, From: s.from, Method: s.method}
 	switch {
 	case s.held != nil:
@@ -126,10 +140,12 @@ func (s *tcpStream) Commit(ctx context.Context) (any, error) {
 		s.held = nil
 	case s.early != nil:
 		s.mc.unregister(s.id)
-		return nil, s.early
+		return s.early
 	}
-	ack, err := s.mc.await(ctx, msg, s.ch)
-	return outcome(s.to, ack, err)
+	if err := s.mc.post(ctx, msg); err != nil {
+		return failure(s.to, err)
+	}
+	return nil
 }
 
 // Abort tears the transfer down: the receiver discards its staged chunks.

@@ -13,10 +13,15 @@
 // connection — the availability protocols keep their maintenance traffic
 // flowing under load.
 //
-// Outbound frames pass through a write-side batcher (writer.go): queued
-// frames are coalesced into one buffered write and flushed when the queue
-// drains or 64 KiB are buffered — no added latency, and syscalls still
-// amortize under pipelined load.
+// No connection has a writer goroutine, and a call has no goroutine of its
+// own: a request is written by its caller and a reply by its handler
+// (writer.go). Whoever finds the connection idle writes its own frame and
+// then flushes, coalesced into writes of up to 64 KiB, the frames that queued
+// behind it — no added latency, and syscalls still amortize under pipelined
+// load. A caller's writes end by its context's deadline; what is left then
+// goes to a goroutine, the only one a writer starts. Call and CallAsync send
+// on the caller's goroutine; CallAsync's Pending waits for the response when
+// asked.
 //
 // Failure semantics match simnet.Kill: a call to a dead, unknown or
 // unresponsive peer fails with transport.ErrUnreachable after the per-call
@@ -151,6 +156,7 @@ type Transport struct {
 
 	handshakeRejects atomic.Uint64
 	chaosDrops       atomic.Uint64 // 1 once ChaosChunkDrop has fired
+	openConns        atomic.Int64  // live dialed plus accepted connections
 }
 
 // Transport must satisfy the full substrate contract, including native
@@ -210,6 +216,7 @@ func (t *Transport) WireStats() transport.WireStats {
 		AuthEnabled:      len(t.cfg.ClusterKey) > 0,
 		HandshakeRejects: t.handshakeRejects.Load(),
 		ChaosDrops:       t.chaosDrops.Load(),
+		OpenConns:        uint64(t.openConns.Load()),
 	}
 }
 

@@ -121,34 +121,73 @@ func Deregister(t Transport, addr Addr) {
 // the response (or failure) arrives. Callers hold many Pendings at once to
 // pipeline independent RPCs — including several to the same peer, which
 // multiplexing transports carry concurrently on one connection.
+//
+// A Pending waits lazily: its outcome is produced by the first Result, and
+// every later Result returns the same one.
 type Pending struct {
-	done chan struct{}
+	wait waiter // produces the outcome; run once, by the first Result
 	once sync.Once
 	val  any
 	err  error
 }
 
-// NewPending returns an unresolved Pending. Transport implementations
-// resolve it exactly once with Resolve.
-func NewPending() *Pending { return &Pending{done: make(chan struct{})} }
+// A waiter produces a call's outcome: a transport's wait for its response
+// (Await), or the hand-over from a NewPending's first Resolve.
+type waiter interface{ wait() (any, error) }
 
-// Resolve completes the call. Later resolutions are ignored, so a response
-// racing a timeout settles cleanly on whichever lands first.
-func (p *Pending) Resolve(v any, err error) {
-	p.once.Do(func() {
-		p.val, p.err = v, err
-		close(p.done)
-	})
+type waitFunc func() (any, error)
+
+func (f waitFunc) wait() (any, error) { return f() }
+
+// Await returns a Pending whose outcome is wait's. A transport whose request
+// is already on the wire hands over the wait for its response, so no
+// goroutine stands between the call and its caller.
+func Await(wait func() (any, error)) *Pending { return &Pending{wait: waitFunc(wait)} }
+
+// Resolved returns a Pending that has already completed with v, err.
+func Resolved(v any, err error) *Pending {
+	return Await(func() (any, error) { return v, err })
 }
 
-// Done is closed when the call has resolved.
-func (p *Pending) Done() <-chan struct{} { return p.done }
+// Go runs f on a goroutine of its own and returns the Pending of its
+// outcome: the fallback for a call with no native asynchronous path.
+func Go(f func() (any, error)) *Pending {
+	p := NewPending()
+	go func() { p.Resolve(f()) }()
+	return p
+}
+
+// NewPending returns a Pending that completes at its first Resolve.
+func NewPending() *Pending { return &Pending{wait: make(handOver, 1)} }
+
+// handOver carries a NewPending's first resolution to its Result.
+type handOver chan outcome
+
+type outcome struct {
+	val any
+	err error
+}
+
+func (h handOver) wait() (any, error) {
+	r := <-h
+	return r.val, r.err
+}
+
+// Resolve completes a Pending made by NewPending. Later resolutions are
+// ignored, so a response racing a timeout settles cleanly on whichever lands
+// first.
+func (p *Pending) Resolve(v any, err error) {
+	select {
+	case p.wait.(handOver) <- outcome{v, err}:
+	default:
+	}
+}
 
 // Result blocks until the call resolves and returns its outcome. The call's
 // own context bounds the wait: every issued call resolves — with its
 // response, its handler error, or a transport failure — within its deadline.
 func (p *Pending) Result() (any, error) {
-	<-p.done
+	p.once.Do(func() { p.val, p.err = p.wait.wait() })
 	return p.val, p.err
 }
 
@@ -168,6 +207,9 @@ type WireStats struct {
 	// under a bulk transfer (at most one per process; see the TCP
 	// transport's ChaosChunkDrop).
 	ChaosDrops uint64
+	// OpenConns is the number of live connections, dialed plus accepted,
+	// that are past their handshake.
+	OpenConns uint64
 	// StreamResumes is always 0: no transport resumes a transfer any more. It
 	// stays only because the benchmark still reads it; the next change to the
 	// benchmark deletes it.
@@ -181,8 +223,8 @@ type WireStatsProvider interface {
 
 // AsyncCaller is implemented by transports with native asynchronous calls.
 // CallAsync has exactly Call's semantics (deadlines, fail-stop reporting,
-// error identities) but returns immediately; the exchange proceeds in the
-// background and the Pending resolves when it completes.
+// error identities) but does not wait for the response: it returns once the
+// request is issued, and the Pending's Result waits for the response.
 type AsyncCaller interface {
 	CallAsync(ctx context.Context, from, to Addr, method string, payload any) *Pending
 }
@@ -195,7 +237,5 @@ func CallAsync(t Transport, ctx context.Context, from, to Addr, method string, p
 	if ac, ok := t.(AsyncCaller); ok {
 		return ac.CallAsync(ctx, from, to, method, payload)
 	}
-	p := NewPending()
-	go func() { p.Resolve(t.Call(ctx, from, to, method, payload)) }()
-	return p
+	return Go(func() (any, error) { return t.Call(ctx, from, to, method, payload) })
 }
