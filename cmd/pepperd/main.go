@@ -48,19 +48,18 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable storage root (multi-process mode): WAL + snapshots per peer identity; restarting with the same -listen and -data-dir recovers the last claimed range, epoch and items")
 	syncInterval := flag.Duration("sync-interval", 0, "with -data-dir: batch WAL fsyncs to at most one per interval (0 = fsync every append)")
 	lease := flag.Duration("lease", 0, "range-claim lease duration (multi-process mode; 0 disables): a claim not renewed by the owner's replica refresh within this duration may be adopted by its ring successor at a higher epoch; set to several multiples of the refresh period")
-	gossipInterval := flag.Duration("gossip-interval", 0, "anti-entropy round interval of the gossiped membership directory (multi-process mode; 0 disables): free peers, range adverts and liveness suspicions spread peer-to-peer so splits keep working after the bootstrap process dies")
+	gossipInterval := flag.Duration("gossip-interval", 0, "anti-entropy round interval of the gossiped membership directory (multi-process mode; 0: no rounds): free peers, range adverts and liveness suspicions spread peer-to-peer so splits keep working after the bootstrap process dies")
 	clusterKey := flag.String("cluster-key", "", "path to the shared cluster secret (multi-process mode and -probe): every connection performs a mutual challenge-response handshake proving both ends hold this secret, the peer signs its ownership adverts with an ed25519 identity (persisted in -data-dir, ephemeral otherwise), and received adverts are verified before they can depose anyone; empty disables authentication")
 	chaosDropChunk := flag.Int("chaos-drop-chunk", 0, "fault injection (multi-process mode): kill the connection under the first bulk transfer that reaches this chunk sequence number, once per process, so the transfer fails and its protocol must ask again; 0 disables")
 	probe := flag.String("probe", "", "probe the pepperd process at this address and exit (CI smoke / operators)")
 	expect := flag.Int("expect", -1, "with -probe: require a range query to return exactly this many items")
 	serving := flag.Bool("serving", false, "with -probe: require the peer to be JOINED and serving a range")
-	minPool := flag.Int("min-pool", -1, "with -probe: require at least this many pooled free peers")
+	minPool := flag.Int("min-pool", -1, "with -probe: require the process's directory to hold at least this many free peers")
 	minCacheHits := flag.Int64("min-cache-hits", -1, "with -probe: require the process's owner-lookup cache to report at least this many hits")
 	minEpoch := flag.Int64("min-epoch", -1, "with -probe: require the peer's ownership epoch to be at least this (epochs are monotonic per range, so this asserts progress across churn)")
 	minRecovered := flag.Int("min-recovered", -1, "with -probe: require the process to have restarted from durable state with at least this many recovered items")
 	audit := flag.Bool("audit", false, "with -probe: journal the final query and require a clean Definition 4 audit")
 	leaseAudit := flag.Bool("lease-audit", false, "with -probe: require a clean lease-exclusivity audit (no two unexpired leases ever overlapped a key in the process's journal)")
-	minGossipFree := flag.Int("min-gossip-free", -1, "with -probe: require the process's gossiped directory to know at least this many free peers")
 	minGossipMem := flag.Int("min-gossip-members", -1, "with -probe: require the process's gossiped directory to know at least this many members (membership only grows, so this gate is race-free)")
 	minChaosDrops := flag.Int("min-chaos-drops", -1, "with -probe: require the process's -chaos-drop-chunk fault to have killed at least this many connections under a bulk transfer")
 	minHandshakeRejects := flag.Int("min-handshake-rejects", -1, "with -probe: require the process's transport to have refused at least this many connections at the authentication handshake")
@@ -79,7 +78,6 @@ func main() {
 			minCacheHits:        *minCacheHits,
 			minEpoch:            *minEpoch,
 			minRecovered:        *minRecovered,
-			minGossipFree:       *minGossipFree,
 			minGossipMem:        *minGossipMem,
 			minChaosDrops:       *minChaosDrops,
 			minHandshakeRejects: *minHandshakeRejects,

@@ -66,13 +66,11 @@ func serveMain(listen, join string, items, payload int, seed int64, dataDir stri
 
 	cfg := tcpPeerConfig(seed)
 	cfg.Store.LeaseDuration = lease
-	if gossipInterval > 0 {
-		cfg.Gossip = gossip.Config{
-			Interval:    gossipInterval,
-			Fanout:      2,
-			CallTimeout: 2 * time.Second,
-			Seed:        seed,
-		}
+	cfg.Gossip = gossip.Config{
+		Interval:    gossipInterval,
+		Fanout:      2,
+		CallTimeout: 2 * time.Second,
+		Seed:        seed,
 	}
 	tcpCfg := tcp.Config{DialTimeout: 2 * time.Second, CallTimeout: 10 * time.Second, ChaosChunkDrop: chaosDropChunk}
 	if dataDir != "" {
@@ -191,11 +189,10 @@ func loadItems(ctx context.Context, node *core.Standalone, items, payload int, f
 type probeOpts struct {
 	expect              int           // required query item count; <0 = no query
 	serving             bool          // require JOINED with a range
-	minPool             int           // required free-pool size; <0 = don't care
+	minPool             int           // required free peers in the directory; <0 = don't care
 	minCacheHits        int64         // required owner-lookup cache hits; <0 = don't care
 	minEpoch            int64         // required ownership epoch; <0 = don't care
 	minRecovered        int           // required recovered-item count; <0 = don't care
-	minGossipFree       int           // required gossiped free-directory entries; <0 = don't care
 	minGossipMem        int           // required gossiped member count; <0 = don't care
 	minChaosDrops       int           // required chaos-fault firings; <0 = don't care
 	minHandshakeRejects int           // required handshake refusals; <0 = don't care
@@ -314,9 +311,6 @@ func probeSatisfied(st ops.ProbeStatus, o probeOpts) bool {
 	if o.minRecovered >= 0 && (!st.Recovered || st.RecoveredItems < o.minRecovered) {
 		return false
 	}
-	if o.minGossipFree >= 0 && st.GossipFree < o.minGossipFree {
-		return false
-	}
 	// Membership is a monotone union across merges, so unlike the free count
 	// this gate can never be satisfied and then un-satisfied by a racing
 	// split: it is the race-free way to wait for directory spread.
@@ -350,9 +344,7 @@ func renderStatus(st ops.ProbeStatus) string {
 	if st.LeaseViolations >= 0 {
 		out += fmt.Sprintf(" lease-violations=%d", st.LeaseViolations)
 	}
-	if st.GossipMembers > 0 {
-		out += fmt.Sprintf(" gossip-members=%d gossip-free=%d gossip-rounds=%d", st.GossipMembers, st.GossipFree, st.GossipRounds)
-	}
+	out += fmt.Sprintf(" gossip-members=%d gossip-rounds=%d", st.GossipMembers, st.GossipRounds)
 	if st.AuthEnabled {
 		out += fmt.Sprintf(" auth=on handshake-rejects=%d sig-rejects=%d", st.HandshakeRejects, st.SigRejects)
 	}
@@ -373,8 +365,8 @@ func printStatus(node *core.Standalone) {
 	state := p.Ring.State()
 	if rng, ok := p.Store.Range(); ok {
 		fmt.Printf("pepperd: state=%s val=%d range=%s items=%d replicas=%d free-pool=%d\n",
-			state, p.Ring.Self().Val, rng, p.Store.ItemCount(), p.Rep.ReplicaCount(), node.Pool.Len())
+			state, p.Ring.Self().Val, rng, p.Store.ItemCount(), p.Rep.ReplicaCount(), p.Gossip.FreeCount())
 	} else {
-		fmt.Printf("pepperd: state=%s (no range assigned yet) free-pool=%d\n", state, node.Pool.Len())
+		fmt.Printf("pepperd: state=%s (no range assigned yet) free-pool=%d\n", state, p.Gossip.FreeCount())
 	}
 }

@@ -53,11 +53,11 @@ type Config struct {
 	Store       datastore.Config
 	Replication replication.Config
 	Router      router.Config
-	// Gossip configures the decentralized membership directory every peer
-	// runs (package gossip): free-peer entries, range adverts and liveness
-	// suspicions spread by periodic anti-entropy. A zero Interval disables
-	// the agent entirely — free peers then resolve only through the local
-	// pool and the bootstrap's legacy acquire RPC, the seed behaviour.
+	// Gossip configures the membership directory every peer runs (package
+	// gossip): free-peer entries, range adverts and liveness suspicions,
+	// spread by periodic anti-entropy. The directory is also the peer's
+	// free-peer pool. A zero Interval means only that the agent runs no
+	// rounds of its own.
 	Gossip gossip.Config
 	// QueryAttemptTimeout bounds one scan attempt before the query retries.
 	QueryAttemptTimeout time.Duration
@@ -126,8 +126,7 @@ type Peer struct {
 	Store  *datastore.Store
 	Rep    *replication.Manager
 	Router *router.Router
-	// Gossip is the peer's membership agent; nil when gossip is disabled
-	// (Config.Gossip.Interval == 0).
+	// Gossip is the peer's membership agent and free-peer directory.
 	Gossip *gossip.Agent
 	// Backend is the peer's storage engine; the Data Store and Replication
 	// Manager write ahead to it, and Stop closes it.
@@ -175,11 +174,9 @@ func assemblePeer(tr transport.Transport, addr transport.Addr, cfg Config, log *
 		PrepareJoinData: func(j ring.Node) (any, error) { return p.Store.PrepareJoinData(j) },
 		OnJoined: func(self, pred ring.Node, data any) {
 			p.Store.OnJoined(self, pred, data)
-			if p.Gossip != nil {
-				// Joining consumes this peer's free-peer entry; the taken
-				// mark out-gossips any stale free observation.
-				p.Gossip.MarkTaken(p.Addr)
-			}
+			// Joining consumes this peer's free-peer entry; the taken mark
+			// out-gossips any stale free observation.
+			p.Gossip.MarkTaken(p.Addr)
 			p.start()
 		},
 		OnPredChanged: func(newPred, prev ring.Node, predFailed bool) {
@@ -192,19 +189,16 @@ func assemblePeer(tr transport.Transport, addr transport.Addr, cfg Config, log *
 	p.Rep = replication.New(tr, mux, p.Ring, p.Store, cfg.Replication)
 	p.Router = router.New(tr, mux, p.Ring, p.Store, cfg.Router)
 	p.Store.SetDeps(p.Rep, pool)
-	if cfg.Gossip.Interval > 0 {
-		g := gossip.New(tr, mux, addr, cfg.Gossip)
-		// Each round republishes this peer's own claim into the directory…
-		g.SelfAdvert = func() (keyspace.Range, uint64, bool) { return p.Store.RangeEpoch() }
-		// …and every foreign advert that enters the directory is checked
-		// against the local claim: a strictly newer overlapping epoch
-		// deposes this peer through the normal step-down path.
-		g.ObserveAdvert = func(owner transport.Addr, rng keyspace.Range, epoch uint64) {
-			if owner != addr {
-				p.Store.ObserveRemoteClaim(rng, epoch)
-			}
+	p.Gossip = gossip.New(tr, mux, addr, cfg.Gossip)
+	// Each round republishes this peer's own claim into the directory…
+	p.Gossip.SelfAdvert = func() (keyspace.Range, uint64, bool) { return p.Store.RangeEpoch() }
+	// …and every foreign advert that enters the directory is checked against
+	// the local claim: a strictly newer overlapping epoch deposes this peer
+	// through the normal step-down path.
+	p.Gossip.ObserveAdvert = func(owner transport.Addr, rng keyspace.Range, epoch uint64) {
+		if owner != addr {
+			p.Store.ObserveRemoteClaim(rng, epoch)
 		}
-		p.Gossip = g
 	}
 
 	if cfg.Identities != nil {
@@ -227,14 +221,12 @@ func assemblePeer(tr transport.Transport, addr transport.Addr, cfg Config, log *
 		p.Rep.OnSigReject = func(owner transport.Addr, rng keyspace.Range, epoch uint64) {
 			log.SigRejected(string(addr), string(owner), rng, epoch)
 		}
-		if p.Gossip != nil {
-			p.Gossip.SignAdvert = sign
-			p.Gossip.VerifyAd = func(owner transport.Addr, ad gossip.RangeAd) error {
-				return kr.VerifyAdvert(string(owner), ad.Range.Lo, ad.Range.Hi, ad.Epoch, ad.Sig)
-			}
-			p.Gossip.OnSigReject = func(owner transport.Addr, ad gossip.RangeAd) {
-				log.SigRejected(string(addr), string(owner), ad.Range, ad.Epoch)
-			}
+		p.Gossip.SignAdvert = sign
+		p.Gossip.VerifyAd = func(owner transport.Addr, ad gossip.RangeAd) error {
+			return kr.VerifyAdvert(string(owner), ad.Range.Lo, ad.Range.Hi, ad.Epoch, ad.Sig)
+		}
+		p.Gossip.OnSigReject = func(owner transport.Addr, ad gossip.RangeAd) {
+			log.SigRejected(string(addr), string(owner), ad.Range, ad.Epoch)
 		}
 	}
 
@@ -263,9 +255,7 @@ func (p *Peer) Activate() error {
 	if err := p.tr.Register(p.Addr, p.Mux.Dispatch); err != nil {
 		return err
 	}
-	if p.Gossip != nil {
-		p.Gossip.Start()
-	}
+	p.Gossip.Start()
 	return nil
 }
 
@@ -296,9 +286,7 @@ func (p *Peer) Abandon() {
 	p.Store.Stop()
 	p.Rep.Stop()
 	p.Router.Stop()
-	if p.Gossip != nil {
-		p.Gossip.Stop()
-	}
+	p.Gossip.Stop()
 }
 
 // Cluster is the whole P2P system run in-process: all peers plus the free
@@ -355,16 +343,14 @@ func (c *Cluster) newPeer() (*Peer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.Gossip != nil {
-		// Seed membership with any existing peer so the new agent's first
-		// rounds have someone to exchange with; gossip brings in the rest.
-		c.mu.Lock()
-		for other := range c.peers {
-			p.Gossip.AddMember(other)
-			break
-		}
-		c.mu.Unlock()
+	// Seed membership with any existing peer so the new agent's first rounds
+	// have someone to exchange with; gossip brings in the rest.
+	c.mu.Lock()
+	for other := range c.peers {
+		p.Gossip.AddMember(other)
+		break
 	}
+	c.mu.Unlock()
 	if err := p.Activate(); err != nil {
 		return nil, err
 	}
@@ -397,9 +383,7 @@ func (c *Cluster) AddFreePeer() (*Peer, error) {
 	c.mu.Lock()
 	c.free = append(c.free, p.Addr)
 	c.mu.Unlock()
-	if p.Gossip != nil {
-		p.Gossip.MarkFree(p.Addr)
-	}
+	p.Gossip.MarkFree(p.Addr)
 	return p, nil
 }
 

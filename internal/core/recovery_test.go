@@ -270,7 +270,7 @@ func TestStandaloneJoinerCrashRecovery(t *testing.T) {
 	// availability polls stay unjournaled: the joiner's fresh journal never
 	// saw the bootstrap-held items' liveness, so journaling a full-range
 	// query there would read as a phantom violation (journals are
-	// per-process; see the ROADMAP note on journal shipping).
+	// per-process; see ROADMAP item 11).
 	queryAll := func(s *Standalone, what string) {
 		t.Helper()
 		deadline := time.Now().Add(30 * time.Second)
@@ -350,7 +350,7 @@ func TestIdentityRecordErrorIsReturned(t *testing.T) {
 	if err := joiner.JoinAsFree(ctx, "boot"); !errors.Is(err, errAppendRefused) {
 		t.Fatalf("JoinAsFree = %v, want the refused append", err)
 	}
-	if n := boot.Pool.Len(); n != 0 {
-		t.Errorf("bootstrap pool holds %d peers, want 0: the joiner announced before persisting", n)
+	if n := boot.CurrentPeer().Gossip.FreeCount(); n != 0 {
+		t.Errorf("bootstrap directory holds %d free peers, want 0: the joiner announced before persisting", n)
 	}
 }

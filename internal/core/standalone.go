@@ -19,14 +19,14 @@ import (
 
 // Standalone support: one OS process hosting a single peer stack over a real
 // transport (cmd/pepperd -listen), the first step toward multi-machine
-// clusters. The bootstrap process owns an AddrPool — the free-peer pool of
-// the P-Ring Data Store, populated by remote processes announcing
-// themselves — and splits draw remote peers from it: every protocol message
-// of the resulting membership change crosses the real wire.
+// clusters. A free peer announces itself to a ring member, which records it
+// in its gossip directory — the free-peer pool of the P-Ring Data Store — and
+// splits draw remote peers from there: every protocol message of the
+// resulting membership change crosses the real wire.
 
 var (
-	// methodAnnounceFree registers a remote process's peer in the bootstrap
-	// node's free pool.
+	// methodAnnounceFree records a remote process's peer as free in the
+	// contacted peer's directory.
 	methodAnnounceFree = transport.NewMethod[announceMsg, bool]("core.announceFree")
 
 	// methodProbe serves operational probes: a thin RPC client (pepperd
@@ -36,10 +36,10 @@ var (
 	// contract of internal/ops.
 	methodProbe = transport.NewMethod[ops.ProbeRequest, ops.ProbeStatus]("core.probe")
 
-	// methodAcquireFree lends a pooled free peer to a remote process's split;
-	// an empty address means the pool had none. Free peers announce only to
-	// the bootstrap, so without this an overflowed non-bootstrap peer could
-	// never split: its local pool is always empty.
+	// methodAcquireFree lends a free peer from the contacted peer's directory
+	// to a remote process's split; an empty address means it had none. Without
+	// gossip rounds a free peer is known only where it announced, so without
+	// this an overflowed peer elsewhere could never split.
 	methodAcquireFree = transport.NewMethod[transport.None, announceMsg]("core.acquireFree")
 )
 
@@ -63,7 +63,10 @@ func (s *Standalone) handleProbe(_ transport.Addr, req ops.ProbeRequest) (ops.Pr
 		Val:           p.Ring.Self().Val,
 		Items:         p.Store.ItemCount(),
 		Replicas:      p.Rep.ReplicaCount(),
-		FreePool:      s.Pool.Len(),
+		FreePool:      p.Gossip.FreeCount(),
+		GossipMembers: p.Gossip.MemberCount(),
+		GossipRounds:  p.Gossip.Rounds(),
+		SigRejects:    p.Gossip.SigRejects() + p.Rep.SigRejects.Load(),
 		QueryCount:    -1,
 		Violations:    -1,
 	}
@@ -91,13 +94,6 @@ func (s *Standalone) handleProbe(_ transport.Addr, req ops.ProbeRequest) (ops.Pr
 	if req.LeaseAudit {
 		resp.LeaseViolations = len(s.Log.CheckLeases())
 	}
-	if g := p.Gossip; g != nil {
-		resp.GossipMembers = g.MemberCount()
-		resp.GossipFree = g.FreeCount()
-		resp.GossipRounds = g.Rounds()
-		resp.SigRejects += g.SigRejects()
-	}
-	resp.SigRejects += p.Rep.SigRejects.Load()
 	resp.PushDeltas = p.Rep.DeltaPushes.Load()
 	resp.PushHeartbeats = p.Rep.HeartbeatPushes.Load()
 	resp.PushFulls = p.Rep.FullPushes.Load()
@@ -246,52 +242,13 @@ func (s *Standalone) probeLoad(p *Peer, n int) (keyspace.Key, keyspace.Key, erro
 	return first, last, nil
 }
 
-// AddrPool holds the addresses of the free peers announced to this process.
-type AddrPool struct {
-	mu    sync.Mutex
-	addrs []transport.Addr
-}
-
-// Add parks a free peer's address in the pool.
-func (ap *AddrPool) Add(addr transport.Addr) {
-	ap.mu.Lock()
-	defer ap.mu.Unlock()
-	for _, a := range ap.addrs {
-		if a == addr {
-			return
-		}
-	}
-	ap.addrs = append(ap.addrs, addr)
-}
-
-// Acquire pops a free peer for a split, or reports ErrNoFreePeer when the
-// pool is empty.
-func (ap *AddrPool) Acquire() (transport.Addr, error) {
-	ap.mu.Lock()
-	defer ap.mu.Unlock()
-	if len(ap.addrs) == 0 {
-		return "", ErrNoFreePeer
-	}
-	addr := ap.addrs[0]
-	ap.addrs = ap.addrs[1:]
-	return addr, nil
-}
-
-// Len returns the number of pooled free peers.
-func (ap *AddrPool) Len() int {
-	ap.mu.Lock()
-	defer ap.mu.Unlock()
-	return len(ap.addrs)
-}
-
 // Standalone is a single peer stack bound to a real transport endpoint,
 // running in its own OS process. When its peer merges away, the stack
 // rebuilds itself under a fresh identity and re-announces to the bootstrap
 // it originally joined (see Rejoin), so the process stays in the free pool's
 // rotation instead of requiring a restart.
 type Standalone struct {
-	Log  *history.Log
-	Pool *AddrPool
+	Log *history.Log
 
 	tr  transport.Transport
 	cfg Config
@@ -312,13 +269,12 @@ type Standalone struct {
 // NewStandalone assembles a peer stack on tr at addr, which must be the
 // dialable address other processes reach this one at (the transport is
 // registered with exactly this address as the peer's identity). The journal
-// records this process's operations only; cross-process auditing would need
-// journal shipping, which is out of scope here.
+// records this process's operations only; auditing across processes is
+// ROADMAP item 11.
 func NewStandalone(tr transport.Transport, addr transport.Addr, cfg Config) (*Standalone, error) {
 	cfg = cfg.withDefaults()
 	s := &Standalone{
 		Log:     history.NewLog(),
-		Pool:    &AddrPool{},
 		tr:      tr,
 		cfg:     cfg,
 		rejoins: make(chan struct{}, 16),
@@ -334,28 +290,20 @@ func NewStandalone(tr transport.Transport, addr transport.Addr, cfg Config) (*St
 // buildPeer assembles and activates one peer stack at addr, with the
 // free-peer announce handler installed (before Activate, so no announce can
 // arrive at a mux that lacks the handler). The stack's free pool is the
-// Standalone itself: local pool first, bootstrap's pool as the fallback.
+// Standalone itself: this peer's directory first, its contact's as the
+// fallback.
 func (s *Standalone) buildPeer(addr transport.Addr) (*Peer, error) {
 	p, err := assemblePeer(s.tr, addr, s.cfg, s.Log, s)
 	if err != nil {
 		return nil, err
 	}
 	methodAnnounceFree.Handle(p.Mux, func(_ transport.Addr, msg announceMsg) (bool, error) {
-		s.Pool.Add(msg.Addr)
-		if p.Gossip != nil {
-			p.Gossip.MarkFree(msg.Addr)
-		}
+		p.Gossip.MarkFree(msg.Addr)
 		return true, nil
 	})
 	methodProbe.Handle(p.Mux, s.handleProbe)
 	methodAcquireFree.Handle(p.Mux, func(transport.Addr, transport.None) (announceMsg, error) {
-		addr, err := s.Pool.Acquire()
-		if err != nil {
-			return announceMsg{}, nil
-		}
-		if p.Gossip != nil {
-			p.Gossip.MarkTaken(addr)
-		}
+		addr, _ := p.Gossip.TakeFree()
 		return announceMsg{Addr: addr}, nil
 	})
 	if err := p.Activate(); err != nil {
@@ -364,35 +312,23 @@ func (s *Standalone) buildPeer(addr transport.Addr) (*Peer, error) {
 	return p, nil
 }
 
-// Acquire implements datastore.FreePool for this process's splits, trying
-// three sources in order:
+// Acquire implements datastore.FreePool for this process's splits. It takes
+// a free peer from this peer's directory, which holds the peers announced
+// here and, with gossip rounds, those announced anywhere in the cluster — so
+// the cluster keeps growing after the bootstrap dies. Failing that, it asks
+// the directory of the peer this process announced to, over the acquire RPC.
 //
-//  1. the locally announced pool (free peers that announced to this process);
-//  2. the gossiped free-peer directory (any peer in the cluster can resolve
-//     a free peer this way, with no process being a required intermediary —
-//     the cluster keeps growing after the bootstrap dies);
-//  3. the legacy bootstrap acquire RPC (the pre-gossip path, still the only
-//     remote source when gossip is disabled).
-//
-// Errors from the remote path carry the contacted bootstrap's address, so an
-// operator reading a failed split knows which process's pool was asked.
+// Errors from the remote path carry the contacted peer's address, so an
+// operator reading a failed split knows which directory was asked.
 func (s *Standalone) Acquire() (transport.Addr, error) {
 	s.mu.Lock()
 	bootstrap := s.bootstrap
 	cur := s.peer
 	s.mu.Unlock()
-	if addr, err := s.Pool.Acquire(); err == nil {
-		if cur != nil && cur.Gossip != nil {
-			cur.Gossip.MarkTaken(addr)
-		}
+	if addr, ok := cur.Gossip.TakeFree(); ok {
 		return addr, nil
 	}
-	if cur != nil && cur.Gossip != nil {
-		if addr, ok := cur.Gossip.TakeFree(func(a transport.Addr) bool { return a == cur.Addr }); ok {
-			return addr, nil
-		}
-	}
-	if bootstrap == "" || cur == nil {
+	if bootstrap == "" {
 		return "", ErrNoFreePeer
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -407,9 +343,9 @@ func (s *Standalone) Acquire() (transport.Addr, error) {
 	return msg.Addr, nil
 }
 
-// Release implements datastore.FreePool: the peer of a failed split joins
-// this process's pool, whichever source lent it.
-func (s *Standalone) Release(addr transport.Addr) { s.Pool.Add(addr) }
+// Release implements datastore.FreePool: the peer of a failed split is free
+// again in this peer's directory, whichever directory lent it.
+func (s *Standalone) Release(addr transport.Addr) { s.CurrentPeer().Gossip.MarkFree(addr) }
 
 // CurrentPeer returns the live peer stack (which changes across rejoins).
 func (s *Standalone) CurrentPeer() *Peer {
@@ -485,10 +421,8 @@ func (s *Standalone) Resume() (bool, error) {
 		s.bootstrap = bootstrap
 	}
 	s.mu.Unlock()
-	if bootstrap != "" && bootstrap != p.Addr && p.Gossip != nil {
-		p.Gossip.AddMember(bootstrap)
-	}
 	if bootstrap != "" && bootstrap != p.Addr {
+		p.Gossip.AddMember(bootstrap)
 		// Learn the contact's current ring value so the seeded successor
 		// entry is well-formed; an unreachable contact degrades to a
 		// single-member resume rather than blocking recovery.
@@ -535,14 +469,12 @@ func (s *Standalone) JoinAsFree(ctx context.Context, bootstrap transport.Addr) e
 	s.mu.Lock()
 	s.bootstrap = bootstrap
 	s.mu.Unlock()
-	if p.Gossip != nil {
-		// The bootstrap seeds this agent's membership, and the peer
-		// advertises itself as free in its own directory — gossip spreads
-		// that fact cluster-wide, so the availability of this free peer no
-		// longer dies with the process it announced to.
-		p.Gossip.AddMember(bootstrap)
-		p.Gossip.MarkFree(p.Addr)
-	}
+	// The bootstrap seeds this agent's membership, and the peer advertises
+	// itself as free in its own directory — gossip rounds spread that fact
+	// cluster-wide, so the availability of this free peer no longer dies with
+	// the process it announced to.
+	p.Gossip.AddMember(bootstrap)
+	p.Gossip.MarkFree(p.Addr)
 	return nil
 }
 
@@ -584,9 +516,10 @@ func (s *Standalone) RejoinErr() error {
 
 // Rejoin tears down the departed peer stack, assembles a fresh one under a
 // new identity, and re-announces it to the remembered bootstrap. The old
-// endpoint was already deregistered by the ring's departure. A bootstrap
-// process (which never announced anywhere) rebuilds as a free peer but
-// stays unannounced.
+// endpoint was already deregistered by the ring's departure. The fresh
+// directory keeps the free peers the old one knew, except the spent identity
+// itself. A bootstrap process (which never announced anywhere) rebuilds as a
+// free peer but stays unannounced.
 func (s *Standalone) Rejoin() error {
 	s.mu.Lock()
 	old := s.peer
@@ -599,6 +532,11 @@ func (s *Standalone) Rejoin() error {
 	if err != nil {
 		return fmt.Errorf("core: rejoin assembly at %s failed: %w", addr, err)
 	}
+	for a, e := range old.Gossip.Snapshot().Free {
+		if !e.Taken && a != old.Addr {
+			p.Gossip.MarkFree(a)
+		}
+	}
 	s.mu.Lock()
 	s.peer = p
 	s.mu.Unlock()
@@ -606,21 +544,17 @@ func (s *Standalone) Rejoin() error {
 	if bootstrap == "" || bootstrap == old.Addr {
 		return nil // nowhere to announce; the fresh peer waits for operators
 	}
-	// The bootstrap may itself be mid-churn (it just absorbed our range);
-	// retry the announce with backoff — roughly half a minute of patience —
-	// before reporting failure through RejoinErr.
-	var lastErr error
-	for attempt := 1; attempt <= 8; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		err := s.JoinAsFree(ctx, bootstrap)
-		cancel()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		time.Sleep(transport.BackoffDelay(100*time.Millisecond, 5*time.Second, attempt))
+	// The bootstrap may itself be mid-churn (it just absorbed our range), so
+	// an unreachable one is asked again for half a minute before the failure
+	// is reported through RejoinErr. A repeated announce changes nothing.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := transport.Reask(ctx, func() (struct{}, error) {
+		return struct{}{}, s.JoinAsFree(ctx, bootstrap)
+	}); err != nil {
+		return fmt.Errorf("core: re-announce after merge failed: %w", err)
 	}
-	return fmt.Errorf("core: re-announce after merge failed: %w", lastErr)
+	return nil
 }
 
 // freshAddr derives a new, never-used identity for a rejoining peer. For

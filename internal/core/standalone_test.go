@@ -88,8 +88,8 @@ func TestStandaloneClusterOverTCP(t *testing.T) {
 	if err := joiner.JoinAsFree(ctx, boot.CurrentPeer().Addr); err != nil {
 		t.Fatal(err)
 	}
-	if boot.Pool.Len() != 1 {
-		t.Fatalf("bootstrap pool has %d peers, want 1", boot.Pool.Len())
+	if n := boot.CurrentPeer().Gossip.FreeCount(); n != 1 {
+		t.Fatalf("bootstrap directory has %d free peers, want 1", n)
 	}
 
 	// Overflow the bootstrap peer (sf=5, so >10 items force a split); the
@@ -134,11 +134,12 @@ func TestStandaloneClusterOverTCP(t *testing.T) {
 	}
 }
 
-// A Standalone's two hand-backs: the peer of a failed split re-enters the
-// local pool, while the process's own peer retiring (merged away or stepped
-// down) reaches the rejoin and never the pool — a spent identity must not
-// re-enter circulation. Retiring a foreign address rebuilds nothing.
-func TestAddrPoolReleaseSemantics(t *testing.T) {
+// A Standalone's two hand-backs: the peer of a failed split is free again in
+// the peer's directory, while the process's own peer retiring (merged away or
+// stepped down) reaches the rejoin and never the directory — a spent identity
+// must not re-enter circulation, and the rebuilt directory keeps the free
+// peers the old one knew. Retiring a foreign address rebuilds nothing.
+func TestDirectoryReleaseSemantics(t *testing.T) {
 	net := simnet.New(simnet.DefaultConfig())
 	defer net.Close()
 	s, err := NewStandalone(net, "node-0", tcpConfig())
@@ -147,15 +148,16 @@ func TestAddrPoolReleaseSemantics(t *testing.T) {
 	}
 	defer s.Close()
 
-	s.Pool.Add("peer-a")
-	s.Pool.Add("peer-b")
+	free := func() int { return s.CurrentPeer().Gossip.FreeCount() }
+	s.CurrentPeer().Gossip.MarkFree("peer-a")
 	addr, err := s.Acquire()
 	if err != nil || addr != "peer-a" {
 		t.Fatalf("Acquire = %v, %v", addr, err)
 	}
-	s.Release(addr) // failed split: the peer goes back to the pool
-	if s.Pool.Len() != 2 {
-		t.Fatalf("pool has %d peers after a failed split's release, want 2", s.Pool.Len())
+	s.CurrentPeer().Gossip.MarkFree("peer-b")
+	s.Release(addr) // failed split: the peer is free again
+	if n := free(); n != 2 {
+		t.Fatalf("directory has %d free peers after a failed split's release, want 2", n)
 	}
 
 	s.Retire("peer-b") // not this process's peer
@@ -177,8 +179,8 @@ func TestAddrPoolReleaseSemantics(t *testing.T) {
 	if fresh := s.CurrentPeer().Addr; fresh == self {
 		t.Fatalf("rejoined under the spent identity %s", self)
 	}
-	if s.Pool.Len() != 2 {
-		t.Fatalf("pool has %d peers after the retire, want 2 (a spent identity must not re-enter)", s.Pool.Len())
+	if n := free(); n != 2 {
+		t.Fatalf("directory has %d free peers after the retire, want 2 (a spent identity must not re-enter)", n)
 	}
 }
 
@@ -254,8 +256,8 @@ func TestStandaloneRejoinAfterMerge(t *testing.T) {
 	if fresh.Ring.State() != ring.StateFree {
 		t.Fatalf("rejoined peer state = %v, want FREE", fresh.Ring.State())
 	}
-	if boot.Pool.Len() != 1 {
-		t.Fatalf("bootstrap pool has %d peers after rejoin, want 1 (the fresh announce)", boot.Pool.Len())
+	if n := boot.CurrentPeer().Gossip.FreeCount(); n != 1 {
+		t.Fatalf("bootstrap directory has %d free peers after rejoin, want 1 (the fresh announce)", n)
 	}
 
 	// The fresh peer must be fully functional: another overflow split has to
@@ -272,9 +274,9 @@ func TestStandaloneRejoinAfterMerge(t *testing.T) {
 }
 
 // A split at a non-bootstrap process must be able to borrow a free peer
-// from the bootstrap's pool: free peers announce only to the bootstrap, so
-// without the remote-acquire path an overflowed non-bootstrap peer could
-// never split (the cluster-smoke churn cycle hits exactly this after a
+// from the bootstrap's directory: without gossip rounds a free peer is known
+// only where it announced, so without the remote-acquire path an overflowed
+// non-bootstrap peer could never split (the cluster-smoke churn cycle hits exactly this after a
 // failure revival re-homes a range away from the bootstrap).
 func TestAcquireBorrowsFreePeerFromBootstrap(t *testing.T) {
 	cfg := tcpConfig()
@@ -291,8 +293,8 @@ func TestAcquireBorrowsFreePeerFromBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The member's own pool is empty, so Acquire must reach across to the
-	// bootstrap's pool (which holds the member's own announced address).
+	// The member's own directory holds only itself, so Acquire must reach
+	// across to the bootstrap's (which holds the member's announced address).
 	addr, err := member.Acquire()
 	if err != nil {
 		t.Fatalf("Acquire found no free peer despite one pooled at the bootstrap: %v", err)
@@ -300,21 +302,21 @@ func TestAcquireBorrowsFreePeerFromBootstrap(t *testing.T) {
 	if addr != member.CurrentPeer().Addr {
 		t.Fatalf("Acquire returned %s, want the announced %s", addr, member.CurrentPeer().Addr)
 	}
-	if boot.Pool.Len() != 0 {
-		t.Fatalf("bootstrap pool still holds %d peers after the remote acquire", boot.Pool.Len())
+	if n := boot.CurrentPeer().Gossip.FreeCount(); n != 0 {
+		t.Fatalf("bootstrap directory still holds %d free peers after the remote acquire", n)
 	}
-	// A failed split releases the borrowed address: it must re-pool locally,
-	// not vanish or be mistaken for a merge-away.
+	// A failed split releases the borrowed address: it must be free in the
+	// local directory, not vanish or be mistaken for a merge-away.
 	member.Release(addr)
-	if member.Pool.Len() != 1 {
-		t.Fatalf("released borrowed peer not re-pooled locally (len=%d)", member.Pool.Len())
+	if n := member.CurrentPeer().Gossip.FreeCount(); n != 1 {
+		t.Fatalf("released borrowed peer not free in the local directory (free=%d)", n)
 	}
 }
 
-// A pooled address that has since joined the ring elsewhere refuses the
-// split's reservation. The split changes nothing and does not hand the
-// address back, so it cannot wedge the pool; the next split draws the free
-// peer behind it.
+// A free-listed address that has since joined the ring elsewhere refuses
+// the split's reservation. The split changes nothing and does not hand the
+// address back, so it cannot wedge the directory; the next split draws the
+// free peer marked after it.
 func TestAcquireSkipsPooledPeerThatJoinedElsewhere(t *testing.T) {
 	net := simnet.New(simnet.DefaultConfig())
 	defer net.Close()
@@ -336,8 +338,8 @@ func TestAcquireSkipsPooledPeerThatJoinedElsewhere(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Pool.Add("elsewhere")
-	s.Pool.Add("fresh-peer")
+	dir := s.CurrentPeer().Gossip
+	dir.MarkFree("elsewhere")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -351,19 +353,73 @@ func TestAcquireSkipsPooledPeerThatJoinedElsewhere(t *testing.T) {
 	if n := p.Store.Splits.Load(); n != 0 {
 		t.Fatalf("split into a joined peer succeeded (%d splits)", n)
 	}
-	if s.Pool.Len() != 1 || p.Ring.State() != ring.StateJoined || len(p.Ring.SuccessorList()) != 0 {
-		t.Fatalf("after the refused split: pool %d, state %s, successors %v; want the free peer only, JOINED, alone",
-			s.Pool.Len(), p.Ring.State(), p.Ring.SuccessorList())
+	dir.MarkFree("fresh-peer")
+	if n := dir.FreeCount(); n != 1 || p.Ring.State() != ring.StateJoined || len(p.Ring.SuccessorList()) != 0 {
+		t.Fatalf("after the refused split: %d free, state %s, successors %v; want the free peer only, JOINED, alone",
+			n, p.Ring.State(), p.Ring.SuccessorList())
 	}
 	if rng, ok := elsewhere.CurrentPeer().Store.Range(); !ok || !rng.IsFull() {
 		t.Fatalf("the joined peer's range changed to %v (%v)", rng, ok)
 	}
 
 	p.Store.CheckBalance() // draws the free peer
-	if n := p.Store.Splits.Load(); n != 1 || s.Pool.Len() != 0 {
-		t.Fatalf("second split: %d splits, pool %d; want 1 and empty", n, s.Pool.Len())
+	if n, free := p.Store.Splits.Load(), dir.FreeCount(); n != 1 || free != 0 {
+		t.Fatalf("second split: %d splits, %d free; want 1 and none", n, free)
 	}
 	if fp := fresh.CurrentPeer(); fp.Ring.State() != ring.StateJoined || fp.Store.ItemCount() == 0 {
 		t.Fatalf("fresh peer after the split: %s with %d items", fp.Ring.State(), fp.Store.ItemCount())
+	}
+}
+
+// An announce does not make a peer free when the directory knows better: an
+// announced address whose range advert has reached the directory is serving
+// somewhere, and Acquire never draws it. It draws the free peer announced
+// beside it instead.
+func TestAcquireSkipsAnnouncedPeerTheDirectoryKnowsIsServing(t *testing.T) {
+	net := simnet.New(simnet.DefaultConfig())
+	defer net.Close()
+	cfg := tcpConfig()
+	cfg.Gossip.Interval = time.Hour // no test outlasts it: every round is a RunRound
+	start := func(addr transport.Addr) *Standalone {
+		s, err := NewStandalone(net, addr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	s := start("node-0")
+	serving := start("serving")
+	start("fresh-peer")
+	if err := serving.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	g := serving.CurrentPeer().Gossip
+	g.AddMember("node-0")
+	g.RunRound(ctx) // carries serving's range advert to node-0
+	// The announces land after the advert, so the announced entry is free
+	// and only the advert says otherwise.
+	for _, a := range []transport.Addr{"serving", "fresh-peer"} {
+		if _, err := methodAnnounceFree.Call(ctx, net, a, "node-0", announceMsg{Addr: a}); err != nil {
+			t.Fatalf("announce %s: %v", a, err)
+		}
+	}
+
+	var drawn []transport.Addr
+	for {
+		addr, err := s.Acquire()
+		if err != nil {
+			break
+		}
+		if addr == "serving" {
+			t.Fatal("Acquire drew a peer whose range advert the directory holds")
+		}
+		drawn = append(drawn, addr)
+	}
+	if len(drawn) != 1 || drawn[0] != "fresh-peer" {
+		t.Fatalf("Acquire drew %v, want [fresh-peer]", drawn)
 	}
 }

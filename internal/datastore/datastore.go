@@ -78,9 +78,9 @@ type Replicator interface {
 type FreePool interface {
 	// Acquire draws a candidate free peer — constructed, registered on the
 	// network and ready to receive a ring join — returning its address. The
-	// error explains WHERE acquisition failed (the local pool, the gossiped
-	// directory, a contacted remote pool) so a failed split in a smoke run
-	// is attributable to a peer instead of a bare "no free peer".
+	// error explains WHERE acquisition failed (the local directory, a
+	// contacted remote one) so a failed split in a smoke run is attributable
+	// to a peer instead of a bare "no free peer".
 	Acquire() (transport.Addr, error)
 	// Release hands back the peer of a failed split. A split the peer
 	// refused (ring.ErrNotFree) drops the address instead.

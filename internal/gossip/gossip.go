@@ -23,8 +23,9 @@
 // a stale owner (the epoch fence stays the authority), and a free-peer entry
 // that turns out stale just costs a failed split insert, which releases the
 // address back to the pool. What the directory buys is availability — any
-// peer can resolve a free peer for its split locally, from gossip, or from a
-// legacy bootstrap pool, in that order (see core.Standalone.Acquire).
+// peer can resolve a free peer for its split from its own directory, and
+// failing that from the directory of the peer it announced to (see
+// core.Standalone.Acquire).
 package gossip
 
 import (
@@ -452,15 +453,14 @@ func (a *Agent) MarkTaken(addr transport.Addr) {
 }
 
 // TakeFree resolves a free peer from the gossiped directory for a split:
-// the first known-free address that is not this peer, not suspected, not
-// advertising a range, and not excluded by the caller. The taken mark is
-// applied locally and spreads by gossip, so two concurrent takers of the same
-// address are possible (gossip is eventually consistent). The directory
-// grants nothing: the free peer grants itself to one inserter
-// (ring.reserve), and the other split fails in one round trip, having
-// changed nothing, and drops the address. Reports ok=false when the
-// directory knows no eligible free peer.
-func (a *Agent) TakeFree(exclude func(transport.Addr) bool) (transport.Addr, bool) {
+// the first known-free address that is not this peer, not suspected, and not
+// advertising a range. The taken mark is applied locally and spreads by
+// gossip, so two concurrent takers of the same address are possible (gossip
+// is eventually consistent). The directory grants nothing: the free peer
+// grants itself to one inserter (ring.reserve), and the other split fails in
+// one round trip, having changed nothing, and drops the address. Reports
+// ok=false when the directory knows no eligible free peer.
+func (a *Agent) TakeFree() (transport.Addr, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for addr, e := range a.dir.Free {
@@ -471,9 +471,6 @@ func (a *Agent) TakeFree(exclude func(transport.Addr) bool) (transport.Addr, boo
 			continue
 		}
 		if _, owns := a.dir.Ranges[addr]; owns {
-			continue
-		}
-		if exclude != nil && exclude(addr) {
 			continue
 		}
 		a.dir.Free[addr] = FreeEntry{Version: e.Version + 1, Taken: true}

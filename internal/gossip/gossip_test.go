@@ -152,11 +152,11 @@ func TestTakeFreeRespectsDirectoryState(t *testing.T) {
 	a.MarkFree("sus-1")
 	a.setSuspected("sus-1", true)
 
-	addr, ok := a.TakeFree(nil)
+	addr, ok := a.TakeFree()
 	if !ok || addr != "free-1" {
 		t.Fatalf("TakeFree = %v %v, want free-1", addr, ok)
 	}
-	if _, ok := a.TakeFree(nil); ok {
+	if _, ok := a.TakeFree(); ok {
 		t.Fatal("TakeFree handed out a taken, suspected or range-owning peer")
 	}
 	// The take is visible (and versioned) in the directory.

@@ -25,7 +25,10 @@ import "repro/internal/keyspace"
 //	2 — stream_resumes is replaced by chaos_drops: no transport resumes a
 //	    bulk transfer any more, and the chaos fault's firing is what a
 //	    smoke run checks instead.
-const SchemaVersion = 2
+//	3 — free_pool counts the free entries of the peer's gossip directory,
+//	    the one free-peer pool every peer keeps, so gossip_free, which
+//	    counted the same directory, is removed.
+const SchemaVersion = 3
 
 // ProbeRequest asks a standalone process to report its state. With Query set
 // the process also evaluates a range query over [Lo, Hi] from its own peer;
@@ -137,11 +140,10 @@ type ProbeStatus struct {
 	PushNeedFulls    uint64 `json:"push_need_fulls"`
 	ReplicaWALWrites uint64 `json:"replica_wal_writes"`
 
-	// Gossip directory state: distinct members known, free-and-untaken
-	// directory entries, and anti-entropy rounds initiated. All zero when
-	// gossip is disabled (-gossip-interval 0).
+	// Gossip directory state: distinct members known (this peer included)
+	// and anti-entropy rounds initiated; rounds stay zero with
+	// -gossip-interval 0. FreePool counts the directory's free entries.
 	GossipMembers int    `json:"gossip_members"`
-	GossipFree    int    `json:"gossip_free"`
 	GossipRounds  uint64 `json:"gossip_rounds"`
 
 	// Outcome of a LoadItems request: the closed key interval the loaded

@@ -52,7 +52,7 @@ UB=$(( (ITEMS + 1) * 1000 ))
 # The ProbeStatus JSON schema this script was written against (see
 # internal/ops). A contract drift fails the version check loudly instead of
 # this script silently reading zero values out of renamed fields.
-SCHEMA=2
+SCHEMA=3
 
 WORK=$(mktemp -d)
 BIN="$WORK/pepperd"
@@ -105,8 +105,7 @@ PIDS+=("$PID_BOOT")
 # journaled at the bootstrap while it still owns the whole key space, or the
 # final Definition 4 audit is unsound (journals are per-process — an insert
 # routed to another peer mid-split journals there, and the bootstrap's
-# checker would flag the item as never-live; see ROADMAP on journal
-# shipping).
+# checker would flag the item as never-live; see ROADMAP item 11).
 "$BIN" -probe "$P_BOOT" -cluster-key "$KEY" -serving -wait 30s
 EPOCH_LOADED=$(probe_epoch -probe "$P_BOOT" -cluster-key "$KEY" -expect "$ITEMS" -probe-ub "$UB" -wait "$WAIT")
 echo "== bootstrap epoch after load: ${EPOCH_LOADED:?probe printed no epoch}"

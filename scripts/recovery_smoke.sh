@@ -51,7 +51,7 @@ UB=$(( (ITEMS + 1) * 1000 ))
 # The ProbeStatus JSON schema this script was written against (see
 # internal/ops). A contract drift fails the version check loudly instead of
 # this script silently reading zero values out of renamed fields.
-SCHEMA=2
+SCHEMA=3
 
 WORK=$(mktemp -d)
 BIN="$WORK/pepperd"
