@@ -277,7 +277,9 @@ func TestStandaloneRejoinAfterMerge(t *testing.T) {
 // from the bootstrap's directory: without gossip rounds a free peer is known
 // only where it announced, so without the remote-acquire path an overflowed
 // non-bootstrap peer could never split (the cluster-smoke churn cycle hits exactly this after a
-// failure revival re-homes a range away from the bootstrap).
+// failure revival re-homes a range away from the bootstrap). A borrowed peer
+// whose split fails is released into the borrower's own directory, which
+// lends it next.
 func TestAcquireBorrowsFreePeerFromBootstrap(t *testing.T) {
 	cfg := tcpConfig()
 	boot := startStandalone(t, cfg)
@@ -285,16 +287,25 @@ func TestAcquireBorrowsFreePeerFromBootstrap(t *testing.T) {
 	if err := boot.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	member := startStandalone(t, cfg)
-	member.CurrentPeer().Store.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := member.JoinAsFree(ctx, boot.CurrentPeer().Addr); err != nil {
-		t.Fatal(err)
+	announce := func() *Standalone {
+		s := startStandalone(t, cfg)
+		s.CurrentPeer().Store.Stop()
+		if err := s.JoinAsFree(ctx, boot.CurrentPeer().Addr); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	member := announce()
+	localFree := func() int { return member.CurrentPeer().Gossip.FreeCount() }
 
-	// The member's own directory holds only itself, so Acquire must reach
-	// across to the bootstrap's (which holds the member's announced address).
+	// The member's own directory holds only itself, which it never lends, so
+	// Acquire must reach across to the bootstrap's (which holds the member's
+	// announced address).
+	if n := localFree(); n != 0 {
+		t.Fatalf("member's directory lends %d free peers before any release, want 0", n)
+	}
 	addr, err := member.Acquire()
 	if err != nil {
 		t.Fatalf("Acquire found no free peer despite one pooled at the bootstrap: %v", err)
@@ -305,11 +316,28 @@ func TestAcquireBorrowsFreePeerFromBootstrap(t *testing.T) {
 	if n := boot.CurrentPeer().Gossip.FreeCount(); n != 0 {
 		t.Fatalf("bootstrap directory still holds %d free peers after the remote acquire", n)
 	}
+
+	// A second free peer announces to the bootstrap; the member borrows it.
+	other := announce().CurrentPeer().Addr
+	addr, err = member.Acquire()
+	if err != nil || addr != other {
+		t.Fatalf("Acquire = %v, %v; want the bootstrap's %s", addr, err, other)
+	}
+	if n := boot.CurrentPeer().Gossip.FreeCount(); n != 0 {
+		t.Fatalf("bootstrap directory still holds %d free peers after the second remote acquire", n)
+	}
 	// A failed split releases the borrowed address: it must be free in the
-	// local directory, not vanish or be mistaken for a merge-away.
+	// local directory, not vanish or be mistaken for a merge-away, and the
+	// next Acquire takes it from there.
 	member.Release(addr)
-	if n := member.CurrentPeer().Gossip.FreeCount(); n != 1 {
-		t.Fatalf("released borrowed peer not free in the local directory (free=%d)", n)
+	if n := localFree(); n != 1 {
+		t.Fatalf("released borrowed peer not free in the local directory (free=%d, want 1)", n)
+	}
+	if again, err := member.Acquire(); err != nil || again != other {
+		t.Fatalf("Acquire after the release = %v, %v; want %s from the local directory", again, err, other)
+	}
+	if n := localFree(); n != 0 {
+		t.Fatalf("local directory still lends %d free peers after the re-acquire", n)
 	}
 }
 

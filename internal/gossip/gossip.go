@@ -464,37 +464,38 @@ func (a *Agent) TakeFree() (transport.Addr, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for addr, e := range a.dir.Free {
-		if e.Taken || addr == a.self {
-			continue
+		if a.lendableLocked(addr, e) {
+			a.dir.Free[addr] = FreeEntry{Version: e.Version + 1, Taken: true}
+			return addr, true
 		}
-		if s, ok := a.dir.Suspects[addr]; ok && s.Suspected {
-			continue
-		}
-		if _, owns := a.dir.Ranges[addr]; owns {
-			continue
-		}
-		a.dir.Free[addr] = FreeEntry{Version: e.Version + 1, Taken: true}
-		return addr, true
 	}
 	return "", false
 }
 
-// FreeCount reports how many directory entries are currently free-and-
-// untaken (eligibility filters of TakeFree not applied).
+// FreeCount reports how many free peers TakeFree could lend right now.
 func (a *Agent) FreeCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n := 0
 	for addr, e := range a.dir.Free {
-		if e.Taken {
-			continue
+		if a.lendableLocked(addr, e) {
+			n++
 		}
-		if _, owns := a.dir.Ranges[addr]; owns {
-			continue
-		}
-		n++
 	}
 	return n
+}
+
+// lendableLocked reports whether a free entry may be lent to a split: it is
+// untaken, not this peer, not suspected, and not advertising a range.
+func (a *Agent) lendableLocked(addr transport.Addr, e FreeEntry) bool {
+	if e.Taken || addr == a.self {
+		return false
+	}
+	if s, ok := a.dir.Suspects[addr]; ok && s.Suspected {
+		return false
+	}
+	_, owns := a.dir.Ranges[addr]
+	return !owns
 }
 
 // MemberCount reports how many distinct peers the directory knows of

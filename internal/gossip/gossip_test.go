@@ -130,8 +130,8 @@ func TestDirectoryConvergesAfterPartitionHeals(t *testing.T) {
 }
 
 // The versioned free-entry merge: a taken mark out-gossips a stale free
-// observation, and TakeFree never hands out a peer the directory knows is
-// taken, suspected, or serving a range.
+// observation, and TakeFree never hands out itself or a peer the directory
+// knows is taken, suspected, or serving a range. FreeCount agrees with it.
 func TestTakeFreeRespectsDirectoryState(t *testing.T) {
 	net := simnet.New(simnet.Config{DeadCallDelay: time.Millisecond, Seed: 3})
 	defer net.Close()
@@ -151,13 +151,21 @@ func TestTakeFreeRespectsDirectoryState(t *testing.T) {
 	})
 	a.MarkFree("sus-1")
 	a.setSuspected("sus-1", true)
+	a.MarkFree("self")
 
+	// FreeCount counts exactly what TakeFree would lend.
+	if n := a.FreeCount(); n != 1 {
+		t.Fatalf("FreeCount = %d before the take, want 1 (free-1 only)", n)
+	}
 	addr, ok := a.TakeFree()
 	if !ok || addr != "free-1" {
 		t.Fatalf("TakeFree = %v %v, want free-1", addr, ok)
 	}
 	if _, ok := a.TakeFree(); ok {
-		t.Fatal("TakeFree handed out a taken, suspected or range-owning peer")
+		t.Fatal("TakeFree handed out itself or a taken, suspected or range-owning peer")
+	}
+	if n := a.FreeCount(); n != 0 {
+		t.Fatalf("FreeCount = %d after the take, want 0", n)
 	}
 	// The take is visible (and versioned) in the directory.
 	if e := a.Snapshot().Free["free-1"]; !e.Taken {

@@ -25,9 +25,9 @@ import "repro/internal/keyspace"
 //	2 — stream_resumes is replaced by chaos_drops: no transport resumes a
 //	    bulk transfer any more, and the chaos fault's firing is what a
 //	    smoke run checks instead.
-//	3 — free_pool counts the free entries of the peer's gossip directory,
-//	    the one free-peer pool every peer keeps, so gossip_free, which
-//	    counted the same directory, is removed.
+//	3 — free_pool counts the free peers the peer's gossip directory could
+//	    lend a split (the one free-peer pool every peer keeps), so
+//	    gossip_free, which counted the same directory, is removed.
 const SchemaVersion = 3
 
 // ProbeRequest asks a standalone process to report its state. With Query set
@@ -142,7 +142,8 @@ type ProbeStatus struct {
 
 	// Gossip directory state: distinct members known (this peer included)
 	// and anti-entropy rounds initiated; rounds stay zero with
-	// -gossip-interval 0. FreePool counts the directory's free entries.
+	// -gossip-interval 0. FreePool counts the free peers the directory could
+	// lend.
 	GossipMembers int    `json:"gossip_members"`
 	GossipRounds  uint64 `json:"gossip_rounds"`
 
