@@ -6,7 +6,8 @@
 // (splits, merges, redistributions) plus concurrent range queries. The
 // PEPPER cluster must end with zero correctness violations; the naive
 // cluster demonstrates why the paper's protocols exist — it may miss live
-// items (Section 4.2) and is checked only to show the contrast.
+// items (Section 4.2) and is checked only to show the contrast. The run
+// exits 1 when the PEPPER cluster has a violation.
 //
 //	go run ./examples/churnstress
 package main
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"sync"
 	"time"
 
@@ -113,6 +115,7 @@ func main() {
 	case pepper == 0:
 		fmt.Println("PEPPER returned only correct results; the naive baselines happened to get lucky this run (the anomalies are races — rerun to see them).")
 	default:
-		fmt.Println("unexpected: PEPPER produced violations — this would be a bug.")
+		fmt.Println("unexpected: PEPPER produced violations — this is a bug.")
+		os.Exit(1)
 	}
 }

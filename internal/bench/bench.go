@@ -381,7 +381,7 @@ func Fig21(p Params, maxHops, queries int) (*metrics.Figure, error) {
 			if naive {
 				_, stats, err = r.cluster.NaiveQueryStatsFrom(ctx, origin, iv)
 			} else {
-				_, stats, err = r.cluster.RangeQueryStatsFrom(ctx, origin, iv)
+				_, stats, err = origin.RangeQueryStats(ctx, iv)
 			}
 			if err != nil {
 				continue

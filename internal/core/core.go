@@ -131,10 +131,6 @@ type Peer struct {
 	// Backend is the peer's storage engine; the Data Store and Replication
 	// Manager write ahead to it, and Stop closes it.
 	Backend storage.Backend
-	// Identity and Keyring carry the peer's advert-signing state; both nil
-	// when Config.Identities is unset.
-	Identity *auth.Identity
-	Keyring  *auth.Keyring
 
 	tr  transport.Transport
 	log *history.Log
@@ -210,24 +206,8 @@ func assemblePeer(tr transport.Transport, addr transport.Addr, cfg Config, log *
 		// Pin our own key first: a forged advert in this peer's name can then
 		// never be the first key the keyring sees for it.
 		kr.Pin(string(addr), id.Public())
-		p.Identity, p.Keyring = id, kr
-		sign := func(rng keyspace.Range, epoch uint64) auth.AdvertSig {
-			return id.SignAdvert(string(addr), rng.Lo, rng.Hi, epoch)
-		}
-		p.Rep.SignAdvert = sign
-		p.Rep.VerifyAdvert = func(owner transport.Addr, rng keyspace.Range, epoch uint64, sig auth.AdvertSig) error {
-			return kr.VerifyAdvert(string(owner), rng.Lo, rng.Hi, epoch, sig)
-		}
-		p.Rep.OnSigReject = func(owner transport.Addr, rng keyspace.Range, epoch uint64) {
-			log.SigRejected(string(addr), string(owner), rng, epoch)
-		}
-		p.Gossip.SignAdvert = sign
-		p.Gossip.VerifyAd = func(owner transport.Addr, ad gossip.RangeAd) error {
-			return kr.VerifyAdvert(string(owner), ad.Range.Lo, ad.Range.Hi, ad.Epoch, ad.Sig)
-		}
-		p.Gossip.OnSigReject = func(owner transport.Addr, ad gossip.RangeAd) {
-			log.SigRejected(string(addr), string(owner), ad.Range, ad.Epoch)
-		}
+		p.Rep.Identity, p.Rep.Keyring = id, kr
+		p.Gossip.Identity, p.Gossip.Keyring = id, kr
 	}
 
 	// One backend per peer identity: the Data Store and Replication Manager

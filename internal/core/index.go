@@ -178,13 +178,6 @@ type QueryStats struct {
 	StaleEpochHints int
 }
 
-// RangeQueryStatsFrom evaluates a range predicate issued at the given peer,
-// returning the matching items and the execution statistics of the final
-// (successful) scan.
-func (c *Cluster) RangeQueryStatsFrom(ctx context.Context, origin *Peer, iv keyspace.Interval) ([]datastore.Item, QueryStats, error) {
-	return origin.RangeQueryStats(ctx, iv)
-}
-
 // RangeQueryStats evaluates a range predicate issued at this peer. With
 // NaiveQueries configured it uses the unlocked application-level scan of
 // Section 6.2 instead of the pipelined scan.

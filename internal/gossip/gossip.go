@@ -159,19 +159,16 @@ type Agent struct {
 	// core wires it to Store.ObserveRemoteClaim, which steps the local peer
 	// down if the advert proves its own claim stale. Set before Start.
 	ObserveAdvert func(owner transport.Addr, rng keyspace.Range, epoch uint64)
-	// SignAdvert, when set, signs this peer's own range advert each time
+	// Identity, when set, signs this peer's own range advert each time
 	// republishSelf re-injects it, so the claim gossips with proof of origin.
 	// Set before Start.
-	SignAdvert func(rng keyspace.Range, epoch uint64) auth.AdvertSig
-	// VerifyAd, when set, is consulted for every merged advert that would
-	// enter or improve in the directory: an advert whose signature does not
-	// verify under the key pinned for its claimed owner is dropped — it never
-	// installs, never reaches ObserveAdvert, and never gossips onward from
-	// this peer. Set before Start.
-	VerifyAd func(owner transport.Addr, ad RangeAd) error
-	// OnSigReject, when set, is invoked (without internal locks held) for
-	// every advert dropped by VerifyAd (journaling hook).
-	OnSigReject func(owner transport.Addr, ad RangeAd)
+	Identity *auth.Identity
+	// Keyring, when set, verifies every merged advert that would enter or
+	// improve in the directory: an advert whose signature does not verify
+	// under the key pinned for its claimed owner is dropped and counted in
+	// SigRejects — it never installs, never reaches ObserveAdvert, and never
+	// gossips onward from this peer. Set before Start.
+	Keyring *auth.Keyring
 
 	tr   transport.Transport
 	self transport.Addr
@@ -283,8 +280,8 @@ func (a *Agent) republishSelf() {
 		return
 	}
 	ad := RangeAd{Range: rng, Epoch: epoch}
-	if a.SignAdvert != nil {
-		ad.Sig = a.SignAdvert(rng, epoch)
+	if a.Identity != nil {
+		ad.Sig = a.Identity.SignAdvert(string(a.self), rng.Lo, rng.Hi, epoch)
 	}
 	a.mu.Lock()
 	if cur, ok := a.dir.Ranges[a.self]; !ok || epoch >= cur.Epoch {
@@ -350,7 +347,7 @@ func (a *Agent) merge(in Directory) {
 		owner transport.Addr
 		ad    RangeAd
 	}
-	var observed, rejected []obs
+	var observed []obs
 
 	a.mu.Lock()
 	for addr, e := range in.Free {
@@ -366,10 +363,9 @@ func (a *Agent) merge(in Directory) {
 			// Verify before install: a forged advert must not improve the
 			// directory, trigger a step-down, or gossip onward from here. The
 			// owner is not even recorded as a member on its say-so.
-			if a.VerifyAd != nil {
-				if err := a.VerifyAd(owner, ad); err != nil {
+			if a.Keyring != nil {
+				if err := a.Keyring.VerifyAdvert(string(owner), ad.Range.Lo, ad.Range.Hi, ad.Epoch, ad.Sig); err != nil {
 					a.sigRejects.Add(1)
-					rejected = append(rejected, obs{owner: owner, ad: ad})
 					continue
 				}
 			}
@@ -395,11 +391,6 @@ func (a *Agent) merge(in Directory) {
 	if hook != nil {
 		for _, o := range observed {
 			hook(o.owner, o.ad.Range, o.ad.Epoch)
-		}
-	}
-	if a.OnSigReject != nil {
-		for _, o := range rejected {
-			a.OnSigReject(o.owner, o.ad)
 		}
 	}
 }

@@ -64,12 +64,6 @@ const (
 	LeaseExpired
 	LeaseReleased
 	LeaseHandoff
-	// SigRejected marks a refused ownership advert: a replication push or
-	// gossiped range advert claiming (Lo, Hi] at Epoch whose signature failed
-	// verification. The forged advert never reached the epoch or lease
-	// machinery, so the audits ignore these events; they exist so tests can
-	// assert a forgery attempt was both refused and recorded.
-	SigRejected
 )
 
 func (k EventKind) String() string {
@@ -92,8 +86,6 @@ func (k EventKind) String() string {
 		return "lease-release"
 	case LeaseHandoff:
 		return "lease-handoff"
-	case SigRejected:
-		return "sig-reject"
 	default:
 		return fmt.Sprintf("EventKind(%d)", uint8(k))
 	}
@@ -239,16 +231,6 @@ func (l *Log) LeaseHandoff(giver, recipient string, r keyspace.Range, epoch uint
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.events = append(l.events, Event{Seq: l.next(), Kind: LeaseHandoff, Peer: giver, From: recipient, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
-}
-
-// SigRejected journals a refused ownership advert: verifier received an
-// advert claiming owner serves r at epoch, but its signature failed
-// verification (missing, malformed, or under a key other than the one pinned
-// for owner).
-func (l *Log) SigRejected(verifier, owner string, r keyspace.Range, epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: SigRejected, Peer: verifier, From: owner, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
 }
 
 // BeginQuery opens a query record and returns its id and start point.

@@ -204,19 +204,17 @@ func (o *originState) items() []datastore.Item {
 // Manager is one peer's Replication Manager. It implements
 // datastore.Replicator.
 type Manager struct {
-	// SignAdvert, when set, signs this peer's ownership advert before each
-	// push carries it: the signature covers (self address, range, epoch), so a
-	// receiver can prove the advert came from the addressed owner and not from
-	// a forger asserting a higher epoch in its name. Set before Start.
-	SignAdvert func(rng keyspace.Range, epoch uint64) auth.AdvertSig
-	// VerifyAdvert, when set, is consulted for every epoch-carrying push
-	// before any epoch bookkeeping: a push whose advert signature does not
-	// verify under the key pinned for its origin is refused outright — it
-	// neither deposes anyone nor installs replicas. Set before Start.
-	VerifyAdvert func(owner transport.Addr, rng keyspace.Range, epoch uint64, sig auth.AdvertSig) error
-	// OnSigReject, when set, is invoked for every refused push advert
-	// (journaling hook; core wires it to history.Log.SigRejected).
-	OnSigReject func(owner transport.Addr, rng keyspace.Range, epoch uint64)
+	// Identity, when set, signs this peer's ownership advert before each push
+	// carries it: the signature covers (self address, range, epoch), so a
+	// receiver can prove the advert came from the addressed owner and not
+	// from a forger asserting a higher epoch in its name. Set before Start.
+	Identity *auth.Identity
+	// Keyring, when set, verifies every epoch-carrying push before any epoch
+	// bookkeeping: a push whose advert signature does not verify under the
+	// key pinned for its origin is refused outright and counted in
+	// SigRejects — it neither deposes anyone nor installs replicas. nil
+	// means the cluster runs without identities. Set before Start.
+	Keyring *auth.Keyring
 
 	cfg     Config
 	net     transport.Transport
@@ -399,12 +397,9 @@ func (m *Manager) handlePush(_ transport.Addr, msg pushMsg) (pushResp, error) {
 	// not at all) is refused before it can depose anyone, install
 	// replicas, or even record an advert — a forged higher-epoch push is
 	// inert.
-	if m.VerifyAdvert != nil {
-		if err := m.VerifyAdvert(msg.From.Addr, msg.Range, msg.Epoch, msg.Sig); err != nil {
+	if m.Keyring != nil {
+		if err := m.Keyring.VerifyAdvert(string(msg.From.Addr), msg.Range.Lo, msg.Range.Hi, msg.Epoch, msg.Sig); err != nil {
 			m.SigRejects.Add(1)
-			if m.OnSigReject != nil {
-				m.OnSigReject(msg.From.Addr, msg.Range, msg.Epoch)
-			}
 			return pushResp{}, fmt.Errorf("replication: push advert from %s for %v at epoch %d refused: %w",
 				msg.From.Addr, msg.Range, msg.Epoch, err)
 		}
@@ -583,10 +578,10 @@ func (m *Manager) summaryLocked(rng keyspace.Range) *heldSum {
 // signAdvert signs this peer's ownership advert when an identity is wired,
 // and returns the empty (absent) signature otherwise.
 func (m *Manager) signAdvert(rng keyspace.Range, epoch uint64) auth.AdvertSig {
-	if m.SignAdvert == nil {
+	if m.Identity == nil {
 		return auth.AdvertSig{}
 	}
-	return m.SignAdvert(rng, epoch)
+	return m.Identity.SignAdvert(string(m.ring.Self().Addr), rng.Lo, rng.Hi, epoch)
 }
 
 // AdvertInfo implements datastore.Replicator: the latest ownership advert
