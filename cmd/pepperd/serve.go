@@ -75,6 +75,9 @@ func serveMain(listen, join string, items, payload int, seed int64, dataDir stri
 	tcpCfg := tcp.Config{DialTimeout: 2 * time.Second, CallTimeout: 10 * time.Second, ChaosChunkDrop: chaosDropChunk}
 	if dataDir != "" {
 		factory := storage.DiskFactory{Dir: dataDir, Opts: storage.Options{SyncInterval: syncInterval}}
+		if err := factory.ClearStage(); err != nil {
+			fail(err)
+		}
 		cfg.Storage = factory
 		// Disk staging on both sides of the transport: inbound streamed
 		// requests and dial-side chunked responses spill to files, so the
@@ -182,7 +185,7 @@ func loadItems(ctx context.Context, node *core.Standalone, items, payload int, f
 		fmt.Printf("pepperd: full-range query failed: %v\n", err)
 		return
 	}
-	fmt.Printf("pepperd: full-range query -> %d items in %v over %d hops\n", len(res), stats.ScanTime, stats.Hops)
+	fmt.Printf("pepperd: full-range query -> %d items in %v over %d hops\n", len(res), stats.ScanTime, stats.Pieces-1)
 }
 
 // probeOpts are the success criteria of one pepperd -probe invocation.

@@ -33,7 +33,6 @@ func buildConfig(naive bool) core.Config {
 	cfg.Store.CheckPeriod = 10 * time.Millisecond
 	cfg.Replication.RefreshPeriod = 15 * time.Millisecond
 	cfg.Replication.Naive = naive
-	cfg.NaiveQueries = naive
 	return cfg
 }
 
@@ -81,10 +80,21 @@ func runWorkload(name string, naive bool) int {
 
 	queries := 0
 	qrng := rand.New(rand.NewSource(321))
+	entryRng := rand.New(rand.NewSource(322))
 	for i := 0; i < 100; i++ {
 		lb := uint64(qrng.Intn(40)+1) * 100
 		span := uint64(qrng.Intn(40)+1) * 100
-		if _, err := cluster.RangeQuery(ctx, keyspace.ClosedInterval(keyspace.Key(lb), keyspace.Key(lb+span))); err == nil {
+		iv := keyspace.ClosedInterval(keyspace.Key(lb), keyspace.Key(lb+span))
+		var err error
+		if !naive {
+			_, err = cluster.RangeQuery(ctx, iv)
+		} else if live := cluster.LivePeers(); len(live) > 0 {
+			// The Section 6.2 unlocked scan, from a random live peer.
+			_, _, err = live[entryRng.Intn(len(live))].NaiveRangeQuery(ctx, iv)
+		} else {
+			err = core.ErrNoLivePeer
+		}
+		if err == nil {
 			queries++
 		}
 	}

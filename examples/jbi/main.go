@@ -9,7 +9,8 @@
 // This example stores vehicles on a 1-D strip (position in meters along a
 // corridor, the 1-D projection of a lat/long region), moves them
 // continuously, fires region queries the whole time, kills peers mid-run,
-// and audits every query against Definition 4.
+// and audits every query against Definition 4 and the ring against
+// Definition 5. The run exits 1 when either audit fails.
 //
 //	go run ./examples/jbi
 package main
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"sync"
 	"time"
 
@@ -132,7 +134,8 @@ func main() {
 	wg.Wait()
 
 	// Military-grade requirements: audit the whole run.
-	if v := cluster.Log().CheckAllQueries(); len(v) == 0 {
+	v := cluster.Log().CheckAllQueries()
+	if len(v) == 0 {
 		fmt.Println("audit: no region query missed or fabricated an object (Definition 4)")
 	} else {
 		fmt.Printf("audit: %d violations:\n", len(v))
@@ -153,5 +156,8 @@ func main() {
 		fmt.Printf("ring audit: %v\n", ringErr)
 	} else {
 		fmt.Println("ring audit: successor pointers consistent (Definition 5)")
+	}
+	if len(v) > 0 || ringErr != nil {
+		os.Exit(1)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"repro/internal/replication"
 	"repro/internal/ring"
 	"repro/internal/router"
+	"repro/internal/scan"
 	"repro/internal/simnet"
 	"repro/internal/workload"
 )
@@ -376,18 +377,18 @@ func Fig21(p Params, maxHops, queries int) (*metrics.Figure, error) {
 			width := uint64(q%len(r.inserted) + 1)
 			base := span.Next()
 			iv := keyspace.ClosedInterval(base.Lb, base.Lb+keyspace.Key(width*1000))
-			var stats core.QueryStats
+			var stats scan.Stats
 			var err error
 			if naive {
-				_, stats, err = r.cluster.NaiveQueryStatsFrom(ctx, origin, iv)
+				_, stats, err = origin.NaiveRangeQuery(ctx, iv)
 			} else {
 				_, stats, err = origin.RangeQueryStats(ctx, iv)
 			}
 			if err != nil {
 				continue
 			}
-			if stats.Hops >= 0 && stats.Hops <= maxHops {
-				buckets[stats.Hops].Observe(stats.ScanTime)
+			if hops := stats.Pieces - 1; hops >= 0 && hops <= maxHops {
+				buckets[hops].Observe(stats.ScanTime)
 			}
 		}
 		r.cluster.Shutdown()

@@ -39,7 +39,6 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/replication"
 	"repro/internal/ring"
-	"repro/internal/routecache"
 	"repro/internal/router"
 	"repro/internal/simnet"
 	"repro/internal/storage"
@@ -63,9 +62,6 @@ type Config struct {
 	QueryAttemptTimeout time.Duration
 	// MaxQueryAttempts bounds retries within the caller's context.
 	MaxQueryAttempts int
-	// NaiveQueries evaluates range queries with the unlocked application
-	// scan instead of scanRange (the Section 6.2 baseline).
-	NaiveQueries bool
 	// Storage opens each peer's durable backend (WAL + snapshots). nil keeps
 	// the in-memory default, which journals nothing and is what every simnet
 	// test and benchmark runs on; pepperd -data-dir supplies a
@@ -275,11 +271,6 @@ type Cluster struct {
 	cfg Config
 	net *simnet.Network
 	log *history.Log
-	// qcache remembers which peer last served the first piece of a range
-	// query, so follow-up queries enter the ring at the owner of their lower
-	// bound instead of at a random peer (zero-hop owner lookup when fresh;
-	// validated at the target when stale).
-	qcache *routecache.Cache
 
 	mu     sync.Mutex
 	peers  map[transport.Addr]*Peer
@@ -297,12 +288,11 @@ type Cluster struct {
 func NewCluster(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	return &Cluster{
-		cfg:    cfg,
-		net:    simnet.New(cfg.Net),
-		log:    history.NewLog(),
-		qcache: routecache.New(routecache.DefaultCapacity),
-		peers:  make(map[transport.Addr]*Peer),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		cfg:   cfg,
+		net:   simnet.New(cfg.Net),
+		log:   history.NewLog(),
+		peers: make(map[transport.Addr]*Peer),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 

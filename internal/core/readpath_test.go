@@ -26,16 +26,15 @@ func loadSpread(t *testing.T, c *Cluster, ctx context.Context, n, minPeers int) 
 
 // queryAll runs one journaled full-load query from origin and checks the
 // result count.
-func queryAll(t *testing.T, ctx context.Context, origin *Peer, n int) QueryStats {
+func queryAll(t *testing.T, ctx context.Context, origin *Peer, n int) {
 	t.Helper()
-	items, stats, err := origin.RangeQueryStats(ctx, keyspace.ClosedInterval(0, keyspace.Key((n+1)*1000)))
+	items, _, err := origin.RangeQueryStats(ctx, keyspace.ClosedInterval(0, keyspace.Key((n+1)*1000)))
 	if err != nil {
 		t.Fatalf("full query: %v", err)
 	}
 	if len(items) != n {
 		t.Fatalf("full query returned %d items, want %d", len(items), n)
 	}
-	return stats
 }
 
 // TestWarmCacheSpeedsRepeatQueries pins the core read-path win: a repeated

@@ -37,17 +37,6 @@ type Claim struct {
 	Recovered bool
 }
 
-// Claims extracts the RangeClaimed events in sequence order.
-func Claims(events []Event) []Claim {
-	var out []Claim
-	for _, ev := range events {
-		if ev.Kind == RangeClaimed {
-			out = append(out, Claim{Seq: ev.Seq, Peer: ev.Peer, Range: keyspace.Range{Lo: ev.Lo, Hi: ev.Hi}, Epoch: ev.Epoch, Recovered: ev.Recovered})
-		}
-	}
-	return out
-}
-
 // ClaimViolation describes one failure of an epoch-audit check.
 type ClaimViolation struct {
 	Seq    Seq

@@ -525,9 +525,10 @@ func (p *Peer) PingOnce() {
 // Both arms first reserve newNode until ctx's deadline, which the caller
 // must set: a free peer grants itself to one inserter at a time, so another
 // inserter of the same peer fails here with ErrNotFree, changing nothing.
-func (p *Peer) InsertSucc(ctx context.Context, newNode Node) error {
+// An insert that fails after its reservation was granted gives it back.
+func (p *Peer) InsertSucc(ctx context.Context, newNode Node) (err error) {
 	p.mu.Lock()
-	err := p.busyLocked()
+	err = p.busyLocked()
 	p.mu.Unlock()
 	if err == nil {
 		err = p.reserve(ctx, newNode)
@@ -535,6 +536,11 @@ func (p *Peer) InsertSucc(ctx context.Context, newNode Node) error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			p.release(ctx, newNode)
+		}
+	}()
 	if p.cfg.Naive {
 		return p.naiveInsertSucc(ctx, newNode)
 	}
@@ -601,9 +607,20 @@ func (p *Peer) reserve(ctx context.Context, n Node) error {
 	return nil
 }
 
+// release gives n's reservation back after a failed insert with a zero-TTL
+// reserve, so another inserter may draw n at once. It is synchronous, even
+// when ctx has ended, so it cannot land after the caller's retry reserves n;
+// a refusal (n joined, or another inserter holds it) changes nothing.
+func (p *Peer) release(ctx context.Context, n Node) {
+	cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), p.cfg.CallTimeout)
+	defer cancel()
+	_, _ = methodReserve.Call(cctx, p.net, p.addr, n.Addr, reserveReq{Inserter: p.addr})
+}
+
 // handleReserve grants this peer to req.Inserter, FREE → JOINING until its
 // deadline. The same inserter may renew the grant; any other is refused
-// until then, and a peer that joined or departed refuses everyone.
+// until then, and a peer that joined or departed refuses everyone. A zero
+// TTL (release) ends the holder's grant at once.
 func (p *Peer) handleReserve(_ transport.Addr, req reserveReq) (transport.None, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

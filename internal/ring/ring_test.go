@@ -665,6 +665,14 @@ func TestRefusedCarveAbortsInsert(t *testing.T) {
 	if b.State() == StateJoined {
 		t.Error("b joined on a refused carve")
 	}
+	// a gave b's reservation back: c draws b at once, within a's deadline,
+	// at a value past its own.
+	cctx, ccancel := context.WithTimeout(ctx, time.Second)
+	defer ccancel()
+	if err := c.InsertSucc(cctx, Node{Addr: b.Self().Addr, Val: 400}); err != nil {
+		t.Fatalf("c's insert of b after a's refused insert: %v", err)
+	}
+	waitConsistent(t, []*Peer{a, b, c})
 }
 
 // One free peer handed to two inserters: the loser fails with ErrNotFree

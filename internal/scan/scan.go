@@ -97,9 +97,6 @@ type Stats struct {
 	// owner lookup — the paper's Figure 21 methodology ("once the first peer
 	// with items in the search range was found").
 	ScanTime time.Duration
-	// First is the primary that served the interval's first piece, with its
-	// range and epoch at serve time; zero when a replica served that piece.
-	First routecache.Entry
 }
 
 // maxScanSteps bounds one attempt against boundary thrash: each step either
@@ -326,9 +323,6 @@ func (p Planner) Attempt(ctx context.Context, iv keyspace.Interval) ([]datastore
 			return nil, stats, fmt.Errorf("scan: segment at %d answered misaligned piece %v", head.cursor, res.Piece)
 		}
 		p.Routes.Learn(res.Range, head.addr, res.Epoch, res.Chain)
-		if len(pieces) == 0 {
-			stats.First = routecache.Entry{Range: res.Range, Addr: head.addr, Epoch: res.Epoch}
-		}
 		pieces = append(pieces, history.ScanPiece{Peer: string(head.addr), Interval: res.Piece})
 		parts, nitems = append(parts, res.Items), nitems+len(res.Items)
 		pieceEnd := res.Piece.Last()

@@ -325,7 +325,6 @@ func TestDepthBoundsSegmentsInFlight(t *testing.T) {
 		}
 		wantItems(t, items, iv)
 		wantEqual(t, "pieces", st.Pieces, 8)
-		wantEqual(t, "first owner", st.First, routecache.Entry{Range: keyspace.NewRange(800, 100), Addr: "p0", Epoch: 1})
 		wantEqual(t, "segments", n.segments(), []string{"p0@5", "p1@101", "p2@201", "p3@301", "p4@401", "p5@501", "p6@601", "p7@701"})
 		deepest := 0
 		for _, c := range n.calls {
@@ -495,7 +494,6 @@ func TestUnreachableProbeConsultsCache(t *testing.T) {
 	wantEqual(t, "replica reads", n.replicaReads(), []transport.Addr{"p2"})
 	wantEqual(t, "replica epoch", n.calls[1].epoch, n.peers["p1"].epoch)
 	wantEqual(t, "replica pieces", st.ReplicaPieces, 1)
-	wantEqual(t, "first owner", st.First, routecache.Entry{}) // a replica served the first piece
 }
 
 // A holder refusing with ErrStaleEpoch has seen a newer incarnation own the

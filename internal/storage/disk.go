@@ -20,7 +20,9 @@ import (
 //
 //	wal.log       append-only write-ahead log (see wal.go for framing)
 //	snapshot.pep  last full-state snapshot (magic + CRC + gob)
-//	stage/        spill files for in-flight chunked stream transfers
+//
+// Spill files for in-flight chunked stream transfers live beside the peer
+// directories, in the process-wide stage/ of DiskFactory.NewStager.
 //
 // Snapshot/truncate protocol: the shadow state (maintained record by record
 // by the same apply function recovery uses) is written to snapshot.tmp,
@@ -51,7 +53,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Disk is the durable backend: WAL + snapshots + disk-staged streams.
+// Disk is the durable backend: WAL + snapshots.
 type Disk struct {
 	dir  string
 	opts Options
@@ -75,7 +77,7 @@ type Disk struct {
 // the backend ready for appends.
 func OpenDisk(dir string, opts Options) (*Disk, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(filepath.Join(dir, "stage"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: creating %s: %w", dir, err)
 	}
 	d := &Disk{dir: dir, opts: opts, state: newState(), stopCh: make(chan struct{})}
@@ -101,13 +103,6 @@ func OpenDisk(dir string, opts Options) (*Disk, error) {
 	d.wal, err = os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening WAL: %w", err)
-	}
-	// Orphaned spill files from a previous incarnation's in-flight transfers
-	// are dead weight: the transfers they staged never committed.
-	if ents, err := os.ReadDir(filepath.Join(dir, "stage")); err == nil {
-		for _, e := range ents {
-			os.Remove(filepath.Join(dir, "stage", e.Name()))
-		}
 	}
 	if opts.SyncInterval > 0 {
 		d.flushWG.Add(1)
@@ -201,12 +196,6 @@ func (d *Disk) Load() (State, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.state.clone(), nil
-}
-
-// NewStager spills this transfer's chunks to a file under stage/; maxBytes
-// is ignored (disk staging is what lifts the RAM cap).
-func (d *Disk) NewStager(maxBytes int64) transport.ChunkStager {
-	return newDiskStager(filepath.Join(d.dir, "stage"))
 }
 
 // Stats reports the disk backend's counters.
@@ -352,6 +341,12 @@ func (f DiskFactory) NewStager(maxBytes int64) transport.ChunkStager {
 		return transport.NewMemStager(maxBytes)
 	}
 	return newDiskStager(dir)
+}
+
+// ClearStage deletes the staging area under Dir: a spill file an earlier
+// process left there belongs to a transfer that died with its connection.
+func (f DiskFactory) ClearStage() error {
+	return os.RemoveAll(filepath.Join(f.Dir, "stage"))
 }
 
 // sanitizeAddr maps an address to a filesystem-safe directory name.

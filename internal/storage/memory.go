@@ -7,9 +7,8 @@ import (
 )
 
 // Memory is the default backend: the pre-existing in-process behavior with
-// no durability. Appends are counted and dropped, Load recovers nothing, and
-// stream chunks stage in RAM bounded by the transport's MaxStreamBytes. It
-// exists so every protocol layer can journal unconditionally — the simnet
+// no durability. Appends are counted and dropped and Load recovers nothing.
+// It exists so every protocol layer can journal unconditionally — the simnet
 // clusters and unit tests pay one atomic increment per mutation, nothing
 // more.
 type Memory struct {
@@ -36,11 +35,6 @@ func (m *Memory) Sync() error { return nil }
 
 // Load recovers nothing: a memory-backed peer that restarts is a new peer.
 func (m *Memory) Load() (State, error) { return newState(), nil }
-
-// NewStager stages chunks in RAM, capped at maxBytes.
-func (m *Memory) NewStager(maxBytes int64) transport.ChunkStager {
-	return transport.NewMemStager(maxBytes)
-}
 
 // Stats reports the append counter.
 func (m *Memory) Stats() Stats {

@@ -6,15 +6,15 @@
 // identity and remembered bootstrap — flows through one Backend as a stream
 // of write-ahead Records. Two implementations exist:
 //
-//   - Memory: the pre-existing in-process behavior. Appends are dropped, Load
-//     recovers nothing, stream chunks stage in RAM. Simnet clusters and unit
-//     tests keep their speed; a crash loses the peer, exactly as before.
+//   - Memory: the pre-existing in-process behavior. Appends are dropped and
+//     Load recovers nothing. Simnet clusters and unit tests keep their
+//     speed; a crash loses the peer, exactly as before.
 //   - Disk: an append-only, CRC-checked write-ahead log plus periodic
 //     snapshots that truncate it. Every record is stamped with the ownership
 //     epoch it was performed under, so recovery replays only the live
-//     incarnation (see the replay rules on apply). Stream transfers stage
-//     through spill files instead of RAM, lifting the MaxStreamBytes ceiling
-//     on the receive path.
+//     incarnation (see the replay rules on apply). Its factory's stager
+//     (DiskFactory.NewStager) spills stream transfers to files instead of
+//     RAM, lifting the MaxStreamBytes ceiling on the receive path.
 //
 // The write-ahead contract: protocol layers append the record for a mutation
 // while still holding the lock that serializes the mutation (the Data
@@ -239,10 +239,6 @@ type Backend interface {
 	// Load returns the recovered state: last snapshot plus WAL replay. A
 	// backend with no durable history returns the empty state.
 	Load() (State, error)
-	// NewStager returns a staging area for one inbound chunked transfer.
-	// maxBytes caps RAM staging (Memory); Disk spills to files and ignores
-	// the cap. The transport discards or joins every stager it creates.
-	NewStager(maxBytes int64) transport.ChunkStager
 	// Stats reports the backend's identity and counters.
 	Stats() Stats
 	// Close flushes and releases the backend. A crash is modeled by NOT

@@ -426,8 +426,32 @@ func TestDiskStager(t *testing.T) {
 	}
 }
 
-// TestMemoryBackend: the default backend drops appends, loads nothing, and
-// stages in RAM under the cap.
+// TestDiskFactoryClearStage: a spill file an earlier process left under the
+// factory's stage/ is gone after ClearStage, and the next transfer still
+// spills there.
+func TestDiskFactoryClearStage(t *testing.T) {
+	f := DiskFactory{Dir: t.TempDir()}
+	orphan := f.NewStager(0)
+	defer orphan.Discard()
+	if err := orphan.Append([]byte("orphan")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ClearStage(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(f.Dir, "stage")); !os.IsNotExist(err) {
+		t.Fatalf("stage/ survived ClearStage: %v", err)
+	}
+	s := f.NewStager(0)
+	if err := s.Append([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Join(1); err != nil || string(got) != "next" {
+		t.Fatalf("join after ClearStage: %q, %v", got, err)
+	}
+}
+
+// TestMemoryBackend: the default backend drops appends and loads nothing.
 func TestMemoryBackend(t *testing.T) {
 	m := NewMemory()
 	if err := m.Append(Record{Kind: RecClaim, Epoch: 1, Lo: 0, Hi: 10}); err != nil {

@@ -13,7 +13,9 @@
 #      is asserted EQUAL to the pre-crash epoch, and the recovered item
 #      count must cover the full load (-min-recovered gates on the probe's
 #      recovered/recovered_items fields, so a silent fresh re-bootstrap
-#      that reloads items cannot masquerade as recovery).
+#      that reloads items cannot masquerade as recovery). A spill file
+#      planted in its stage directory while it is down must be gone after
+#      the restart.
 #
 #   2. A joiner that a split drew into the ring is kill -9'd and restarted
 #      promptly — inside the failure-detection window (AckTimeout 20s), the
@@ -114,6 +116,12 @@ echo "== crash 1: kill -9 the bootstrap"
 kill -9 "$PID_BOOT"
 wait "$PID_BOOT" 2>/dev/null || true
 
+# A kill -9 during a multi-chunk transfer leaves its spill file behind. Plant
+# one: the restarted process must clear the stage directory before it serves.
+ORPHAN="$DATA_BOOT/stage/stream-orphan.stage"
+mkdir -p "$DATA_BOOT/stage"
+echo "spill of a transfer that died with its process" >"$ORPHAN"
+
 echo "== restart the bootstrap from $DATA_BOOT (same command line, plus chunk chaos)"
 # -chaos-drop-chunk arms one fault in the restarted process's transport: the
 # first bulk send to reach chunk 2 has its connection killed mid-transfer.
@@ -130,7 +138,11 @@ if [ "$EPOCH_RECOVERED" != "$EPOCH_LOADED" ]; then
   echo "recovered epoch $EPOCH_RECOVERED != pre-crash epoch $EPOCH_LOADED (a restart is the same incarnation; the epoch must not move)" >&2
   exit 1
 fi
-echo "== bootstrap recovered at epoch $EPOCH_RECOVERED with all $ITEMS items"
+if [ -e "$ORPHAN" ]; then
+  echo "orphaned spill file $ORPHAN survived the restart (the stage directory must be cleared)" >&2
+  exit 1
+fi
+echo "== bootstrap recovered at epoch $EPOCH_RECOVERED with all $ITEMS items; orphaned spill cleared"
 
 echo "== start a free peer at $P_JOIN with -data-dir; the split draws it in"
 "$BIN" -listen "$P_JOIN" -join "$P_BOOT" -data-dir "$DATA_JOIN" -cluster-key "$KEY" >"$WORK/join.log" 2>&1 &
