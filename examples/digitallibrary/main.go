@@ -6,7 +6,8 @@
 // hash-based indices and forces an order-preserving range index to keep
 // rebalancing (splits and redistributions, Section 2.3). The example loads a
 // Zipf-skewed archive, shows the resulting storage balance across peers,
-// and runs date-range searches.
+// and runs date-range searches. The run exits 1 when a search breaks
+// Definition 4.
 //
 //	go run ./examples/digitallibrary
 package main
@@ -15,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -121,6 +123,7 @@ func main() {
 		fmt.Println("audit: every search returned exactly the live matching articles")
 	} else {
 		fmt.Printf("audit: %d violations: %v\n", len(v), v)
+		os.Exit(1)
 	}
 }
 

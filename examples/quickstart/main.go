@@ -1,5 +1,5 @@
 // Quickstart: boot a P2P range index, insert items, run range queries, and
-// audit the run for correctness.
+// audit the run for correctness. The run exits 1 when the audit fails.
 //
 //	go run ./examples/quickstart
 package main
@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -74,5 +75,6 @@ func main() {
 		fmt.Println("audit: all queries returned correct results")
 	} else {
 		fmt.Printf("audit: %d violations: %v\n", len(v), v)
+		os.Exit(1)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/ring"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // harness wires N datastore peers over a real ring for package-level tests.
@@ -20,9 +21,9 @@ type harness struct {
 	net    *simnet.Network
 	log    *history.Log
 	mu     sync.Mutex
-	stores map[simnet.Addr]*Store
-	rings  map[simnet.Addr]*ring.Peer
-	free   []simnet.Addr
+	stores map[transport.Addr]*Store
+	rings  map[transport.Addr]*ring.Peer
+	free   []transport.Addr
 	nextID int
 	dsCfg  Config
 	rCfg   ring.Config
@@ -67,7 +68,7 @@ func (f *fakeRep) Revive(r keyspace.Range) []Item {
 	return out
 }
 func (f *fakeRep) MaxAdvertisedEpoch(keyspace.Range) uint64 { return 0 }
-func (f *fakeRep) AdvertInfo(simnet.Addr) (keyspace.Range, uint64, time.Time, bool) {
+func (f *fakeRep) AdvertInfo(transport.Addr) (keyspace.Range, uint64, time.Time, bool) {
 	return keyspace.Range{}, 0, time.Time{}, false
 }
 
@@ -102,8 +103,8 @@ func newHarness(t *testing.T, dsCfg Config, rCfg ring.Config) *harness {
 		t:      t,
 		net:    net,
 		log:    history.NewLog(),
-		stores: make(map[simnet.Addr]*Store),
-		rings:  make(map[simnet.Addr]*ring.Peer),
+		stores: make(map[transport.Addr]*Store),
+		rings:  make(map[transport.Addr]*ring.Peer),
 		dsCfg:  dsCfg,
 		rCfg:   rCfg,
 	}
@@ -112,7 +113,7 @@ func newHarness(t *testing.T, dsCfg Config, rCfg ring.Config) *harness {
 // pool implements FreePool over the harness.
 type pool harness
 
-func (pl *pool) Acquire() (simnet.Addr, error) {
+func (pl *pool) Acquire() (transport.Addr, error) {
 	h := (*harness)(pl)
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -125,7 +126,7 @@ func (pl *pool) Acquire() (simnet.Addr, error) {
 }
 
 // Release returns a failed split's live peer to the pool.
-func (pl *pool) Release(addr simnet.Addr) {
+func (pl *pool) Release(addr transport.Addr) {
 	h := (*harness)(pl)
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -136,16 +137,16 @@ func (pl *pool) Release(addr simnet.Addr) {
 
 // Retire drops a departed peer: the paper's model forbids re-entering with
 // the same identifier.
-func (pl *pool) Retire(simnet.Addr) {}
+func (pl *pool) Retire(transport.Addr) {}
 
 // addPeer constructs a full ring+store stack.
 func (h *harness) addPeer() (*Store, *ring.Peer) {
 	h.t.Helper()
 	h.mu.Lock()
 	h.nextID++
-	addr := simnet.Addr(fmt.Sprintf("d%d", h.nextID))
+	addr := transport.Addr(fmt.Sprintf("d%d", h.nextID))
 	h.mu.Unlock()
-	mux := simnet.NewMux()
+	mux := transport.NewMux()
 	var (
 		st *Store
 		rp *ring.Peer
@@ -370,18 +371,18 @@ func totalMerges(h *harness) uint64 {
 
 // insertAt and deleteAt issue one unfenced mutation at the peer at addr
 // through the dial bridges, sent from via's own address.
-func insertAt(ctx context.Context, via *Store, addr simnet.Addr, item Item) error {
+func insertAt(ctx context.Context, via *Store, addr transport.Addr, item Item) error {
 	_, err := ClientInsert(ctx, via.net, via.Addr(), addr, item, 0)
 	return err
 }
 
-func deleteAt(ctx context.Context, via *Store, addr simnet.Addr, key keyspace.Key) (bool, error) {
+func deleteAt(ctx context.Context, via *Store, addr transport.Addr, key keyspace.Key) (bool, error) {
 	found, _, err := ClientDelete(ctx, via.net, via.Addr(), addr, key, 0)
 	return found, err
 }
 
 // ownerOf finds the serving peer owning key (test-side routing).
-func ownerOf(h *harness, key keyspace.Key) simnet.Addr {
+func ownerOf(h *harness, key keyspace.Key) transport.Addr {
 	for _, st := range h.serving() {
 		if rng, ok := st.Range(); ok && rng.Contains(key) {
 			return st.Addr()

@@ -29,7 +29,7 @@ func testCluster(t *testing.T, n int, netCfg simnet.Config) (*simnet.Network, []
 	agents := make([]*Agent, n)
 	for i := 0; i < n; i++ {
 		addr := transport.Addr(fmt.Sprintf("g%d", i+1))
-		mux := simnet.NewMux()
+		mux := transport.NewMux()
 		agents[i] = New(net, mux, addr, Config{Fanout: 2, CallTimeout: 200 * time.Millisecond, Seed: int64(i + 1)})
 		if err := net.Register(addr, mux.Dispatch); err != nil {
 			t.Fatal(err)
@@ -135,7 +135,7 @@ func TestDirectoryConvergesAfterPartitionHeals(t *testing.T) {
 func TestTakeFreeRespectsDirectoryState(t *testing.T) {
 	net := simnet.New(simnet.Config{DeadCallDelay: time.Millisecond, Seed: 3})
 	defer net.Close()
-	mux := simnet.NewMux()
+	mux := transport.NewMux()
 	a := New(net, mux, "self", Config{})
 	if err := net.Register("self", mux.Dispatch); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestTakeFreeRespectsDirectoryState(t *testing.T) {
 func TestObserveAdvertFiresOnImprovement(t *testing.T) {
 	net := simnet.New(simnet.Config{DeadCallDelay: time.Millisecond, Seed: 3})
 	defer net.Close()
-	mux := simnet.NewMux()
+	mux := transport.NewMux()
 	a := New(net, mux, "self", Config{})
 	var calls []string
 	a.ObserveAdvert = func(owner transport.Addr, rng keyspace.Range, epoch uint64) {
@@ -208,7 +208,7 @@ func TestSecondStartDoesNotDoubleTheRounds(t *testing.T) {
 	const want = 6
 	net := simnet.New(simnet.Config{})
 	t.Cleanup(func() { _ = net.Close() })
-	a := New(net, simnet.NewMux(), "g1", Config{Interval: interval})
+	a := New(net, transport.NewMux(), "g1", Config{Interval: interval})
 	start := time.Now()
 	a.Start()
 	a.Start()

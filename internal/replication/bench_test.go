@@ -12,29 +12,23 @@ import (
 	"repro/internal/transport"
 )
 
-// pushMeter counts the bytes the origin streams as rep.push bulk calls.
+// pushMeter counts the bytes the origin sends as rep.push calls: the encoded
+// payload, the body a streaming transport would chunk.
 type pushMeter struct {
 	*simnet.Network
 	pushes, bytes atomic.Uint64
 }
 
-func (p *pushMeter) OpenStream(ctx context.Context, from, to transport.Addr, method string) (transport.Stream, error) {
-	st, err := p.Network.OpenStream(ctx, from, to, method)
-	if err != nil || method != methodPush.Name() {
-		return st, err
+func (p *pushMeter) Call(ctx context.Context, from, to transport.Addr, method string, payload any) (any, error) {
+	if method == methodPush.Name() {
+		body, err := transport.Encode(payload)
+		if err != nil {
+			return nil, err
+		}
+		p.pushes.Add(1)
+		p.bytes.Add(uint64(len(body)))
 	}
-	p.pushes.Add(1)
-	return meteredStream{Stream: st, bytes: &p.bytes}, nil
-}
-
-type meteredStream struct {
-	transport.Stream
-	bytes *atomic.Uint64
-}
-
-func (s meteredStream) Chunk(ctx context.Context, data []byte) error {
-	s.bytes.Add(uint64(len(data)))
-	return s.Stream.Chunk(ctx, data)
+	return p.Network.Call(ctx, from, to, method, payload)
 }
 
 // BenchmarkRefreshSteadyState measures what one mutation costs the

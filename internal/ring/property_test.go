@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/keyspace"
-	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // newBareRingPeer builds a peer without network wiring, for pure-function
@@ -15,8 +15,8 @@ import (
 func newBareRingPeer(d int, addr string, val uint64) *Peer {
 	return &Peer{
 		cfg:  Config{SuccListLen: d}.withDefaults(),
-		addr: simnet.Addr(addr),
-		self: Node{Addr: simnet.Addr(addr), Val: keyspace.Key(val)},
+		addr: transport.Addr(addr),
+		self: Node{Addr: transport.Addr(addr), Val: keyspace.Key(val)},
 	}
 }
 
@@ -42,7 +42,7 @@ func TestNormalizeProperties(t *testing.T) {
 				addr = fmt.Sprintf("p%d", rng.Intn(8))
 			}
 			in = append(in, Entry{
-				Node:  Node{Addr: simnet.Addr(addr), Val: keyspace.Key(rng.Intn(100))},
+				Node:  Node{Addr: transport.Addr(addr), Val: keyspace.Key(rng.Intn(100))},
 				State: EntryState(rng.Intn(3)),
 			})
 		}
@@ -53,7 +53,7 @@ func TestNormalizeProperties(t *testing.T) {
 		out, wrapped := p.normalizeLocked(in)
 		p.mu.Unlock()
 
-		seen := make(map[simnet.Addr]bool)
+		seen := make(map[transport.Addr]bool)
 		joined := 0
 		for _, e := range out {
 			if e.Node.Addr == "self" {
@@ -126,7 +126,7 @@ func TestAppendWrapIfEmptyProperty(t *testing.T) {
 			if st == EntryJoined {
 				hasJoined = true
 			}
-			in = append(in, Entry{Node: Node{Addr: simnet.Addr(fmt.Sprintf("p%d", i))}, State: st})
+			in = append(in, Entry{Node: Node{Addr: transport.Addr(fmt.Sprintf("p%d", i))}, State: st})
 		}
 		self := Node{Addr: "me"}
 		out := appendWrapIfEmpty(in, self)

@@ -24,7 +24,7 @@ type testCluster struct {
 	// manual leaves every peer's loops unstarted (see addPeer).
 	manual bool
 	mu     sync.Mutex
-	peers  map[simnet.Addr]*Peer
+	peers  map[transport.Addr]*Peer
 }
 
 func fastRingConfig() Config {
@@ -51,7 +51,7 @@ func newTestCluster(t *testing.T, cfg Config) *testCluster {
 		t:     t,
 		net:   net,
 		cfg:   cfg,
-		peers: make(map[simnet.Addr]*Peer),
+		peers: make(map[transport.Addr]*Peer),
 	}
 }
 
@@ -68,7 +68,7 @@ func (tc *testCluster) addPeer(addr string, val uint64, cb Callbacks) *Peer {
 // cluster's network.
 func (tc *testCluster) addPeerOn(net transport.Transport, addr string, val uint64, cb Callbacks) *Peer {
 	tc.t.Helper()
-	mux := simnet.NewMux()
+	mux := transport.NewMux()
 	var p *Peer
 	if !tc.manual {
 		onJoined := cb.OnJoined
@@ -79,12 +79,12 @@ func (tc *testCluster) addPeerOn(net transport.Transport, addr string, val uint6
 			p.Start()
 		}
 	}
-	p = NewPeer(net, mux, tc.cfg, Node{Addr: simnet.Addr(addr), Val: keyspace.Key(val)}, cb)
-	if err := tc.net.Register(simnet.Addr(addr), mux.Dispatch); err != nil {
+	p = NewPeer(net, mux, tc.cfg, Node{Addr: transport.Addr(addr), Val: keyspace.Key(val)}, cb)
+	if err := tc.net.Register(transport.Addr(addr), mux.Dispatch); err != nil {
 		tc.t.Fatal(err)
 	}
 	tc.mu.Lock()
-	tc.peers[simnet.Addr(addr)] = p
+	tc.peers[transport.Addr(addr)] = p
 	tc.mu.Unlock()
 	tc.t.Cleanup(p.Stop)
 	return p
@@ -237,7 +237,7 @@ func TestBuildRingOfEight(t *testing.T) {
 	// Successor lists must converge to ring order (entry state labels can
 	// lag the global state briefly, so poll).
 	order := RingOrder(peers)
-	pos := make(map[simnet.Addr]int)
+	pos := make(map[transport.Addr]int)
 	for i, n := range order {
 		pos[n.Addr] = i
 	}
@@ -264,7 +264,7 @@ func TestPredTracking(t *testing.T) {
 	peers := tc.buildRing(5)
 	waitConsistent(t, peers)
 	order := RingOrder(peers)
-	byAddr := make(map[simnet.Addr]*Peer)
+	byAddr := make(map[transport.Addr]*Peer)
 	for _, p := range peers {
 		byAddr[p.Self().Addr] = p
 	}

@@ -23,7 +23,7 @@ type rtHarness struct {
 	routers []*Router
 	stores  []*datastore.Store
 	rings   []*ring.Peer
-	addrs   []simnet.Addr
+	addrs   []transport.Addr
 }
 
 func newRTHarness(t *testing.T, n int, cfg Config) *rtHarness {
@@ -54,8 +54,8 @@ func newRTHarnessNet(t *testing.T, n int, cfg Config, wrap func(transport.Transp
 		AckTimeout: 30 * time.Second,
 	}
 	for i := 0; i < n; i++ {
-		addr := simnet.Addr(fmt.Sprintf("rt%d", i))
-		mux := simnet.NewMux()
+		addr := transport.Addr(fmt.Sprintf("rt%d", i))
+		mux := transport.NewMux()
 		// Only the rings run loops; tests step stores and routers by hand.
 		var (
 			st *datastore.Store
@@ -134,7 +134,7 @@ func rtWait(t *testing.T, timeout time.Duration, what string, cond func() bool) 
 }
 
 // expectOwner returns the address that owns key under the even layout.
-func (h *rtHarness) expectOwner(key keyspace.Key) simnet.Addr {
+func (h *rtHarness) expectOwner(key keyspace.Key) transport.Addr {
 	for i, st := range h.stores {
 		if rng, ok := st.Range(); ok && rng.Contains(key) {
 			return h.addrs[i]

@@ -20,7 +20,7 @@ func init() {
 func TestCodecCatchesUnregisteredPayload(t *testing.T) {
 	type unregisteredPayload struct{ N int }
 	n := New(fastConfig())
-	echo := func(_ Addr, _ string, p any) (any, error) { return p, nil }
+	echo := func(_ transport.Addr, _ string, p any) (any, error) { return p, nil }
 	if err := n.Register("a", echo); err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +55,10 @@ func TestCodecRecordsSendRejections(t *testing.T) {
 	type unregisteredOneWay struct{ N int }
 	n := New(fastConfig())
 	delivered := make(chan any, 1)
-	if err := n.Register("a", func(_ Addr, _ string, p any) (any, error) { return nil, nil }); err != nil {
+	if err := n.Register("a", func(_ transport.Addr, _ string, p any) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Register("b", func(_ Addr, _ string, p any) (any, error) {
+	if err := n.Register("b", func(_ transport.Addr, _ string, p any) (any, error) {
 		delivered <- p
 		return nil, nil
 	}); err != nil {
@@ -92,15 +92,15 @@ func TestCodecRecordsSendRejections(t *testing.T) {
 // handler kept. This is the class of bug the codec boundary exists to flush
 // out. A Send has no reply, so only the request direction applies to it.
 func TestNoAliasingAcrossTheWire(t *testing.T) {
-	for _, op := range []string{"call", "send", "stream"} {
+	for _, op := range []string{"call", "send", "bulk"} {
 		t.Run(op, func(t *testing.T) {
 			n := New(fastConfig())
-			if err := n.Register("a", func(Addr, string, any) (any, error) { return nil, nil }); err != nil {
+			if err := n.Register("a", func(transport.Addr, string, any) (any, error) { return nil, nil }); err != nil {
 				t.Fatal(err)
 			}
 			kept := []int{7}
 			handled := make(chan struct{}, 1)
-			if err := n.Register("b", func(_ Addr, _ string, p any) (any, error) {
+			if err := n.Register("b", func(_ transport.Addr, _ string, p any) (any, error) {
 				p.([]int)[0] = 42 // hostile mutation of the received payload
 				handled <- struct{}{}
 				return kept, nil
@@ -122,7 +122,7 @@ func TestNoAliasingAcrossTheWire(t *testing.T) {
 				case <-time.After(time.Second):
 					t.Fatal("send never delivered")
 				}
-			case "stream":
+			case "bulk":
 				reply, err = transport.CallBulk(n, ctx, "a", "b", "m", payload)
 			}
 			if err != nil {

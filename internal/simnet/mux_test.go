@@ -7,12 +7,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/transport"
 )
 
 func TestMuxDispatch(t *testing.T) {
-	m := NewMux()
-	m.Handle("a", func(_ Addr, _ string, p any) (any, error) { return fmt.Sprintf("a:%v", p), nil })
-	m.Handle("b", func(_ Addr, _ string, p any) (any, error) { return fmt.Sprintf("b:%v", p), nil })
+	m := transport.NewMux()
+	m.Handle("a", func(_ transport.Addr, _ string, p any) (any, error) { return fmt.Sprintf("a:%v", p), nil })
+	m.Handle("b", func(_ transport.Addr, _ string, p any) (any, error) { return fmt.Sprintf("b:%v", p), nil })
 
 	got, err := m.Dispatch("x", "a", 1)
 	if err != nil || got != "a:1" {
@@ -25,16 +27,16 @@ func TestMuxDispatch(t *testing.T) {
 }
 
 func TestMuxUnknownMethod(t *testing.T) {
-	m := NewMux()
+	m := transport.NewMux()
 	if _, err := m.Dispatch("x", "nope", nil); err == nil || !strings.Contains(err.Error(), "no handler") {
 		t.Fatalf("err = %v, want no-handler error", err)
 	}
 }
 
 func TestMuxReplaceAndRemove(t *testing.T) {
-	m := NewMux()
-	m.Handle("a", func(_ Addr, _ string, _ any) (any, error) { return 1, nil })
-	m.Handle("a", func(_ Addr, _ string, _ any) (any, error) { return 2, nil })
+	m := transport.NewMux()
+	m.Handle("a", func(_ transport.Addr, _ string, _ any) (any, error) { return 1, nil })
+	m.Handle("a", func(_ transport.Addr, _ string, _ any) (any, error) { return 2, nil })
 	got, _ := m.Dispatch("x", "a", nil)
 	if got != 2 {
 		t.Fatalf("replacement not effective: %v", got)
@@ -47,13 +49,13 @@ func TestMuxReplaceAndRemove(t *testing.T) {
 
 func TestMuxOverNetwork(t *testing.T) {
 	n := New(Config{DeadCallDelay: time.Millisecond, Seed: 1})
-	m := NewMux()
-	m.Handle("ring.ping", func(_ Addr, _ string, _ any) (any, error) { return "pong", nil })
-	m.Handle("ds.insert", func(_ Addr, _ string, p any) (any, error) { return p, nil })
+	m := transport.NewMux()
+	m.Handle("ring.ping", func(_ transport.Addr, _ string, _ any) (any, error) { return "pong", nil })
+	m.Handle("ds.insert", func(_ transport.Addr, _ string, p any) (any, error) { return p, nil })
 	if err := n.Register("peer", m.Dispatch); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Register("client", func(Addr, string, any) (any, error) { return nil, nil }); err != nil {
+	if err := n.Register("client", func(transport.Addr, string, any) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -66,7 +68,7 @@ func TestMuxOverNetwork(t *testing.T) {
 }
 
 func TestMuxConcurrent(t *testing.T) {
-	m := NewMux()
+	m := transport.NewMux()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -74,7 +76,7 @@ func TestMuxConcurrent(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("m%d", g)
 			for i := 0; i < 200; i++ {
-				m.Handle(name, func(_ Addr, _ string, _ any) (any, error) { return g, nil })
+				m.Handle(name, func(_ transport.Addr, _ string, _ any) (any, error) { return g, nil })
 				if got, err := m.Dispatch("x", name, nil); err != nil || got != g {
 					t.Errorf("dispatch %s = %v, %v", name, got, err)
 					return

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/transport"
 )
 
 // fastConfig removes latency so unit tests run instantly.
@@ -15,7 +17,7 @@ func fastConfig() Config {
 	return Config{DeadCallDelay: time.Millisecond, Seed: 1}
 }
 
-func echoHandler(from Addr, method string, payload any) (any, error) {
+func echoHandler(from transport.Addr, method string, payload any) (any, error) {
 	return payload, nil
 }
 
@@ -41,8 +43,8 @@ func TestDuplicateRegister(t *testing.T) {
 	if err := n.Register("a", echoHandler); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Register("a", echoHandler); !errors.Is(err, ErrDuplicate) {
-		t.Errorf("err = %v, want ErrDuplicate", err)
+	if err := n.Register("a", echoHandler); !errors.Is(err, transport.ErrDuplicate) {
+		t.Errorf("err = %v, want transport.ErrDuplicate", err)
 	}
 }
 
@@ -64,8 +66,8 @@ func TestCallToDeadPeer(t *testing.T) {
 	n.Kill("b")
 	start := time.Now()
 	_, err := n.Call(context.Background(), "a", "b", "echo", 1)
-	if !errors.Is(err, ErrUnreachable) {
-		t.Errorf("err = %v, want ErrUnreachable", err)
+	if !errors.Is(err, transport.ErrUnreachable) {
+		t.Errorf("err = %v, want transport.ErrUnreachable", err)
 	}
 	if elapsed := time.Since(start); elapsed < time.Millisecond {
 		t.Errorf("dead call returned in %v, want >= DeadCallDelay", elapsed)
@@ -77,8 +79,8 @@ func TestCallToUnknownPeer(t *testing.T) {
 	if err := n.Register("a", echoHandler); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Call(context.Background(), "a", "ghost", "echo", 1); !errors.Is(err, ErrUnreachable) {
-		t.Errorf("err = %v, want ErrUnreachable", err)
+	if _, err := n.Call(context.Background(), "a", "ghost", "echo", 1); !errors.Is(err, transport.ErrUnreachable) {
+		t.Errorf("err = %v, want transport.ErrUnreachable", err)
 	}
 }
 
@@ -91,8 +93,8 @@ func TestDeadSenderCannotCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Kill("a")
-	if _, err := n.Call(context.Background(), "a", "b", "echo", 1); !errors.Is(err, ErrSenderDead) {
-		t.Errorf("err = %v, want ErrSenderDead", err)
+	if _, err := n.Call(context.Background(), "a", "b", "echo", 1); !errors.Is(err, transport.ErrSenderDead) {
+		t.Errorf("err = %v, want transport.ErrSenderDead", err)
 	}
 }
 
@@ -119,7 +121,7 @@ func TestHandlerError(t *testing.T) {
 	if err := n.Register("a", echoHandler); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Register("b", func(Addr, string, any) (any, error) { return nil, boom }); err != nil {
+	if err := n.Register("b", func(transport.Addr, string, any) (any, error) { return nil, boom }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Call(context.Background(), "a", "b", "x", nil); !errors.Is(err, boom) {
@@ -134,7 +136,7 @@ func TestSendAsync(t *testing.T) {
 	if err := n.Register("a", echoHandler); err != nil {
 		t.Fatal(err)
 	}
-	err := n.Register("b", func(from Addr, method string, payload any) (any, error) {
+	err := n.Register("b", func(from transport.Addr, method string, payload any) (any, error) {
 		got.Store(int64(payload.(int)))
 		close(done)
 		return nil, nil
@@ -228,7 +230,7 @@ func TestConcurrentTraffic(t *testing.T) {
 	n := New(fastConfig())
 	const peers = 16
 	for i := 0; i < peers; i++ {
-		addr := Addr(fmt.Sprintf("p%d", i))
+		addr := transport.Addr(fmt.Sprintf("p%d", i))
 		if err := n.Register(addr, echoHandler); err != nil {
 			t.Fatal(err)
 		}
@@ -239,9 +241,9 @@ func TestConcurrentTraffic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			from := Addr(fmt.Sprintf("p%d", i))
+			from := transport.Addr(fmt.Sprintf("p%d", i))
 			for j := 0; j < 100; j++ {
-				to := Addr(fmt.Sprintf("p%d", (i+j)%peers))
+				to := transport.Addr(fmt.Sprintf("p%d", (i+j)%peers))
 				if _, err := n.Call(context.Background(), from, to, "echo", j); err != nil {
 					errs <- err
 				}
@@ -265,7 +267,7 @@ func TestKillDuringProcessingLosesResponse(t *testing.T) {
 	}
 	started := make(chan struct{})
 	proceed := make(chan struct{})
-	err := n.Register("b", func(Addr, string, any) (any, error) {
+	err := n.Register("b", func(transport.Addr, string, any) (any, error) {
 		close(started)
 		<-proceed
 		return "late", nil
@@ -279,7 +281,7 @@ func TestKillDuringProcessingLosesResponse(t *testing.T) {
 		close(proceed)
 	}()
 	_, err = n.Call(context.Background(), "a", "b", "slow", nil)
-	if !errors.Is(err, ErrUnreachable) {
-		t.Errorf("err = %v, want ErrUnreachable when destination dies mid-call", err)
+	if !errors.Is(err, transport.ErrUnreachable) {
+		t.Errorf("err = %v, want transport.ErrUnreachable when destination dies mid-call", err)
 	}
 }

@@ -23,13 +23,13 @@ import (
 // protocols rely on: a peer can crash mid-hand-off without leaving its
 // successor holding half a range).
 //
-// Transports implement the contract natively: on TCP the chunk frames
+// The TCP transport implements the contract natively: its chunk frames
 // interleave with ordinary multiplexed RPC frames on the pooled connection
-// (ring stabilization keeps flowing beside a multi-second state transfer),
-// and on simnet the reassembled payload round-trips the wire codec with a
-// fault verdict for every chunk. Protocol layers do not use Stream
-// directly; they call CallBulk/CallBulkAsync, which have exactly Call's
-// semantics with the frame-size bound removed.
+// (ring stabilization keeps flowing beside a multi-second state transfer).
+// simnet does not; it carries each call as one message. Protocol layers do
+// not use Stream directly; they call CallBulk/CallBulkAsync, which have
+// exactly Call's semantics with the frame-size bound removed on a streaming
+// transport.
 
 // DefaultChunkBytes is the chunk size used when a transport's configuration
 // does not set its own: large enough to amortize per-frame overhead, small

@@ -55,10 +55,10 @@ var (
 	// ErrFrameTooLarge reports a plain-call message whose encoded form
 	// exceeds MaxFrameSize. Unlike ErrUnreachable it is a permanent,
 	// payload-level failure: retrying the same message can never succeed.
-	// Bulk state transfers never see it — they go through CallBulk, which
-	// streams payloads of any size in chunk frames — so this error is
-	// strictly a guard against un-chunked protocol messages outgrowing a
-	// frame.
+	// Bulk state transfers go through CallBulk, which on a streaming
+	// transport (TCP) carries payloads of any size in chunk frames and never
+	// sees it; on one that is not (simnet) a bulk call is a plain call and
+	// meets the same bound.
 	ErrFrameTooLarge = errors.New("transport: message exceeds frame size limit")
 	// ErrUnauthenticated reports a connection refused by the authentication
 	// handshake: the remote end does not hold the cluster secret (or refused
