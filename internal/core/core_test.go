@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -448,5 +450,67 @@ func TestFreePoolRecycling(t *testing.T) {
 	})
 	if c.FreeCount() == 0 {
 		t.Error("free pool empty after merges; merged peers were not recycled")
+	}
+}
+
+// A split's new peer holds the replicas of its k predecessors (all the
+// others on a smaller ring) with no periodic stabilization or replica
+// refresh: each predecessor hears at once that the peer is JOINED, and that
+// change of its JOINED successors kicks its push. The benchmark's setup waits
+// for this on every serving peer before it measures.
+func TestSplitPeerHoldsItsPredecessorsReplicasWithoutPeriodicRounds(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Ring.StabPeriod = time.Hour
+	cfg.Replication.RefreshPeriod = time.Hour
+	c := bootCluster(t, cfg, 6)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 1; i <= 30; i++ {
+		if err := c.InsertItem(ctx, mkItem(uint64(i)*1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The splits are over once no peer overflows and none is inserting.
+	waitFor(t, 10*time.Second, "the splits to end", func() bool {
+		live := c.LivePeers()
+		if len(live) < cfg.Replication.Factor+2 || len(ring.RingOrder(c.RingPeers())) != len(live) {
+			return false
+		}
+		for _, p := range live {
+			if p.Store.ItemCount() > 2*cfg.Store.StorageFactor {
+				return false
+			}
+		}
+		return true
+	})
+
+	var missing string
+	replicated := func() bool {
+		live := c.LivePeers()
+		slices.SortFunc(live, func(a, b *Peer) int { return cmp.Compare(a.Ring.Self().Val, b.Ring.Self().Val) })
+		n := len(live)
+		for i, p := range live {
+			held := make(map[keyspace.Key]bool)
+			for _, it := range p.Rep.HeldReplicas() {
+				held[it.Key] = true
+			}
+			for j := 1; j <= min(cfg.Replication.Factor, n-1); j++ {
+				q := live[(i-j+n)%n]
+				for _, it := range q.Store.LocalItems() {
+					if !held[it.Key] {
+						missing = fmt.Sprintf("%s lacks item %d of its predecessor %s at distance %d", p.Addr, it.Key, q.Addr, j)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !replicated() {
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas did not settle without periodic rounds: %s", missing)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

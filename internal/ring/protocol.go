@@ -208,11 +208,15 @@ func (p *Peer) adoptSuccessorList(target Node, sr stabilizeResp) {
 		rectify = pr
 	}
 
+	changed := !sameEntries(p.succ, list)
 	p.succ = list
 	p.raiseNewSuccLocked()
 	self := p.self
 	p.mu.Unlock()
 
+	if changed {
+		p.stabNowPred()
+	}
 	if !rectify.IsZero() {
 		go p.verifyAndRectify(rectify.Addr)
 	}
@@ -272,6 +276,27 @@ func (p *Peer) firstUsableSuccLocked() (Node, bool) {
 		}
 	}
 	return Node{}, false
+}
+
+// sameEntries reports whether a and b hold the same peers, values and states
+// in the same order; Stabilized flags do not count.
+func sameEntries(a, b []Entry) bool {
+	return slices.EqualFunc(a, b, func(x, y Entry) bool { return x.Node == y.Node && x.State == y.State })
+}
+
+// stabNowPred asks our predecessor to stabilize now, because our successor
+// list changed and its copy of it is stale: the proactive contact of Section
+// 4.3.1, applied to every change. The predecessor's round changes its list in
+// turn and passes the news on, so a change reaches every predecessor within
+// the horizon hop by hop, and the cascade ends at the first hop whose list
+// does not change. NoProactive leaves propagation to the periodic rounds.
+func (p *Peer) stabNowPred() {
+	p.mu.Lock()
+	pred, self := p.pred, p.self
+	p.mu.Unlock()
+	if !p.cfg.NoProactive && !pred.IsZero() && pred.Addr != self.Addr {
+		methodStabNow.Send(p.net, self.Addr, pred.Addr, transport.None{})
+	}
 }
 
 // containsAddr reports whether list holds an entry for addr.
@@ -453,7 +478,9 @@ func (p *Peer) verifyAndRectify(addr transport.Addr) {
 // Algorithm 14): ping the first JOINED successor; if it is gone, remove it
 // along with the JOINING entries that followed it — their sponsor died
 // before the protocol completed, so their joins are aborted. A LEAVING
-// first entry is also pinged and dropped once it departs.
+// first entry is also pinged and dropped once it departs. A removal kicks our
+// round, so the dead peer's successor revives its range without waiting out
+// StabPeriod, and tells our predecessor (stabNowPred).
 //
 // Deviation from Algorithm 14, which *promotes* a live orphaned JOINING
 // peer to JOINED: in this implementation the Data Store hand-off happens at
@@ -513,6 +540,8 @@ func (p *Peer) PingOnce() {
 	p.succ = append(p.succ[:idx], p.succ[end:]...)
 	p.raiseNewSuccLocked()
 	p.mu.Unlock()
+	p.stab.Kick()
+	p.stabNowPred()
 }
 
 // --- PEPPER insertSucc ----------------------------------------------------
@@ -555,8 +584,6 @@ func (p *Peer) InsertSucc(ctx context.Context, newNode Node) (err error) {
 	ack := make(chan struct{}, 1)
 	p.joinAck = ack
 	soloRing := p.countJoinedLocked(p.succ) == 0
-	pred := p.pred
-	self := p.self
 	p.mu.Unlock()
 
 	if soloRing {
@@ -567,9 +594,7 @@ func (p *Peer) InsertSucc(ctx context.Context, newNode Node) (err error) {
 
 	// Optimization from Section 4.3.1: proactively ask our predecessor to
 	// stabilize now instead of waiting out the stabilization period.
-	if !p.cfg.NoProactive && !pred.IsZero() && pred.Addr != self.Addr {
-		methodStabNow.Send(p.net, self.Addr, pred.Addr, transport.None{})
-	}
+	p.stabNowPred()
 
 	if err := p.awaitAck(ctx, ack, fmt.Sprintf("insertSucc(%s)", newNode)); err != nil {
 		p.abortInsert(newNode)
@@ -677,6 +702,9 @@ func (p *Peer) completeJoin(ctx context.Context, newNode Node) error {
 	list := make([]Entry, len(p.succ)-1, len(p.succ))
 	copy(list, p.succ[1:])
 	list = appendWrapIfEmpty(list, p.self)
+	// The flip adds a JOINED entry: a (d+1)-th lies past the horizon, where
+	// no later join is announced to us, so it would skip one (Definition 5).
+	p.succ, _ = p.normalizeLocked(p.succ)
 	self := p.self
 	p.mu.Unlock()
 	return p.deliverJoined(ctx, newNode, self, list)
@@ -689,7 +717,9 @@ func (p *Peer) completeJoin(ctx context.Context, newNode Node) error {
 // without installing it twice, so a reply lost with its connection is asked
 // for again until ctx ends (transport.Reask). A refused carve sends nothing;
 // it, a refusal and a newNode that never answers all drop newNode from our
-// list.
+// list. Once newNode holds its range, we stabilize with it soon, so it turns
+// STAB, and tell our predecessor, so the flip to JOINED, and with it a new
+// replication target, reaches the predecessors in the horizon at once.
 func (p *Peer) deliverJoined(ctx context.Context, newNode, self Node, list []Entry) error {
 	var data any
 	var err error
@@ -714,8 +744,8 @@ func (p *Peer) deliverJoined(ctx context.Context, newNode, self Node, list []Ent
 		p.mu.Unlock()
 		return err
 	}
-	// Stabilize soon so the new successor becomes usable (STAB) fast.
 	p.stab.Kick()
+	p.stabNowPred()
 	return nil
 }
 
@@ -818,27 +848,11 @@ func (p *Peer) handleJoined(_ transport.Addr, msg joinedMsg) (bool, error) {
 	return true, nil
 }
 
-// handleStabNow triggers an immediate stabilization round (the proactive
-// contact optimization), cascading to our own predecessor while the join or
-// leave being expedited is still unresolved in our list.
+// handleStabNow runs one stabilization round now (the proactive contact of
+// Section 4.3.1). The round passes the news on to our own predecessor only
+// if it changed our list (adoptSuccessorList).
 func (p *Peer) handleStabNow(transport.Addr, transport.None) (transport.None, error) {
-	go func() {
-		p.StabilizeOnce()
-		p.mu.Lock()
-		unresolved := false
-		for _, e := range p.succ {
-			if e.State == EntryJoining || e.State == EntryLeaving {
-				unresolved = true
-				break
-			}
-		}
-		pred := p.pred
-		self := p.self
-		p.mu.Unlock()
-		if unresolved && !pred.IsZero() && pred.Addr != self.Addr {
-			methodStabNow.Send(p.net, self.Addr, pred.Addr, transport.None{})
-		}
-	}()
+	go p.StabilizeOnce()
 	return transport.None{}, nil
 }
 
@@ -874,9 +888,7 @@ func (p *Peer) Leave(ctx context.Context) error {
 
 	// Proactively trigger stabilization at the predecessor (same
 	// optimization as insertSucc).
-	if !p.cfg.NoProactive {
-		methodStabNow.Send(p.net, self.Addr, pred.Addr, transport.None{})
-	}
+	p.stabNowPred()
 
 	if err := p.awaitAck(ctx, ack, fmt.Sprintf("leave(%s)", self)); err != nil {
 		p.revertLeave()

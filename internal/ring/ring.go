@@ -210,10 +210,12 @@ type Config struct {
 	// Naive selects the baseline insertSucc and leave implementations that
 	// skip the PEPPER protocols (Section 6.2).
 	Naive bool
-	// NoProactive disables the proactive predecessor-contact optimization of
-	// Section 4.3.1, leaving acknowledgment propagation to the periodic
-	// stabilization alone. Used for the ablation benchmarks and for
-	// deterministic protocol tests.
+	// NoProactive disables the proactive predecessor contact of Section
+	// 4.3.1, which a peer sends whenever its successor list changes: a
+	// JOINING or LEAVING entry, a JOINING peer's flip to JOINED and a dead
+	// successor's removal then reach the predecessors by periodic
+	// stabilization alone, one StabPeriod per hop. Used for the ablation
+	// benchmarks and for deterministic protocol tests.
 	NoProactive bool
 }
 

@@ -473,44 +473,9 @@ func TestPepperAckRequiresPropagation(t *testing.T) {
 	cfg.NoProactive = true
 	tc := newTestCluster(t, cfg)
 	tc.manual = true
-
-	peers := make([]*Peer, 5)
-	for i := range peers {
-		peers[i] = tc.addPeer(fmt.Sprintf("p%d", i), uint64(i+1)*100, Callbacks{})
-	}
-	if err := peers[0].InitRing(); err != nil {
-		t.Fatal(err)
-	}
+	peers := tc.buildByHand(5)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	for i := 1; i < 5; i++ {
-		done := make(chan error, 1)
-		go func() { done <- peers[i-1].InsertSucc(ctx, peers[i].Self()) }()
-		// Drive stabilization until the join completes.
-		for {
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatalf("insert %d: %v", i, err)
-				}
-			default:
-				for _, p := range peers[:i] {
-					p.StabilizeOnce()
-				}
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			break
-		}
-	}
-	for i := 0; i < 6; i++ {
-		for _, p := range peers {
-			p.StabilizeOnce()
-		}
-	}
-	if err := CheckConsistency(peers); err != nil {
-		t.Fatalf("ring inconsistent after build: %v", err)
-	}
 
 	// Insert x as successor of p2 (value 350). The ack must not arrive until
 	// the farthest predecessor (p0, distance d-1=2 back from p2) has seen x.
@@ -548,6 +513,33 @@ func TestPepperAckRequiresPropagation(t *testing.T) {
 	waitUntil(t, time.Second, "x joined", func() bool { return x.State() == StateJoined })
 	if err := CheckConsistency(tc.all()); err != nil {
 		t.Fatalf("ring inconsistent after PEPPER insert: %v", err)
+	}
+}
+
+// An inserter's list keeps at most d JOINED entries through its new
+// successor's flip to JOINED. An entry past the d-th lies beyond the
+// horizon, where no later join is announced, so until the inserter's next
+// round it would skip such a joiner (Definition 5). No round runs here but
+// those the test calls, and the inserter calls none after its insert.
+func TestInserterListKeepsTheHorizonThroughTheFlip(t *testing.T) {
+	cfg := quietRingConfig(true)
+	cfg.SuccListLen = 2
+	tc := newTestCluster(t, cfg)
+	tc.manual = true
+	peers := tc.buildByHand(4)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// Each insert is driven by the one peer that must see its joiner.
+	x := tc.addPeer("x", 450, Callbacks{})
+	tc.insertByHand(ctx, peers[3], x, peers[2])
+	if n := len(peers[3].Successors()); n > cfg.SuccListLen {
+		t.Errorf("the inserter lists %d JOINED successors, want at most d=%d", n, cfg.SuccListLen)
+	}
+	// y joins after p0; p3 is past y's horizon and is not told.
+	y := tc.addPeer("y", 150, Callbacks{})
+	tc.insertByHand(ctx, peers[0], y, x)
+	if err := CheckConsistency(tc.all()); err != nil {
+		t.Fatal(err)
 	}
 }
 
