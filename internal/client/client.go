@@ -73,7 +73,10 @@ type Config struct {
 	// MaxInflight bounds operations in flight across the whole client; a
 	// full window queues callers. Default 128.
 	MaxInflight int
-	// RetryBackoff is the pause between operation attempts. Default 5ms.
+	// RetryBackoff is the pause after a transient failure (unreachable
+	// target, busy range lock, stalled descent) before the next attempt.
+	// A stale-route verdict is re-resolved at once instead, unless the
+	// attempt before it drew one too (scan.Pacer). Default 5ms.
 	RetryBackoff time.Duration
 }
 
@@ -303,12 +306,12 @@ func (c *Client) mutate(ctx context.Context, done *metrics.Counter, attempt func
 		return err
 	}
 	defer release()
-	err = c.retry(ctx, func() error {
+	err = c.retry(ctx, func() (bool, error) {
 		stale, err := attempt(ctx)
 		if stale {
 			c.staleRoutes.Inc()
 		}
-		return err
+		return stale, err
 	})
 	if err == nil {
 		done.Inc()
@@ -317,23 +320,28 @@ func (c *Client) mutate(ctx context.Context, done *metrics.Counter, attempt func
 }
 
 // retry drives one operation through the invalidate-and-re-resolve loop:
-// each attempt resolves a (possibly fresh) route and applies the operation;
-// attempts beyond the first back off briefly to let ownership movements
-// settle.
-func (c *Client) retry(ctx context.Context, op func() error) error {
+// each attempt resolves a (possibly fresh) route and applies the operation,
+// reporting whether a failure was a stale-route verdict. An attempt that
+// follows one re-resolves at once; after any other failure, or a second
+// stale verdict in a row, it waits RetryBackoff for the ownership movement
+// to settle (scan.Pacer).
+func (c *Client) retry(ctx context.Context, op func() (stale bool, err error)) error {
 	var lastErr error
+	var stale bool
+	pace := scan.Pacer{Backoff: c.cfg.RetryBackoff}
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+		if attempt > 0 {
+			c.retries.Inc()
+			pace.Wait(ctx, stale)
+		}
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
 				return fmt.Errorf("%w (last attempt: %v)", err, lastErr)
 			}
 			return err
 		}
-		if attempt > 0 {
-			c.retries.Inc()
-			time.Sleep(c.cfg.RetryBackoff)
-		}
-		if err := op(); err != nil {
+		var err error
+		if stale, err = op(); err != nil {
 			lastErr = err
 			continue
 		}

@@ -134,12 +134,20 @@ func startCluster(t *testing.T, peers, items int) ([]*testPeer, []keyspace.Key) 
 // the bootstrap peer.
 func newTestClient(t *testing.T, seed transport.Addr) *Client {
 	t.Helper()
+	return newTestClientWithBackoff(t, seed, 0)
+}
+
+// newTestClientWithBackoff is newTestClient pausing backoff after a transient
+// failure (0: the default).
+func newTestClientWithBackoff(t *testing.T, seed transport.Addr, backoff time.Duration) *Client {
+	t.Helper()
 	tr := tcp.New(tcp.Config{DialTimeout: time.Second, CallTimeout: 2 * time.Second})
 	t.Cleanup(func() { tr.Close() })
 	c, err := New(tr, Config{
-		Seeds:     []transport.Addr{seed},
-		ID:        "client-test",
-		OpTimeout: 20 * time.Second,
+		Seeds:        []transport.Addr{seed},
+		ID:           "client-test",
+		OpTimeout:    20 * time.Second,
+		RetryBackoff: backoff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,10 +238,12 @@ func TestClientCachePrimedFromWriteReplies(t *testing.T) {
 // Poisoned routing state never surfaces to the caller: a cache entry naming
 // the wrong owner draws a typed ErrNotOwner, and one naming a wrong epoch a
 // typed ErrStaleEpoch — each costs an invalidate and a re-resolve inside the
-// retry loop, and the operation still succeeds.
+// retry loop, and the operation still succeeds. The re-resolve runs at once:
+// the client's backoff is 2 s, and neither insert waits it out.
 func TestClientRecoversFromPoisonedRoutes(t *testing.T) {
+	const backoff = 2 * time.Second
 	nodes, keys := startCluster(t, 2, 14)
-	c := newTestClient(t, nodes[0].s.CurrentPeer().Addr)
+	c := newTestClientWithBackoff(t, nodes[0].s.CurrentPeer().Addr, backoff)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -246,6 +256,22 @@ func TestClientRecoversFromPoisonedRoutes(t *testing.T) {
 	if len(ents) < 2 {
 		t.Fatalf("cache holds %d entries, want >= 2 serving peers", len(ents))
 	}
+	// insert stores key through the poisoned cache; it must cost exactly one
+	// stale-route rejection and return well inside one backoff.
+	insert := func(poison string, key keyspace.Key) {
+		t.Helper()
+		before := c.Stats().StaleRoutes
+		start := time.Now()
+		if err := c.Insert(ctx, datastore.Item{Key: key, Payload: poison}); err != nil {
+			t.Fatalf("insert through %s poison: %v", poison, err)
+		}
+		if took := time.Since(start); took >= backoff/2 {
+			t.Errorf("insert through %s poison took %v, want well under the %v backoff", poison, took, backoff)
+		}
+		if got := c.Stats().StaleRoutes - before; got != 1 {
+			t.Errorf("%s poison registered %d stale-route rejections, want 1", poison, got)
+		}
+	}
 
 	// Wrong owner: claim peer B serves peer A's range (same epoch, so the
 	// poison is not rejected as stale). The target's ownership check must
@@ -253,27 +279,15 @@ func TestClientRecoversFromPoisonedRoutes(t *testing.T) {
 	a, b := ents[0], ents[1]
 	c.Cache().Clear()
 	c.Cache().Learn(a.Range, b.Addr, b.Epoch, nil)
-	before := c.Stats().StaleRoutes
 	key := a.Range.Hi // a key peer A serves
-	if err := c.Insert(ctx, datastore.Item{Key: key, Payload: "poisoned-owner"}); err != nil {
-		t.Fatalf("insert through wrong-owner poison: %v", err)
-	}
-	if got := c.Stats().StaleRoutes; got == before {
-		t.Fatal("wrong-owner poison did not register a stale-route rejection")
-	}
+	insert("wrong-owner", key)
 
 	// Wrong epoch: claim the right owner at a future incarnation. The fenced
 	// mutation must draw ErrStaleEpoch, and the retry must re-learn the real
 	// epoch and succeed.
 	c.Cache().Clear()
 	c.Cache().Learn(a.Range, a.Addr, a.Epoch+1000, nil)
-	before = c.Stats().StaleRoutes
-	if err := c.Insert(ctx, datastore.Item{Key: key, Payload: "poisoned-epoch"}); err != nil {
-		t.Fatalf("insert through wrong-epoch poison: %v", err)
-	}
-	if got := c.Stats().StaleRoutes; got == before {
-		t.Fatal("wrong-epoch poison did not register a stale-route rejection")
-	}
+	insert("wrong-epoch", key)
 	if ent, ok := c.Cache().Lookup(key); !ok || ent.Epoch != a.Epoch {
 		t.Fatalf("cache entry after recovery = %+v, want the real epoch %d", ent, a.Epoch)
 	}

@@ -29,13 +29,15 @@ func (c *Client) Query(ctx context.Context, iv keyspace.Interval) ([]datastore.I
 	defer release()
 	planner := c.planner()
 	var items []datastore.Item
-	err = c.retry(ctx, func() error {
+	// A scan attempt re-resolves its own stale segments, so a failed one is
+	// never a stale-route verdict: the next attempt waits the backoff.
+	err = c.retry(ctx, func() (bool, error) {
 		var st scan.Stats
 		var err error
 		items, st, err = planner.Attempt(ctx, iv)
 		c.staleRoutes.Add(uint64(st.StaleRoutes))
 		c.replicaReads.Add(uint64(st.ReplicaPieces))
-		return err
+		return false, err
 	})
 	if err == nil {
 		c.queries.Inc()

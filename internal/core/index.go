@@ -21,30 +21,28 @@ import (
 // It routes from a random live entry peer to the owner of the item's search
 // key value and retries through ownership movements until ctx expires.
 func (c *Cluster) InsertItem(ctx context.Context, item datastore.Item) error {
-	return c.retryRouted(ctx, func(entry *Peer) error {
-		_, err := entry.planner(false).InsertAttempt(ctx, item)
-		return err
+	return c.retryRouted(ctx, func(entry *Peer) (bool, error) {
+		return entry.planner(false).InsertAttempt(ctx, item)
 	})
 }
 
 // DeleteItem removes an item from the index, reporting whether it existed.
 func (c *Cluster) DeleteItem(ctx context.Context, key keyspace.Key) (bool, error) {
 	var found bool
-	err := c.retryRouted(ctx, func(entry *Peer) error {
-		var err error
-		found, _, err = entry.planner(false).DeleteAttempt(ctx, key)
-		return err
+	err := c.retryRouted(ctx, func(entry *Peer) (stale bool, err error) {
+		found, stale, err = entry.planner(false).DeleteAttempt(ctx, key)
+		return stale, err
 	})
 	return found, err
 }
 
 // retryRouted applies one routed attempt from a fresh random entry peer,
 // retrying while ownership is moving (splits, merges, failures).
-func (c *Cluster) retryRouted(ctx context.Context, op func(entry *Peer) error) error {
-	return retryRouted(ctx, c.cfg.MaxQueryAttempts, func() error {
+func (c *Cluster) retryRouted(ctx context.Context, op func(entry *Peer) (staleRoute bool, err error)) error {
+	return retryRouted(ctx, c.cfg.MaxQueryAttempts, routedBackoff, func() (bool, error) {
 		entry, err := c.randomLive()
 		if err != nil {
-			return err
+			return false, err
 		}
 		return op(entry)
 	})
@@ -53,33 +51,41 @@ func (c *Cluster) retryRouted(ctx context.Context, op func(entry *Peer) error) e
 // InsertItem stores an item in the index, routing from this peer and
 // retrying through ownership movements.
 func (p *Peer) InsertItem(ctx context.Context, item datastore.Item) error {
-	return retryRouted(ctx, p.cfg.MaxQueryAttempts, func() error {
-		_, err := p.planner(false).InsertAttempt(ctx, item)
-		return err
+	return retryRouted(ctx, p.cfg.MaxQueryAttempts, routedBackoff, func() (bool, error) {
+		return p.planner(false).InsertAttempt(ctx, item)
 	})
 }
 
 // DeleteItem removes an item from the index, reporting whether it existed.
 func (p *Peer) DeleteItem(ctx context.Context, key keyspace.Key) (bool, error) {
 	var found bool
-	err := retryRouted(ctx, p.cfg.MaxQueryAttempts, func() error {
-		var err error
-		found, _, err = p.planner(false).DeleteAttempt(ctx, key)
-		return err
+	err := retryRouted(ctx, p.cfg.MaxQueryAttempts, routedBackoff, func() (stale bool, err error) {
+		found, stale, err = p.planner(false).DeleteAttempt(ctx, key)
+		return stale, err
 	})
 	return found, err
 }
 
-// retryRouted retries op through ownership movements with a short backoff.
-func retryRouted(ctx context.Context, attempts int, op func() error) error {
+// routedBackoff is the pause after a routed attempt's transient failure.
+const routedBackoff = 5 * time.Millisecond
+
+// retryRouted retries op through ownership movements. An attempt whose route
+// was proven stale is retried at once through a fresh route; any other
+// failure, or a second stale verdict in a row, waits backoff (scan.Pacer).
+func retryRouted(ctx context.Context, attempts int, backoff time.Duration, op func() (staleRoute bool, err error)) error {
 	var lastErr error
+	var stale bool
+	pace := scan.Pacer{Backoff: backoff}
 	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			pace.Wait(ctx, stale)
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := op(); err != nil {
+		var err error
+		if stale, err = op(); err != nil {
 			lastErr = err
-			time.Sleep(5 * time.Millisecond)
 			continue
 		}
 		return nil

@@ -216,3 +216,66 @@ func TestRemovalCascadesToEveryPredecessorInTheHorizon(t *testing.T) {
 		t.Errorf("rounds that changed no list sent %d stabNow messages, want 0", got)
 	}
 }
+
+// One failure must not strand a peer. An inserter that dies once its joiner
+// holds its range (deliverJoined), before its predecessor's next round,
+// leaves that predecessor listing the joiner as JOINING behind a dead
+// successor. The ping that finds the inserter gone must ask the joiner, keep
+// it as the finished join it is and stabilize with it, so the joiner takes
+// the predecessor with predFailed (and revives the dead inserter's range),
+// and Definition 5 holds. Before the insert the ring has two peers (the
+// predecessor's list would be left empty) or three (it would skip the
+// joiner).
+func TestInserterDeathAfterTheFlipStrandsNoPeer(t *testing.T) {
+	for _, base := range []int{2, 3} {
+		t.Run(fmt.Sprintf("%d peers before the insert", base), func(t *testing.T) {
+			tc := newTestCluster(t, quietRingConfig(true))
+			tc.manual = true
+			peers := tc.buildByHand(base)
+			pred, inserter := peers[0], peers[1]
+			failedTo := make(chan Node, 4)
+			x := tc.addPeer("x", 250, Callbacks{
+				// The inserter dies as x installs its range: the joined
+				// reply still reaches it, but nothing it sends after does.
+				OnJoined: func(Node, Node, any) { tc.net.Kill(inserter.addr) },
+				OnPredChanged: func(newPred, _ Node, predFailed bool) {
+					if predFailed {
+						failedTo <- newPred
+					}
+				},
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- inserter.InsertSucc(ctx, x.Self()) }()
+			waitUntil(t, 2*time.Second, "the inserter to list x", func() bool {
+				_, ok := entryFor(inserter, x.addr)
+				return ok
+			})
+			// The predecessor's one round learns x as JOINING and acks it.
+			pred.StabilizeOnce()
+			if err := <-done; err != nil {
+				t.Fatalf("insert x: %v", err)
+			}
+			if st, ok := entryFor(pred, x.addr); !ok || st != EntryJoining {
+				t.Fatalf("predecessor lists x as %v (present %v), want JOINING", st, ok)
+			}
+
+			pred.PingOnce()
+			pred.StabilizeOnce()
+			select {
+			case n := <-failedTo:
+				if n.Addr != pred.addr {
+					t.Fatalf("x took %s as its predecessor with predFailed, want %s", n.Addr, pred.addr)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("x never took a predecessor with predFailed; the predecessor lists %v", pred.SuccessorList())
+			}
+			survivors := append([]*Peer{pred, x}, peers[2:]...)
+			tc.stabilizeBackwards(survivors, 2*len(survivors))
+			if err := CheckConsistency(survivors); err != nil {
+				t.Fatalf("ring inconsistent after the inserter's death: %v", err)
+			}
+		})
+	}
+}

@@ -477,10 +477,13 @@ func (p *Peer) verifyAndRectify(addr transport.Addr) {
 // PingOnce runs one round of successor failure detection (appendix
 // Algorithm 14): ping the first JOINED successor; if it is gone, remove it
 // along with the JOINING entries that followed it — their sponsor died
-// before the protocol completed, so their joins are aborted. A LEAVING
-// first entry is also pinged and dropped once it departs. A removal kicks our
-// round, so the dead peer's successor revives its range without waiting out
-// StabPeriod, and tells our predecessor (stabNowPred).
+// before the protocol completed, so their joins are aborted. Each of those
+// is asked first: one that answers as a member finished its join (the flip
+// had not reached us) and is kept as JOINED, or its predecessor would stay
+// the dead peer for good. A LEAVING first entry is also pinged and dropped
+// once it departs. A removal kicks our round, so the dead peer's successor
+// revives its range without waiting out StabPeriod, and tells our
+// predecessor (stabNowPred).
 //
 // Deviation from Algorithm 14, which *promotes* a live orphaned JOINING
 // peer to JOINED: in this implementation the Data Store hand-off happens at
@@ -502,12 +505,19 @@ func (p *Peer) PingOnce() {
 		st  EntryState
 	}
 	var first *probe
+	var children []Entry
 	for i, e := range p.succ {
 		if inserting && i == 0 {
 			continue
 		}
 		if e.State == EntryJoined || e.State == EntryLeaving {
 			first = &probe{idx: i, n: e.Node, st: e.State}
+			for _, c := range p.succ[i+1:] {
+				if c.State != EntryJoining {
+					break
+				}
+				children = append(children, c)
+			}
 			break
 		}
 	}
@@ -518,9 +528,15 @@ func (p *Peer) PingOnce() {
 	if p.pingNode(first.n.Addr) {
 		return
 	}
+	var joined []Entry
+	for _, c := range children {
+		if pr, err := p.ping(c.Node.Addr); err == nil && pr.Node == c.Node && pr.State != StateJoining && pr.State != StateFree {
+			joined = append(joined, Entry{Node: c.Node, State: EntryJoined})
+		}
+	}
 
 	// The successor is gone. Remove it together with the JOINING entries
-	// directly following it (its children, whose joins are now aborted).
+	// directly following it (its children), keeping the joined ones.
 	p.mu.Lock()
 	idx := -1
 	for i, e := range p.succ {
@@ -537,7 +553,7 @@ func (p *Peer) PingOnce() {
 	for end < len(p.succ) && p.succ[end].State == EntryJoining {
 		end++
 	}
-	p.succ = append(p.succ[:idx], p.succ[end:]...)
+	p.succ, _ = p.normalizeLocked(slices.Concat(p.succ[:idx], joined, p.succ[end:]))
 	p.raiseNewSuccLocked()
 	p.mu.Unlock()
 	p.stab.Kick()

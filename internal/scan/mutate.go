@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 	"errors"
+	"time"
 
 	"repro/internal/datastore"
 	"repro/internal/keyspace"
@@ -62,4 +63,33 @@ func (p Planner) mutate(ctx context.Context, key keyspace.Key, call func(owner t
 		p.Routes.InvalidateOwner(ent.Addr)
 	}
 	return staleRoute, err
+}
+
+// Pacer is the one pause rule between the attempts of a routed operation,
+// whichever shell retries it (the client's, the in-cluster index's). A
+// failure whose route was proven stale (staleRoute: a typed rejection from a
+// live target) has already dropped that route, so the next attempt
+// re-resolves through a fresh one at once. A second stale verdict in a row
+// means the move is still in flight: it, like every other failure
+// (unreachable, lock busy, descent stalled), waits Backoff. So a run of stale
+// verdicts gets one immediate retry and never becomes a busy loop.
+type Pacer struct {
+	Backoff   time.Duration
+	lastStale bool
+}
+
+// Wait pauses before the attempt that follows a failed one, or until ctx
+// ends; stale reports whether that failure was a stale-route verdict.
+func (p *Pacer) Wait(ctx context.Context, stale bool) {
+	again := p.lastStale
+	p.lastStale = stale
+	if stale && !again {
+		return
+	}
+	t := time.NewTimer(p.Backoff)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }

@@ -5,7 +5,8 @@
 // delete attempts of the write path (mutate.go). The two origins differ only
 // in where routes come from (the Routes seam), which address they send from,
 // how deep they pipeline, whether a dead primary's segment may be read from
-// its replicas, and how they retry; everything else is here, once.
+// its replicas, and how many attempts they allow; everything else, the pause
+// between attempts (Pacer) included, is here, once.
 //
 // The scan is origin-driven: instead of the hand-over-hand forwarding of
 // Algorithm 4 (one hop at a time, results pushed back to the origin), the
