@@ -91,6 +91,7 @@ func (s *Standalone) handleProbe(_ transport.Addr, req ops.ProbeRequest) (ops.Pr
 		}
 	}
 	resp.LeaseAdoptions = p.Store.LeaseAdoptions.Load()
+	resp.JournalEvents, resp.JournalBytes = s.Log.Len(), s.Log.Bytes()
 	if req.LeaseAudit {
 		resp.LeaseViolations = len(s.Log.CheckLeases())
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/datastore"
 	"repro/internal/keyspace"
+	"repro/internal/ops"
 	"repro/internal/replication"
 	"repro/internal/ring"
 	"repro/internal/router"
@@ -131,6 +132,19 @@ func TestStandaloneClusterOverTCP(t *testing.T) {
 	items, _, err := boot.CurrentPeer().RangeQueryStats(ctx, keyspace.Point(50))
 	if err != nil || len(items) != 1 {
 		t.Fatalf("point query for cross-process insert = %v, %v", items, err)
+	}
+
+	// A probe over the wire reports the bootstrap's own journal: at least
+	// its 14 adds, at 32 bytes or more each.
+	st, err := Probe(ctx, joiner.tr, joiner.CurrentPeer().Addr, boot.CurrentPeer().Addr, ops.ProbeRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := boot.Log.Len(); st.JournalEvents < 14 || st.JournalEvents > n {
+		t.Errorf("journal_events = %d, want 14..%d", st.JournalEvents, n)
+	}
+	if st.JournalBytes < 32*int64(st.JournalEvents) {
+		t.Errorf("journal_bytes = %d for %d events, want at least 32 each", st.JournalBytes, st.JournalEvents)
 	}
 }
 

@@ -204,7 +204,7 @@ func (c handOff) start(t *testing.T, h *harness, st *Store) (skip int) {
 	if !c.fresh {
 		joinAs100to200(t, st)
 	}
-	return len(h.log.Events())
+	return h.log.Len()
 }
 
 func (c handOff) leaseDuration() time.Duration {
@@ -363,7 +363,7 @@ func TestCarveThatCannotLockRefuses(t *testing.T) {
 	joinAs100to200(t, st)
 	rp.SetVal(120) // split() lowers the value before the ring insert
 	rec.wal()
-	skip := len(h.log.Events())
+	skip := h.log.Len()
 
 	if err := st.rangeLock.RLock(context.Background()); err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestCarveJournalsMovesThenClaim(t *testing.T) {
 			}
 		}
 		rec.wal()
-		return h, first, rec, len(h.log.Events())
+		return h, first, rec, h.log.Len()
 	}
 
 	t.Run("split", func(t *testing.T) {
@@ -458,13 +458,13 @@ func TestClientMutationWritesOneRecord(t *testing.T) {
 	rep := first.rep.(*fakeRep)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	skip := len(h.log.Events())
+	skip := h.log.Len()
 	want := func(what string, wal, events []string, kicks int) {
 		t.Helper()
 		wantSame(t, what+": WAL batches", rec.wal(), wal)
 		wantSame(t, what+": history events", journal(h.log, skip), events)
 		wantSame(t, what+": replication kicks", rep.changed, kicks)
-		skip = len(h.log.Events())
+		skip = h.log.Len()
 		rep.changed = 0
 	}
 

@@ -2,6 +2,8 @@ package history
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"repro/internal/keyspace"
 )
@@ -68,9 +70,13 @@ func (v ClaimViolation) String() string {
 // incarnations: they are checked for identity with the peer's last journaled
 // claim instead of strict supersession.
 func CheckClaims(events []Event) []ClaimViolation {
+	return checkClaims(slices.Values(events))
+}
+
+func checkClaims(events iter.Seq[Event]) []ClaimViolation {
 	latest := make(map[string]Claim)
 	var out []ClaimViolation
-	for _, ev := range events {
+	for ev := range events {
 		if ev.Kind == PeerFailed {
 			delete(latest, ev.Peer)
 			continue
@@ -127,9 +133,13 @@ func CheckClaims(events []Event) []ClaimViolation {
 // never record claims (hand-built test layouts) trivially pass: with no
 // competing claim there is nothing to fence.
 func CheckAddAttribution(events []Event) []ClaimViolation {
+	return checkAddAttribution(slices.Values(events))
+}
+
+func checkAddAttribution(events iter.Seq[Event]) []ClaimViolation {
 	latest := make(map[string]Claim)
 	var out []ClaimViolation
-	for _, ev := range events {
+	for ev := range events {
 		switch ev.Kind {
 		case RangeClaimed:
 			latest[ev.Peer] = Claim{Seq: ev.Seq, Peer: ev.Peer, Range: keyspace.Range{Lo: ev.Lo, Hi: ev.Hi}, Epoch: ev.Epoch}
@@ -157,9 +167,9 @@ func CheckAddAttribution(events []Event) []ClaimViolation {
 	return out
 }
 
-// CheckEpochAudit runs both epoch checkers over the journal.
+// CheckEpochAudit runs both epoch checkers over one snapshot of the journal.
 func (l *Log) CheckEpochAudit() []ClaimViolation {
-	events := l.Events()
-	out := CheckClaims(events)
-	return append(out, CheckAddAttribution(events)...)
+	events := l.all()
+	out := checkClaims(events)
+	return append(out, checkAddAttribution(events)...)
 }

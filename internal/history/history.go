@@ -26,6 +26,8 @@ package history
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 	"sync"
 
@@ -116,17 +118,18 @@ type QueryRecord struct {
 	Result   []keyspace.Key
 }
 
-// Log is a concurrency-safe journal of Data Store operations.
+// Log is a concurrency-safe journal of Data Store operations. One Log serves
+// one standalone peer, or every peer of a simulated cluster.
 type Log struct {
 	mu      sync.Mutex
 	nextSeq Seq
-	events  []Event
+	j       journal
 	queries []QueryRecord
 	nextQID int
 }
 
 // NewLog returns an empty journal.
-func NewLog() *Log { return &Log{} }
+func NewLog() *Log { return &Log{j: newJournal()} }
 
 // next must be called with l.mu held.
 func (l *Log) next() Seq {
@@ -141,33 +144,33 @@ func (l *Log) Now() Seq {
 	return l.next()
 }
 
-// Added journals that peer's Data Store now contains key.
-func (l *Log) Added(peer string, key keyspace.Key) {
+// append journals ev at a fresh sequence point.
+func (l *Log) append(ev Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: ItemAdded, Key: key, Peer: peer})
+	ev.Seq = l.next()
+	l.j.add(ev)
+}
+
+// Added journals that peer's Data Store now contains key.
+func (l *Log) Added(peer string, key keyspace.Key) {
+	l.append(Event{Kind: ItemAdded, Key: key, Peer: peer})
 }
 
 // Removed journals that peer's Data Store no longer contains key.
 func (l *Log) Removed(peer string, key keyspace.Key) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: ItemRemoved, Key: key, Peer: peer})
+	l.append(Event{Kind: ItemRemoved, Key: key, Peer: peer})
 }
 
 // Moved journals an atomic transfer of key from one peer's Data Store to
 // another's. The item stays live across the move.
 func (l *Log) Moved(from, to string, key keyspace.Key) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: ItemMoved, Key: key, Peer: to, From: from})
+	l.append(Event{Kind: ItemMoved, Key: key, Peer: to, From: from})
 }
 
 // Failed journals a fail-stop of peer: every item it held stops being live.
 func (l *Log) Failed(peer string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: PeerFailed, Peer: peer})
+	l.append(Event{Kind: PeerFailed, Peer: peer})
 }
 
 // Claimed journals an ownership-epoch transition: peer now serves the range
@@ -176,9 +179,7 @@ func (l *Log) Failed(peer string) {
 // mutation to exactly one ownership incarnation and check that epochs fence
 // correctly (CheckClaims / CheckAddAttribution).
 func (l *Log) Claimed(peer string, r keyspace.Range, epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: RangeClaimed, Peer: peer, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
+	l.append(Event{Kind: RangeClaimed, Peer: peer, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
 }
 
 // RecoveredClaim journals a claim re-entered from durable storage: after a
@@ -187,9 +188,7 @@ func (l *Log) Claimed(peer string, r keyspace.Range, epoch uint64) {
 // The audit treats it like any other claim at that epoch; the Recovered flag
 // lets checks and reports distinguish a legal restart from a fresh claim.
 func (l *Log) RecoveredClaim(peer string, r keyspace.Range, epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: RangeClaimed, Peer: peer, Lo: r.Lo, Hi: r.Hi, Epoch: epoch, Recovered: true})
+	l.append(Event{Kind: RangeClaimed, Peer: peer, Lo: r.Lo, Hi: r.Hi, Epoch: epoch, Recovered: true})
 }
 
 // LeaseGranted journals that peer's claim of r at epoch carries a fresh
@@ -197,9 +196,7 @@ func (l *Log) RecoveredClaim(peer string, r keyspace.Range, epoch uint64) {
 // leased incarnation pairs a RangeClaimed with a LeaseGranted at the same
 // (peer, range, epoch).
 func (l *Log) LeaseGranted(peer string, r keyspace.Range, epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: LeaseGranted, Peer: peer, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
+	l.append(Event{Kind: LeaseGranted, Peer: peer, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
 }
 
 // LeaseExpired journals that adopter observed holder's lease on r at epoch
@@ -207,17 +204,13 @@ func (l *Log) LeaseGranted(peer string, r keyspace.Range, epoch uint64) {
 // event on, holder's live lease is void and an overlapping grant by the
 // adopter is justified.
 func (l *Log) LeaseExpired(holder, adopter string, r keyspace.Range, epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: LeaseExpired, Peer: holder, From: adopter, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
+	l.append(Event{Kind: LeaseExpired, Peer: holder, From: adopter, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
 }
 
 // LeaseReleased journals that peer voluntarily gave up its lease on r at
 // epoch (step-down or merge departure); its live lease is void from here on.
 func (l *Log) LeaseReleased(peer string, r keyspace.Range, epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: LeaseReleased, Peer: peer, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
+	l.append(Event{Kind: LeaseReleased, Peer: peer, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
 }
 
 // LeaseHandoff journals that giver is transferring the leased sub-range r to
@@ -228,9 +221,7 @@ func (l *Log) LeaseReleased(peer string, r keyspace.Range, epoch uint64) {
 // lease audit treats a pending handoff as advance justification for the
 // recipient's overlapping grant.
 func (l *Log) LeaseHandoff(giver, recipient string, r keyspace.Range, epoch uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, Event{Seq: l.next(), Kind: LeaseHandoff, Peer: giver, From: recipient, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
+	l.append(Event{Kind: LeaseHandoff, Peer: giver, From: recipient, Lo: r.Lo, Hi: r.Hi, Epoch: epoch})
 }
 
 // BeginQuery opens a query record and returns its id and start point.
@@ -252,11 +243,23 @@ func (l *Log) EndQuery(id int, iv keyspace.Interval, start Seq, result []keyspac
 
 // Events returns a copy of all journaled events in sequence order.
 func (l *Log) Events() []Event {
+	j := l.snapshot()
+	return slices.AppendSeq(make([]Event, 0, j.n), j.events)
+}
+
+// Len returns the number of journaled events.
+func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
+	return l.j.n
+}
+
+// Bytes returns the memory the journaled events hold, in bytes: a peer's
+// journal grows by about 32 bytes per item mutation.
+func (l *Log) Bytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.j.bytes()
 }
 
 // Queries returns a copy of all completed query records.
@@ -291,6 +294,10 @@ type Liveness struct {
 // single unlucky kill would leave a phantom item "live" forever and every
 // later query would be flagged as missing it.
 func BuildLiveness(events []Event) *Liveness {
+	return buildLiveness(slices.Values(events))
+}
+
+func buildLiveness(events iter.Seq[Event]) *Liveness {
 	type holding map[string]int // peer -> copies held (should be 0/1)
 	holders := make(map[keyspace.Key]holding)
 	lv := &Liveness{intervals: make(map[keyspace.Key][]Interval)}
@@ -311,7 +318,7 @@ func BuildLiveness(events []Event) *Liveness {
 		}
 	}
 
-	for _, ev := range events {
+	for ev := range events {
 		switch ev.Kind {
 		case ItemAdded:
 			if failed[ev.Peer] {
@@ -437,10 +444,15 @@ func CheckQueryResult(lv *Liveness, q QueryRecord) []Violation {
 }
 
 // CheckAllQueries replays the journal once and checks every completed query.
+// The queries and the events are taken at one point, so every event up to a
+// query's end is in the replay.
 func (l *Log) CheckAllQueries() []Violation {
-	lv := BuildLiveness(l.Events())
+	l.mu.Lock()
+	j, queries := l.j, l.queries
+	l.mu.Unlock()
+	lv := buildLiveness(j.events)
 	var out []Violation
-	for _, q := range l.Queries() {
+	for _, q := range queries {
 		out = append(out, CheckQueryResult(lv, q)...)
 	}
 	return out

@@ -2,6 +2,8 @@ package history
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"repro/internal/keyspace"
 )
@@ -59,6 +61,10 @@ type handoff struct {
 // extensions at merges/revivals). Journals with no lease events trivially
 // pass, so unleased configurations stay auditable by the epoch checks alone.
 func CheckLeases(events []Event) []LeaseViolation {
+	return checkLeases(slices.Values(events))
+}
+
+func checkLeases(events iter.Seq[Event]) []LeaseViolation {
 	latest := make(map[string]lease)
 	var pending []handoff
 	var out []LeaseViolation
@@ -87,7 +93,7 @@ func CheckLeases(events []Event) []LeaseViolation {
 		pending = kept
 	}
 
-	for _, ev := range events {
+	for ev := range events {
 		switch ev.Kind {
 		case PeerFailed:
 			if l, ok := latest[ev.Peer]; ok {
@@ -158,5 +164,5 @@ func firstOf(r keyspace.Range) keyspace.Key { return r.Lo + 1 }
 
 // CheckLeases runs the lease audit over this journal's events.
 func (l *Log) CheckLeases() []LeaseViolation {
-	return CheckLeases(l.Events())
+	return checkLeases(l.all())
 }

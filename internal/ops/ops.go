@@ -128,6 +128,12 @@ type ProbeStatus struct {
 	// transport, dialed plus accepted (the probe's own included).
 	OpenConns uint64 `json:"open_conns"`
 
+	// Correctness journal: the events the process's history log holds (one
+	// per item mutation, claim and lease transition, never truncated) and
+	// the bytes they take, about 32 per item mutation.
+	JournalEvents int   `json:"journal_events"`
+	JournalBytes  int64 `json:"journal_bytes"`
+
 	// Replication push protocol: pushes this peer sent as an origin, by shape
 	// (delta, advert-only heartbeat, full set), the replies that asked it for
 	// the full set, and the replica records it journaled as a holder. A

@@ -54,10 +54,28 @@ func (t *Transport) peerEntry(addr transport.Addr) (*peerConns, error) {
 	return pc, nil
 }
 
-// grabConn returns a healthy multiplexed connection to addr, dialing when
-// the destination has fewer than ConnsPerPeer and reusing round-robin
-// otherwise. A connection idle past IdlePingAfter is ping-checked first.
-// Waiting is bounded by ctx and a dial by ctx's deadline.
+// pickLocked returns the next connection round-robin, preferring one with
+// nothing in flight, and whether the one returned has something in flight.
+// Callers hold pc.mu and pc.conns is not empty.
+func (pc *peerConns) pickLocked() (*muxConn, bool) {
+	n := len(pc.conns)
+	for i := 0; i < n; i++ {
+		if mc := pc.conns[(pc.rr+i)%n]; !mc.busy() {
+			pc.rr += i + 1
+			return mc, false
+		}
+	}
+	mc := pc.conns[pc.rr%n]
+	pc.rr++
+	return mc, true
+}
+
+// grabConn returns a healthy multiplexed connection to addr. It reuses one
+// with nothing in flight; it dials another only when every pooled
+// connection has a call or stream registered and the destination has fewer
+// than ConnsPerPeer, and otherwise shares one round-robin. A connection idle
+// past IdlePingAfter is ping-checked first. Waiting is bounded by ctx and a
+// dial by ctx's deadline.
 func (t *Transport) grabConn(ctx context.Context, addr transport.Addr) (*muxConn, error) {
 	for {
 		pc, err := t.peerEntry(addr)
@@ -66,9 +84,15 @@ func (t *Transport) grabConn(ctx context.Context, addr transport.Addr) (*muxConn
 		}
 		pc.mu.Lock()
 		pc.pruneLocked()
-		if len(pc.conns) > 0 && (len(pc.conns) >= t.cfg.ConnsPerPeer || pc.dialing != nil) {
-			mc := pc.conns[pc.rr%len(pc.conns)]
-			pc.rr++
+		var mc *muxConn
+		if len(pc.conns) > 0 {
+			var busy bool
+			mc, busy = pc.pickLocked()
+			if busy && len(pc.conns) < t.cfg.ConnsPerPeer && pc.dialing == nil {
+				mc = nil // every connection is busy: dial another below
+			}
+		}
+		if mc != nil {
 			pc.mu.Unlock()
 			if err := t.ensureHealthy(mc); err != nil {
 				continue // conn is dead and pruned next time round; dial or pick another
@@ -97,7 +121,7 @@ func (t *Transport) grabConn(ctx context.Context, addr transport.Addr) (*muxConn
 		pc.dialing = make(chan struct{})
 		pc.mu.Unlock()
 
-		mc, err := t.dialConn(ctx, addr)
+		mc, err = t.dialConn(ctx, addr)
 		pc.mu.Lock()
 		close(pc.dialing)
 		pc.dialing = nil
@@ -214,6 +238,13 @@ func (c *muxConn) isDead() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dead
+}
+
+// busy reports whether a call or stream is registered on the connection.
+func (c *muxConn) busy() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending) > 0
 }
 
 // send registers msg under a fresh request ID and sends it. Its response

@@ -53,8 +53,10 @@ type Config struct {
 	// CallTimeout is the per-call deadline applied when the caller's context
 	// carries none — the "known bounded delay" of Section 2.1. Default 5s.
 	CallTimeout time.Duration
-	// ConnsPerPeer bounds multiplexed connections per destination; calls are
-	// spread round-robin across them. Default 2.
+	// ConnsPerPeer bounds multiplexed connections per destination. A call
+	// takes a connection with nothing in flight; another is dialed only
+	// while every pooled one is busy, and past the bound calls share them
+	// round-robin. Default 2.
 	ConnsPerPeer int
 	// IdlePingAfter health-checks a pooled connection with a ping frame
 	// before reuse when nothing has been read from it for this long.
